@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import NotPrimeError, ParameterRangeError
@@ -198,17 +198,18 @@ def _c_alpha_holds_exact(c: int, one_minus_alpha: Fraction, one_plus_beta: Fract
 
 
 def _c_alpha_holds_decimal(c: int, alpha: float, beta: float, digits: int = 60) -> bool:
-    getcontext().prec = digits
-    cd = Decimal(c)
-    lhs = Decimal(12) * (cd.ln() * (Decimal(1) + Decimal(str(beta)))).exp()
-    rhs = (Decimal(1) - Decimal(str(alpha))) * cd * cd - 2 * cd
-    if abs(lhs - rhs) < Decimal(10) ** (-(digits // 2)) * max(abs(lhs), abs(rhs), Decimal(1)):
-        if digits >= 240:
-            raise ParameterRangeError(
-                f"cannot decide the c_alpha inequality at c={c} even at {digits} digits"
-            )
-        return _c_alpha_holds_decimal(c, alpha, beta, digits * 2)
-    return lhs < rhs
+    with localcontext() as ctx:
+        ctx.prec = digits
+        cd = Decimal(c)
+        lhs = Decimal(12) * (cd.ln() * (Decimal(1) + Decimal(str(beta)))).exp()
+        rhs = (Decimal(1) - Decimal(str(alpha))) * cd * cd - 2 * cd
+        if abs(lhs - rhs) < Decimal(10) ** (-(digits // 2)) * max(abs(lhs), abs(rhs), Decimal(1)):
+            if digits >= 240:
+                raise ParameterRangeError(
+                    f"cannot decide the c_alpha inequality at c={c} even at {digits} digits"
+                )
+            return _c_alpha_holds_decimal(c, alpha, beta, digits * 2)
+        return lhs < rhs
 
 
 def find_c_alpha(alpha: float, beta: float) -> int:

@@ -4,7 +4,9 @@ Spectra of complex Hermitian matrices are computed through the real
 symmetric embedding [[Re M, -Im M], [Im M, Re M]], whose spectrum is that
 of M with every eigenvalue doubled; the embedded problem goes to LAPACK
 (numpy.linalg.eigvalsh).  The bordered-matrix bounds are evaluated from
-their closed forms and cross-checked elsewhere against dense oracles.
+their closed forms and cross-checked elsewhere against dense oracles; the
+extreme roots of the two-row bordered quartic are the extreme eigenvalues
+of that matrix compressed to its invariant subspace of dimension at most 4.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NonHermitianError, ParameterRangeError
 
@@ -124,8 +125,9 @@ def gamma_term(c, d) -> float:
     """Correction term of the bordered determinant closed form.
 
     gamma = sum_i |c_i|^2 (d_i . d_i*) - sum_i c_i d_i* (d_i . c_i*), where
-    the subscript-i vectors drop entry i.  The value is real; an imaginary
-    residue above 1e-12 trips an assertion.
+    the subscript-i vectors drop entry i.  The value is real in exact
+    arithmetic; an imaginary residue above 1e-12 of |first| + |second| (the
+    magnitudes of the two sums) raises NonHermitianError.
     """
     c = np.asarray(c, dtype=complex).ravel()
     d = np.asarray(d, dtype=complex).ravel()
@@ -138,7 +140,9 @@ def gamma_term(c, d) -> float:
     s_dc = np.dot(d, c.conj())
     second = np.sum(c * d.conj() * (s_dc - d * c.conj()))
     gamma = first - second
-    assert abs(gamma.imag) < 1e-12, f"gamma has imaginary residue {gamma.imag:.3e}"
+    scale = abs(first) + abs(second)
+    if abs(gamma.imag) > 1e-12 * scale:
+        raise NonHermitianError(f"gamma has imaginary residue {gamma.imag:.3e} at scale {scale:.3e}")
     return float(gamma.real)
 
 
@@ -204,7 +208,7 @@ def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
     """Closed-form det(R - xI) = (eta-x)^(k-2) * quartic(x) for k >= 2.
 
     Matches a dense LU determinant of the assembled matrix to 1e-10
-    relative; the quartic factor is shared with the extreme-root solver.
+    relative; the quartic's roots are found by _compressed_spectrum.
     """
     k = len(blk.c)
     if k < 2:
@@ -212,53 +216,26 @@ def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
     return float((blk.eta - x) ** (k - 2) * _bordered_quartic(blk, x))
 
 
-# Root scan parameters: the quartic's real roots are bracketed on
-# [eta - 3, eta + 3] at this resolution, then refined.
-_SCAN_HALF_WIDTH = 3.0
-_SCAN_STEP = 1e-4
-_REFINE_XTOL = 1e-12
-_TOUCH_REL_TOL = 1e-9
+def _compressed_spectrum(blk: BorderedBlock) -> np.ndarray:
+    """Eigenvalues, ascending, of the bordered matrix R compressed to an invariant subspace.
 
-
-def _quartic_real_roots(blk: BorderedBlock) -> list[float]:
-    """Real roots of the bordered quartic inside the scan bracket.
-
-    Sign changes on the grid are refined with Brent's method; grid-local
-    extrema that dip to (numerical) zero are polished with a bounded scalar
-    minimizer to catch even-multiplicity roots, which never cross zero.
+    R maps V = span{e0, e1, (0, 0, conj c), (0, 0, conj d)} into itself and
+    acts as eta*I on the complement of V.  With U orthonormal columns from QR
+    of [conj c, conj d], the compression [[a, b, cU], [b*, a, dU],
+    [(cU)^H, (dU)^H, eta*I]] has order at most 4, and its characteristic
+    polynomial is the bordered quartic up to factors (eta - x).  A column of
+    U outside span{conj c, conj d} (c parallel to d, k = 1, zero borders) only
+    adds the eigenvalue eta.
     """
-    lo = blk.eta - _SCAN_HALF_WIDTH
-    hi = blk.eta + _SCAN_HALF_WIDTH
-    xs = np.linspace(lo, hi, int(round((hi - lo) / _SCAN_STEP)) + 1)
-    fs = _bordered_quartic(blk, xs)
-    scale = max(1.0, float(np.abs(fs).max()))
-    roots: list[float] = []
-
-    exact = np.nonzero(fs == 0.0)[0]
-    roots.extend(float(xs[i]) for i in exact)
-
-    sign_change = np.nonzero((fs[:-1] * fs[1:]) < 0.0)[0]
-    f = lambda t: float(_bordered_quartic(blk, t))
-    for i in sign_change:
-        roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=_REFINE_XTOL)))
-
-    # Even-multiplicity roots: local |q| minima whose polished value is ~0.
-    mags = np.abs(fs)
-    interior = np.arange(1, len(xs) - 1)
-    local_min = interior[(mags[interior] <= mags[interior - 1]) & (mags[interior] <= mags[interior + 1])]
-    for i in local_min:
-        if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0 or fs[i] * fs[i + 1] < 0.0:
-            continue  # already handled above
-        sgn = 1.0 if fs[i] > 0.0 else -1.0
-        res = minimize_scalar(
-            lambda t: sgn * float(_bordered_quartic(blk, t)),
-            bounds=(float(xs[i - 1]), float(xs[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if abs(res.fun) <= _TOUCH_REL_TOL * scale:
-            roots.append(float(res.x))
-    return sorted(roots)
+    u, _ = np.linalg.qr(np.column_stack([blk.c.conj(), blk.d.conj()]))
+    r = u.shape[1]
+    h = np.zeros((r + 2, r + 2), dtype=complex)
+    h[0, 0] = h[1, 1] = blk.a
+    h[0, 1] = blk.b
+    h[0, 2:] = blk.c @ u
+    h[1, 2:] = blk.d @ u
+    h[2:, 2:] = blk.eta * np.eye(r)
+    return np.linalg.eigvalsh(h, UPLO="U")  # reads only the upper triangle filled above
 
 
 def generalized_dembo_extremes(blk_up: BorderedBlock, blk_low: BorderedBlock) -> tuple[float, float]:
@@ -268,14 +245,14 @@ def generalized_dembo_extremes(blk_up: BorderedBlock, blk_low: BorderedBlock) ->
     built with the upper proxy eta, `lower` the smallest root for the lower
     proxy; eta itself is always a candidate (it is an eigenvalue of
     multiplicity k-2, and sits between the extremes of the bordered matrix
-    for any k).  Raises when no real root lies in the scan bracket.
+    for any k).  The roots are the eigenvalues of R compressed to its
+    invariant subspace of dimension at most 4 (see _compressed_spectrum), so
+    every root is found, wherever it lies.
     """
     if blk_up.eta < blk_low.eta:
         raise ParameterRangeError(
             f"upper proxy eta {blk_up.eta} below lower proxy eta {blk_low.eta}"
         )
-    roots_up = _quartic_real_roots(blk_up)
-    roots_low = _quartic_real_roots(blk_low)
-    if not roots_up or not roots_low:
-        raise ParameterRangeError("no real root of the bordered quartic in the scan bracket")
-    return max(roots_up[-1], blk_up.eta), min(roots_low[0], blk_low.eta)
+    upper = float(_compressed_spectrum(blk_up)[-1])
+    lower = float(_compressed_spectrum(blk_low)[0])
+    return max(upper, blk_up.eta), min(lower, blk_low.eta)

@@ -1,6 +1,6 @@
 import json
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
 
@@ -139,10 +139,11 @@ def test_lemma_k_inequality():
 
 
 def _decimal_sides(c: int, alpha: str, beta: str):
-    getcontext().prec = 60
-    cd = Decimal(c)
-    lhs = Decimal(12) * (cd.ln() * (1 + Decimal(beta))).exp()
-    rhs = (1 - Decimal(alpha)) * cd * cd - 2 * cd
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cd = Decimal(c)
+        lhs = Decimal(12) * (cd.ln() * (1 + Decimal(beta))).exp()
+        rhs = (1 - Decimal(alpha)) * cd * cd - 2 * cd
     return lhs, rhs
 
 
@@ -158,6 +159,14 @@ def test_find_c_alpha_boundary():
     lhs, rhs = _decimal_sides(899_998, "0.8", "0.7")
     assert lhs < rhs
     assert c_star < 899_998
+
+
+def test_find_c_alpha_keeps_caller_decimal_context():
+    # (0.3, 0.7131) takes the high-precision decimal path
+    with localcontext() as ctx:
+        ctx.prec = 28
+        assert find_c_alpha(0.3, 0.7131) == 20029
+        assert getcontext().prec == 28
 
 
 def test_find_c_alpha_monotone_in_alpha():

@@ -269,6 +269,27 @@ def test_usage_error_exit_4(capsys):
     assert exc.value.code == 4
 
 
+_SCIPY_MODULES = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)'
+_RUN_CLI = """
+import runpy
+sys.argv = ["paleyrip", "bounds", "--p", "103", "--k", "5"]
+try:
+    runpy.run_module("paleyrip", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+@pytest.mark.parametrize("body", ["import paleyrip", _RUN_CLI], ids=["import", "bounds"])
+def test_scipy_never_imported(body):
+    res = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{body}\n{_SCIPY_MODULES}"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_module_invocation_subprocess():
     env = dict(os.environ)
     env["PALEY_THREADS"] = "1"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paleyrip.errors import NonHermitianError, ParameterRangeError
 from paleyrip.frame import gram_analytic
@@ -260,6 +262,24 @@ def test_gamma_term_equal_signs():
     assert abs(first - 6.0 / p**2) < 1e-16
 
 
+def test_gamma_term_scaled_complex_borders():
+    # magnitude-1e3 complex borders: the imaginary rounding residue grows with
+    # the scale of the sums, so the reality gate has to be relative
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        c = 1e3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+        d = 1e3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+        ref = 0.0
+        scale = 0.0
+        for i in range(10):
+            ci, di = np.delete(c, i), np.delete(d, i)
+            first = abs(c[i]) ** 2 * np.vdot(di, di).real
+            second = c[i] * np.conj(d[i]) * np.dot(di, ci.conj())
+            ref += first - second.real
+            scale += first + abs(second)
+        assert abs(gamma_term(c, d) - ref) <= 1e-12 * scale
+
+
 def test_gamma_term_bounds_for_sign_patterns():
     rng = SplitMix64(21)
     p = 19
@@ -315,23 +335,59 @@ def test_generalized_extremes_decoupled():
     up = BorderedBlock(a=1.5, b=0.0, c=z, d=z, eta=1.0)
     low = BorderedBlock(a=1.5, b=0.0, c=z, d=z, eta=0.5)
     upper, lower = generalized_dembo_extremes(up, low)
-    assert abs(upper - 1.5) < 1e-6
+    assert abs(upper - 1.5) < 1e-12
     assert abs(lower - 0.5) < 1e-12
+
+
+def _with_eta(blk: BorderedBlock, eta: float) -> BorderedBlock:
+    return BorderedBlock(blk.a, blk.b, blk.c, blk.d, eta=eta)
+
+
+def _edge_case_pairs():
+    s = 1.0 / math.sqrt(103)
+    v = 1j * s * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    return [
+        # the upper extreme 10 lies 9 above eta
+        (BorderedBlock(a=10, b=0, c=0, d=0, eta=1), 0.5),
+        (BorderedBlock(a=1.0, b=1j * s, c=v, d=-v, eta=1.0 + s), 1.0 - s),  # c parallel to d
+        (BorderedBlock(a=1.0, b=-1j * s, c=[1j * s], d=[-1j * s], eta=1.1), 0.9),  # k = 1
+        (BorderedBlock(a=1.0, b=1j * s, c=np.zeros(4), d=np.zeros(4), eta=1.2), 0.7),  # c = d = 0
+    ]
 
 
 def test_generalized_extremes_match_dense_eigensolver():
     rng = SplitMix64(51)
+    pairs = []
     for _ in range(40):
         k = 2 + rng.below(9)
         blk_up = _random_paley_block(rng, 103, k, eta=1.0 + rng.below(500) / 1000.0)
-        blk_low = BorderedBlock(blk_up.a, blk_up.b, blk_up.c, blk_up.d,
-                                eta=blk_up.eta - rng.below(500) / 1000.0)
+        pairs.append((blk_up, blk_up.eta - rng.below(500) / 1000.0))
+    for blk_up, eta_low in pairs + _edge_case_pairs():
+        blk_low = _with_eta(blk_up, eta_low)
         upper, lower = generalized_dembo_extremes(blk_up, blk_low)
         w_up = hermitian_spectrum(blk_up.assemble())
         w_low = hermitian_spectrum(blk_low.assemble())
-        assert abs(upper - w_up[-1]) < 1e-9
-        assert abs(lower - w_low[0]) < 1e-9
-        assert upper >= w_up[-1] - 1e-9
+        assert abs(upper - w_up[-1]) < 1e-12
+        assert abs(lower - w_low[0]) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([7, 19, 43, 103, 1019]),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+    eta_up=st.floats(0.0, 2.0),
+    eta_gap=st.floats(0.0, 1.0),
+)
+def test_generalized_extremes_property_vs_dense(p, k, seed, eta_up, eta_gap):
+    # bordered blocks cut from a random Paley Gramian of order k + 2
+    k = min(k, p - 2)
+    g = gram_analytic(p, random_subset(p, k + 2, seed))
+    blk_up = BorderedBlock(a=1.0, b=g[0, 1], c=g[0, 2:], d=g[1, 2:], eta=eta_up)
+    blk_low = _with_eta(blk_up, eta_up - eta_gap)
+    upper, lower = generalized_dembo_extremes(blk_up, blk_low)
+    assert abs(upper - np.linalg.eigvalsh(blk_up.assemble())[-1]) < 1e-12
+    assert abs(lower - np.linalg.eigvalsh(blk_low.assemble())[0]) < 1e-12
 
 
 def test_peeling_step_quartic_positive_at_threshold():
