@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import NotPrimeError, ParameterRangeError
-from .numtheory import is_prime
+from .errors import ParameterRangeError
+from .numtheory import check_prime
 
 # Constant of the recursive family; 1/(2c) = 2 - sqrt(3) makes the k = 3
 # base case collapse to sqrt(3)/sqrt(p).
@@ -43,18 +43,9 @@ UNCONDITIONAL_FAMILIES = (
 )
 
 
-def _check_prime(p, min_p: int = 3) -> int:
-    p = int(getattr(p, "p", p))
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if p < min_p:
-        raise ParameterRangeError(f"p must be >= {min_p}, got {p}")
-    return p
-
-
 def bound_gershgorin(k: int, p) -> float:
     """(k - 1)/sqrt(p): the disk-theorem bound, uniform over all eigenvalues."""
-    p = _check_prime(p)
+    p = check_prime(p)
     k = int(k)
     if k < 1:
         raise ParameterRangeError(f"k must be >= 1, got {k}")
@@ -67,7 +58,7 @@ def bound_skew(k: int, p, exact: bool = False) -> float:
     cot(x) <= 1/x on (0, pi/2), so the exact variant never exceeds the
     linear one.
     """
-    p = _check_prime(p)
+    p = check_prime(p)
     k = int(k)
     if not 1 <= k <= p:
         raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
@@ -78,7 +69,7 @@ def bound_skew(k: int, p, exact: bool = False) -> float:
 
 def bound_dembo_recursive(k: int, p) -> float:
     """(k - 1 - 1/(c(k-1)))/sqrt(p) with c = 1/(2(2 - sqrt(3))), for k >= 3."""
-    p = _check_prime(p, min_p=7)
+    p = check_prime(p, min_p=7)
     k = int(k)
     if k < 3:
         raise ParameterRangeError(f"recursive bound needs k >= 3, got {k}")
@@ -87,7 +78,7 @@ def bound_dembo_recursive(k: int, p) -> float:
 
 def bound_generalized_dembo(k: int, p) -> float:
     """(k - 1 - (2/3)(2 - sqrt(3)))/sqrt(p) for k >= 3; the offset is k-free."""
-    p = _check_prime(p, min_p=7)
+    p = check_prime(p, min_p=7)
     k = int(k)
     if k < 3:
         raise ParameterRangeError(f"generalized bound needs k >= 3, got {k}")
@@ -96,7 +87,7 @@ def bound_generalized_dembo(k: int, p) -> float:
 
 def bound_conjectural(k: int, p, beta: float) -> float:
     """k^beta/sqrt(p); conditional on the quadratic-residue conjecture."""
-    p = _check_prime(p)
+    p = check_prime(p)
     if not 0.0 < beta <= 1.0:
         raise ParameterRangeError(f"beta must be in (0, 1], got {beta}")
     k = int(k)
@@ -132,7 +123,7 @@ class SparsityThreshold:
 
 def max_sparsity(p, family: str) -> SparsityThreshold:
     """Scan even m = 2k upward until family-bound(m) reaches 1/sqrt(2)."""
-    p = _check_prime(p)
+    p = check_prime(p)
     if family not in _FAMILY_FUNCS:
         raise ParameterRangeError(f"unknown bound family {family!r}")
     func = _FAMILY_FUNCS[family]
@@ -321,7 +312,7 @@ class BoundReport:
 
 def build_report(p, k: int, beta: float | None = None) -> BoundReport:
     """Evaluate every family at (p, k); k >= 2 required."""
-    p = _check_prime(p)
+    p = check_prime(p)
     k = int(k)
     if k < 2:
         raise ParameterRangeError(f"bound report needs k >= 2, got {k}")

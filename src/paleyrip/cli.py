@@ -18,8 +18,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, bounds, experiments, frame, verify
 from .errors import (
     EXIT_PARAMETER_RANGE,
@@ -145,9 +143,7 @@ def _cmd_fit(args):
         raise MalformedInputError(f"{args.input}: malformed ripcurve CSV: {exc}") from exc
     if not js or js != list(range(1, len(js) + 1)):
         raise MalformedInputError(f"{args.input}: 'j' column must run 1..k")
-    # the CSV carries no modulus and the fit never looks at it
-    est = experiments.RipEstimate(p=0, k=len(js), seed=0, trials=0, d=np.asarray(ds))
-    beta, intercept, r2 = experiments.fit_power_law(est, j_min=args.jmin)
+    beta, intercept, r2 = experiments.fit_power_law(ds, j_min=args.jmin)
     doc = {"beta": beta, "intercept": intercept, "r2": r2,
            "window": {"j_min": args.jmin, "k": len(js)}}
     return _json_text(doc), {}, 0

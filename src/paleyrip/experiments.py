@@ -5,58 +5,72 @@ variant over many random supports, exhaustive exact RIP at tiny scale, the
 log-log power-law fit, the bordered-bound sharpness study, and the
 quadratic-residue pair searches behind the square-root-barrier conjecture.
 
+Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
+matrix chi(T_a - T_b) of the support T, and its deviation from the identity
+is exactly rho(C)/sqrt p.  The spectral experiments therefore build C stacks
+straight from chi_table and hand them to spectra.skew_spectral_radius, at
+most STACK_ENTRIES matrix entries per call.
+
 Determinism contract: every result is a pure function of its arguments
-including the master seed.  Per-trial sub-seeds come from rng.sub_seed, so
-outcomes do not depend on evaluation order or on how many worker threads
-run the trials (capped by the PALEY_THREADS environment variable).
+including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and
+batch sizes depend only on the matrix order, so outcomes do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import spectra
-from .errors import MalformedInputError, NotPrimeError, ParameterRangeError
-from .frame import SupportSet, as_support, gram_analytic
-from .numtheory import PaleyPrime, as_paley_prime, chi_table, is_prime
+from .errors import MalformedInputError, ParameterRangeError
+from .frame import SupportSet, as_support
+from .numtheory import as_paley_prime, check_prime, chi_table
 from .rng import random_subset, sub_seed
 
 EXACT_RIP_GUARD = 10**6
 DEFAULT_FIT_JMIN = 3
+# Sign-matrix entries per stacked eigensolve: large enough to amortise the
+# per-call cost, small enough that a batch stays about a megabyte.
+STACK_ENTRIES = 2**16
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("PALEY_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ParameterRangeError(f"PALEY_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ParameterRangeError(f"thread count must be positive, got {threads}")
-    return threads
+def _sign_stack(p: int, idx: np.ndarray) -> np.ndarray:
+    """Integer sign matrices C[..., a, b] = chi(T_a - T_b) for supports idx[..., :]."""
+    return chi_table(p)[(idx[..., :, None] - idx[..., None, :]) % p]
 
 
-def _odd_prime(p) -> int:
-    p = int(getattr(p, "p", p))
-    if p < 3 or not is_prime(p):
-        raise NotPrimeError(f"need an odd prime, got {p}")
-    return p
+def _max_rho(p: int, supports, k: int) -> float:
+    """Largest rho(C_T) over an iterable of k-supports T, in stacked batches."""
+    batch = max(1, STACK_ENTRIES // (k * k))
+    rest = iter(supports)
+    worst = 0.0
+    while chunk := list(islice(rest, batch)):
+        rho = spectra.skew_spectral_radius(_sign_stack(p, np.array(chunk)))
+        worst = max(worst, float(rho.max()))
+    return worst
+
+
+def _worst_curve(p: int, supports: list[tuple[int, ...]], k: int) -> np.ndarray:
+    """d(j) = max over supports of rho(C_j)/sqrt p for each prefix order j."""
+    idx = np.array(supports)
+    d = np.zeros(k)
+    for j in range(2, k + 1):
+        d[j - 1] = _max_rho(p, idx[:, :j], j) / math.sqrt(p)
+    return d
 
 
 @dataclass(frozen=True)
 class RipEstimate:
     """Empirical RIP lower-bound curve d(1..k) with full provenance.
 
-    d[0] (order 1) is 0 by convention; within a trial the supports are
-    nested prefixes of one random draw, so d is nondecreasing by eigenvalue
-    interlacing of principal submatrices.
+    d[j-1] = rho(C_j)/sqrt p, where C_j is the sign matrix of the j-prefix,
+    is max(lambda_max(G_j) - 1, 1 - lambda_min(G_j)); d[0] (order 1) is 0.
+    Within a trial the supports are nested prefixes of one random draw, so d
+    is nondecreasing by eigenvalue interlacing of principal submatrices.
     """
 
     p: int
@@ -67,40 +81,27 @@ class RipEstimate:
     supports: tuple[tuple[int, ...], ...] | None = None
 
 
-def _deviation_curve(pp: PaleyPrime, support: tuple[int, ...]) -> np.ndarray:
-    """d(j) over the nested prefixes of one ordered support."""
-    k = len(support)
-    g = gram_analytic(pp, support)
-    d = np.zeros(k)
-    for j in range(2, k + 1):
-        w = spectra.hermitian_spectrum(g[:j, :j])
-        d[j - 1] = max(w[-1] - 1.0, 1.0 - w[0])
-    return d
-
-
 def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     """d(j) for j = 1..k from one uniformly random k-subset.
 
-    The extreme eigenvalues of every nested prefix Gramian G_j feed
-    d(j) = max(lambda_max(G_j) - 1, 1 - lambda_min(G_j)); the draw is a
-    pure function of (p, k, seed).
+    Each nested prefix gives d(j) = rho(C_j)/sqrt p; the draw is a pure
+    function of (p, k, seed).
     """
     pp = as_paley_prime(p)
     k = int(k)
     if not 2 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
     support = random_subset(pp.p, k, seed)
-    d = _deviation_curve(pp, support)
+    d = _worst_curve(pp.p, [support], k)
     return RipEstimate(pp.p, k, int(seed), 1, d, (support,))
 
 
 def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
-                       threads: int | None = None,
                        keep_supports: bool = True) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
-    Trial t uses sub_seed(seed, t), so the curve is identical for any
-    execution order or worker count.
+    Trial t uses sub_seed(seed, t); each order j is one batched solve over
+    every trial's j-prefix.
     """
     pp = as_paley_prime(p)
     trials = int(trials)
@@ -111,13 +112,7 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
 
     supports = [random_subset(pp.p, k, sub_seed(seed, t)) for t in range(trials)]
-    workers = min(_thread_count(threads), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(lambda s: _deviation_curve(pp, s), supports))
-    else:
-        curves = [_deviation_curve(pp, s) for s in supports]
-    d = np.maximum.reduce(curves)
+    d = _worst_curve(pp.p, supports, k)
     return RipEstimate(pp.p, k, int(seed), trials, d,
                        tuple(supports) if keep_supports else None)
 
@@ -126,7 +121,8 @@ def exact_rip(p, k: int) -> float:
     """Worst eigenvalue deviation over all k-subsets (tiny scale only).
 
     Guarded by binomial(p, k) <= 10^6; this is the brute-force oracle the
-    closed-form bounds are checked against.
+    closed-form bounds are checked against.  Only order k is solved, as
+    max rho(C_T)/sqrt p over the streamed supports T.
     """
     pp = as_paley_prime(p)
     k = int(k)
@@ -136,31 +132,28 @@ def exact_rip(p, k: int) -> float:
         raise ParameterRangeError(
             f"binomial({pp.p}, {k}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
-    worst = 0.0
-    for subset in combinations(range(pp.p), k):
-        g = gram_analytic(pp, subset)
-        w = spectra.hermitian_spectrum(g)
-        worst = max(worst, w[-1] - 1.0, 1.0 - w[0])
-    return worst
+    return _max_rho(pp.p, combinations(range(pp.p), k), k) / math.sqrt(pp.p)
 
 
-def fit_power_law(est: RipEstimate, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
+def fit_power_law(d, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
     """Least-squares slope of log d(j) on log j over j in [j_min, k].
 
-    Nonpositive d(j) are skipped.  Returns (beta, intercept, r2).  The
-    default window starts at 3 because d(2) and d(3) are deterministic for
-    this construction and would bias the slope of the stochastic regime.
+    `d` is the curve d(1..k), as in RipEstimate.d.  Nonpositive d(j) are
+    skipped.  Returns (beta, intercept, r2).  The default window starts at 3
+    because d(2) and d(3) are deterministic for this construction and would
+    bias the slope of the stochastic regime.
     """
     if j_min < 2:
         raise ParameterRangeError(f"j_min must be >= 2, got {j_min}")
-    j = np.arange(1, est.k + 1)
-    mask = (j >= j_min) & (est.d > 0.0) & np.isfinite(est.d)
+    d = np.asarray(d, dtype=float)
+    j = np.arange(1, len(d) + 1)
+    mask = (j >= j_min) & (d > 0.0) & np.isfinite(d)
     if mask.sum() < 3:
         raise MalformedInputError(
             f"power-law fit needs >= 3 positive points in the window, got {int(mask.sum())}"
         )
     x = np.log(j[mask].astype(float))
-    y = np.log(est.d[mask])
+    y = np.log(d[mask])
     xm, ym = float(x.mean()), float(y.mean())
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
@@ -188,20 +181,18 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     One random support; for each prefix order j the bordered bound is fed
     the exact previous top eigenvalue (the idealized recursion) and the
     squared border norm (j-1)/p, then both bounds are divided by the true
-    lambda_max of the prefix Gramian.
+    lambda_max = 1 + rho(C_j)/sqrt p of the prefix Gramian.
     """
     pp = as_paley_prime(p)
     k = int(k)
     if not 3 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={pp.p}")
-    support = random_subset(pp.p, k, seed)
-    g = gram_analytic(pp, support)
+    c = _sign_stack(pp.p, np.array(random_subset(pp.p, k, seed)))
     sqrt_p = math.sqrt(pp.p)
     rows = []
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix
     for j in range(2, k + 1):
-        w = spectra.hermitian_spectrum(g[:j, :j])
-        lam = float(w[-1])
+        lam = 1.0 + spectra.skew_spectral_radius(c[:j, :j]) / sqrt_p
         dembo = spectra.dembo_upper(1.0, lam_prev, (j - 1) / pp.p)
         gersh = 1.0 + (j - 1) / sqrt_p
         rows.append(DemboRatioRow(j, lam, dembo, gersh, dembo / lam, gersh / lam))
@@ -232,12 +223,6 @@ class ConjectureRecord:
     zero_terms: int = 0
 
 
-def _chi_matrix(p: int, indices: tuple[int, ...]) -> np.ndarray:
-    chi = chi_table(p)
-    idx = np.asarray(indices)
-    return chi[(idx[:, None] - idx[None, :]) % p]
-
-
 def one_sided_ratio(p, support, i: int, j: int) -> float:
     """Normalized character sum over the one-sided difference set of (i, j).
 
@@ -245,14 +230,14 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
     chi(r_i - r_l) chi(r_j - r_l); the numerator is accumulated as an exact
     integer and divided by |support| - 2.
     """
-    p = _odd_prime(p)
+    p = check_prime(p)
     T = as_support(p, support)
     k = len(T)
     if k < 3:
         raise ParameterRangeError(f"need |support| >= 3, got {k}")
     if i == j or not (0 <= i < k and 0 <= j < k):
         raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
-    cm = _chi_matrix(p, T.indices)
+    cm = _sign_stack(p, np.array(T.indices))
     num = int(np.dot(cm[i], cm[j]))  # diagonal chi(0) = 0 drops l in {i, j}
     return abs(num) / (k - 2)
 
@@ -261,24 +246,19 @@ def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
     """Exhaustive pair scan for the smallest one-sided ratio.
 
     All ordered pairs are admissible (the summand is symmetric in i and j,
-    so the minimum lands on the lexicographically smallest position pair).
+    so the minimum lands on the lexicographically smallest position pair:
+    argmin returns the first minimum in row-major order).
     """
-    p = _odd_prime(p)
+    p = check_prime(p)
     T = as_support(p, support)
     k = len(T)
     if k < 3:
         raise ParameterRangeError(f"need |support| >= 3, got {k}")
-    cm = _chi_matrix(p, T.indices)
-    nums = cm @ cm.T  # entry (i, j): exact pair numerator, diagonal irrelevant
-    best = None
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            n = abs(int(nums[i, j]))
-            if best is None or n < best[0]:
-                best = (n, i, j)
-    n, i, j = best
+    cm = _sign_stack(p, np.array(T.indices))
+    nums = np.abs(cm @ cm.T)  # entry (i, j): exact pair numerator
+    np.fill_diagonal(nums, k)  # above every pair numerator, which is <= k - 2
+    i, j = divmod(int(nums.argmin()), k)
+    n = int(nums[i, j])
     zero_terms = int(np.sum(cm[i] == 0) + np.sum(cm[j] == 0)) - 2  # beyond chi(0) diag
     ratio = n / (k - 2)
     return ConjectureRecord(
@@ -295,7 +275,7 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     the final residual has m_alpha - 1 or m_alpha - 2 elements, matching the
     parity of the starting size.
     """
-    p = _odd_prime(p)
+    p = check_prime(p)
     T = as_support(p, support)
     if m_alpha < 3:
         raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
@@ -325,14 +305,14 @@ class ConjectureScanSummary:
     worst_support: tuple[int, ...]
 
 
-def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8, seed: int = 0,
-                    threads: int | None = None) -> ConjectureScanSummary:
+def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
+                    seed: int = 0) -> ConjectureScanSummary:
     """Best-pair search over many random supports; reports the worst case.
 
     Trial sub-seeding matches estimate_rip_worst, so extending the trial
     count only appends trials and can never lower the worst best-ratio.
     """
-    p = _odd_prime(p)
+    p = check_prime(p)
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
@@ -341,13 +321,7 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8, seed: int = 0,
         raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
 
     supports = [random_subset(p, k, sub_seed(seed, t)) for t in range(trials)]
-    search = lambda s: conjecture_search(p, SupportSet(p, s), alpha)
-    workers = min(_thread_count(threads), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(search, supports))
-    else:
-        records = tuple(search(s) for s in supports)
+    records = tuple(conjecture_search(p, SupportSet(p, s), alpha) for s in supports)
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(

@@ -64,17 +64,29 @@ def legendre(a: int, p) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def check_prime(p, min_p: int = 3) -> int:
+    """Validate a prime modulus (an int or a PaleyPrime) and return it as an int.
+
+    Raises NotPrimeError when p is not prime and ParameterRangeError when it
+    is a prime below `min_p`.
+    """
+    p = int(getattr(p, "p", p))
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    if p < min_p:
+        raise ParameterRangeError(f"p must be >= {min_p}, got {p}")
+    return p
+
+
 @lru_cache(maxsize=128)
 def chi_table(p: int) -> np.ndarray:
     """Legendre symbol lookup table chi[a] for a in [0, p).
 
     Built from the squares mod p rather than p Euler evaluations and cached
-    per prime.  The returned array is read-only, so shared use across
-    threads is safe.
+    per prime.  The returned array is read-only, so no caller can corrupt
+    the cached copy.
     """
-    p = int(p)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotPrimeError(f"chi_table needs an odd prime, got {p}")
+    p = check_prime(p)
     table = np.full(p, -1, dtype=np.int64)
     table[0] = 0
     for x in range(1, (p - 1) // 2 + 1):
@@ -93,9 +105,7 @@ class PaleyPrime:
     __slots__ = ("p", "_chi", "_rows")
 
     def __init__(self, p: int):
-        p = int(p)
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        p = check_prime(p, min_p=2)
         if p % 4 != 3:
             raise WrongResidueError(f"{p} = {p % 4} (mod 4), need 3 (mod 4)")
         if p < 7:
@@ -109,9 +119,6 @@ class PaleyPrime:
         if self._chi is None:
             self._chi = chi_table(self.p)
         return self._chi
-
-    def chi(self, a: int) -> int:
-        return int(self.chi_table()[int(a) % self.p])
 
     def row_index_set(self) -> list[int]:
         if self._rows is None:

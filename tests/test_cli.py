@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -196,6 +195,11 @@ def test_conjecture_scan_mode(capsys):
     assert run_cli(capsys, "conjecture", "--p", "19")[0] == 4
 
 
+def test_conjecture_p2_exit_4(capsys):
+    assert run_cli(capsys, "conjecture", "--p", "2", "--k", "3", "--trials", "1")[0] == 4
+    assert run_cli(capsys, "conjecture", "--p", "9", "--k", "3", "--trials", "1")[0] == 2
+
+
 def test_conjecture_peel_mode(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--p", "43",
                            "--support", "1,5,8,12,20,22,30,41,2,9,17,33",
@@ -291,11 +295,9 @@ def test_scipy_never_imported(body):
 
 
 def test_module_invocation_subprocess():
-    env = dict(os.environ)
-    env["PALEY_THREADS"] = "1"
     res = subprocess.run(
         [sys.executable, "-m", "paleyrip", "bounds", "--p", "7", "--k", "3"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert res.returncode == 0
     assert json.loads(res.stdout)["p"] == 7

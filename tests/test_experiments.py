@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin
 from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeError
 from paleyrip.experiments import (
-    RipEstimate,
     conjecture_scan,
     conjecture_search,
     dembo_ratio_study,
@@ -17,7 +17,7 @@ from paleyrip.experiments import (
     greedy_peel,
     one_sided_ratio,
 )
-from paleyrip.frame import SupportSet, gram_analytic
+from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct
 from paleyrip.rng import SplitMix64, random_subset, sub_seed
 from paleyrip.spectra import hermitian_spectrum
 
@@ -95,12 +95,15 @@ def test_estimate_worst_reduces_to_single():
 
 
 def test_estimate_worst_dominates_and_is_thread_invariant():
-    worst1 = estimate_rip_worst(43, 8, trials=40, seed=3, threads=1)
-    worst4 = estimate_rip_worst(43, 8, trials=40, seed=3, threads=4)
-    assert np.array_equal(worst1.d, worst4.d)
-    for t in range(40):
-        single = estimate_rip_single(43, 8, seed=sub_seed(3, t))
-        assert np.all(worst1.d >= single.d - 1e-15)
+    # one batched solve per order is the same curve as the max of the
+    # single-support curves, and reruns are bit-identical
+    worst = estimate_rip_worst(43, 8, trials=40, seed=3)
+    again = estimate_rip_worst(43, 8, trials=40, seed=3)
+    assert np.array_equal(worst.d, again.d)
+    singles = [estimate_rip_single(43, 8, seed=sub_seed(3, t)).d for t in range(40)]
+    for d in singles:
+        assert np.all(worst.d >= d - 1e-15)
+    assert np.abs(worst.d - np.maximum.reduce(singles)).max() < 1e-15
     with pytest.raises(ParameterRangeError):
         estimate_rip_worst(43, 8, trials=0, seed=3)
 
@@ -119,6 +122,18 @@ def test_exact_rip_small_orders():
     assert abs(exact_rip(7, 2) - 1 / math.sqrt(7)) < 1e-10
     assert abs(exact_rip(7, 3) - math.sqrt(3.0 / 7.0)) < 1e-10
     assert exact_rip(7, 4) <= bound_dembo_recursive(4, 7)
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (11, 4), (19, 4)])
+def test_exact_rip_matches_dense_brute_force(p, k):
+    # the oracle exact_rip replaced: every k-subset's Gramian by explicit dot
+    # products, both spectral extremes from a dense eigensolve
+    frame = build_frame(p)
+    worst = 0.0
+    for subset in combinations(range(p), k):
+        w = np.linalg.eigvalsh(gram_direct(frame, subset))
+        worst = max(worst, w[-1] - 1.0, 1.0 - w[0])
+    assert abs(exact_rip(p, k) - worst) < 1e-12
 
 
 def test_exact_rip_guard():
@@ -142,8 +157,7 @@ def test_exhaustive_worst_matches_exact_rip_p7():
 def test_fit_exact_power_law():
     k, p, beta = 30, 103, 0.7
     d = np.arange(1, k + 1) ** beta / math.sqrt(p)
-    est = RipEstimate(p=p, k=k, seed=0, trials=1, d=d)
-    b, intercept, r2 = fit_power_law(est)
+    b, intercept, r2 = fit_power_law(d)
     assert abs(b - beta) < 1e-10
     assert abs(intercept - math.log(1 / math.sqrt(p))) < 1e-10
     assert abs(r2 - 1.0) < 1e-12
@@ -154,17 +168,16 @@ def test_fit_gershgorin_curve_slope():
     # above 1 and drifts toward it as the window grows
     p = 103
     d30 = np.arange(0, 30) / math.sqrt(p)
-    est30 = RipEstimate(p=p, k=30, seed=0, trials=1, d=d30)
-    b30, _, _ = fit_power_law(est30)
+    b30, _, _ = fit_power_law(d30)
     assert abs(b30 - 1.1264086023873552) < 1e-10  # frozen closed-form OLS value
     d300 = np.arange(0, 300) / math.sqrt(p)
-    b300, _, _ = fit_power_law(RipEstimate(p=p, k=300, seed=0, trials=1, d=d300))
+    b300, _, _ = fit_power_law(d300)
     assert 1.0 < b300 < b30
 
 
 def test_fit_matches_polyfit():
     est = estimate_rip_single(103, 30, seed=9)
-    b, intercept, _ = fit_power_law(est, j_min=3)
+    b, intercept, _ = fit_power_law(est.d, j_min=3)
     j = np.arange(1, 31)
     mask = (j >= 3) & (est.d > 0)
     slope_ref, int_ref = np.polyfit(np.log(j[mask]), np.log(est.d[mask]), 1)
@@ -173,11 +186,11 @@ def test_fit_matches_polyfit():
 
 
 def test_fit_insufficient_points():
-    est = RipEstimate(p=7, k=4, seed=0, trials=1, d=np.array([0.0, 0.1, 0.2, 0.3]))
+    d = np.array([0.0, 0.1, 0.2, 0.3])
     with pytest.raises(MalformedInputError):
-        fit_power_law(est, j_min=3)
+        fit_power_law(d, j_min=3)
     with pytest.raises(ParameterRangeError):
-        fit_power_law(est, j_min=1)
+        fit_power_law(d, j_min=1)
 
 
 # --- bound sharpness study ----------------------------------------------------------
@@ -267,6 +280,17 @@ def test_one_sided_ratio_validation():
         one_sided_ratio(9, (1, 2, 3), 0, 1)
 
 
+def test_conjecture_functions_reject_p2_as_range_error():
+    with pytest.raises(ParameterRangeError):
+        one_sided_ratio(2, (0, 1, 2), 0, 1)
+    with pytest.raises(ParameterRangeError):
+        conjecture_search(2, (0, 1, 2))
+    with pytest.raises(ParameterRangeError):
+        greedy_peel(2, (0, 1, 2, 3, 4))
+    with pytest.raises(ParameterRangeError):
+        conjecture_scan(2, 3, trials=1)
+
+
 def test_conjecture_search_p5():
     rec = conjecture_search(5, SupportSet(5, (0, 1, 2, 3, 4)), alpha=0.8)
     assert rec.ratio == pytest.approx(1.0 / 3.0)
@@ -298,6 +322,30 @@ def test_conjecture_search_tie_breaking():
         if a != b and abs(one_sided_ratio(19, WORST_SET_19, a, b) - rec.ratio) < 1e-12
     ]
     assert rec.pair == min(others)
+
+
+def test_conjecture_search_matches_pair_loop():
+    # reference: the ordered double loop over position pairs with Legendre
+    # symbols by Euler's criterion, first strict minimum wins
+    from paleyrip.numtheory import legendre
+
+    rng = SplitMix64(31)
+    for p in (7, 19, 43, 103):
+        for _ in range(10):
+            support = random_subset(p, 3 + rng.below(min(p, 12) - 2), rng.next_u64())
+            k = len(support)
+            best = None
+            for i in range(k):
+                for j in range(k):
+                    if i == j:
+                        continue
+                    n = abs(sum(legendre(support[i] - support[l], p)
+                                * legendre(support[j] - support[l], p)
+                                for l in range(k) if l not in (i, j)))
+                    if best is None or n < best[0]:
+                        best = (n, i, j)
+            rec = conjecture_search(p, support)
+            assert (rec.numerator, *rec.pair) == best
 
 
 def test_greedy_peel_trace_shape():
@@ -342,11 +390,14 @@ def test_conjecture_scan_monotone_in_trials():
 
 
 def test_conjecture_scan_thread_invariant():
-    s1 = conjecture_scan(43, 8, trials=30, seed=5, threads=1)
-    s4 = conjecture_scan(43, 8, trials=30, seed=5, threads=4)
-    assert s1.records == s4.records
-    assert s1.worst_ratio == s4.worst_ratio
-    for rec in s1.records:
+    # every record equals a search on its trial's own support, and reruns agree
+    s1 = conjecture_scan(43, 8, trials=30, seed=5)
+    s2 = conjecture_scan(43, 8, trials=30, seed=5)
+    assert s1.records == s2.records
+    assert s1.worst_ratio == s2.worst_ratio
+    for t, rec in enumerate(s1.records):
+        support = random_subset(43, 8, sub_seed(5, t))
+        assert rec == conjecture_search(43, SupportSet(43, support))
         assert rec.satisfied == (rec.ratio < rec.alpha)
 
 

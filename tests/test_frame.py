@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.frame import (
@@ -99,6 +102,19 @@ def test_gram_oracle_equivalence_random(p):
         support = random_subset(p, k, rng.next_u64())
         diff = np.abs(gram_analytic(p, support) - gram_direct(f, support)).max()
         assert diff < 1e-12
+
+
+_cached_frame = lru_cache(maxsize=None)(build_frame)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PALEY_PRIMES + [1019]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=24, unique=True))))
+def test_gram_oracle_equivalence_property(case):
+    # any ordered support, including orders and residues the seeded draws miss
+    p, support = case
+    diff = np.abs(gram_analytic(p, support) - gram_direct(_cached_frame(p), support)).max()
+    assert diff < 1e-12
 
 
 @pytest.mark.parametrize("p", [7, 19, 43])

@@ -1,7 +1,15 @@
 import pytest
 
 from paleyrip.errors import NotPrimeError, ParameterRangeError, WrongResidueError
-from paleyrip.numtheory import PaleyPrime, as_paley_prime, chi_table, is_prime, legendre, row_index_set
+from paleyrip.numtheory import (
+    PaleyPrime,
+    as_paley_prime,
+    check_prime,
+    chi_table,
+    is_prime,
+    legendre,
+    row_index_set,
+)
 
 PALEY_PRIMES = [7, 11, 19, 43, 103]
 ODD_PRIMES_TO_103 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -95,10 +103,12 @@ def test_row_index_set_size_and_zero(p):
 
 
 def test_paley_prime_validation():
+    # error order: primality, then residue class, then size
     with pytest.raises(NotPrimeError):
         PaleyPrime(6)
-    with pytest.raises(WrongResidueError):
-        PaleyPrime(13)
+    for p in (2, 5, 13):
+        with pytest.raises(WrongResidueError):
+            PaleyPrime(p)
     with pytest.raises(ParameterRangeError):
         PaleyPrime(3)
     pp = PaleyPrime(7)
@@ -110,3 +120,25 @@ def test_paley_prime_validation():
 def test_legendre_rejects_even_modulus():
     with pytest.raises(ParameterRangeError):
         legendre(1, 4)
+
+
+def test_check_prime():
+    assert check_prime(3) == 3
+    assert check_prime(1009) == 1009
+    assert check_prime(PaleyPrime(7)) == 7
+    for n in (-7, 0, 1, 9, 1001):
+        with pytest.raises(NotPrimeError):
+            check_prime(n)
+    with pytest.raises(ParameterRangeError):
+        check_prime(2)
+    with pytest.raises(ParameterRangeError):
+        check_prime(5, min_p=7)
+    assert check_prime(7, min_p=7) == 7
+
+
+def test_p2_is_a_range_error():
+    # 2 is prime but below every odd-prime routine's domain: exit code 4, not 2
+    with pytest.raises(ParameterRangeError):
+        chi_table(2)
+    with pytest.raises(NotPrimeError):
+        chi_table(9)

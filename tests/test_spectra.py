@@ -38,6 +38,24 @@ def _random_paley_block(rng: SplitMix64, p: int, k: int, eta: float | None = Non
     )
 
 
+def _rotated_scaled_hermitian(scale: float = 1e5) -> tuple[np.ndarray, np.ndarray]:
+    # Q (s H) Q^H for a random 30x30 Hermitian H and unitary Q; at this seed
+    # the rounding asymmetry is about 1.7e-10, above the 1e-10 tolerance an
+    # absolute gate would use
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    h = (a + a.conj().T) / 2
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
+    return q @ (scale * h) @ q.conj().T, scale * np.linalg.eigvalsh(h)
+
+
+def _rotated_scaled_tournament(scale: float = 1e5) -> np.ndarray:
+    # Q (s T_12) Q^T for an orthogonal Q; its rounding leaves a skew deviation
+    # near 1e-10, far above the 1e-12 tolerance an absolute gate would use
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 12)))
+    return q @ (scale * canonical_tournament(12)) @ q.T
+
+
 # --- hermitian_spectrum ------------------------------------------------------
 
 
@@ -116,6 +134,10 @@ def test_spectrum_rejects_non_hermitian():
         hermitian_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ParameterRangeError):
         hermitian_spectrum(np.ones((2, 3)))
+    # the gate is relative to the largest entry: a large rotated Hermitian
+    # matrix carries rounding asymmetry but is accepted
+    m, expected = _rotated_scaled_hermitian()
+    assert np.abs(hermitian_spectrum(m) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 # --- order-3 characteristic polynomial --------------------------------------
@@ -175,6 +197,36 @@ def test_skew_radius_bounds_random_orientations():
 def test_skew_radius_rejects_non_skew():
     with pytest.raises(NonHermitianError):
         skew_spectral_radius(np.eye(3))
+    with pytest.raises(NonHermitianError):
+        skew_spectral_radius(np.stack([canonical_tournament(3), np.eye(3)]))
+    with pytest.raises(ParameterRangeError):
+        skew_spectral_radius(np.ones((2, 3)))
+    # relative gate: a large rotated tournament keeps its cot(pi/2n) radius
+    target = 1e5 / math.tan(math.pi / 24)
+    assert abs(skew_spectral_radius(_rotated_scaled_tournament()) - target) < 1e-12 * target
+
+
+def test_skew_radius_stack_shapes():
+    stack = np.stack([canonical_tournament(5), -canonical_tournament(5), np.zeros((5, 5))])
+    rho = skew_spectral_radius(stack)
+    assert isinstance(rho, np.ndarray) and rho.shape == (3,)
+    target = 1.0 / math.tan(math.pi / 10)
+    assert np.abs(rho - [target, target, 0.0]).max() < 1e-12
+    assert skew_spectral_radius(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
+    assert isinstance(skew_spectral_radius(stack[0]), float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 16), batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_skew_radius_stack_property_vs_dense(n, batch, seed):
+    # random +-1 orientations: the stacked radius equals each matrix's own
+    # top eigenvalue of iC
+    upper = np.triu(np.random.default_rng(seed).choice([-1, 1], size=(batch, n, n)), 1)
+    c = upper - np.swapaxes(upper, -1, -2)
+    rho = skew_spectral_radius(c)
+    for t in range(batch):
+        assert abs(rho[t] - np.linalg.eigvalsh(1j * c[t])[-1]) < 1e-12
+        assert abs(rho[t] - skew_spectral_radius(c[t])) < 1e-12
 
 
 # --- one-step bordered bounds -------------------------------------------------
