@@ -56,6 +56,7 @@ from .frame import (
     gram_to_json,
     l1_coherence,
     reduce_support,
+    sign_matrix,
 )
 from .numtheory import PaleyPrime, as_paley_prime, chi_table, is_prime, legendre, row_index_set
 from .rng import SplitMix64, random_subset, sub_seed

@@ -7,9 +7,9 @@ quadratic-residue pair searches behind the square-root-barrier conjecture.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
-is exactly rho(C)/sqrt p.  The spectral experiments therefore build C stacks
-straight from chi_table and hand them to spectra.skew_spectral_radius, at
-most STACK_ENTRIES matrix entries per call.
+is exactly rho(C)/sqrt p.  The experiments build each support's C once,
+with frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries,
+for spectra.skew_spectral_radius and for the pair searches' |C C^T|.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and
@@ -27,40 +27,35 @@ import numpy as np
 
 from . import spectra
 from .errors import MalformedInputError, ParameterRangeError
-from .frame import SupportSet, as_support
-from .numtheory import as_paley_prime, check_prime, chi_table
+from .frame import as_support, sign_matrix
+from .numtheory import as_paley_prime, check_prime
 from .rng import random_subset, sub_seed
 
 EXACT_RIP_GUARD = 10**6
 DEFAULT_FIT_JMIN = 3
-# Sign-matrix entries per stacked eigensolve: large enough to amortise the
-# per-call cost, small enough that a batch stays about a megabyte.
+# Sign-matrix entries per stack: large enough to amortise the per-call
+# cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
 
 
-def _sign_stack(p: int, idx: np.ndarray) -> np.ndarray:
-    """Integer sign matrices C[..., a, b] = chi(T_a - T_b) for supports idx[..., :]."""
-    return chi_table(p)[(idx[..., :, None] - idx[..., None, :]) % p]
-
-
-def _max_rho(p: int, supports, k: int) -> float:
-    """Largest rho(C_T) over an iterable of k-supports T, in stacked batches."""
+def _sign_batches(p: int, supports, k: int):
+    """Sign-matrix stacks of an iterable of k-supports, STACK_ENTRIES entries at most."""
     batch = max(1, STACK_ENTRIES // (k * k))
     rest = iter(supports)
-    worst = 0.0
     while chunk := list(islice(rest, batch)):
-        rho = spectra.skew_spectral_radius(_sign_stack(p, np.array(chunk)))
-        worst = max(worst, float(rho.max()))
-    return worst
+        yield sign_matrix(p, chunk)
 
 
 def _worst_curve(p: int, supports: list[tuple[int, ...]], k: int) -> np.ndarray:
-    """d(j) = max over supports of rho(C_j)/sqrt p for each prefix order j."""
-    idx = np.array(supports)
-    d = np.zeros(k)
-    for j in range(2, k + 1):
-        d[j - 1] = _max_rho(p, idx[:, :j], j) / math.sqrt(p)
-    return d
+    """d(j) = max over supports of rho(C_j)/sqrt p for each prefix order j.
+
+    C_j is the leading j x j block of C, so one batch serves every order j.
+    """
+    rho = np.zeros(k)
+    for c in _sign_batches(p, supports, k):
+        for j in range(2, k + 1):
+            rho[j - 1] = max(rho[j - 1], spectra.skew_spectral_radius(c[:, :j, :j]).max())
+    return rho / math.sqrt(p)
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,8 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
                        keep_supports: bool = True) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
-    Trial t uses sub_seed(seed, t); each order j is one batched solve over
-    every trial's j-prefix.
+    Trial t uses sub_seed(seed, t); each batch of trials is one stacked
+    solve per prefix order j.
     """
     pp = as_paley_prime(p)
     trials = int(trials)
@@ -132,7 +127,8 @@ def exact_rip(p, k: int) -> float:
         raise ParameterRangeError(
             f"binomial({pp.p}, {k}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
-    return _max_rho(pp.p, combinations(range(pp.p), k), k) / math.sqrt(pp.p)
+    batches = _sign_batches(pp.p, combinations(range(pp.p), k), k)
+    return float(max(spectra.skew_spectral_radius(c).max() for c in batches)) / math.sqrt(pp.p)
 
 
 def fit_power_law(d, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
@@ -187,7 +183,7 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     k = int(k)
     if not 3 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={pp.p}")
-    c = _sign_stack(pp.p, np.array(random_subset(pp.p, k, seed)))
+    c = sign_matrix(pp.p, random_subset(pp.p, k, seed))
     sqrt_p = math.sqrt(pp.p)
     rows = []
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix
@@ -209,8 +205,8 @@ class ConjectureRecord:
 
     `numerator` is the exact integer |sum over the one-sided difference set
     of chi(r_i - r_l) chi(r_j - r_l)|; ratio = numerator / (k - 2).
-    `zero_terms` counts chi-arguments that vanished mod p (impossible for a
-    validated distinct support, kept for transparency).
+    `zero_terms` counts off-diagonal chi-arguments that vanish mod p; a
+    validated support of distinct residues has none, so it is always 0.
     """
 
     p: int
@@ -237,34 +233,44 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
         raise ParameterRangeError(f"need |support| >= 3, got {k}")
     if i == j or not (0 <= i < k and 0 <= j < k):
         raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
-    cm = _sign_stack(p, np.array(T.indices))
+    cm = sign_matrix(p, T.indices)
     num = int(np.dot(cm[i], cm[j]))  # diagonal chi(0) = 0 drops l in {i, j}
     return abs(num) / (k - 2)
+
+
+def _pair_records(p: int, supports, c: np.ndarray, alpha: float) -> list[ConjectureRecord]:
+    """Best pair of each k-support, from the stack c of their sign matrices.
+
+    Entry (i, j) of |C C^T| is the exact pair numerator (float64 is exact:
+    the entries are integers of size <= k).  With the diagonal set to k, above
+    every pair numerator, argmin gives the first minimum in row-major order.
+    """
+    k = c.shape[-1]
+    cf = c.astype(float)
+    nums = np.abs(cf @ cf.transpose(0, 2, 1)).reshape(len(c), k * k)
+    nums[:, :: k + 1] = k
+    records = []
+    for support, row in zip(supports, nums):
+        best = int(row.argmin())
+        n = int(row[best])
+        records.append(ConjectureRecord(
+            p=p, support=tuple(support), pair=divmod(best, k), ratio=n / (k - 2),
+            alpha=float(alpha), satisfied=n / (k - 2) < alpha, numerator=n,
+        ))
+    return records
 
 
 def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
     """Exhaustive pair scan for the smallest one-sided ratio.
 
     All ordered pairs are admissible (the summand is symmetric in i and j,
-    so the minimum lands on the lexicographically smallest position pair:
-    argmin returns the first minimum in row-major order).
+    so the minimum lands on the lexicographically smallest position pair).
     """
     p = check_prime(p)
     T = as_support(p, support)
-    k = len(T)
-    if k < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {k}")
-    cm = _sign_stack(p, np.array(T.indices))
-    nums = np.abs(cm @ cm.T)  # entry (i, j): exact pair numerator
-    np.fill_diagonal(nums, k)  # above every pair numerator, which is <= k - 2
-    i, j = divmod(int(nums.argmin()), k)
-    n = int(nums[i, j])
-    zero_terms = int(np.sum(cm[i] == 0) + np.sum(cm[j] == 0)) - 2  # beyond chi(0) diag
-    ratio = n / (k - 2)
-    return ConjectureRecord(
-        p=p, support=T.indices, pair=(i, j), ratio=ratio, alpha=float(alpha),
-        satisfied=ratio < alpha, numerator=n, zero_terms=max(zero_terms, 0),
-    )
+    if len(T) < 3:
+        raise ParameterRangeError(f"need |support| >= 3, got {len(T)}")
+    return _pair_records(p, [T.indices], sign_matrix(p, [T.indices]), alpha)[0]
 
 
 def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[ConjectureRecord]:
@@ -281,14 +287,14 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
         raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
     if len(T) < m_alpha:
         raise ParameterRangeError(f"need |support| >= m_alpha, got {len(T)} < {m_alpha}")
-    remaining = list(T.indices)
+    remaining = T.indices
+    c = sign_matrix(p, remaining)
     trace = []
     while len(remaining) >= m_alpha:
-        rec = conjecture_search(p, SupportSet(p, tuple(remaining)), alpha)
-        trace.append(rec)
-        i, j = rec.pair
-        for pos in sorted((i, j), reverse=True):
-            remaining.pop(pos)
+        trace += _pair_records(p, [remaining], c[None], alpha)
+        keep = [x for x in range(len(remaining)) if x not in trace[-1].pair]
+        remaining = tuple(remaining[x] for x in keep)
+        c = c[np.ix_(keep, keep)]
     return trace
 
 
@@ -321,11 +327,13 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
         raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
 
     supports = [random_subset(p, k, sub_seed(seed, t)) for t in range(trials)]
-    records = tuple(conjecture_search(p, SupportSet(p, s), alpha) for s in supports)
+    records = []
+    for c in _sign_batches(p, supports, k):
+        records += _pair_records(p, supports[len(records):], c, alpha)
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(
         p=p, k=k, trials=trials, seed=int(seed), alpha=float(alpha),
-        records=records, fraction_satisfied=frac,
+        records=tuple(records), fraction_satisfied=frac,
         worst_ratio=records[worst].ratio, worst_support=supports[worst],
     )

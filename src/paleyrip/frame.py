@@ -3,9 +3,10 @@
 The frame is the (p+1)/2 x p slice of the p x p DFT matrix restricted to
 rows indexed by 0 and the quadratic residues mod p, rescaled to unit-norm
 columns.  Inner products of distinct columns then reduce to Legendre
-symbols: <phi_n, phi_n'> = chi(n - n') * i / sqrt(p), which is what
-`gram_analytic` evaluates directly.  `gram_direct` recomputes the same
-Gramian from explicit column dot products and exists as the validation
+symbols: <phi_n, phi_n'> = chi(n - n') * i / sqrt(p), so the Gramian of a
+support T is I + (i/sqrt p) C_T.  `sign_matrix` is the one builder of C_T,
+which `gram_analytic` and every experiment use.  `gram_direct` recomputes
+the Gramian from explicit column dot products and exists as the validation
 oracle for the analytic path.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import as_paley_prime
+from .numtheory import as_paley_prime, chi_table, row_index_set
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def build_frame(p) -> PaleyFrame:
     column has Euclidean norm 1.
     """
     pp = as_paley_prime(p)
-    rows = pp.row_index_set()
+    rows = row_index_set(pp)
     n = np.arange(pp.p)
     m = np.asarray(rows)
     phase = np.exp(2j * np.pi * np.outer(m, n) / pp.p)
@@ -125,6 +126,16 @@ def gram_direct(frame: PaleyFrame, support) -> np.ndarray:
     return upper + upper.conj().T + np.diag(g.diagonal().real)
 
 
+def sign_matrix(p: int, idx) -> np.ndarray:
+    """Integer sign matrices C[..., a, b] = chi(T_a - T_b) of supports idx[..., :].
+
+    One support (k,) gives a (k, k) matrix, a stack (..., k) gives (..., k, k).
+    p is any odd prime; the supports are taken as given, not validated.
+    """
+    idx = np.asarray(idx)
+    return chi_table(p)[(idx[..., :, None] - idx[..., None, :]) % p]
+
+
 def gram_analytic(p, support) -> np.ndarray:
     """Gramian from the Legendre formula, no DFT evaluation.
 
@@ -133,10 +144,7 @@ def gram_analytic(p, support) -> np.ndarray:
     """
     pp = as_paley_prime(p)
     T = as_support(pp.p, support)
-    idx = np.asarray(T.indices)
-    chi = pp.chi_table()
-    diff = (idx[:, None] - idx[None, :]) % pp.p
-    g = chi[diff] * (1j / math.sqrt(pp.p))
+    g = sign_matrix(pp.p, T.indices) * (1j / math.sqrt(pp.p))
     np.fill_diagonal(g, 1.0)
     return g
 

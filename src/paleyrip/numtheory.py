@@ -1,9 +1,10 @@
 """Exact integer arithmetic: primality, Legendre symbols, quadratic residues.
 
-Everything here is deterministic and exact.  The Legendre symbol is computed
-with Euler's criterion (modular exponentiation), so it works for any odd
-prime without precomputation; `chi_table` provides an optional cached lookup
-layer for hot loops.
+Everything here is deterministic and exact.  `chi_table` is the Legendre
+symbol every computation of the package reads: the sign matrices, the
+quadratic-residue row set and the Gramians all come from it.  `legendre`
+evaluates Euler's criterion for one argument and is the independent oracle
+the table is checked against.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ def legendre(a: int, p) -> int:
 
     Returns 0 when p divides a, +1 for a nonzero quadratic residue,
     -1 otherwise.  `a` is reduced into [0, p) first, so negative
-    differences are fine.  Uses Euler's criterion a^((p-1)/2) mod p.
+    differences are fine.  Uses Euler's criterion a^((p-1)/2) mod p; a
+    modulus that is not an odd prime is rejected as in `check_prime`.
     """
-    p = getattr(p, "p", p)
-    p = int(p)
-    if p < 3 or p % 2 == 0:
-        raise ParameterRangeError(f"legendre needs an odd prime modulus, got {p}")
+    p = check_prime(p)
     a = int(a) % p
     if a == 0:
         return 0
@@ -96,13 +95,9 @@ def chi_table(p: int) -> np.ndarray:
 
 
 class PaleyPrime:
-    """A prime p = 3 (mod 4), p >= 7, validated at construction.
+    """A prime p = 3 (mod 4), p >= 7 (a Paley frame modulus), validated at construction."""
 
-    Carries the cached Legendre table (built lazily, immutable after build)
-    and the sorted quadratic-residue row index set used by the frame builder.
-    """
-
-    __slots__ = ("p", "_chi", "_rows")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         p = check_prime(p, min_p=2)
@@ -111,20 +106,6 @@ class PaleyPrime:
         if p < 7:
             raise ParameterRangeError(f"p must be >= 7, got {p}")
         self.p = p
-        self._chi = None
-        self._rows = None
-
-    def chi_table(self) -> np.ndarray:
-        # Idempotent: a concurrent double build assigns identical arrays.
-        if self._chi is None:
-            self._chi = chi_table(self.p)
-        return self._chi
-
-    def row_index_set(self) -> list[int]:
-        if self._rows is None:
-            chi = self.chi_table()
-            self._rows = [0] + [m for m in range(1, self.p) if chi[m] == 1]
-        return list(self._rows)
 
     def __int__(self) -> int:
         return self.p
@@ -157,4 +138,5 @@ def row_index_set(p) -> list[int]:
     These are the DFT rows kept by the Paley construction; the list has
     exactly (p + 1) / 2 entries and starts with 0.
     """
-    return as_paley_prime(p).row_index_set()
+    p = as_paley_prime(p).p
+    return [0] + np.flatnonzero(chi_table(p) == 1).tolist()

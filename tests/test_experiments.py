@@ -95,15 +95,17 @@ def test_estimate_worst_reduces_to_single():
 
 
 def test_estimate_worst_dominates_and_is_thread_invariant():
-    # one batched solve per order is the same curve as the max of the
-    # single-support curves, and reruns are bit-identical
-    worst = estimate_rip_worst(43, 8, trials=40, seed=3)
-    again = estimate_rip_worst(43, 8, trials=40, seed=3)
-    assert np.array_equal(worst.d, again.d)
-    singles = [estimate_rip_single(43, 8, seed=sub_seed(3, t)).d for t in range(40)]
-    for d in singles:
-        assert np.all(worst.d >= d - 1e-15)
-    assert np.abs(worst.d - np.maximum.reduce(singles)).max() < 1e-15
+    # the batched curve is exactly the max of the single-support curves, and
+    # reruns are bit-identical; k = 60 at p = 103 packs 18 supports per
+    # batch, so its 40 trials span two full batches and a partial one
+    for p, k in ((43, 8), (103, 60)):
+        worst = estimate_rip_worst(p, k, trials=40, seed=3)
+        again = estimate_rip_worst(p, k, trials=40, seed=3)
+        assert np.array_equal(worst.d, again.d)
+        singles = [estimate_rip_single(p, k, seed=sub_seed(3, t)).d for t in range(40)]
+        for d in singles:
+            assert np.all(worst.d >= d)
+        assert np.array_equal(worst.d, np.maximum.reduce(singles))
     with pytest.raises(ParameterRangeError):
         estimate_rip_worst(43, 8, trials=0, seed=3)
 
@@ -390,15 +392,17 @@ def test_conjecture_scan_monotone_in_trials():
 
 
 def test_conjecture_scan_thread_invariant():
-    # every record equals a search on its trial's own support, and reruns agree
-    s1 = conjecture_scan(43, 8, trials=30, seed=5)
-    s2 = conjecture_scan(43, 8, trials=30, seed=5)
-    assert s1.records == s2.records
-    assert s1.worst_ratio == s2.worst_ratio
-    for t, rec in enumerate(s1.records):
-        support = random_subset(43, 8, sub_seed(5, t))
-        assert rec == conjecture_search(43, SupportSet(43, support))
-        assert rec.satisfied == (rec.ratio < rec.alpha)
+    # every record equals a search on its trial's own support, and reruns
+    # agree; (103, 60, 40) spans three stacked batches, the last partial
+    for p, k, trials in ((43, 8, 30), (103, 60, 40)):
+        s1 = conjecture_scan(p, k, trials=trials, seed=5)
+        s2 = conjecture_scan(p, k, trials=trials, seed=5)
+        assert s1.records == s2.records
+        assert s1.worst_ratio == s2.worst_ratio
+        for t, rec in enumerate(s1.records):
+            support = random_subset(p, k, sub_seed(5, t))
+            assert rec == conjecture_search(p, SupportSet(p, support))
+            assert rec.satisfied == (rec.ratio < rec.alpha)
 
 
 def test_conjecture_scan_alpha_one():

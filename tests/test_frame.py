@@ -19,8 +19,11 @@ from paleyrip.frame import (
     gram_to_json,
     l1_coherence,
     reduce_support,
+    sign_matrix,
 )
+from paleyrip.numtheory import legendre
 from paleyrip.rng import SplitMix64, random_subset
+from paleyrip.spectra import skew_spectral_radius
 
 PALEY_PRIMES = [7, 11, 19, 43, 103]
 
@@ -127,6 +130,20 @@ def test_gram_shift_invariance(p):
         shifted = tuple((s + c) % p for s in support)
         diff = np.abs(gram_analytic(p, support) - gram_analytic(p, shifted)).max()
         assert diff == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([7, 19, 43, 103]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=2, max_size=24, unique=True),
+    st.integers(1, p - 1), st.integers(0, p - 1))))
+def test_sign_matrix_agl_invariance_property(case):
+    # x -> a x + b multiplies C by chi(a): a residue keeps C, a non-residue
+    # negates it, and rho(C) is unchanged either way
+    p, support, a, b = case
+    c = sign_matrix(p, support)
+    mapped = sign_matrix(p, [(a * t + b) % p for t in support])
+    assert np.array_equal(mapped, legendre(a, p) * c)
+    assert abs(skew_spectral_radius(mapped) - skew_spectral_radius(c)) < 1e-12
 
 
 def test_gram_minus_identity_is_skew():

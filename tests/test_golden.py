@@ -1,4 +1,4 @@
-"""Golden stdout of the README's experiment commands, and the oracles behind it.
+"""Golden stdout of the README's gram and experiment commands, and the oracles behind it.
 
 The files under tests/golden/ pin the exact bytes each command prints.  A
 kernel change that moves a last digit must regenerate them on purpose:
@@ -35,6 +35,12 @@ COMMANDS = {
         ["demboratio", "--p", "103", "--k", "30", "--seed", "1"],
     "conjecture-p19-k12-trials500-seed7.csv":
         ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
+    "gram-p7-support0-1-3.json":  # pins the signed zeros of the real parts
+        ["gram", "--p", "7", "--support", "0,1,3"],
+    "conjecture-p5-support0-4.json":
+        ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
+    "conjecture-p43-peel.json":
+        ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
 }
 
 

@@ -118,8 +118,12 @@ def test_paley_prime_validation():
 
 
 def test_legendre_rejects_even_modulus():
+    # composites used to get Euler's criterion: legendre(4, 15) was -1
+    for a, n in ((1, 4), (4, 15), (1, 9)):
+        with pytest.raises(NotPrimeError):
+            legendre(a, n)
     with pytest.raises(ParameterRangeError):
-        legendre(1, 4)
+        legendre(1, 2)
 
 
 def test_check_prime():
