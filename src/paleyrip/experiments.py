@@ -31,6 +31,8 @@ from .frame import as_support, sign_matrix
 from .numtheory import as_paley_prime, check_prime
 from .rng import random_subset, sub_seed
 
+# Largest number of orbit representatives (k-subsets containing {0, 1},
+# binomial(p-2, k-2) of them) exact_rip will solve.
 EXACT_RIP_GUARD = 10**6
 DEFAULT_FIT_JMIN = 3
 # Sign-matrix entries per stack: large enough to amortise the per-call
@@ -115,19 +117,24 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
 def exact_rip(p, k: int) -> float:
     """Worst eigenvalue deviation over all k-subsets (tiny scale only).
 
-    Guarded by binomial(p, k) <= 10^6; this is the brute-force oracle the
-    closed-form bounds are checked against.  Only order k is solved, as
-    max rho(C_T)/sqrt p over the streamed supports T.
+    x -> a x + b maps C_T to chi(a) C_T, so rho(C_T) is constant on AGL(1,p)
+    orbits, and 2-transitivity puts a support containing {0, 1} in each.
+    Only those binomial(p-2, k-2) <= EXACT_RIP_GUARD representatives are
+    solved, at order k, as max rho(C_T)/sqrt p.  This is the oracle the
+    closed-form bounds are checked against.
     """
     pp = as_paley_prime(p)
     k = int(k)
     if not 1 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={pp.p}")
-    if math.comb(pp.p, k) > EXACT_RIP_GUARD:
+    if k == 1:
+        return 0.0  # C_T = [0]; there is no pair to fix
+    if math.comb(pp.p - 2, k - 2) > EXACT_RIP_GUARD:
         raise ParameterRangeError(
-            f"binomial({pp.p}, {k}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
+            f"binomial({pp.p - 2}, {k - 2}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
-    batches = _sign_batches(pp.p, combinations(range(pp.p), k), k)
+    reps = ((0, 1, *rest) for rest in combinations(range(2, pp.p), k - 2))
+    batches = _sign_batches(pp.p, reps, k)
     return float(max(spectra.skew_spectral_radius(c).max() for c in batches)) / math.sqrt(pp.p)
 
 

@@ -25,10 +25,9 @@ def is_prime(n: int) -> bool:
     n = int(n)
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % q == 0 for q in small):
+    if any(n % q == 0 for q in _MR_WITNESSES):
         return False
     d = n - 1
     r = 0

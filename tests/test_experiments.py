@@ -17,9 +17,9 @@ from paleyrip.experiments import (
     greedy_peel,
     one_sided_ratio,
 )
-from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct
+from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct, sign_matrix
 from paleyrip.rng import SplitMix64, random_subset, sub_seed
-from paleyrip.spectra import hermitian_spectrum
+from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 
 # the worst-case and random sets of the residue-pair experiments at p = 19,
 # literal values reduced mod p (19 -> 0)
@@ -121,7 +121,11 @@ def test_estimate_validates_range():
 
 
 def test_exact_rip_small_orders():
-    assert abs(exact_rip(7, 2) - 1 / math.sqrt(7)) < 1e-10
+    for p in (7, 19, 103):
+        assert exact_rip(p, 1) == 0.0  # no pair {0, 1} to fix
+        assert exact_rip(p, 2) == 1 / math.sqrt(p)
+    full = skew_spectral_radius(sign_matrix(7, range(7))) / math.sqrt(7)
+    assert abs(exact_rip(7, 7) - full) < 1e-12
     assert abs(exact_rip(7, 3) - math.sqrt(3.0 / 7.0)) < 1e-10
     assert exact_rip(7, 4) <= bound_dembo_recursive(4, 7)
 
@@ -138,9 +142,30 @@ def test_exact_rip_matches_dense_brute_force(p, k):
     assert abs(exact_rip(p, k) - worst) < 1e-12
 
 
+@pytest.mark.parametrize("p, k", [(19, 6), (19, 7), (23, 6)])
+def test_exact_rip_matches_stacked_brute_force(p, k):
+    # every one of the binomial(p, k) supports, not only the orbit
+    # representatives exact_rip solves: C from the squares mod p, then a
+    # dense eigvalsh of i C per stack
+    squares = {x * x % p for x in range(1, p)}
+    chi = np.array([0] + [1 if x in squares else -1 for x in range(1, p)])
+    subsets = np.array(list(combinations(range(p), k)))
+    worst = 0.0
+    for chunk in np.array_split(subsets, 16):
+        c = chi[(chunk[:, :, None] - chunk[:, None, :]) % p]
+        worst = max(worst, np.abs(np.linalg.eigvalsh(1j * c)).max())
+    assert abs(exact_rip(p, k) - worst / math.sqrt(p)) < 1e-12
+
+
 def test_exact_rip_guard():
     with pytest.raises(ParameterRangeError):
         exact_rip(103, 20)
+    # the guard counts binomial(p-2, k-2) representatives, not binomial(p, k)
+    with pytest.raises(ParameterRangeError, match=r"binomial\(101, 4\)"):
+        exact_rip(103, 6)
+    assert math.comb(47, 5) > 10**6
+    d5 = exact_rip(47, 5)
+    assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= bound_dembo_recursive(5, 47)
 
 
 def test_exhaustive_worst_matches_exact_rip_p7():
