@@ -7,9 +7,11 @@ quadratic-residue pair searches behind the square-root-barrier conjecture.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
-is exactly rho(C)/sqrt p.  The experiments build each support's C once,
-with frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries,
-for spectra.skew_spectral_radius and for the pair searches' |C C^T|.
+is exactly rho(C)/sqrt p.  The experiments build sign matrices with
+frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, for
+spectra.skew_spectral_radius and for the pair searches' |C C^T|.  The
+worst-case curve walks the prefix order down and, by Cauchy interlacing,
+solves at each order only the trials that can still set the max.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and
@@ -38,6 +40,8 @@ DEFAULT_FIT_JMIN = 3
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
+# Computed radii of nested blocks break interlacing by up to ~1e-15 relative.
+_INTERLACING_SLACK = 1e-12
 
 
 def _sign_batches(p: int, supports, k: int):
@@ -51,12 +55,34 @@ def _sign_batches(p: int, supports, k: int):
 def _worst_curve(p: int, supports: list[tuple[int, ...]], k: int) -> np.ndarray:
     """d(j) = max over supports of rho(C_j)/sqrt p for each prefix order j.
 
-    C_j is the leading j x j block of C, so one batch serves every order j.
+    C_j is the leading j x j block of C_{j+1}, so by Cauchy interlacing each
+    trial's radius is nondecreasing in j, and its last solved radius is an
+    upper bound ub at every lower order.  All trials are solved at order k;
+    then, walking j down, the trial with the largest ub is solved first, and
+    after it only the trials whose ub still reaches that value less the
+    slack.  Pruned trials cannot set the max, so d equals the full max exactly.
     """
+    idx = np.asarray(supports)
+
+    def solve(rows, j: int) -> np.ndarray:
+        batch = max(1, STACK_ENTRIES // (j * j))
+        return np.concatenate([
+            spectra.skew_spectral_radius(sign_matrix(p, idx[rows[s:s + batch], :j]))
+            for s in range(0, len(rows), batch)
+        ])
+
+    ub = solve(np.arange(len(idx)), k)
     rho = np.zeros(k)
-    for c in _sign_batches(p, supports, k):
-        for j in range(2, k + 1):
-            rho[j - 1] = max(rho[j - 1], spectra.skew_spectral_radius(c[:, :j, :j]).max())
+    rho[k - 1] = ub.max()
+    for j in range(k - 1, 1, -1):
+        top = np.argmax(ub)
+        ub[top] = best = solve([top], j)[0]
+        rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
+        rest = rest[rest != top]
+        if rest.size:
+            ub[rest] = solve(rest, j)
+            best = max(best, ub[rest].max())
+        rho[j - 1] = best
     return rho / math.sqrt(p)
 
 
@@ -97,8 +123,10 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
                        keep_supports: bool = True) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
-    Trial t uses sub_seed(seed, t); each batch of trials is one stacked
-    solve per prefix order j.
+    Trial t uses sub_seed(seed, t).  Every trial is solved at order k; below
+    it, a trial is solved at order j only while its radius at the last order
+    it was solved at can still reach the max (see _worst_curve), so most
+    solves are skipped and d is the same as solving every trial at every j.
     """
     pp = as_paley_prime(p)
     trials = int(trials)

@@ -4,9 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from paleyrip import spectra
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin
 from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeError
 from paleyrip.experiments import (
+    _INTERLACING_SLACK,
     conjecture_scan,
     conjecture_search,
     dembo_ratio_study,
@@ -94,7 +96,7 @@ def test_estimate_worst_reduces_to_single():
     assert np.array_equal(worst.d, single.d)
 
 
-def test_estimate_worst_dominates_and_is_thread_invariant():
+def test_estimate_worst_is_max_of_singles_and_rerun_identical():
     # the batched curve is exactly the max of the single-support curves, and
     # reruns are bit-identical; k = 60 at p = 103 packs 18 supports per
     # batch, so its 40 trials span two full batches and a partial one
@@ -108,6 +110,46 @@ def test_estimate_worst_dominates_and_is_thread_invariant():
         assert np.array_equal(worst.d, np.maximum.reduce(singles))
     with pytest.raises(ParameterRangeError):
         estimate_rip_worst(43, 8, trials=0, seed=3)
+
+
+def _unpruned_worst_curve(p, k, trials, seed):
+    # every trial solved at every prefix order, one stack per order
+    idx = np.array([random_subset(p, k, sub_seed(seed, t)) for t in range(trials)])
+    c = sign_matrix(p, idx)
+    rho = [0.0] + [skew_spectral_radius(c[:, :j, :j]).max() for j in range(2, k + 1)]
+    return np.array(rho) / math.sqrt(p)
+
+
+@pytest.mark.parametrize("p, k, trials", [(19, 12, 500), (7, 7, 50), (103, 60, 40), (1019, 60, 30)])
+def test_estimate_worst_matches_unpruned_reference(p, k, trials):
+    # (19, 12, 500) is tie-heavy; (103, 60, 40) spans several stacks
+    assert np.array_equal(estimate_rip_worst(p, k, trials, seed=4).d,
+                          _unpruned_worst_curve(p, k, trials, seed=4))
+
+
+@pytest.mark.parametrize("p, k", [(19, 19), (103, 60), (1019, 80)])
+def test_computed_radii_interlace_within_slack(p, k):
+    # the prune's premise: a trial's computed radius at order j is at most
+    # its computed radius at every higher order, up to the relative slack
+    idx = np.array([random_subset(p, k, sub_seed(8, t)) for t in range(40)])
+    c = sign_matrix(p, idx)
+    rho = np.stack([skew_spectral_radius(c[:, :j, :j]) for j in range(2, k + 1)], axis=1)
+    later_min = np.minimum.accumulate(rho[:, ::-1], axis=1)[:, ::-1]
+    assert np.all(rho <= later_min * (1.0 + _INTERLACING_SLACK))
+
+
+def test_estimate_worst_prunes_most_solves(monkeypatch):
+    solved = []
+    full = spectra.skew_spectral_radius
+
+    def counting(c, *args, **kwargs):
+        c = np.asarray(c)
+        solved.append(math.prod(c.shape[:-2]))
+        return full(c, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "skew_spectral_radius", counting)
+    estimate_rip_worst(103, 30, 1000, seed=1)
+    assert sum(solved) < 1000 * 29 / 2
 
 
 def test_estimate_validates_range():
@@ -416,7 +458,7 @@ def test_conjecture_scan_monotone_in_trials():
     assert w200 >= w50
 
 
-def test_conjecture_scan_thread_invariant():
+def test_conjecture_scan_records_match_per_support_search():
     # every record equals a search on its trial's own support, and reruns
     # agree; (103, 60, 40) spans three stacked batches, the last partial
     for p, k, trials in ((43, 8, 30), (103, 60, 40)):

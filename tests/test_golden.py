@@ -31,6 +31,8 @@ COMMANDS = {
         ["estimate", "--p", "103", "--k", "30", "--seed", "1"],
     "estimate-p103-k30-trials1000-seed1.csv":
         ["estimate", "--p", "103", "--k", "30", "--trials", "1000", "--seed", "1"],
+    "estimate-p1019-k200-trials5-seed1.csv":
+        ["estimate", "--p", "1019", "--k", "200", "--trials", "5", "--seed", "1"],
     "demboratio-p103-k30-seed1.csv":
         ["demboratio", "--p", "103", "--k", "30", "--seed", "1"],
     "conjecture-p19-k12-trials500-seed7.csv":
@@ -69,9 +71,11 @@ def test_golden_stdout_bytes(name, capsys):
 @pytest.mark.parametrize("name, trials", [
     ("estimate-p103-k30-seed1.csv", 1),
     ("estimate-p103-k30-trials1000-seed1.csv", 1000),
+    ("estimate-p1019-k200-trials5-seed1.csv", 5),
 ])
 def test_golden_ripcurve_matches_dense_oracle(name, trials):
-    p, k, seed = 103, 30, 1
+    args = COMMANDS[name]
+    p, k, seed = (int(args[args.index(flag) + 1]) for flag in ("--p", "--k", "--seed"))
     if trials == 1:
         supports = [random_subset(p, k, seed)]
     else:
