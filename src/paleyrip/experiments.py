@@ -9,9 +9,11 @@ Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
 is exactly rho(C)/sqrt p.  The experiments build sign matrices with
 frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, for
-spectra.skew_spectral_radius and for the pair searches' |C C^T|.  The
-worst-case curve walks the prefix order down and, by Cauchy interlacing,
-solves at each order only the trials that can still set the max.
+spectra.skew_spectral_radius (rho(C)^2 is the top eigenvalue of the exact
+integer product C^T C, one real symmetric solve per matrix) and for the pair
+searches' |C C^T|.  The worst-case curve walks the prefix order down and, by
+Cauchy interlacing, solves at each order only the trials that can still set
+the max.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and

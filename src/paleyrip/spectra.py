@@ -4,12 +4,15 @@ Every Gramian of the Paley frame is I + (i/sqrt p) C with C a +-1
 skew-symmetric sign matrix, and the spectrum of iC is symmetric about 0, so
 the deviation max(lambda_max - 1, 1 - lambda_min) is exactly rho(C)/sqrt p.
 skew_spectral_radius is therefore the package's one spectral path for sign
-matrices: it takes one matrix or a stack and hands iC to LAPACK's complex
-Hermitian solver (numpy.linalg.eigvalsh) in a single call.  Input gates are
-relative to the largest entry.  The bordered-matrix bounds are evaluated from
-their closed forms and cross-checked elsewhere against dense oracles; the
-extreme roots of the two-row bordered quartic are the extreme eigenvalues
-of that matrix compressed to its invariant subspace of dimension at most 4.
+matrices: it takes one matrix or a stack and, in a single call to LAPACK's
+real symmetric solver (numpy.linalg.eigvalsh), finds rho(C) as
+sqrt(lambda_max(C^T C)).  For a sign matrix C^T C has integer entries of
+size at most n, so the float64 product is exact and only the eigensolver
+rounds.  Input gates are relative to the largest entry.  The
+bordered-matrix bounds are evaluated from their closed forms and
+cross-checked elsewhere against dense oracles; the extreme roots of the
+two-row bordered quartic are the extreme eigenvalues of that matrix
+compressed to its invariant subspace of dimension at most 4.
 """
 
 from __future__ import annotations
@@ -74,7 +77,14 @@ def canonical_tournament(n: int) -> np.ndarray:
 def skew_spectral_radius(c, tol: float = SKEW_TOL):
     """Spectral radius of a real skew-symmetric matrix, or of each in a stack.
 
-    Equals the largest eigenvalue of the Hermitian matrix i*C.  `c` is one
+    Equals the largest eigenvalue of the Hermitian matrix i*C, and is found
+    as s * sqrt(lambda_max(A^T A)) with A = C / s and s = max|C| (1 for a
+    zero matrix): A^T A = -C^2 / s^2 is real symmetric with the squared
+    radius on top.  The scaling keeps the product clear of overflow and
+    underflow at any overall magnitude of C and puts lambda_max >= 1 for
+    any nonzero C.
+    For a sign matrix s = 1 and A^T A has integer entries of size at most
+    n, so the float64 product is exact under any BLAS blocking.  `c` is one
     (n, n) matrix, giving a float, or a stack (..., n, n), giving an array of
     radii.  A matrix whose deviation from skew-symmetry exceeds
     tol * max(1, max|C|) is rejected.  For any orientation of a graph on n
@@ -84,13 +94,18 @@ def skew_spectral_radius(c, tol: float = SKEW_TOL):
     c = np.asarray(c)
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise ParameterRangeError(f"need square matrices, got shape {c.shape}")
+    if np.iscomplexobj(c):
+        raise ParameterRangeError(f"need real matrices, got dtype {c.dtype}")
     dev = np.abs(c + np.swapaxes(c, -1, -2)).max(axis=(-2, -1))
-    bound = tol * np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
+    scale = np.abs(c).max(axis=(-2, -1))
+    bound = tol * np.maximum(1.0, scale)
     if np.any(dev > bound):
         raise NonHermitianError(
             f"skew-symmetry deviation {np.max(dev):.3e} exceeds {tol:.1e} * max(1, max|C|)"
         )
-    rho = np.linalg.eigvalsh(1j * c)[..., -1]
+    scale = np.where(scale > 0, scale, 1.0).astype(np.float64)
+    a = c / scale[..., None, None]
+    rho = scale * np.sqrt(np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1])
     return float(rho) if c.ndim == 2 else rho
 
 

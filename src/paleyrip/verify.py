@@ -131,7 +131,7 @@ def _check_cot_radius(pp, rng) -> CheckResult:
                     c[i, j] = s
                     c[j, i] = -s
             worst_excess = max(worst_excess, spectra.skew_spectral_radius(c) - target)
-    ok = worst_eq <= 1e-8 and worst_excess <= 1e-8
+    ok = worst_eq <= 1e-12 and worst_excess <= 1e-12
     return CheckResult(
         "cot_radius", ok,
         f"canonical equality error {worst_eq:.3e}, random-orientation excess {worst_excess:.3e}",

@@ -118,10 +118,10 @@ def test_criterion_04_cot_radius_theorem():
                     s = 1.0 if rng.below(2) else -1.0
                     c[i, j], c[j, i] = s, -s
             worst_excess = max(worst_excess, skew_spectral_radius(c) - target)
-    ok = worst_eq < 1e-8 and worst_excess <= 1e-8
+    ok = worst_eq < 1e-12 and worst_excess <= 1e-12
     _report(4, ok,
             f"canonical tournament radius vs cot(pi/2n), n=2..12: error {worst_eq:.2e}; "
-            f"1800 random orientations max excess {worst_excess:.2e} (tol 1e-8)")
+            f"1800 random orientations max excess {worst_excess:.2e} (tol 1e-12)")
 
 
 def test_criterion_05_p1009_sparsity_thresholds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paleyrip.errors import NonHermitianError, ParameterRangeError
-from paleyrip.frame import gram_analytic
+from paleyrip.frame import gram_analytic, sign_matrix
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,
@@ -175,10 +175,10 @@ def test_canonical_tournament_shapes():
 
 def test_skew_radius_canonical_values():
     assert abs(skew_spectral_radius(canonical_tournament(2)) - 1.0) < 1e-12
-    assert abs(skew_spectral_radius(canonical_tournament(3)) - math.sqrt(3)) < 1e-10
+    assert abs(skew_spectral_radius(canonical_tournament(3)) - math.sqrt(3)) < 1e-12 * math.sqrt(3)
     for n in range(4, 13):
         target = 1.0 / math.tan(math.pi / (2 * n))
-        assert abs(skew_spectral_radius(canonical_tournament(n)) - target) < 1e-8
+        assert abs(skew_spectral_radius(canonical_tournament(n)) - target) < 1e-12 * target
 
 
 def test_skew_radius_bounds_random_orientations():
@@ -191,7 +191,7 @@ def test_skew_radius_bounds_random_orientations():
                 for j in range(i + 1, n):
                     s = 1.0 if rng.below(2) else -1.0
                     c[i, j], c[j, i] = s, -s
-            assert skew_spectral_radius(c) <= target + 1e-8
+            assert skew_spectral_radius(c) <= target * (1 + 1e-12)
 
 
 def test_skew_radius_rejects_non_skew():
@@ -199,11 +199,29 @@ def test_skew_radius_rejects_non_skew():
         skew_spectral_radius(np.eye(3))
     with pytest.raises(NonHermitianError):
         skew_spectral_radius(np.stack([canonical_tournament(3), np.eye(3)]))
+    with pytest.raises(NonHermitianError):
+        skew_spectral_radius(1e200 * np.eye(3))
     with pytest.raises(ParameterRangeError):
         skew_spectral_radius(np.ones((2, 3)))
+    # C^T C is not the Hermitian square of a complex skew matrix, so complex
+    # input is refused rather than given a wrong radius
+    with pytest.raises(ParameterRangeError):
+        skew_spectral_radius(np.array([[0, 1 + 1j], [-1 - 1j, 0]]))
     # relative gate: a large rotated tournament keeps its cot(pi/2n) radius
     target = 1e5 / math.tan(math.pi / 24)
     assert abs(skew_spectral_radius(_rotated_scaled_tournament()) - target) < 1e-12 * target
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-5, 1e150, 1e200])
+def test_skew_radius_scale_robust(scale):
+    # the kernel scales by max|C| before forming C^T C, so neither tiny nor
+    # huge entries underflow or overflow in the product (the suite turns
+    # every numpy warning into an error)
+    target = scale / math.tan(math.pi / 24)
+    for c in (canonical_tournament(12) * scale, _rotated_scaled_tournament(scale)):
+        rho = skew_spectral_radius(c)
+        assert abs(rho - target) < 1e-12 * target
+        assert abs(rho - np.linalg.eigvalsh(1j * c)[-1]) < 1e-12 * target
 
 
 def test_skew_radius_stack_shapes():
@@ -212,21 +230,72 @@ def test_skew_radius_stack_shapes():
     assert isinstance(rho, np.ndarray) and rho.shape == (3,)
     target = 1.0 / math.tan(math.pi / 10)
     assert np.abs(rho - [target, target, 0.0]).max() < 1e-12
+    # an all-zero member and an order-1 matrix give exactly 0, not a rounded
+    # or negative square root
+    assert rho[2] == 0.0
+    assert skew_spectral_radius(np.zeros((1, 1))) == 0.0
+    assert skew_spectral_radius(np.zeros((1, 1), dtype=np.int64)) == 0.0
     assert skew_spectral_radius(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
     assert isinstance(skew_spectral_radius(stack[0]), float)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 16), batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_skew_radius_stack_property_vs_dense(n, batch, seed):
-    # random +-1 orientations: the stacked radius equals each matrix's own
-    # top eigenvalue of iC
-    upper = np.triu(np.random.default_rng(seed).choice([-1, 1], size=(batch, n, n)), 1)
-    c = upper - np.swapaxes(upper, -1, -2)
+def _assert_matches_complex_oracle(c):
+    # the oracle is the top eigenvalue of the Hermitian matrix iC, from
+    # LAPACK's complex solver, per matrix and over the whole stack; a stack
+    # member and the same matrix alone go through the same product and the
+    # same per-matrix LAPACK call, so they agree bit for bit
     rho = skew_spectral_radius(c)
-    for t in range(batch):
-        assert abs(rho[t] - np.linalg.eigvalsh(1j * c[t])[-1]) < 1e-12
-        assert abs(rho[t] - skew_spectral_radius(c[t])) < 1e-12
+    oracle = np.linalg.eigvalsh(1j * c)[..., -1]
+    assert np.all(np.abs(rho - oracle) <= 1e-12 * np.maximum(1.0, oracle))
+    for t in range(len(c)):
+        assert rho[t] == skew_spectral_radius(c[t])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 16),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["orientation", "gaussian"]),
+)
+def test_skew_radius_stack_property_vs_dense(n, batch, seed, kind):
+    # random +-1 orientations and Gaussian real skew matrices G - G^T
+    rng = np.random.default_rng(seed)
+    if kind == "orientation":
+        upper = np.triu(rng.choice([-1, 1], size=(batch, n, n)), 1)
+        c = upper - np.swapaxes(upper, -1, -2)
+    else:
+        g = rng.standard_normal((batch, n, n))
+        c = g - np.swapaxes(g, -1, -2)
+    _assert_matches_complex_oracle(c)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([19, 103, 1019]),
+    k=st.integers(1, 200),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skew_radius_sign_matrix_stacks_vs_dense(p, k, batch, seed):
+    # Paley sign-matrix stacks up to order 200 at p = 1019
+    k = min(k, p)
+    rng = np.random.default_rng(seed)
+    idx = np.stack([rng.choice(p, size=k, replace=False) for _ in range(batch)])
+    _assert_matches_complex_oracle(sign_matrix(p, idx))
+
+
+@pytest.mark.parametrize("p,k,batch", [(19, 19, 4), (103, 30, 50), (1019, 200, 5)])
+def test_sign_matrix_gram_product_is_exact(p, k, batch):
+    # C^T C of a sign matrix has integer entries of size at most k, so the
+    # float64 product the kernel forms equals the int64 product exactly
+    rng = np.random.default_rng(p + k)
+    idx = np.stack([rng.choice(p, size=k, replace=False) for _ in range(batch)])
+    c = sign_matrix(p, idx)
+    exact = np.swapaxes(c, -1, -2) @ c
+    a = c.astype(np.float64)
+    assert np.array_equal(np.swapaxes(a, -1, -2) @ a, exact)
+    assert np.abs(exact).max() <= k
 
 
 # --- one-step bordered bounds -------------------------------------------------
