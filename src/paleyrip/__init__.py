@@ -1,76 +1,102 @@
 """Paley compressed-sensing frames: bounds on restricted-isometry constants,
 spectral identities behind them, and reproducible experiments.
 
-Public surface re-exported here; see the README for the CLI.
+Public surface re-exported here; see the README for the CLI.  Nothing is
+imported up front: each name below, and each submodule, loads its module
+on first access (PEP 562), so `import paleyrip` does not load numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    DEMBO_C,
-    GENERALIZED_OFFSET,
-    BoundReport,
-    SparsityThreshold,
-    bound_conjectural,
-    bound_dembo_recursive,
-    bound_generalized_dembo,
-    bound_gershgorin,
-    bound_skew,
-    build_report,
-    find_c_alpha,
-    lemma_k_inequality,
-    max_sparsity,
-)
-from .errors import (
-    DuplicateSupportError,
-    MalformedInputError,
-    NonHermitianError,
-    NotPrimeError,
-    PaleyRipError,
-    ParameterRangeError,
-    WrongResidueError,
-)
-from .experiments import (
-    ConjectureRecord,
-    ConjectureScanSummary,
-    DemboRatioRow,
-    RipEstimate,
-    conjecture_scan,
-    conjecture_search,
-    dembo_ratio_study,
-    estimate_rip_single,
-    estimate_rip_worst,
-    exact_rip,
-    fit_power_law,
-    greedy_peel,
-    one_sided_ratio,
-)
-from .frame import (
-    PaleyFrame,
-    SupportSet,
-    build_frame,
-    coherence,
-    frame_to_json,
-    gram_analytic,
-    gram_direct,
-    gram_to_json,
-    l1_coherence,
-    reduce_support,
-    sign_matrix,
-)
-from .numtheory import PaleyPrime, as_paley_prime, chi_table, is_prime, legendre, row_index_set
-from .rng import SplitMix64, random_subset, sub_seed
-from .spectra import (
-    BorderedBlock,
-    block3_det,
-    canonical_tournament,
-    dembo_lower,
-    dembo_upper,
-    gamma_term,
-    generalized_dembo_extremes,
-    gram3_charpoly_check,
-    hermitian_spectrum,
-    schur_bordered_det,
-    skew_spectral_radius,
-)
-from .verify import run_verification
+# Submodule -> the public names it exports here.
+_EXPORTS = {
+    "bounds": (
+        "DEMBO_C",
+        "GENERALIZED_OFFSET",
+        "BoundReport",
+        "SparsityThreshold",
+        "bound_conjectural",
+        "bound_dembo_recursive",
+        "bound_generalized_dembo",
+        "bound_gershgorin",
+        "bound_skew",
+        "build_report",
+        "find_c_alpha",
+        "lemma_k_inequality",
+        "max_sparsity",
+    ),
+    "errors": (
+        "DuplicateSupportError",
+        "MalformedInputError",
+        "NonHermitianError",
+        "NotPrimeError",
+        "PaleyRipError",
+        "ParameterRangeError",
+        "WrongResidueError",
+    ),
+    "experiments": (
+        "ConjectureRecord",
+        "ConjectureScanSummary",
+        "DemboRatioRow",
+        "RipEstimate",
+        "conjecture_scan",
+        "conjecture_search",
+        "dembo_ratio_study",
+        "estimate_rip_single",
+        "estimate_rip_worst",
+        "exact_rip",
+        "fit_power_law",
+        "greedy_peel",
+        "one_sided_ratio",
+    ),
+    "frame": (
+        "PaleyFrame",
+        "SupportSet",
+        "build_frame",
+        "coherence",
+        "frame_to_json",
+        "gram_analytic",
+        "gram_direct",
+        "gram_to_json",
+        "l1_coherence",
+        "reduce_support",
+        "sign_matrix",
+    ),
+    "numtheory": ("PaleyPrime", "as_paley_prime", "chi_table", "is_prime", "legendre",
+                  "row_index_set"),
+    "rng": ("SplitMix64", "random_subset", "sub_seed"),
+    "spectra": (
+        "BorderedBlock",
+        "block3_det",
+        "canonical_tournament",
+        "dembo_lower",
+        "dembo_upper",
+        "gamma_term",
+        "generalized_dembo_extremes",
+        "gram3_charpoly_check",
+        "hermitian_spectrum",
+        "schur_bordered_det",
+        "skew_spectral_radius",
+    ),
+    "verify": ("run_verification",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SOURCE})

@@ -34,6 +34,10 @@ GENERALIZED_OFFSET = (2.0 / 3.0) * (2.0 - math.sqrt(3.0))
 
 RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
 
+# First order j of the log-log fit d(j) ~ j^beta that estimates the
+# conditional family's beta (experiments.fit_power_law and the `fit` command).
+DEFAULT_FIT_JMIN = 3
+
 UNCONDITIONAL_FAMILIES = (
     "gershgorin",
     "skew_cot",

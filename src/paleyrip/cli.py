@@ -6,6 +6,11 @@ floats, LF line endings and '.' decimals.  When --out is given, a sidecar
 <out>.meta.json records the command, package version, all parameters and
 the wall time, so published figures are reproducible from metadata alone.
 
+Each command imports the layers it runs inside its handler, so start-up
+loads only those.  numpy is loaded by the layers behind every command
+except `bounds` (the bound families are pure arithmetic in (k, p)), and not
+at all for --help and --version.
+
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.
 """
@@ -18,7 +23,8 @@ import json
 import sys
 import time
 
-from . import __version__, bounds, experiments, frame, verify
+from . import __version__
+from .bounds import DEFAULT_FIT_JMIN
 from .errors import (
     EXIT_PARAMETER_RANGE,
     EXIT_VERIFY_FAILED,
@@ -27,7 +33,6 @@ from .errors import (
     ParameterRangeError,
     exit_code_for,
 )
-from .frame import SupportSet, reduce_support
 
 RIPCURVE_COLUMNS = ("j", "d", "gershgorin", "skew_linear", "dembo_recursive", "generalized_dembo")
 DEMBORATIO_COLUMNS = ("j", "lambda_max", "dembo_bound", "gershgorin_bound",
@@ -64,6 +69,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_support(p: int, text: str) -> tuple[tuple[int, ...], list]:
+    from .frame import reduce_support
+
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -75,7 +82,9 @@ def _parse_support(p: int, text: str) -> tuple[tuple[int, ...], list]:
     return reduced, changed
 
 
-def _ripcurve_rows(est: experiments.RipEstimate) -> list[dict]:
+def _ripcurve_rows(est) -> list[dict]:
+    from . import bounds
+
     rows = []
     for j in range(1, est.k + 1):
         row = {
@@ -94,11 +103,15 @@ def _ripcurve_rows(est: experiments.RipEstimate) -> list[dict]:
 
 
 def _cmd_frame(args):
+    from . import frame
+
     f = frame.build_frame(args.p)
     return _json_text(frame.frame_to_json(f)), {}, 0
 
 
 def _cmd_gram(args):
+    from . import frame
+
     support, _ = _parse_support(args.p, args.support)
     if args.method == "direct":
         g = frame.gram_direct(frame.build_frame(args.p), support)
@@ -108,11 +121,15 @@ def _cmd_gram(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds
+
     report = bounds.build_report(args.p, args.k, beta=args.beta)
     return _json_text(report.to_dict()), {}, 0
 
 
 def _cmd_estimate(args):
+    from . import experiments
+
     if args.trials == 1:
         est = experiments.estimate_rip_single(args.p, args.k, args.seed)
     else:
@@ -126,6 +143,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
+    from . import experiments
+
     try:
         with open(args.input, newline="") as fh:
             reader = _csv.DictReader(fh)
@@ -150,6 +169,8 @@ def _cmd_fit(args):
 
 
 def _cmd_demboratio(args):
+    from . import experiments
+
     rows = [
         {"j": r.j, "lambda_max": r.lambda_max, "dembo_bound": r.dembo_bound,
          "gershgorin_bound": r.gershgorin_bound, "dembo_ratio": r.dembo_ratio,
@@ -162,7 +183,7 @@ def _cmd_demboratio(args):
     return _csv_text(DEMBORATIO_COLUMNS, rows), {}, 0
 
 
-def _record_doc(rec: experiments.ConjectureRecord) -> dict:
+def _record_doc(rec) -> dict:
     return {
         "p": rec.p,
         "support": list(rec.support),
@@ -177,6 +198,9 @@ def _record_doc(rec: experiments.ConjectureRecord) -> dict:
 
 
 def _cmd_conjecture(args):
+    from . import experiments
+    from .frame import SupportSet
+
     if args.support is not None:
         support, _ = _parse_support(args.p, args.support)
         if args.peel:
@@ -214,6 +238,8 @@ def _cmd_conjecture(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     report = verify.run_verification(args.p)
     code = 0 if report["all_passed"] else EXIT_VERIFY_FAILED
     if code != 0:
@@ -260,7 +286,7 @@ def build_parser() -> _Parser:
         k=True, seed=True, trials=True, fmt="csv")
     fit = add("fit", _cmd_fit, "power-law fit of a ripcurve CSV")
     fit.add_argument("--input", type=str, required=True, help="ripcurve CSV path")
-    fit.add_argument("--jmin", type=int, default=experiments.DEFAULT_FIT_JMIN,
+    fit.add_argument("--jmin", type=int, default=DEFAULT_FIT_JMIN,
                      help="first order included in the fit window")
     add("demboratio", _cmd_demboratio, "bound-sharpness study as demboratio CSV",
         k=True, seed=True, fmt="csv")

@@ -30,6 +30,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import spectra
+from .bounds import DEFAULT_FIT_JMIN
 from .errors import MalformedInputError, ParameterRangeError
 from .frame import as_support, sign_matrix
 from .numtheory import as_paley_prime, check_prime
@@ -38,7 +39,6 @@ from .rng import random_subset, sub_seed
 # Largest number of orbit representatives (k-subsets containing {0, 1},
 # binomial(p-2, k-2) of them) exact_rip will solve.
 EXACT_RIP_GUARD = 10**6
-DEFAULT_FIT_JMIN = 3
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16

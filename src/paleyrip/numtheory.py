@@ -5,13 +5,15 @@ symbol every computation of the package reads: the sign matrices, the
 quadratic-residue row set and the Gramians all come from it.  `legendre`
 evaluates Euler's criterion for one argument and is the independent oracle
 the table is checked against.
+
+Only `chi_table` and `row_index_set` need numpy, and they import it on
+first call, so the validators (and through them the `bounds` families and
+the `bounds` command) run without numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import NotPrimeError, ParameterRangeError, WrongResidueError
 
@@ -20,6 +22,8 @@ from .errors import NotPrimeError, ParameterRangeError, WrongResidueError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Cached: every bound family re-validates its modulus, many times per table.
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all 64-bit inputs."""
     n = int(n)
@@ -77,13 +81,15 @@ def check_prime(p, min_p: int = 3) -> int:
 
 
 @lru_cache(maxsize=128)
-def chi_table(p: int) -> np.ndarray:
+def chi_table(p: int):
     """Legendre symbol lookup table chi[a] for a in [0, p).
 
     Built from the squares mod p rather than p Euler evaluations and cached
     per prime.  The returned array is read-only, so no caller can corrupt
     the cached copy.
     """
+    import numpy as np
+
     p = check_prime(p)
     table = np.full(p, -1, dtype=np.int64)
     table[0] = 0
@@ -137,5 +143,7 @@ def row_index_set(p) -> list[int]:
     These are the DFT rows kept by the Paley construction; the list has
     exactly (p + 1) / 2 entries and starts with 0.
     """
+    import numpy as np
+
     p = as_paley_prime(p).p
     return [0] + np.flatnonzero(chi_table(p) == 1).tolist()

@@ -31,15 +31,18 @@ SKEW_TOL = 1e-12
 def hermitian_spectrum(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Inputs whose deviation from Hermitian exceeds tol * max(1, max|M|) are
-    rejected; LAPACK convergence failures propagate as
-    numpy.linalg.LinAlgError.
+    Inputs with a NaN or infinite entry, or whose deviation from Hermitian
+    exceeds tol * max(1, max|M|), are rejected; LAPACK convergence failures
+    propagate as numpy.linalg.LinAlgError.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterRangeError(f"need a square matrix, got shape {m.shape}")
+    scale = float(np.abs(m).max())
+    if not math.isfinite(scale):
+        raise NonHermitianError("matrix has a NaN or infinite entry")
     dev = float(np.abs(m - m.conj().T).max())
-    bound = tol * max(1.0, float(np.abs(m).max()))
+    bound = tol * max(1.0, scale)
     if dev > bound:
         raise NonHermitianError(f"Hermitian deviation {dev:.3e} exceeds {bound:.1e}")
     return np.linalg.eigvalsh(m)
@@ -86,18 +89,23 @@ def skew_spectral_radius(c, tol: float = SKEW_TOL):
     For a sign matrix s = 1 and A^T A has integer entries of size at most
     n, so the float64 product is exact under any BLAS blocking.  `c` is one
     (n, n) matrix, giving a float, or a stack (..., n, n), giving an array of
-    radii.  A matrix whose deviation from skew-symmetry exceeds
-    tol * max(1, max|C|) is rejected.  For any orientation of a graph on n
-    vertices the radius is at most cot(pi/2n), with equality for the
-    canonical tournament.
+    radii.  A matrix with a NaN or infinite entry, or whose deviation from
+    skew-symmetry exceeds tol * max(1, max|C|), is rejected.  For any
+    orientation of a graph on n vertices the radius is at most cot(pi/2n),
+    with equality for the canonical tournament.
     """
     c = np.asarray(c)
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise ParameterRangeError(f"need square matrices, got shape {c.shape}")
     if np.iscomplexobj(c):
         raise ParameterRangeError(f"need real matrices, got dtype {c.dtype}")
-    dev = np.abs(c + np.swapaxes(c, -1, -2)).max(axis=(-2, -1))
     scale = np.abs(c).max(axis=(-2, -1))
+    nonfinite = ~np.isfinite(scale)
+    if nonfinite.any():
+        raise NonHermitianError(
+            f"NaN or infinite entries in {np.count_nonzero(nonfinite)} of {nonfinite.size} matrices"
+        )
+    dev = np.abs(c + np.swapaxes(c, -1, -2)).max(axis=(-2, -1))
     bound = tol * np.maximum(1.0, scale)
     if np.any(dev > bound):
         raise NonHermitianError(

@@ -47,6 +47,14 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_is_prime_cached():
+    # every bound family re-validates p, so a repeated modulus is one test
+    is_prime.cache_clear()
+    assert [is_prime(1019) for _ in range(4)] == [True] * 4
+    info = is_prime.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+
+
 def test_legendre_examples():
     assert legendre(0, 7) == 0
     assert legendre(2, 7) == 1   # 3^2 = 2 mod 7

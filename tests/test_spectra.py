@@ -212,6 +212,22 @@ def test_skew_radius_rejects_non_skew():
     assert abs(skew_spectral_radius(_rotated_scaled_tournament()) - target) < 1e-12 * target
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_gates_reject_nonfinite_entries(bad):
+    # NaN compares False against any bound, so the deviation gates alone
+    # would let these through to LAPACK
+    with pytest.raises(NonHermitianError, match="NaN or infinite"):
+        skew_spectral_radius(np.array([[0.0, bad], [-bad, 0.0]]))
+    with pytest.raises(NonHermitianError, match="NaN or infinite"):
+        hermitian_spectrum(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(NonHermitianError, match="NaN or infinite"):
+        hermitian_spectrum(np.array([[1.0, 1j * bad], [-1j * bad, 1.0]]))
+    stack = np.stack([canonical_tournament(4)] * 5)
+    stack[3, 0, 2], stack[3, 2, 0] = bad, -bad
+    with pytest.raises(NonHermitianError, match="in 1 of 5 matrices"):
+        skew_spectral_radius(stack)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-5, 1e150, 1e200])
 def test_skew_radius_scale_robust(scale):
     # the kernel scales by max|C| before forming C^T C, so neither tiny nor

@@ -1,0 +1,103 @@
+"""Start-up loads only what a command runs.
+
+`import paleyrip`, `--help`, `--version` and `bounds` must work with numpy
+unimportable (`sys.modules["numpy"] = None` makes any import of it raise),
+and print the same bytes as an ordinary run.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import paleyrip
+
+# Every public name the package exposed when its __init__ imported all
+# submodules eagerly, submodules included.
+EAGER_NAMES = [
+    "BorderedBlock", "BoundReport", "ConjectureRecord", "ConjectureScanSummary", "DEMBO_C",
+    "DemboRatioRow", "DuplicateSupportError", "GENERALIZED_OFFSET", "MalformedInputError",
+    "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyPrime", "PaleyRipError",
+    "ParameterRangeError", "RipEstimate", "SparsityThreshold", "SplitMix64", "SupportSet",
+    "WrongResidueError", "as_paley_prime", "block3_det", "bound_conjectural",
+    "bound_dembo_recursive", "bound_generalized_dembo", "bound_gershgorin", "bound_skew",
+    "bounds", "build_frame", "build_report", "canonical_tournament", "chi_table", "coherence",
+    "conjecture_scan", "conjecture_search", "dembo_lower", "dembo_ratio_study", "dembo_upper",
+    "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
+    "find_c_alpha", "fit_power_law", "frame", "frame_to_json", "gamma_term",
+    "generalized_dembo_extremes", "gram3_charpoly_check", "gram_analytic", "gram_direct",
+    "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime", "l1_coherence", "legendre",
+    "lemma_k_inequality", "max_sparsity", "numtheory", "one_sided_ratio", "random_subset",
+    "reduce_support", "rng", "row_index_set", "run_verification", "schur_bordered_det",
+    "sign_matrix", "skew_spectral_radius", "spectra", "sub_seed", "verify",
+]
+
+NUMPY_FREE_COMMANDS = [
+    ["--version"],
+    ["--help"],
+    ["bounds", "--p", "1009", "--k", "4"],
+    ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
+]
+
+_BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def _cli(argv, block_numpy: bool) -> subprocess.CompletedProcess:
+    run = (
+        "import runpy, sys\n"
+        f"sys.argv = {['paleyrip', *argv]!r}\n"
+        "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"
+    )
+    return _python((_BLOCK_NUMPY if block_numpy else "") + run)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_command_runs_without_numpy(argv):
+    blocked = _cli(argv, block_numpy=True)
+    assert blocked.returncode == 0, blocked.stderr
+    plain = subprocess.run([sys.executable, "-m", "paleyrip", *argv],
+                           capture_output=True, text=True)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+    assert blocked.stdout
+
+
+def test_import_without_numpy():
+    res = _python(_BLOCK_NUMPY + "import paleyrip\n"
+                  "print(paleyrip.__version__, paleyrip.is_prime(1009),"
+                  " paleyrip.max_sparsity(1009, 'gershgorin').floor_threshold)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{paleyrip.__version__} True 23\n"
+
+
+def test_import_loads_no_submodule():
+    res = _python("import sys\nimport paleyrip\n"
+                  "print(sorted(m for m in sys.modules"
+                  " if m == 'numpy' or m.startswith('paleyrip.')))\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_eager_names_resolve():
+    missing = [name for name in EAGER_NAMES if not hasattr(paleyrip, name)]
+    assert not missing
+    assert set(EAGER_NAMES) <= set(dir(paleyrip))
+    assert paleyrip.chi_table is paleyrip.numtheory.chi_table
+    assert paleyrip.spectra is sys.modules["paleyrip.spectra"]
+
+
+def test_star_import():
+    namespace = {}
+    exec("from paleyrip import *", namespace)
+    assert set(paleyrip.__all__) <= set(namespace)
+    assert set(paleyrip.__all__) == set(EAGER_NAMES) - {
+        "bounds", "errors", "experiments", "frame", "numtheory", "rng", "spectra", "verify"}
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        paleyrip.no_such_name
