@@ -60,13 +60,16 @@ def bound_skew(k: int, p, exact: bool = False) -> float:
     """Skew-adjacency bound: cot(pi/2k)/sqrt(p), or its linear relaxation (2k/pi)/sqrt(p).
 
     cot(x) <= 1/x on (0, pi/2), so the exact variant never exceeds the
-    linear one.
+    linear one.  At k = 1 the exact variant is 0.0, the radius of the 1 x 1
+    zero matrix, where the float cot(pi/2) would leave ~6e-17.
     """
     p = check_prime(p)
     k = int(k)
     if not 1 <= k <= p:
         raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
     if exact:
+        if k == 1:
+            return 0.0
         return (1.0 / math.tan(math.pi / (2.0 * k))) / math.sqrt(p)
     return (2.0 * k / math.pi) / math.sqrt(p)
 

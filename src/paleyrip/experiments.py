@@ -1,9 +1,11 @@
 """Reproducible numerical experiments on the Paley construction.
 
 Covers the empirical RIP lower-bound curves d(j) and their worst-case
-variant over many random supports, exhaustive exact RIP at tiny scale, the
-log-log power-law fit, the bordered-bound sharpness study, and the
-quadratic-residue pair searches behind the square-root-barrier conjecture.
+variant over many random supports, exact RIP (certified by a support that
+attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
+exhaustive at tiny scale), the log-log power-law fit, the bordered-bound
+sharpness study, and the quadratic-residue pair searches behind the
+square-root-barrier conjecture.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -13,7 +15,11 @@ spectra.skew_spectral_radius (rho(C)^2 is the top eigenvalue of the exact
 integer product C^T C, one real symmetric solve per matrix) and for the pair
 searches' |C C^T|.  The worst-case curve walks the prefix order down and, by
 Cauchy interlacing, solves at each order only the trials that can still set
-the max.
+the max.  exact_rip first searches the supports with rho(C_T) = cot(pi/2k),
+a set closed under subsets and under x -> a x + b, so a depth-first search
+from {0, 1} finds one if any exists; one such witness is a lower bound that
+meets the upper bound, and EXACT_RIP_GUARD bounds only the orbit enumeration
+that runs when there is none.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and
@@ -37,13 +43,17 @@ from .numtheory import as_paley_prime, check_prime
 from .rng import random_subset, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
-# binomial(p-2, k-2) of them) exact_rip will solve.
+# binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked before
+# the witness search too.
 EXACT_RIP_GUARD = 10**6
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
 # Computed radii of nested blocks break interlacing by up to ~1e-15 relative.
 _INTERLACING_SLACK = 1e-12
+# Relative slack of the equality test rho(C_T) = cot(pi/2m) in cot_witness;
+# non-tight radii fall at least 5% below the bound at p = 19 and 23.
+_TIGHT_SLACK = 1e-12
 
 
 def _sign_batches(p: int, supports, k: int):
@@ -144,14 +154,56 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
                        tuple(supports) if keep_supports else None)
 
 
+def cot_witness(p, k: int) -> tuple[int, ...] | None:
+    """A k-support T with rho(C_T) = cot(pi/2k), the skew_cot bound, or None.
+
+    Depth-first over increasing extensions of (0, 1): the children of a
+    node T are T + (x,) for its candidates x, solved in stacks, and a child
+    of order m is kept when its radius reaches cot(pi/2m) less a 1e-12
+    relative slack; the kept children's last elements are the candidates
+    passed down.  A branch is cut once len(T) plus its candidates falls
+    short of k.  Tightness is AGL(1,p)-invariant (x -> a x + b maps C_T to
+    chi(a) C_T) and hereditary (its equality case, the switching class of
+    the transitive tournament, is closed under subsets), so some tight
+    k-support exists if and only if one containing {0, 1} is found here:
+    the search is complete, and None means none exists.
+    """
+    pp = as_paley_prime(p)
+    k = int(k)
+    if not 2 <= k <= pp.p:
+        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
+
+    def extend(t: tuple[int, ...], cands: list[int]) -> tuple[int, ...] | None:
+        if len(t) == k:
+            return t
+        m = len(t) + 1
+        kids = [(*t, x) for x in cands]
+        rho = np.concatenate([spectra.skew_spectral_radius(c)
+                              for c in _sign_batches(pp.p, kids, m)])
+        cut = (1.0 - _TIGHT_SLACK) / math.tan(math.pi / (2 * m))
+        tight = [x for x, r in zip(cands, rho) if r >= cut]
+        for i, x in enumerate(tight):
+            rest = tight[i + 1:]
+            if m + len(rest) < k:
+                break
+            if (found := extend((*t, x), rest)) is not None:
+                return found
+        return None
+
+    return extend((0, 1), list(range(2, pp.p)))
+
+
 def exact_rip(p, k: int) -> float:
     """Worst eigenvalue deviation over all k-subsets (tiny scale only).
 
     x -> a x + b maps C_T to chi(a) C_T, so rho(C_T) is constant on AGL(1,p)
     orbits, and 2-transitivity puts a support containing {0, 1} in each.
-    Only those binomial(p-2, k-2) <= EXACT_RIP_GUARD representatives are
-    solved, at order k, as max rho(C_T)/sqrt p.  This is the oracle the
-    closed-form bounds are checked against.
+    Every rho(C_T) is at most cot(pi/2k) (the skew_cot bound), so a
+    cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.  Only
+    where none exists are the binomial(p-2, k-2) orbit representatives
+    solved, at order k, as max rho(C_T)/sqrt p.  EXACT_RIP_GUARD bounds that
+    enumeration, and is checked first.  This is the oracle the closed-form
+    bounds are checked against.
     """
     pp = as_paley_prime(p)
     k = int(k)
@@ -163,6 +215,9 @@ def exact_rip(p, k: int) -> float:
         raise ParameterRangeError(
             f"binomial({pp.p - 2}, {k - 2}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
+    witness = cot_witness(pp.p, k)
+    if witness is not None:
+        return spectra.skew_spectral_radius(sign_matrix(pp.p, witness)) / math.sqrt(pp.p)
     reps = ((0, 1, *rest) for rest in combinations(range(2, pp.p), k - 2))
     batches = _sign_batches(pp.p, reps, k)
     return float(max(spectra.skew_spectral_radius(c).max() for c in batches)) / math.sqrt(pp.p)

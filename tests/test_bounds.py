@@ -50,6 +50,16 @@ def test_skew():
         bound_skew(8, 7)
 
 
+def test_skew_exact_order_one_is_zero():
+    # a 1 x 1 sign matrix has radius 0; the float cot(pi/2) is ~6e-17
+    assert 1.0 / math.tan(math.pi / 2.0) > 0.0
+    for p in (3, 7, 103, 1019):
+        assert bound_skew(1, p, exact=True) == 0.0
+        assert bound_skew(1, p, exact=False) == (2.0 / math.pi) / math.sqrt(p)
+    # a relative tightness test now holds at order 1 as at every order
+    assert 0.0 >= bound_skew(1, 7, exact=True) * (1.0 - 1e-12)
+
+
 def test_dembo_recursive():
     # k = 3 collapses to sqrt(3)/sqrt(p)
     for p in (7, 19, 103):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from paleyrip import spectra
-from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin
+from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
 from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeError
 from paleyrip.experiments import (
     _INTERLACING_SLACK,
     conjecture_scan,
     conjecture_search,
+    cot_witness,
     dembo_ratio_study,
     estimate_rip_single,
     estimate_rip_worst,
@@ -184,7 +185,7 @@ def test_exact_rip_matches_dense_brute_force(p, k):
     assert abs(exact_rip(p, k) - worst) < 1e-12
 
 
-@pytest.mark.parametrize("p, k", [(19, 6), (19, 7), (23, 6)])
+@pytest.mark.parametrize("p, k", [(19, 6), (19, 7), (23, 6), (23, 7)])
 def test_exact_rip_matches_stacked_brute_force(p, k):
     # every one of the binomial(p, k) supports, not only the orbit
     # representatives exact_rip solves: C from the squares mod p, then a
@@ -208,6 +209,90 @@ def test_exact_rip_guard():
     assert math.comb(47, 5) > 10**6
     d5 = exact_rip(47, 5)
     assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= bound_dembo_recursive(5, 47)
+
+
+def _dense_radii(p, subsets):
+    # rho(C_T) of each row of subsets: C from the squares mod p, then a dense
+    # eigvalsh of i C per chunk
+    squares = {x * x % p for x in range(1, p)}
+    chi = np.array([0] + [1 if x in squares else -1 for x in range(1, p)])
+    return np.concatenate([
+        np.abs(np.linalg.eigvalsh(1j * chi[(chunk[:, :, None] - chunk[:, None, :]) % p])).max(axis=1)
+        for chunk in np.array_split(subsets, max(1, len(subsets) // 4096))
+    ])
+
+
+@pytest.mark.parametrize("p", [19, 23])
+def test_cot_tightness_hereditary_and_witness_complete(p):
+    # brute force over every k-subset at p = 19; at p = 23 over the subsets
+    # containing 0, which meet every translation class (tightness is
+    # translation-invariant), each (k-1)-subset shifted to contain 0
+    def key(t):
+        shift = 0 if p == 19 else t[0]
+        return tuple(sorted((x - shift) % p for x in t))
+
+    tight_below, k_star = None, None
+    for k in range(2, 8):
+        if p == 19:
+            subsets = np.array(list(combinations(range(p), k)))
+        else:
+            subsets = np.array([(0, *rest) for rest in combinations(range(1, p), k - 1)])
+        cot = 1.0 / math.tan(math.pi / (2 * k))
+        rho = _dense_radii(p, subsets)
+        is_tight = rho >= cot * (1.0 - 1e-12)
+        assert rho.max() <= cot * (1.0 + 1e-12)
+        if not is_tight.all():
+            # non-tight radii fall at least 5% short: a 1e-12 slack is safe
+            assert rho[~is_tight].max() <= 0.95 * cot
+        tight = {tuple(int(x) for x in t) for t in subsets[is_tight]}
+        if tight_below is not None:
+            for t in tight:
+                for u in combinations(t, k - 1):
+                    assert key(u) in tight_below, (t, u)
+        witness = cot_witness(p, k)
+        assert (witness is None) == (not tight)
+        if witness is not None:
+            assert len(witness) == k and key(witness) in tight
+            k_star = k
+        tight_below = tight
+    assert k_star == 6
+
+
+@pytest.mark.parametrize("p, k_star", [(19, 6), (23, 6), (31, 8), (43, 8), (47, 8)])
+def test_cot_witness_pins_k_star(p, k_star):
+    frame = build_frame(p)
+    for k in range(2, k_star + 1):
+        witness = cot_witness(p, k)
+        assert witness[:2] == (0, 1) and len(witness) == k
+        assert list(witness) == sorted(set(witness)) and witness[-1] < p
+        w = np.linalg.eigvalsh(gram_direct(frame, witness))
+        deviation = max(w[-1] - 1.0, 1.0 - w[0])
+        assert abs(deviation - bound_skew(k, p, exact=True)) < 1e-12
+    assert cot_witness(p, k_star + 1) is None
+
+
+def test_cot_witness_validates_range():
+    for k in (0, 1, 20):
+        with pytest.raises(ParameterRangeError):
+            cot_witness(19, k)
+    with pytest.raises(NotPrimeError):
+        cot_witness(21, 3)
+    assert cot_witness(7, 3) == (0, 1, 2)  # every 3 x 3 sign matrix has radius sqrt(3)
+
+
+def test_exact_rip_witness_skips_enumeration(monkeypatch):
+    solved = []
+    full = spectra.skew_spectral_radius
+
+    def counting(c, *args, **kwargs):
+        c = np.asarray(c)
+        solved.append(math.prod(c.shape[:-2]))
+        return full(c, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "skew_spectral_radius", counting)
+    d = exact_rip(23, 6)
+    assert sum(solved) < 200  # the enumeration solves binomial(21, 4) = 5985
+    assert abs(d - bound_skew(6, 23, exact=True)) < 1e-12
 
 
 def test_exhaustive_worst_matches_exact_rip_p7():
