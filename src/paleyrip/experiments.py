@@ -13,18 +13,21 @@ is exactly rho(C)/sqrt p.  The experiments build sign matrices with
 frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, for
 spectra.skew_spectral_radius (rho(C)^2 is the top eigenvalue of the exact
 integer product C^T C, one real symmetric solve per matrix) and for the pair
-searches' |C C^T|.  The worst-case curve walks the prefix order down and, by
-Cauchy interlacing, solves at each order only the trials that can still set
-the max.  exact_rip first searches the supports with rho(C_T) = cot(pi/2k),
-a set closed under subsets and under x -> a x + b, so a depth-first search
-from {0, 1} finds one if any exists; one such witness is a lower bound that
-meets the upper bound, and EXACT_RIP_GUARD bounds only the orbit enumeration
-that runs when there is none.
+searches' |C C^T|.  The worst-case curve builds each trial's C once, at
+order k, into an int8 stack of at most 1 MiB whatever the trial count, then
+walks the prefix order down and, by Cauchy interlacing, solves at each order
+only the leading blocks of the trials that can still set the max.
+exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
+closed under subsets and under x -> a x + b, so a depth-first search from
+{0, 1} finds one if any exists; one such witness is a lower bound that
+meets the upper bound, and EXACT_RIP_GUARD bounds only the orbit
+enumeration that runs when there is none.
 
 Determinism contract: every result is a pure function of its arguments
-including the master seed.  Per-trial sub-seeds come from rng.sub_seed, and
-batch sizes depend only on the matrix order, so outcomes do not depend on
-evaluation order.
+including the master seed.  Per-trial sub-seeds come from rng.sub_seed, a
+run's supports are drawn in one rng.random_subsets call (bit-exact with
+drawing each alone), and batch sizes depend only on the matrix order, so
+outcomes do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .bounds import DEFAULT_FIT_JMIN
 from .errors import MalformedInputError, ParameterRangeError
 from .frame import as_support, sign_matrix
 from .numtheory import as_paley_prime, check_prime
-from .rng import random_subset, sub_seed
+from .rng import random_subset, random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
 # binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked before
@@ -49,6 +52,9 @@ EXACT_RIP_GUARD = 10**6
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
+# int8 sign-matrix entries _worst_curve stores at once (1 MiB), whatever
+# the trial count.
+_STORED_ENTRIES = 16 * STACK_ENTRIES
 # Computed radii of nested blocks break interlacing by up to ~1e-15 relative.
 _INTERLACING_SLACK = 1e-12
 # Relative slack of the equality test rho(C_T) = cot(pi/2m) in cot_witness;
@@ -56,45 +62,60 @@ _INTERLACING_SLACK = 1e-12
 _TIGHT_SLACK = 1e-12
 
 
+def _batch(k: int) -> int:
+    """Order-k matrices per stack: STACK_ENTRIES entries, at least one matrix."""
+    return max(1, STACK_ENTRIES // (k * k))
+
+
 def _sign_batches(p: int, supports, k: int):
     """Sign-matrix stacks of an iterable of k-supports, STACK_ENTRIES entries at most."""
-    batch = max(1, STACK_ENTRIES // (k * k))
     rest = iter(supports)
-    while chunk := list(islice(rest, batch)):
+    while chunk := list(islice(rest, _batch(k))):
         yield sign_matrix(p, chunk)
 
 
-def _worst_curve(p: int, supports: list[tuple[int, ...]], k: int) -> np.ndarray:
-    """d(j) = max over supports of rho(C_j)/sqrt p for each prefix order j.
+def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
+    """d(j) = max over the supports idx[t] of rho(C_j)/sqrt p for each prefix order j.
 
     C_j is the leading j x j block of C_{j+1}, so by Cauchy interlacing each
     trial's radius is nondecreasing in j, and its last solved radius is an
-    upper bound ub at every lower order.  All trials are solved at order k;
-    then, walking j down, the trial with the largest ub is solved first, and
-    after it only the trials whose ub still reaches that value less the
-    slack.  Pruned trials cannot set the max, so d equals the full max exactly.
+    upper bound ub at every lower order.  The trials are taken in groups of
+    at most _STORED_ENTRIES sign-matrix entries, each group's C built once,
+    at order k, as an int8 stack whose leading blocks are solved.  A group
+    solves all its trials at order k; then, walking j down, its trial with
+    the largest ub is solved first, and after it only the trials whose ub
+    still reaches the max so far at j, from this group and those before it,
+    less the slack.  Pruned trials cannot set the max, so d equals the full
+    max exactly.
     """
-    idx = np.asarray(supports)
-
-    def solve(rows, j: int) -> np.ndarray:
-        batch = max(1, STACK_ENTRIES // (j * j))
+    def solve(c: np.ndarray, rows, j: int) -> np.ndarray:
         return np.concatenate([
-            spectra.skew_spectral_radius(sign_matrix(p, idx[rows[s:s + batch], :j]))
-            for s in range(0, len(rows), batch)
+            spectra.skew_spectral_radius(c[rows[s:s + _batch(j)], :j, :j])
+            for s in range(0, len(rows), _batch(j))
         ])
 
-    ub = solve(np.arange(len(idx)), k)
     rho = np.zeros(k)
-    rho[k - 1] = ub.max()
-    for j in range(k - 1, 1, -1):
-        top = np.argmax(ub)
-        ub[top] = best = solve([top], j)[0]
-        rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
-        rest = rest[rest != top]
-        if rest.size:
-            ub[rest] = solve(rest, j)
-            best = max(best, ub[rest].max())
-        rho[j - 1] = best
+    group = max(1, _STORED_ENTRIES // (k * k))
+    for g in range(0, len(idx), group):
+        members = idx[g:g + group]
+        c = np.empty((len(members), k, k), dtype=np.int8)
+        for s in range(0, len(c), _batch(k)):
+            c[s:s + _batch(k)] = sign_matrix(p, members[s:s + _batch(k)])
+        ub = solve(c, np.arange(len(c)), k)
+        rho[k - 1] = max(rho[k - 1], ub.max())
+        for j in range(k - 1, 1, -1):
+            best = rho[j - 1]
+            top = np.argmax(ub)
+            if ub[top] <= best * (1.0 - _INTERLACING_SLACK):
+                continue  # no trial of this group can reach the max at j
+            ub[top] = r = solve(c, [top], j)[0]
+            best = max(best, r)
+            rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
+            rest = rest[rest != top]
+            if rest.size:
+                ub[rest] = solve(c, rest, j)
+                best = max(best, ub[rest].max())
+            rho[j - 1] = best
     return rho / math.sqrt(p)
 
 
@@ -127,7 +148,7 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     if not 2 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
     support = random_subset(pp.p, k, seed)
-    d = _worst_curve(pp.p, [support], k)
+    d = _worst_curve(pp.p, np.array([support]), k)
     return RipEstimate(pp.p, k, int(seed), 1, d, (support,))
 
 
@@ -135,7 +156,8 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
                        keep_supports: bool = True) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
-    Trial t uses sub_seed(seed, t).  Every trial is solved at order k; below
+    Trial t uses sub_seed(seed, t); all supports come from one
+    random_subsets draw.  Every trial is solved at order k; below
     it, a trial is solved at order j only while its radius at the last order
     it was solved at can still reach the max (see _worst_curve), so most
     solves are skipped and d is the same as solving every trial at every j.
@@ -148,10 +170,10 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
     if not 2 <= k <= pp.p:
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
 
-    supports = [random_subset(pp.p, k, sub_seed(seed, t)) for t in range(trials)]
-    d = _worst_curve(pp.p, supports, k)
+    idx = random_subsets(pp.p, k, [sub_seed(seed, t) for t in range(trials)])
+    d = _worst_curve(pp.p, idx, k)
     return RipEstimate(pp.p, k, int(seed), trials, d,
-                       tuple(supports) if keep_supports else None)
+                       tuple(map(tuple, idx.tolist())) if keep_supports else None)
 
 
 def cot_witness(p, k: int) -> tuple[int, ...] | None:
@@ -418,10 +440,12 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
     if not 3 <= k <= p:
         raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
 
-    supports = [random_subset(p, k, sub_seed(seed, t)) for t in range(trials)]
+    idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
+    supports = list(map(tuple, idx.tolist()))
     records = []
-    for c in _sign_batches(p, supports, k):
-        records += _pair_records(p, supports[len(records):], c, alpha)
+    for s in range(0, trials, _batch(k)):
+        c = sign_matrix(p, idx[s:s + _batch(k)])
+        records += _pair_records(p, supports[s:s + _batch(k)], c, alpha)
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(

@@ -130,10 +130,11 @@ def sign_matrix(p: int, idx) -> np.ndarray:
     """Integer sign matrices C[..., a, b] = chi(T_a - T_b) of supports idx[..., :].
 
     One support (k,) gives a (k, k) matrix, a stack (..., k) gives (..., k, k).
-    p is any odd prime; the supports are taken as given, not validated.
+    p is any odd prime; the supports are taken as given, not validated.  The
+    differences are reduced mod p by take's wrap mode, not by a separate %.
     """
     idx = np.asarray(idx)
-    return chi_table(p)[(idx[..., :, None] - idx[..., None, :]) % p]
+    return chi_table(p).take(idx[..., :, None] - idx[..., None, :], mode="wrap")
 
 
 def gram_analytic(p, support) -> np.ndarray:

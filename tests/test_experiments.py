@@ -4,11 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from paleyrip import spectra
+from paleyrip import experiments, rng, spectra
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
 from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeError
 from paleyrip.experiments import (
     _INTERLACING_SLACK,
+    STACK_ENTRIES,
     conjecture_scan,
     conjecture_search,
     cot_witness,
@@ -21,7 +22,7 @@ from paleyrip.experiments import (
     one_sided_ratio,
 )
 from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct, sign_matrix
-from paleyrip.rng import SplitMix64, random_subset, sub_seed
+from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 
 # the worst-case and random sets of the residue-pair experiments at p = 19,
@@ -64,6 +65,55 @@ def test_random_subset_coverage():
     for seed in range(200):
         seen.update(random_subset(19, 5, seed))
     assert seen == set(range(19))
+
+
+def _fisher_yates(p, k, seed):
+    # the scalar partial Fisher-Yates shuffle that random_subsets vectorises
+    stream = SplitMix64(seed)
+    arr = list(range(p))
+    for i in range(k):
+        j = i + stream.below(p - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr[:k])
+
+
+def _seeds(trials):
+    # -1 and 2^64 + 5 are taken mod 2^64, as SplitMix64 takes them
+    return [0, 2**64 - 1, -1, 2**64 + 5] + [sub_seed(3, t) for t in range(trials)]
+
+
+@pytest.mark.parametrize("p", [7, 19, 103, 1019])
+@pytest.mark.parametrize("k", ["one", "p"])
+def test_random_subsets_match_scalar_oracle(p, k, monkeypatch):
+    # five rows per draw batch, so the 19 trials span four batches
+    k = 1 if k == "one" else p
+    monkeypatch.setattr(rng, "_DRAW_ENTRIES", 5 * p)
+    seeds = _seeds(15)
+    rows = random_subsets(p, k, seeds)
+    assert rows.shape == (len(seeds), k)
+    for row, seed in zip(rows.tolist(), seeds):
+        assert tuple(row) == _fisher_yates(p, k, seed) == random_subset(p, k, seed)
+
+
+@pytest.mark.parametrize("p", [7, 19, 103])
+def test_random_subsets_redraw_rejected_lanes(p, monkeypatch):
+    # a mixer that returns 2^64 - 1, which below(n) rejects for every n that
+    # is not a power of two, on one output in 23 forces the redraw branch
+    seeds = _seeds(40)
+    mix = rng._mix
+    scalar_mixes = []
+
+    def forced(z):
+        u = mix(z)
+        if isinstance(u, int):
+            scalar_mixes.append(z)
+            return rng._MASK if u % 23 == 0 else u
+        return np.where(u % np.uint64(23) == 0, np.uint64(rng._MASK), u)
+
+    monkeypatch.setattr(rng, "_mix", forced)
+    rows = random_subsets(p, p, seeds).tolist()
+    assert scalar_mixes  # some lane was redrawn
+    assert [tuple(r) for r in rows] == [_fisher_yates(p, p, seed) for seed in seeds]
 
 
 # --- d(j) curves ---------------------------------------------------------------
@@ -121,9 +171,13 @@ def _unpruned_worst_curve(p, k, trials, seed):
     return np.array(rho) / math.sqrt(p)
 
 
-@pytest.mark.parametrize("p, k, trials", [(19, 12, 500), (7, 7, 50), (103, 60, 40), (1019, 60, 30)])
+@pytest.mark.parametrize("p, k, trials", [
+    (19, 12, 500), (7, 7, 50), (103, 60, 40), (1019, 60, 30), (103, 60, 300),
+])
 def test_estimate_worst_matches_unpruned_reference(p, k, trials):
-    # (19, 12, 500) is tie-heavy; (103, 60, 40) spans several stacks
+    # (19, 12, 500) is tie-heavy; (103, 60, 40) spans several stacks;
+    # (103, 60, 300) spans two stored groups, the first not a whole number
+    # of stacks
     assert np.array_equal(estimate_rip_worst(p, k, trials, seed=4).d,
                           _unpruned_worst_curve(p, k, trials, seed=4))
 
@@ -137,6 +191,27 @@ def test_computed_radii_interlace_within_slack(p, k):
     rho = np.stack([skew_spectral_radius(c[:, :j, :j]) for j in range(2, k + 1)], axis=1)
     later_min = np.minimum.accumulate(rho[:, ::-1], axis=1)[:, ::-1]
     assert np.all(rho <= later_min * (1.0 + _INTERLACING_SLACK))
+
+
+def test_estimate_worst_small_groups_match_unpruned_reference(monkeypatch):
+    # groups of five trials: each is pruned against the max of those before it
+    monkeypatch.setattr(experiments, "_STORED_ENTRIES", 5 * 12 * 12)
+    assert np.array_equal(estimate_rip_worst(19, 12, 500, seed=4).d,
+                          _unpruned_worst_curve(19, 12, 500, seed=4))
+
+
+def test_estimate_worst_builds_each_sign_matrix_once(monkeypatch):
+    built = []
+    full = experiments.sign_matrix
+
+    def counting(p, idx):
+        built.append(len(idx))
+        return full(p, idx)
+
+    monkeypatch.setattr(experiments, "sign_matrix", counting)
+    estimate_rip_worst(103, 30, 1000, seed=1)
+    assert sum(built) == 1000
+    assert len(built) <= math.ceil(1000 / (STACK_ENTRIES // 30**2))
 
 
 def test_estimate_worst_prunes_most_solves(monkeypatch):

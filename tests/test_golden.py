@@ -1,9 +1,12 @@
 """Golden stdout of the README's gram and experiment commands, and the oracles behind it.
 
-The files under tests/golden/ pin the exact bytes each command prints.  A
-kernel change that moves a last digit must regenerate them on purpose:
+The files under tests/golden/ pin the exact bytes each command prints with
+one BLAS thread (conftest.py pins it; the eigensolver's last digits depend on
+the thread count).  A kernel change that moves a last digit must regenerate
+them on purpose, with one thread:
 
-    PYTHONPATH=src python -m paleyrip estimate --p 103 --k 30 --seed 1 \\
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m paleyrip estimate --p 103 --k 30 --seed 1 \\
         > tests/golden/estimate-p103-k30-seed1.csv
 
 and so on for every entry of COMMANDS.  Independently of the bytes, every
