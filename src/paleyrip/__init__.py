@@ -53,8 +53,8 @@ _EXPORTS = {
     ),
     "frame": (
         "PaleyFrame",
-        "SupportSet",
         "build_frame",
+        "check_support",
         "coherence",
         "frame_to_json",
         "gram_analytic",
@@ -64,8 +64,7 @@ _EXPORTS = {
         "reduce_support",
         "sign_matrix",
     ),
-    "numtheory": ("PaleyPrime", "as_paley_prime", "chi_table", "is_prime", "legendre",
-                  "row_index_set"),
+    "numtheory": ("check_paley", "chi_table", "is_prime", "legendre", "row_index_set"),
     "rng": ("SplitMix64", "random_subset", "sub_seed"),
     "spectra": (
         "BorderedBlock",

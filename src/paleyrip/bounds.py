@@ -273,7 +273,6 @@ class BoundReport:
     generalized_dembo: float | None
     conjectural: float | None = None
     conjectural_beta: float | None = None
-    empirical_lower: float | None = None
 
     @property
     def best(self) -> float:
@@ -284,7 +283,7 @@ class BoundReport:
             vals.append(self.generalized_dembo)
         return min(vals)
 
-    def to_dict(self, include_sparsity: bool = True) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "p": self.p,
             "k": self.k,
@@ -303,17 +302,14 @@ class BoundReport:
                 "beta": self.conjectural_beta,
                 "note": "valid only if the quadratic-residue conjecture holds",
             }
-        if self.empirical_lower is not None:
-            doc["empirical_lower"] = self.empirical_lower
-        if include_sparsity:
-            doc["max_sparsity"] = {
-                fam: {
-                    "max_even": th.max_even,
-                    "floor_threshold": th.floor_threshold,
-                }
-                for fam in ("gershgorin", "skew_linear", "skew_cot")
-                for th in (max_sparsity(self.p, fam),)
+        doc["max_sparsity"] = {
+            fam: {
+                "max_even": th.max_even,
+                "floor_threshold": th.floor_threshold,
             }
+            for fam in ("gershgorin", "skew_linear", "skew_cot")
+            for th in (max_sparsity(self.p, fam),)
+        }
         return doc
 
 

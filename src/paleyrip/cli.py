@@ -199,18 +199,18 @@ def _record_doc(rec) -> dict:
 
 def _cmd_conjecture(args):
     from . import experiments
-    from .frame import SupportSet
+    from .frame import check_support
 
     if args.support is not None:
         support, _ = _parse_support(args.p, args.support)
+        support = check_support(args.p, support)
         if args.peel:
-            trace = experiments.greedy_peel(args.p, SupportSet(args.p, support),
-                                            args.alpha, args.m_alpha)
+            trace = experiments.greedy_peel(args.p, support, args.alpha, args.m_alpha)
             doc = {"p": args.p, "alpha": args.alpha, "m_alpha": args.m_alpha,
                    "steps": [_record_doc(rec) for rec in trace],
                    "all_satisfied": all(rec.satisfied for rec in trace)}
             return _json_text(doc), {}, 0
-        rec = experiments.conjecture_search(args.p, SupportSet(args.p, support), args.alpha)
+        rec = experiments.conjecture_search(args.p, support, args.alpha)
         return _json_text(_record_doc(rec)), {}, 0
     if args.k is None:
         raise ParameterRangeError("conjecture scan mode needs --k (or pass --support)")

@@ -10,10 +10,10 @@ square-root-barrier conjecture.
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
 is exactly rho(C)/sqrt p.  The experiments build sign matrices with
-frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, for
-spectra.skew_spectral_radius (rho(C)^2 is the top eigenvalue of the exact
-integer product C^T C, one real symmetric solve per matrix) and for the pair
-searches' |C C^T|.  The worst-case curve builds each trial's C once, at
+frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, solved
+by _radii through spectra.skew_spectral_radius (rho(C)^2 is the top
+eigenvalue of the exact integer product C^T C, one real symmetric solve per
+matrix), and for the pair searches' |C C^T|.  The worst-case curve builds each trial's C once, at
 order k, into an int8 stack of at most 1 MiB whatever the trial count, then
 walks the prefix order down and, by Cauchy interlacing, solves at each order
 only the leading blocks of the trials that can still set the max.
@@ -41,8 +41,8 @@ import numpy as np
 from . import spectra
 from .bounds import DEFAULT_FIT_JMIN
 from .errors import MalformedInputError, ParameterRangeError
-from .frame import as_support, sign_matrix
-from .numtheory import as_paley_prime, check_prime
+from .frame import check_support, sign_matrix
+from .numtheory import check_paley, check_prime
 from .rng import random_subset, random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
@@ -67,11 +67,16 @@ def _batch(k: int) -> int:
     return max(1, STACK_ENTRIES // (k * k))
 
 
-def _sign_batches(p: int, supports, k: int):
-    """Sign-matrix stacks of an iterable of k-supports, STACK_ENTRIES entries at most."""
-    rest = iter(supports)
-    while chunk := list(islice(rest, _batch(k))):
-        yield sign_matrix(p, chunk)
+def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
+    """rho of the leading j x j blocks of c[rows], solved _batch(j) matrices at a time.
+
+    Each batch is sliced from c on its own, so a selection of a large
+    stored stack is never copied whole.
+    """
+    return np.concatenate([
+        spectra.skew_spectral_radius(c[rows[s:s + _batch(j)], :j, :j])
+        for s in range(0, len(rows), _batch(j))
+    ])
 
 
 def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
@@ -88,12 +93,6 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     less the slack.  Pruned trials cannot set the max, so d equals the full
     max exactly.
     """
-    def solve(c: np.ndarray, rows, j: int) -> np.ndarray:
-        return np.concatenate([
-            spectra.skew_spectral_radius(c[rows[s:s + _batch(j)], :j, :j])
-            for s in range(0, len(rows), _batch(j))
-        ])
-
     rho = np.zeros(k)
     group = max(1, _STORED_ENTRIES // (k * k))
     for g in range(0, len(idx), group):
@@ -101,19 +100,19 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
         c = np.empty((len(members), k, k), dtype=np.int8)
         for s in range(0, len(c), _batch(k)):
             c[s:s + _batch(k)] = sign_matrix(p, members[s:s + _batch(k)])
-        ub = solve(c, np.arange(len(c)), k)
+        ub = _radii(c, np.arange(len(c)), k)
         rho[k - 1] = max(rho[k - 1], ub.max())
         for j in range(k - 1, 1, -1):
             best = rho[j - 1]
             top = np.argmax(ub)
             if ub[top] <= best * (1.0 - _INTERLACING_SLACK):
                 continue  # no trial of this group can reach the max at j
-            ub[top] = r = solve(c, [top], j)[0]
+            ub[top] = r = _radii(c, [top], j)[0]
             best = max(best, r)
             rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
             rest = rest[rest != top]
             if rest.size:
-                ub[rest] = solve(c, rest, j)
+                ub[rest] = _radii(c, rest, j)
                 best = max(best, ub[rest].max())
             rho[j - 1] = best
     return rho / math.sqrt(p)
@@ -143,13 +142,13 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     Each nested prefix gives d(j) = rho(C_j)/sqrt p; the draw is a pure
     function of (p, k, seed).
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     k = int(k)
-    if not 2 <= k <= pp.p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
-    support = random_subset(pp.p, k, seed)
-    d = _worst_curve(pp.p, np.array([support]), k)
-    return RipEstimate(pp.p, k, int(seed), 1, d, (support,))
+    if not 2 <= k <= p:
+        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
+    support = random_subset(p, k, seed)
+    d = _worst_curve(p, np.array([support]), k)
+    return RipEstimate(p, k, int(seed), 1, d, (support,))
 
 
 def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
@@ -162,17 +161,17 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
     it was solved at can still reach the max (see _worst_curve), so most
     solves are skipped and d is the same as solving every trial at every j.
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
     k = int(k)
-    if not 2 <= k <= pp.p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
+    if not 2 <= k <= p:
+        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
 
-    idx = random_subsets(pp.p, k, [sub_seed(seed, t) for t in range(trials)])
-    d = _worst_curve(pp.p, idx, k)
-    return RipEstimate(pp.p, k, int(seed), trials, d,
+    idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
+    d = _worst_curve(p, idx, k)
+    return RipEstimate(p, k, int(seed), trials, d,
                        tuple(map(tuple, idx.tolist())) if keep_supports else None)
 
 
@@ -190,18 +189,17 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
     k-support exists if and only if one containing {0, 1} is found here:
     the search is complete, and None means none exists.
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     k = int(k)
-    if not 2 <= k <= pp.p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={pp.p}")
+    if not 2 <= k <= p:
+        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
 
     def extend(t: tuple[int, ...], cands: list[int]) -> tuple[int, ...] | None:
         if len(t) == k:
             return t
         m = len(t) + 1
-        kids = [(*t, x) for x in cands]
-        rho = np.concatenate([spectra.skew_spectral_radius(c)
-                              for c in _sign_batches(pp.p, kids, m)])
+        c = sign_matrix(p, [(*t, x) for x in cands])
+        rho = _radii(c, np.arange(len(c)), m)
         cut = (1.0 - _TIGHT_SLACK) / math.tan(math.pi / (2 * m))
         tight = [x for x, r in zip(cands, rho) if r >= cut]
         for i, x in enumerate(tight):
@@ -212,7 +210,7 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
                 return found
         return None
 
-    return extend((0, 1), list(range(2, pp.p)))
+    return extend((0, 1), list(range(2, p)))
 
 
 def exact_rip(p, k: int) -> float:
@@ -227,22 +225,25 @@ def exact_rip(p, k: int) -> float:
     enumeration, and is checked first.  This is the oracle the closed-form
     bounds are checked against.
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     k = int(k)
-    if not 1 <= k <= pp.p:
-        raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={pp.p}")
+    if not 1 <= k <= p:
+        raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
-    if math.comb(pp.p - 2, k - 2) > EXACT_RIP_GUARD:
+    if math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
         raise ParameterRangeError(
-            f"binomial({pp.p - 2}, {k - 2}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
+            f"binomial({p - 2}, {k - 2}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
-    witness = cot_witness(pp.p, k)
+    witness = cot_witness(p, k)
     if witness is not None:
-        return spectra.skew_spectral_radius(sign_matrix(pp.p, witness)) / math.sqrt(pp.p)
-    reps = ((0, 1, *rest) for rest in combinations(range(2, pp.p), k - 2))
-    batches = _sign_batches(pp.p, reps, k)
-    return float(max(spectra.skew_spectral_radius(c).max() for c in batches)) / math.sqrt(pp.p)
+        return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)
+    reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
+    rho = 0.0
+    while chunk := list(islice(reps, _batch(k))):
+        c = sign_matrix(p, chunk)
+        rho = max(rho, _radii(c, np.arange(len(c)), k).max())
+    return float(rho) / math.sqrt(p)
 
 
 def fit_power_law(d, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
@@ -293,17 +294,17 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     squared border norm (j-1)/p, then both bounds are divided by the true
     lambda_max = 1 + rho(C_j)/sqrt p of the prefix Gramian.
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     k = int(k)
-    if not 3 <= k <= pp.p:
-        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={pp.p}")
-    c = sign_matrix(pp.p, random_subset(pp.p, k, seed))
-    sqrt_p = math.sqrt(pp.p)
+    if not 3 <= k <= p:
+        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
+    c = sign_matrix(p, random_subset(p, k, seed))
+    sqrt_p = math.sqrt(p)
     rows = []
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix
     for j in range(2, k + 1):
         lam = 1.0 + spectra.skew_spectral_radius(c[:j, :j]) / sqrt_p
-        dembo = spectra.dembo_upper(1.0, lam_prev, (j - 1) / pp.p)
+        dembo = spectra.dembo_upper(1.0, lam_prev, (j - 1) / p)
         gersh = 1.0 + (j - 1) / sqrt_p
         rows.append(DemboRatioRow(j, lam, dembo, gersh, dembo / lam, gersh / lam))
         lam_prev = lam
@@ -341,13 +342,13 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
     integer and divided by |support| - 2.
     """
     p = check_prime(p)
-    T = as_support(p, support)
-    k = len(T)
+    support = check_support(p, support)
+    k = len(support)
     if k < 3:
         raise ParameterRangeError(f"need |support| >= 3, got {k}")
     if i == j or not (0 <= i < k and 0 <= j < k):
         raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
-    cm = sign_matrix(p, T.indices)
+    cm = sign_matrix(p, support)
     num = int(np.dot(cm[i], cm[j]))  # diagonal chi(0) = 0 drops l in {i, j}
     return abs(num) / (k - 2)
 
@@ -381,10 +382,10 @@ def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
     so the minimum lands on the lexicographically smallest position pair).
     """
     p = check_prime(p)
-    T = as_support(p, support)
-    if len(T) < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {len(T)}")
-    return _pair_records(p, [T.indices], sign_matrix(p, [T.indices]), alpha)[0]
+    support = check_support(p, support)
+    if len(support) < 3:
+        raise ParameterRangeError(f"need |support| >= 3, got {len(support)}")
+    return _pair_records(p, [support], sign_matrix(p, [support]), alpha)[0]
 
 
 def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[ConjectureRecord]:
@@ -396,12 +397,11 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     parity of the starting size.
     """
     p = check_prime(p)
-    T = as_support(p, support)
+    remaining = check_support(p, support)
     if m_alpha < 3:
         raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
-    if len(T) < m_alpha:
-        raise ParameterRangeError(f"need |support| >= m_alpha, got {len(T)} < {m_alpha}")
-    remaining = T.indices
+    if len(remaining) < m_alpha:
+        raise ParameterRangeError(f"need |support| >= m_alpha, got {len(remaining)} < {m_alpha}")
     c = sign_matrix(p, remaining)
     trace = []
     while len(remaining) >= m_alpha:

@@ -18,38 +18,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import as_paley_prime, chi_table, row_index_set
+from .numtheory import check_paley, chi_table, row_index_set
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Ordered set of distinct column indices in [0, p).
+def check_support(p: int, values) -> tuple[int, ...]:
+    """Validate a support: distinct column indices in [0, p), kept in the given order.
 
-    Order is preserved as given: nested-prefix experiments and the pair
-    re-tagging procedure both rely on a caller-chosen ordering.  Use
-    `canonical()` for the sorted variant.
+    Order matters: nested-prefix experiments and the pair re-tagging
+    procedure both rely on a caller-chosen ordering.  Raises
+    ParameterRangeError when the size is outside [1, p] or an index lies
+    outside [0, p), then DuplicateSupportError on a repeated index.
     """
-
-    p: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not 1 <= len(self.indices) <= self.p:
-            raise ParameterRangeError(
-                f"support size must be in [1, p], got {len(self.indices)} for p={self.p}"
-            )
-        for i in self.indices:
-            if not 0 <= i < self.p:
-                raise ParameterRangeError(f"support index {i} outside [0, {self.p})")
-        if len(set(self.indices)) != len(self.indices):
-            raise DuplicateSupportError(f"duplicate indices in support {self.indices}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def canonical(self) -> "SupportSet":
-        return SupportSet(self.p, tuple(sorted(self.indices)))
+    p = int(p)
+    indices = tuple(int(i) for i in values)
+    if not 1 <= len(indices) <= p:
+        raise ParameterRangeError(
+            f"support size must be in [1, p], got {len(indices)} for p={p}"
+        )
+    for i in indices:
+        if not 0 <= i < p:
+            raise ParameterRangeError(f"support index {i} outside [0, {p})")
+    if len(set(indices)) != len(indices):
+        raise DuplicateSupportError(f"duplicate indices in support {indices}")
+    return indices
 
 
 def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
@@ -72,16 +63,6 @@ def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int
     return tuple(reduced), changed
 
 
-def as_support(p: int, support) -> SupportSet:
-    if isinstance(support, SupportSet):
-        if support.p != int(getattr(p, "p", p)):
-            raise ParameterRangeError(
-                f"support is over p={support.p}, operation uses p={int(getattr(p, 'p', p))}"
-            )
-        return support
-    return SupportSet(int(getattr(p, "p", p)), tuple(support))
-
-
 @dataclass(frozen=True)
 class PaleyFrame:
     """Dense (p+1)/2 x p measurement matrix with its kept row indices."""
@@ -102,14 +83,14 @@ def build_frame(p) -> PaleyFrame:
     scale sqrt(1/p) on the constant row and sqrt(2/p) elsewhere; every
     column has Euclidean norm 1.
     """
-    pp = as_paley_prime(p)
-    rows = row_index_set(pp)
-    n = np.arange(pp.p)
+    p = check_paley(p)
+    rows = row_index_set(p)
+    n = np.arange(p)
     m = np.asarray(rows)
-    phase = np.exp(2j * np.pi * np.outer(m, n) / pp.p)
-    scale = np.full(len(rows), math.sqrt(2.0 / pp.p))
-    scale[0] = math.sqrt(1.0 / pp.p)
-    return PaleyFrame(pp.p, tuple(rows), scale[:, None] * phase)
+    phase = np.exp(2j * np.pi * np.outer(m, n) / p)
+    scale = np.full(len(rows), math.sqrt(2.0 / p))
+    scale[0] = math.sqrt(1.0 / p)
+    return PaleyFrame(p, tuple(rows), scale[:, None] * phase)
 
 
 def gram_direct(frame: PaleyFrame, support) -> np.ndarray:
@@ -119,8 +100,7 @@ def gram_direct(frame: PaleyFrame, support) -> np.ndarray:
     which off-diagonals equal chi(T_i - T_j) * i / sqrt(p).  Hermitian
     symmetry is enforced by mirroring the strict upper triangle.
     """
-    T = as_support(frame.p, support)
-    cols = frame.entries[:, list(T.indices)]
+    cols = frame.entries[:, list(check_support(frame.p, support))]
     g = cols.T @ cols.conj()
     upper = np.triu(g, 1)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
@@ -143,9 +123,8 @@ def gram_analytic(p, support) -> np.ndarray:
     Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1.
     Hermitian by construction since chi(-x) = -chi(x) for p = 3 (mod 4).
     """
-    pp = as_paley_prime(p)
-    T = as_support(pp.p, support)
-    g = sign_matrix(pp.p, T.indices) * (1j / math.sqrt(pp.p))
+    p = check_paley(p)
+    g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
     np.fill_diagonal(g, 1.0)
     return g
 
@@ -169,11 +148,11 @@ def l1_coherence(p, s: int) -> float:
     exactly 1/sqrt(p), so the s-term coherence function is s times the
     plain coherence.
     """
-    pp = as_paley_prime(p)
+    p = check_paley(p)
     s = int(s)
-    if not 1 <= s <= pp.p - 1:
-        raise ParameterRangeError(f"s must be in [1, p-1], got {s} for p={pp.p}")
-    return s / math.sqrt(pp.p)
+    if not 1 <= s <= p - 1:
+        raise ParameterRangeError(f"s must be in [1, p-1], got {s} for p={p}")
+    return s / math.sqrt(p)
 
 
 def _entries_to_json(entries: np.ndarray) -> list:
@@ -191,9 +170,8 @@ def frame_to_json(frame: PaleyFrame) -> dict:
 
 def gram_to_json(p: int, support, entries: np.ndarray) -> dict:
     """Same schema as frame_to_json; "rows" holds the support indices."""
-    T = as_support(p, support)
     return {
-        "p": int(getattr(p, "p", p)),
-        "rows": list(T.indices),
+        "p": int(p),
+        "rows": list(check_support(p, support)),
         "entries": _entries_to_json(entries),
     }

@@ -67,16 +67,30 @@ def legendre(a: int, p) -> int:
 
 
 def check_prime(p, min_p: int = 3) -> int:
-    """Validate a prime modulus (an int or a PaleyPrime) and return it as an int.
+    """Validate a prime modulus and return it as an int.
 
     Raises NotPrimeError when p is not prime and ParameterRangeError when it
     is a prime below `min_p`.
     """
-    p = int(getattr(p, "p", p))
+    p = int(p)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p < min_p:
         raise ParameterRangeError(f"p must be >= {min_p}, got {p}")
+    return p
+
+
+def check_paley(p) -> int:
+    """Validate a Paley frame modulus, a prime p = 3 (mod 4) with p >= 7, as an int.
+
+    Checked in this order: NotPrimeError when p is not prime,
+    WrongResidueError when p != 3 (mod 4), ParameterRangeError when p = 3.
+    """
+    p = check_prime(p, min_p=2)
+    if p % 4 != 3:
+        raise WrongResidueError(f"{p} = {p % 4} (mod 4), need 3 (mod 4)")
+    if p < 7:
+        raise ParameterRangeError(f"p must be >= 7, got {p}")
     return p
 
 
@@ -99,44 +113,6 @@ def chi_table(p: int):
     return table
 
 
-class PaleyPrime:
-    """A prime p = 3 (mod 4), p >= 7 (a Paley frame modulus), validated at construction."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        p = check_prime(p, min_p=2)
-        if p % 4 != 3:
-            raise WrongResidueError(f"{p} = {p % 4} (mod 4), need 3 (mod 4)")
-        if p < 7:
-            raise ParameterRangeError(f"p must be >= 7, got {p}")
-        self.p = p
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PaleyPrime) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PaleyPrime", self.p))
-
-    def __repr__(self) -> str:
-        return f"PaleyPrime({self.p})"
-
-
-@lru_cache(maxsize=64)
-def _cached_paley(p: int) -> PaleyPrime:
-    return PaleyPrime(p)
-
-
-def as_paley_prime(p) -> PaleyPrime:
-    """Coerce an int (or pass through a PaleyPrime) with validation."""
-    if isinstance(p, PaleyPrime):
-        return p
-    return _cached_paley(int(p))
-
-
 def row_index_set(p) -> list[int]:
     """Indices m in {0, ..., p-1} with m = 0 or (m/p) = 1, ascending.
 
@@ -145,5 +121,5 @@ def row_index_set(p) -> list[int]:
     """
     import numpy as np
 
-    p = as_paley_prime(p).p
+    p = check_paley(p)
     return [0] + np.flatnonzero(chi_table(p) == 1).tolist()

@@ -26,14 +26,16 @@ from .errors import NonHermitianError, ParameterRangeError
 
 HERMITIAN_TOL = 1e-10
 SKEW_TOL = 1e-12
+# Points at which gram3_charpoly_check compares the two cubics.
+CHARPOLY_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
-def hermitian_spectrum(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_spectrum(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Inputs with a NaN or infinite entry, or whose deviation from Hermitian
-    exceeds tol * max(1, max|M|), are rejected; LAPACK convergence failures
-    propagate as numpy.linalg.LinAlgError.
+    exceeds HERMITIAN_TOL * max(1, max|M|), are rejected; LAPACK
+    convergence failures propagate as numpy.linalg.LinAlgError.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -42,14 +44,14 @@ def hermitian_spectrum(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if not math.isfinite(scale):
         raise NonHermitianError("matrix has a NaN or infinite entry")
     dev = float(np.abs(m - m.conj().T).max())
-    bound = tol * max(1.0, scale)
+    bound = HERMITIAN_TOL * max(1.0, scale)
     if dev > bound:
         raise NonHermitianError(f"Hermitian deviation {dev:.3e} exceeds {bound:.1e}")
     return np.linalg.eigvalsh(m)
 
 
-def gram3_charpoly_check(g: np.ndarray, p, x_grid=(0.0, 0.5, 1.0, 1.5, 2.0)) -> float:
-    """Max residual of det(G - xI) - [(1-x)^3 - 3(1-x)/p] over the grid.
+def gram3_charpoly_check(g: np.ndarray, p) -> float:
+    """Max residual of det(G - xI) - [(1-x)^3 - 3(1-x)/p] over CHARPOLY_GRID.
 
     Every order-3 Gramian of the Paley frame has this characteristic
     polynomial regardless of the off-diagonal sign pattern, which pins its
@@ -58,10 +60,10 @@ def gram3_charpoly_check(g: np.ndarray, p, x_grid=(0.0, 0.5, 1.0, 1.5, 2.0)) -> 
     g = np.asarray(g, dtype=complex)
     if g.shape != (3, 3):
         raise ParameterRangeError(f"need a 3x3 matrix, got shape {g.shape}")
-    p = int(getattr(p, "p", p))
+    p = int(p)
     worst = 0.0
     eye = np.eye(3)
-    for x in x_grid:
+    for x in CHARPOLY_GRID:
         det = np.linalg.det(g - x * eye)
         ref = (1.0 - x) ** 3 - 3.0 * (1.0 - x) / p
         worst = max(worst, abs(det - ref))
@@ -77,7 +79,7 @@ def canonical_tournament(n: int) -> np.ndarray:
     return np.triu(ones, 1) - np.tril(ones, -1)
 
 
-def skew_spectral_radius(c, tol: float = SKEW_TOL):
+def skew_spectral_radius(c):
     """Spectral radius of a real skew-symmetric matrix, or of each in a stack.
 
     Equals the largest eigenvalue of the Hermitian matrix i*C, and is found
@@ -90,7 +92,7 @@ def skew_spectral_radius(c, tol: float = SKEW_TOL):
     n, so the float64 product is exact under any BLAS blocking.  `c` is one
     (n, n) matrix, giving a float, or a stack (..., n, n), giving an array of
     radii.  A matrix with a NaN or infinite entry, or whose deviation from
-    skew-symmetry exceeds tol * max(1, max|C|), is rejected.  For any
+    skew-symmetry exceeds SKEW_TOL * max(1, max|C|), is rejected.  For any
     orientation of a graph on n vertices the radius is at most cot(pi/2n),
     with equality for the canonical tournament.
     """
@@ -106,10 +108,10 @@ def skew_spectral_radius(c, tol: float = SKEW_TOL):
             f"NaN or infinite entries in {np.count_nonzero(nonfinite)} of {nonfinite.size} matrices"
         )
     dev = np.abs(c + np.swapaxes(c, -1, -2)).max(axis=(-2, -1))
-    bound = tol * np.maximum(1.0, scale)
+    bound = SKEW_TOL * np.maximum(1.0, scale)
     if np.any(dev > bound):
         raise NonHermitianError(
-            f"skew-symmetry deviation {np.max(dev):.3e} exceeds {tol:.1e} * max(1, max|C|)"
+            f"skew-symmetry deviation {np.max(dev):.3e} exceeds {SKEW_TOL:.1e} * max(1, max|C|)"
         )
     scale = np.where(scale > 0, scale, 1.0).astype(np.float64)
     a = c / scale[..., None, None]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, spectra
 from .frame import gram_analytic
-from .numtheory import as_paley_prime
+from .numtheory import check_paley
 from .rng import SplitMix64, random_subset, sub_seed
 
 REPORTED_C_ALPHA = 899_998
@@ -35,12 +35,12 @@ def _random_sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
     return 1j * scale * signs
 
 
-def _check_delta3_spectrum(pp, rng) -> CheckResult:
-    target = math.sqrt(3.0 / pp.p)
+def _check_delta3_spectrum(p, rng) -> CheckResult:
+    target = math.sqrt(3.0 / p)
     worst = 0.0
     for _ in range(50):
-        support = random_subset(pp.p, 3, rng.next_u64())
-        w = spectra.hermitian_spectrum(gram_analytic(pp, support))
+        support = random_subset(p, 3, rng.next_u64())
+        w = spectra.hermitian_spectrum(gram_analytic(p, support))
         worst = max(
             worst,
             abs(w[0] - (1.0 - target)),
@@ -53,19 +53,19 @@ def _check_delta3_spectrum(pp, rng) -> CheckResult:
     )
 
 
-def _check_charpoly(pp, rng) -> CheckResult:
+def _check_charpoly(p, rng) -> CheckResult:
     worst = 0.0
     for _ in range(50):
-        support = random_subset(pp.p, 3, rng.next_u64())
-        worst = max(worst, spectra.gram3_charpoly_check(gram_analytic(pp, support), pp))
+        support = random_subset(p, 3, rng.next_u64())
+        worst = max(worst, spectra.gram3_charpoly_check(gram_analytic(p, support), p))
     return CheckResult(
         "charpoly_identity", worst < 1e-12,
         f"max residual of det(G - xI) vs (1-x)^3 - 3(1-x)/p: {worst:.3e}",
     )
 
 
-def _check_gamma_nonneg(pp, rng) -> CheckResult:
-    scale = 1.0 / math.sqrt(pp.p)
+def _check_gamma_nonneg(p, rng) -> CheckResult:
+    scale = 1.0 / math.sqrt(p)
     low, high_excess = 0.0, 0.0
     for _ in range(200):
         k = 2 + rng.below(9)
@@ -73,7 +73,7 @@ def _check_gamma_nonneg(pp, rng) -> CheckResult:
         d = _random_sign_vector(rng, k, scale)
         g = spectra.gamma_term(c, d)
         low = min(low, g)
-        high_excess = max(high_excess, g - 2.0 * k * (k - 1) / pp.p**2)
+        high_excess = max(high_excess, g - 2.0 * k * (k - 1) / p**2)
     ok = low >= -1e-14 and high_excess <= 1e-14
     return CheckResult(
         "gamma_nonneg", ok,
@@ -81,8 +81,8 @@ def _check_gamma_nonneg(pp, rng) -> CheckResult:
     )
 
 
-def _check_block_det(pp, rng) -> CheckResult:
-    scale = 1.0 / math.sqrt(pp.p)
+def _check_block_det(p, rng) -> CheckResult:
+    scale = 1.0 / math.sqrt(p)
     worst = 0.0
     for _ in range(200):
         k = 2 + rng.below(9)
@@ -104,7 +104,7 @@ def _check_block_det(pp, rng) -> CheckResult:
     )
 
 
-def _check_lemma_k(pp, rng) -> CheckResult:
+def _check_lemma_k(p, rng) -> CheckResult:
     failures = 0
     for c in (1.0, bounds.DEMBO_C, 2.0, 10.0):
         for k in range(1, 10_001):
@@ -116,7 +116,7 @@ def _check_lemma_k(pp, rng) -> CheckResult:
     )
 
 
-def _check_cot_radius(pp, rng) -> CheckResult:
+def _check_cot_radius(p, rng) -> CheckResult:
     worst_eq = 0.0
     worst_excess = 0.0
     for n in range(2, 13):
@@ -138,7 +138,7 @@ def _check_cot_radius(pp, rng) -> CheckResult:
     )
 
 
-def _check_c_alpha(pp, rng) -> CheckResult:
+def _check_c_alpha(p, rng) -> CheckResult:
     c_star = bounds.find_c_alpha(0.8, 0.7)
 
     def holds(c: int) -> bool:
@@ -169,11 +169,11 @@ _CHECKS = (
 
 def run_verification(p) -> dict:
     """Run every check at prime p; returns a JSON-ready report."""
-    pp = as_paley_prime(p)
-    rng = SplitMix64(sub_seed(_SUITE_SEED, pp.p))
-    results = [check(pp, rng) for check in _CHECKS]
+    p = check_paley(p)
+    rng = SplitMix64(sub_seed(_SUITE_SEED, p))
+    results = [check(p, rng) for check in _CHECKS]
     return {
-        "p": pp.p,
+        "p": p,
         "checks": [
             {"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results
         ],

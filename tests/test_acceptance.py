@@ -32,7 +32,7 @@ from paleyrip.experiments import (
     fit_power_law,
     one_sided_ratio,
 )
-from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct
+from paleyrip.frame import build_frame, gram_analytic, gram_direct
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,
@@ -206,7 +206,7 @@ def test_criterion_09_figure2_stability():
 
 def test_criterion_10_conjecture_numbers():
     # first experiment: the full residue set at p = 5
-    r5 = conjecture_search(5, SupportSet(5, (0, 1, 2, 3, 4)), alpha=0.8)
+    r5 = conjecture_search(5, (0, 1, 2, 3, 4), alpha=0.8)
     ok = abs(r5.ratio - 1.0 / 3.0) < 1e-15 and r5.satisfied
 
     # worst-case set at p = 19: the printed numerator 2 reproduces at the
@@ -216,7 +216,7 @@ def test_criterion_10_conjecture_numbers():
     # perfectly balanced
     exhibited = one_sided_ratio(19, WORST_SET_19, 6, 7)
     ok = ok and abs(exhibited - 2.0 / 8.0) < 1e-15
-    best = conjecture_search(19, SupportSet(19, WORST_SET_19), alpha=0.8)
+    best = conjecture_search(19, WORST_SET_19, alpha=0.8)
     ok = ok and best.ratio <= exhibited and best.satisfied
     print("criterion 10 note: worst-case set ratio uses denominator "
           "|support|-2 = 8; the printed 2/10 divides the same numerator 2 by "
@@ -237,7 +237,7 @@ def test_criterion_10_conjecture_numbers():
                    reason="printed denominator 10 conflicts with |support|-2 = 8 "
                           "for the 10-element worst-case set; ratio definition wins")
 def test_criterion_10_literal_two_tenths():
-    best = conjecture_search(19, SupportSet(19, WORST_SET_19), alpha=0.8)
+    best = conjecture_search(19, WORST_SET_19, alpha=0.8)
     assert abs(best.ratio - 0.2) < 1e-15
 
 

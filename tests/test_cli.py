@@ -32,6 +32,17 @@ def test_frame_exit_codes(capsys):
     assert run_cli(capsys, "frame", "--p", "13")[0] == 3
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("conjecture --p 9 --support ,", 4),  # support size is checked before primality
+    ("gram --p 9 --support ,", 2),
+    ("gram --p 13 --support 0,20", 3),
+    ("frame --p 3", 4),
+    ("verify --p 5", 3),
+])
+def test_validation_exit_codes(capsys, argv, code):
+    assert run_cli(capsys, *argv.split())[0] == code
+
+
 def test_gram_command_and_methods(capsys):
     code, out_a, _ = run_cli(capsys, "gram", "--p", "7", "--support", "0,1,3")
     assert code == 0
@@ -239,9 +250,8 @@ def test_verify_fault_injection_exit_7(capsys, monkeypatch):
 
     real = spectra.hermitian_spectrum
 
-    def tampered(m, tol=1e-10):
-        w = real(m, tol)
-        return w + 1e-6
+    def tampered(m):
+        return real(m) + 1e-6
 
     monkeypatch.setattr(spectra, "hermitian_spectrum", tampered)
     code, out, err = run_cli(capsys, "verify", "--p", "7")

@@ -21,7 +21,7 @@ from paleyrip.experiments import (
     greedy_peel,
     one_sided_ratio,
 )
-from paleyrip.frame import SupportSet, build_frame, gram_analytic, gram_direct, sign_matrix
+from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 
@@ -521,7 +521,7 @@ def test_conjecture_functions_reject_p2_as_range_error():
 
 
 def test_conjecture_search_p5():
-    rec = conjecture_search(5, SupportSet(5, (0, 1, 2, 3, 4)), alpha=0.8)
+    rec = conjecture_search(5, (0, 1, 2, 3, 4), alpha=0.8)
     assert rec.ratio == pytest.approx(1.0 / 3.0)
     assert rec.numerator == 1
     assert rec.satisfied
@@ -529,7 +529,7 @@ def test_conjecture_search_p5():
 
 
 def test_conjecture_search_worst_set():
-    rec = conjecture_search(19, SupportSet(19, WORST_SET_19), alpha=0.8)
+    rec = conjecture_search(19, WORST_SET_19, alpha=0.8)
     # a perfectly balanced pair exists, beating the exhibited 2/8 pair
     assert rec.ratio == 0.0
     assert rec.numerator == 0
@@ -541,7 +541,7 @@ def test_conjecture_search_worst_set():
 def test_conjecture_search_tie_breaking():
     # symmetric summand: ordered scan lands on the lexicographically
     # smallest position pair among minimizers
-    rec = conjecture_search(19, SupportSet(19, WORST_SET_19))
+    rec = conjecture_search(19, WORST_SET_19)
     i, j = rec.pair
     assert i < j
     others = [
@@ -628,7 +628,7 @@ def test_conjecture_scan_records_match_per_support_search():
         assert s1.worst_ratio == s2.worst_ratio
         for t, rec in enumerate(s1.records):
             support = random_subset(p, k, sub_seed(5, t))
-            assert rec == conjecture_search(p, SupportSet(p, support))
+            assert rec == conjecture_search(p, support)
             assert rec.satisfied == (rec.ratio < rec.alpha)
 
 

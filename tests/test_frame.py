@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.frame import (
-    SupportSet,
     build_frame,
+    check_support,
     coherence,
     frame_to_json,
     gram_analytic,
@@ -178,15 +178,19 @@ def test_l1_coherence():
 
 
 def test_support_set_validation():
-    s = SupportSet(19, (8, 15, 5))
-    assert len(s) == 3
-    assert s.canonical().indices == (5, 8, 15)
+    s = check_support(19, [8, 15, 5])
+    assert s == (8, 15, 5)
     with pytest.raises(DuplicateSupportError):
-        SupportSet(19, (1, 1, 2))
+        check_support(19, (1, 1, 2))
     with pytest.raises(ParameterRangeError):
-        SupportSet(19, (0, 19))
+        check_support(19, (0, 19))
     with pytest.raises(ParameterRangeError):
-        SupportSet(7, ())
+        check_support(7, ())
+    # size, then range, then duplicates
+    with pytest.raises(ParameterRangeError):
+        check_support(3, (0, 0, 0, 0))
+    with pytest.raises(ParameterRangeError):
+        check_support(7, (9, 9))
 
 
 def test_reduce_support_mod_p():
@@ -198,9 +202,8 @@ def test_reduce_support_mod_p():
 
 
 def test_gram_rejects_mismatched_support():
-    f = build_frame(7)
     with pytest.raises(ParameterRangeError):
-        gram_direct(f, SupportSet(11, (0, 1)))
+        gram_direct(build_frame(7), (0, 7))
 
 
 def test_json_documents_round_trip():

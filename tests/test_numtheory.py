@@ -2,8 +2,7 @@ import pytest
 
 from paleyrip.errors import NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.numtheory import (
-    PaleyPrime,
-    as_paley_prime,
+    check_paley,
     check_prime,
     chi_table,
     is_prime,
@@ -113,16 +112,13 @@ def test_row_index_set_size_and_zero(p):
 def test_paley_prime_validation():
     # error order: primality, then residue class, then size
     with pytest.raises(NotPrimeError):
-        PaleyPrime(6)
+        check_paley(6)
     for p in (2, 5, 13):
         with pytest.raises(WrongResidueError):
-            PaleyPrime(p)
+            check_paley(p)
     with pytest.raises(ParameterRangeError):
-        PaleyPrime(3)
-    pp = PaleyPrime(7)
-    assert pp.p == 7 and int(pp) == 7
-    assert as_paley_prime(pp) is pp
-    assert as_paley_prime(7) == pp
+        check_paley(3)
+    assert check_paley(7) == 7 and type(check_paley(7)) is int
 
 
 def test_legendre_rejects_even_modulus():
@@ -137,7 +133,6 @@ def test_legendre_rejects_even_modulus():
 def test_check_prime():
     assert check_prime(3) == 3
     assert check_prime(1009) == 1009
-    assert check_prime(PaleyPrime(7)) == 7
     for n in (-7, 0, 1, 9, 1001):
         with pytest.raises(NotPrimeError):
             check_prime(n)

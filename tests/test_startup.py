@@ -12,16 +12,17 @@ import pytest
 
 import paleyrip
 
-# Every public name the package exposed when its __init__ imported all
-# submodules eagerly, submodules included.
+# Every public name of the package, submodules included, as an __init__
+# importing all submodules eagerly would expose them.
 EAGER_NAMES = [
     "BorderedBlock", "BoundReport", "ConjectureRecord", "ConjectureScanSummary", "DEMBO_C",
     "DemboRatioRow", "DuplicateSupportError", "GENERALIZED_OFFSET", "MalformedInputError",
-    "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyPrime", "PaleyRipError",
-    "ParameterRangeError", "RipEstimate", "SparsityThreshold", "SplitMix64", "SupportSet",
-    "WrongResidueError", "as_paley_prime", "block3_det", "bound_conjectural",
+    "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyRipError",
+    "ParameterRangeError", "RipEstimate", "SparsityThreshold", "SplitMix64",
+    "WrongResidueError", "block3_det", "bound_conjectural",
     "bound_dembo_recursive", "bound_generalized_dembo", "bound_gershgorin", "bound_skew",
-    "bounds", "build_frame", "build_report", "canonical_tournament", "chi_table", "coherence",
+    "bounds", "build_frame", "build_report", "canonical_tournament", "check_paley",
+    "check_support", "chi_table", "coherence",
     "conjecture_scan", "conjecture_search", "dembo_lower", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
     "find_c_alpha", "fit_power_law", "frame", "frame_to_json", "gamma_term",
@@ -64,6 +65,13 @@ def test_command_runs_without_numpy(argv):
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
     assert blocked.stdout
+
+
+@pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4)])
+def test_validation_error_without_numpy(argv, code):
+    blocked = _cli(argv.split(), block_numpy=True)
+    assert blocked.returncode == code, blocked.stderr
+    assert blocked.stderr.startswith("paleyrip bounds: "), blocked.stderr
 
 
 def test_import_without_numpy():
