@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .errors import ParameterRangeError
 from .numtheory import check_prime
@@ -181,7 +179,7 @@ def lemma_k_inequality(c: float, k: int, slack: float = 1e-12) -> bool:
 _EXACT_DENOM_LIMIT = 1000
 
 
-def _c_alpha_holds_exact(c: int, one_minus_alpha: Fraction, one_plus_beta: Fraction) -> bool:
+def _c_alpha_holds_exact(c: int, one_minus_alpha, one_plus_beta) -> bool:
     # Raise both sides to the beta denominator so everything is integer
     # arithmetic: 12^r c^(r+q) t^r < (s c^2 - 2 t c)^r, with exponent
     # (r+q)/r and 1-alpha = s/t.
@@ -196,6 +194,8 @@ def _c_alpha_holds_exact(c: int, one_minus_alpha: Fraction, one_plus_beta: Fract
 
 
 def _c_alpha_holds_decimal(c: int, alpha: float, beta: float, digits: int = 60) -> bool:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = digits
         cd = Decimal(c)
@@ -224,6 +224,8 @@ def find_c_alpha(alpha: float, beta: float) -> int:
         raise ParameterRangeError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 < beta < 1.0:
         raise ParameterRangeError(f"beta must be in (0, 1), got {beta}")
+    from fractions import Fraction  # loaded on demand: only this search needs it
+
     alpha_f = Fraction(str(alpha))
     beta_f = Fraction(str(beta))
     if beta_f.denominator <= _EXACT_DENOM_LIMIT and alpha_f.denominator <= 10**9:

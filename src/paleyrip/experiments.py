@@ -20,8 +20,9 @@ only the leading blocks of the trials that can still set the max.
 exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
 closed under subsets and under x -> a x + b, so a depth-first search from
 {0, 1} finds one if any exists; one such witness is a lower bound that
-meets the upper bound, and EXACT_RIP_GUARD bounds only the orbit
-enumeration that runs when there is none.
+meets the upper bound.  That search runs first, within its own solve
+budget, and EXACT_RIP_GUARD bounds only the orbit enumeration that runs
+when it finds none.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, a
@@ -46,9 +47,14 @@ from .numtheory import check_paley, check_prime
 from .rng import random_subset, random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
-# binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked before
-# the witness search too.
+# binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked only
+# when the witness search has found no witness.
 EXACT_RIP_GUARD = 10**6
+# Solves exact_rip allows its witness search, about 1.5 s on one core of a
+# 2-core x86 host.  Witnesses at k = 12 took at most 1,450 solves at the
+# primes tried from 103 to 223; proving that none exists at (107, 12) took
+# 5.1 million.
+_WITNESS_SOLVES = 10**5
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
@@ -175,6 +181,10 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
                        tuple(map(tuple, idx.tolist())) if keep_supports else None)
 
 
+class _BudgetSpent(Exception):
+    """The witness search reached its solve budget before it finished."""
+
+
 def cot_witness(p, k: int) -> tuple[int, ...] | None:
     """A k-support T with rho(C_T) = cot(pi/2k), the skew_cot bound, or None.
 
@@ -193,10 +203,20 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
     k = int(k)
     if not 2 <= k <= p:
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
+    return _cot_search(p, k, math.inf)
+
+
+def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
+    """cot_witness's search, raising _BudgetSpent once it needs more than `budget` solves."""
+    solves = 0
 
     def extend(t: tuple[int, ...], cands: list[int]) -> tuple[int, ...] | None:
+        nonlocal solves
         if len(t) == k:
             return t
+        solves += len(cands)
+        if solves > budget:
+            raise _BudgetSpent
         m = len(t) + 1
         c = sign_matrix(p, [(*t, x) for x in cands])
         rho = _radii(c, np.arange(len(c)), m)
@@ -219,11 +239,13 @@ def exact_rip(p, k: int) -> float:
     x -> a x + b maps C_T to chi(a) C_T, so rho(C_T) is constant on AGL(1,p)
     orbits, and 2-transitivity puts a support containing {0, 1} in each.
     Every rho(C_T) is at most cot(pi/2k) (the skew_cot bound), so a
-    cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.  Only
-    where none exists are the binomial(p-2, k-2) orbit representatives
-    solved, at order k, as max rho(C_T)/sqrt p.  EXACT_RIP_GUARD bounds that
-    enumeration, and is checked first.  This is the oracle the closed-form
-    bounds are checked against.
+    cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.  The
+    witness search runs first, within a budget of _WITNESS_SOLVES solves.
+    Only where it finds none, or runs out of budget, are the
+    binomial(p-2, k-2) orbit representatives solved, at order k, as max
+    rho(C_T)/sqrt p; EXACT_RIP_GUARD bounds that enumeration, and the error
+    it raises says how the witness search ended.  This is the oracle the
+    closed-form bounds are checked against.
     """
     p = check_paley(p)
     k = int(k)
@@ -231,13 +253,19 @@ def exact_rip(p, k: int) -> float:
         raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
-    if math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
-        raise ParameterRangeError(
-            f"binomial({p - 2}, {k - 2}) exceeds the exhaustive guard {EXACT_RIP_GUARD}"
-        )
-    witness = cot_witness(p, k)
+    try:
+        witness = _cot_search(p, k, _WITNESS_SOLVES)
+        searched = f"no {k}-support attains cot(pi/{2 * k})"
+    except _BudgetSpent:
+        witness = None
+        searched = f"the witness search exceeded its budget of {_WITNESS_SOLVES} solves"
     if witness is not None:
         return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)
+    if math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
+        raise ParameterRangeError(
+            f"{searched}, and the enumeration of binomial({p - 2}, {k - 2}) representatives"
+            f" exceeds the exhaustive guard {EXACT_RIP_GUARD}"
+        )
     reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
@@ -356,12 +384,13 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
 def _pair_records(p: int, supports, c: np.ndarray, alpha: float) -> list[ConjectureRecord]:
     """Best pair of each k-support, from the stack c of their sign matrices.
 
-    Entry (i, j) of |C C^T| is the exact pair numerator (float64 is exact:
-    the entries are integers of size <= k).  With the diagonal set to k, above
-    every pair numerator, argmin gives the first minimum in row-major order.
+    Entry (i, j) of |C C^T| is the exact pair numerator.  The product runs
+    in float32, which is exact: every partial sum is an integer of size at
+    most k, and k < 2^24 for any stack that fits in memory.  With the diagonal set to k, above every pair numerator,
+    argmin gives the first minimum in row-major order.
     """
     k = c.shape[-1]
-    cf = c.astype(float)
+    cf = c.astype(np.float32)
     nums = np.abs(cf @ cf.transpose(0, 2, 1)).reshape(len(c), k * k)
     nums[:, :: k + 1] = k
     records = []

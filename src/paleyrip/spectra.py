@@ -12,7 +12,9 @@ rounds.  Input gates are relative to the largest entry.  The
 bordered-matrix bounds are evaluated from their closed forms and
 cross-checked elsewhere against dense oracles; the extreme roots of the
 two-row bordered quartic are the extreme eigenvalues of that matrix
-compressed to its invariant subspace of dimension at most 4.
+compressed to its invariant subspace of dimension at most 4, a 4x4 matrix
+written in closed form from |c|^2, |d|^2 and d.conj c (no QR), and both
+comparison matrices are solved in one stacked call.
 """
 
 from __future__ import annotations
@@ -249,25 +251,44 @@ def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
     return float((blk.eta - x) ** (k - 2) * _bordered_quartic(blk, x))
 
 
-def _compressed_spectrum(blk: BorderedBlock) -> np.ndarray:
-    """Eigenvalues, ascending, of the bordered matrix R compressed to an invariant subspace.
+def _compressed_spectrum(*blks: BorderedBlock) -> np.ndarray:
+    """Eigenvalues, ascending, of each bordered matrix R compressed to an invariant subspace.
 
     R maps V = span{e0, e1, (0, 0, conj c), (0, 0, conj d)} into itself and
-    acts as eta*I on the complement of V.  With U orthonormal columns from QR
-    of [conj c, conj d], the compression [[a, b, cU], [b*, a, dU],
-    [(cU)^H, (dU)^H, eta*I]] has order at most 4, and its characteristic
-    polynomial is the bordered quartic up to factors (eta - x).  A column of
-    U outside span{conj c, conj d} (c parallel to d, k = 1, zero borders) only
-    adds the eigenvalue eta.
+    acts as eta*I on the complement of V.  The basis u1 = conj c / |c| and
+    u2, the normalized Gram-Schmidt residual of conj d against u1, gives
+    the compression in closed form from |c|^2, |d|^2 and d.conj c alone:
+
+        [[a,   b,                 |c|,           0],
+         [b*,  a,                 d.conj c/|c|,  r],
+         [|c|, (d.conj c/|c|)*,   eta,           0],
+         [0,   r,                 0,           eta]]
+
+    with r = |d - (d.conj c/|c|^2) c| = |conj d - (u1^H conj d) u1|.  By the
+    Lagrange identity r^2 = gamma/|c|^2, which ties the compression to the
+    bordered quartic: its characteristic polynomial is that quartic.  r is
+    the norm of the residual vector, accurate to about eps |d| even for d
+    parallel to c, where sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to
+    about sqrt(eps) |d|.  c = 0 takes u1 from conj d.  A zero residual (d
+    parallel to c, k = 1, zero borders) only adds the eigenvalue eta.  All
+    blocks are solved in one stacked call.
     """
-    u, _ = np.linalg.qr(np.column_stack([blk.c.conj(), blk.d.conj()]))
-    r = u.shape[1]
-    h = np.zeros((r + 2, r + 2), dtype=complex)
-    h[0, 0] = h[1, 1] = blk.a
-    h[0, 1] = blk.b
-    h[0, 2:] = blk.c @ u
-    h[1, 2:] = blk.d @ u
-    h[2:, 2:] = blk.eta * np.eye(r)
+    def norm(v) -> float:
+        return math.sqrt(np.vdot(v, v).real)
+
+    h = np.zeros((len(blks), 4, 4), dtype=complex)
+    for hb, blk in zip(h, blks):
+        nc = norm(blk.c)
+        if nc > 0.0:
+            dc = np.vdot(blk.c, blk.d)  # d.conj c
+            hb[0, 2] = nc
+            hb[1, 2] = dc / nc
+            hb[1, 3] = norm(blk.d - (dc / (nc * nc)) * blk.c)
+        else:
+            hb[1, 2] = norm(blk.d)
+        hb[0, 0] = hb[1, 1] = blk.a
+        hb[0, 1] = blk.b
+        hb[2, 2] = hb[3, 3] = blk.eta
     return np.linalg.eigvalsh(h, UPLO="U")  # reads only the upper triangle filled above
 
 
@@ -280,12 +301,12 @@ def generalized_dembo_extremes(blk_up: BorderedBlock, blk_low: BorderedBlock) ->
     multiplicity k-2, and sits between the extremes of the bordered matrix
     for any k).  The roots are the eigenvalues of R compressed to its
     invariant subspace of dimension at most 4 (see _compressed_spectrum), so
-    every root is found, wherever it lies.
+    every root is found, wherever it lies; both matrices are solved in one
+    stacked call.
     """
     if blk_up.eta < blk_low.eta:
         raise ParameterRangeError(
             f"upper proxy eta {blk_up.eta} below lower proxy eta {blk_low.eta}"
         )
-    upper = float(_compressed_spectrum(blk_up)[-1])
-    lower = float(_compressed_spectrum(blk_low)[0])
-    return max(upper, blk_up.eta), min(lower, blk_low.eta)
+    w = _compressed_spectrum(blk_up, blk_low)
+    return max(float(w[0, -1]), blk_up.eta), min(float(w[1, 0]), blk_low.eta)

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -278,12 +279,30 @@ def test_exact_rip_matches_stacked_brute_force(p, k):
 def test_exact_rip_guard():
     with pytest.raises(ParameterRangeError):
         exact_rip(103, 20)
-    # the guard counts binomial(p-2, k-2) representatives, not binomial(p, k)
-    with pytest.raises(ParameterRangeError, match=r"binomial\(101, 4\)"):
-        exact_rip(103, 6)
+    # the guard counts binomial(p-2, k-2) representatives, not binomial(p, k),
+    # and is checked once the witness search has found none (k*(47) = 8)
+    with pytest.raises(ParameterRangeError, match=r"no 9-support attains .* binomial\(45, 7\)"):
+        exact_rip(47, 9)
     assert math.comb(47, 5) > 10**6
     d5 = exact_rip(47, 5)
     assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= bound_dembo_recursive(5, 47)
+
+
+@pytest.mark.parametrize("p, k", [(47, 7), (103, 12)])
+def test_exact_rip_witness_before_guard(p, k):
+    # the enumeration would be past the guard, but a tight support certifies delta_k
+    assert math.comb(p - 2, k - 2) > experiments.EXACT_RIP_GUARD
+    assert abs(exact_rip(p, k) * math.sqrt(p) - 1.0 / math.tan(math.pi / (2 * k))) < 1e-12
+
+
+def test_exact_rip_witness_search_budget():
+    # proving that no tight 13-support exists at p = 103 takes tens of seconds;
+    # the bounded search gives up after a fixed number of solves
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError,
+                       match=r"witness search exceeded its budget .* binomial\(101, 11\)"):
+        exact_rip(103, 13)
+    assert time.perf_counter() - start < 15.0
 
 
 def _dense_radii(p, subsets):
@@ -630,6 +649,14 @@ def test_conjecture_scan_records_match_per_support_search():
             support = random_subset(p, k, sub_seed(5, t))
             assert rec == conjecture_search(p, support)
             assert rec.satisfied == (rec.ratio < rec.alpha)
+
+
+def test_pair_product_float32_is_exact():
+    # the pair numerators |C C^T| are integers of size <= k, exact in float32
+    idx = random_subsets(1019, 200, [sub_seed(0, t) for t in range(4)])
+    c = sign_matrix(1019, idx)
+    c32, c64 = c.astype(np.float32), c.astype(float)
+    assert np.array_equal(c32 @ c32.transpose(0, 2, 1), c64 @ c64.transpose(0, 2, 1))
 
 
 def test_conjecture_scan_alpha_one():

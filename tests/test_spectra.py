@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from paleyrip.frame import gram_analytic, sign_matrix
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,
+    _compressed_spectrum,
     block3_det,
     canonical_tournament,
     dembo_lower,
@@ -525,6 +527,71 @@ def test_generalized_extremes_property_vs_dense(p, k, seed, eta_up, eta_gap):
     upper, lower = generalized_dembo_extremes(blk_up, blk_low)
     assert abs(upper - np.linalg.eigvalsh(blk_up.assemble())[-1]) < 1e-12
     assert abs(lower - np.linalg.eigvalsh(blk_low.assemble())[0]) < 1e-12
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 12),
+    log_scale=st.floats(-3.0, 1.0),
+    kind=st.sampled_from(["generic", "parallel", "degenerate", "c0", "d0"]),
+    seed=st.integers(0, 2**32 - 1),
+    eta_gap=st.floats(0.0, 2.0),
+)
+def test_generalized_extremes_complex_borders_vs_dense(k, log_scale, kind, seed, eta_gap):
+    # arbitrary complex borders at scales 1e-3 to 10, including d = phase t c
+    # plus a 1e-9 relative perturbation.  "degenerate" adds a = eta, b = 0 and
+    # d exactly parallel to c, where eta is a double eigenvalue that a
+    # residual norm computed as sqrt(|d|^2 - |d.conj c|^2/|c|^2) would split
+    # by about 1e-8: every eigenvalue of the compression must be one of R,
+    # or eta, which a zero residual adds.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+
+    def vec():
+        return scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+
+    c, d = vec(), vec()
+    a, eta_up = scale * rng.standard_normal(2)
+    b = complex(*(scale * rng.standard_normal(2)))
+    if kind in ("parallel", "degenerate"):
+        noise = 1e-9 * d if kind == "parallel" else 0.0
+        d = np.exp(2j * np.pi * rng.random()) * rng.uniform(0.1, 10.0) * c + noise
+    elif kind == "c0":
+        c = np.zeros(k)
+    elif kind == "d0":
+        d = np.zeros(k)
+    if kind == "degenerate":
+        a, b = eta_up, 0.0
+    blk_up = BorderedBlock(a=a, b=b, c=c, d=d, eta=eta_up)
+    blk_low = _with_eta(blk_up, eta_up - scale * eta_gap)
+    upper, lower = generalized_dembo_extremes(blk_up, blk_low)
+    w_up = np.linalg.eigvalsh(blk_up.assemble())
+    w_low = np.linalg.eigvalsh(blk_low.assemble())
+    tol = 1e-12 * max(1.0, np.abs(w_up).max(), np.abs(w_low).max())
+    assert abs(upper - max(w_up[-1], blk_up.eta)) <= tol
+    assert abs(lower - min(w_low[0], blk_low.eta)) <= tol
+    for x in _compressed_spectrum(blk_up)[0]:
+        assert np.abs(np.append(w_up, blk_up.eta) - x).min() <= tol
+
+
+def test_generalized_extremes_one_stacked_solve(monkeypatch):
+    calls = []
+    full = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return full(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    blk_up, eta_low = _edge_case_pairs()[1]
+    generalized_dembo_extremes(blk_up, _with_eta(blk_up, eta_low))
+    assert calls == [(2, 4, 4)]
+
+
+def test_no_qr_in_package():
+    # the bordered compression is built in closed form, not from a QR
+    src = Path(__file__).resolve().parents[1] / "src" / "paleyrip"
+    assert not [f.name for f in src.glob("*.py") if "linalg.qr" in f.read_text()]
 
 
 def test_peeling_step_quartic_positive_at_threshold():

@@ -74,6 +74,18 @@ def test_validation_error_without_numpy(argv, code):
     assert blocked.stderr.startswith("paleyrip bounds: "), blocked.stderr
 
 
+@pytest.mark.parametrize("code", [
+    "from paleyrip.cli import main\nmain(['bounds', '--p', '1009', '--k', '4'])\n",
+    "import paleyrip.experiments\n",
+])
+def test_exact_arithmetic_loaded_on_demand(code):
+    # only find_c_alpha needs decimal and fractions
+    res = _python("import sys\n" + code +
+                  "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_import_without_numpy():
     res = _python(_BLOCK_NUMPY + "import paleyrip\n"
                   "print(paleyrip.__version__, paleyrip.is_prime(1009),"
