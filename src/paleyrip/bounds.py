@@ -10,15 +10,19 @@ All families bound delta_k for the Paley construction by f(k)/sqrt(p):
     conjectural         f(k) = k^beta, valid only if the residue
                         distribution conjecture holds
 
-The formulas are pure arithmetic in (k, p): they do not touch the frame, so
-they accept any prime p (notably p = 1009 = 1 mod 4, which appears in the
-sparsity-threshold comparison as formula evaluation only).
+FAMILIES declares the five unconditional families once, with their
+domains; the report, the sparsity scan and the CLI's ripcurve columns all
+read it.  The formulas are pure arithmetic in (k, p): they do not touch
+the frame, so they accept any prime p (notably p = 1009 = 1 mod 4, which
+appears in the sparsity-threshold comparison as formula evaluation only).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ParameterRangeError
 from .numtheory import check_prime
@@ -35,14 +39,6 @@ RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
 # First order j of the log-log fit d(j) ~ j^beta that estimates the
 # conditional family's beta (experiments.fit_power_law and the `fit` command).
 DEFAULT_FIT_JMIN = 3
-
-UNCONDITIONAL_FAMILIES = (
-    "gershgorin",
-    "skew_cot",
-    "skew_linear",
-    "dembo_recursive",
-    "generalized_dembo",
-)
 
 
 def bound_gershgorin(k: int, p) -> float:
@@ -101,13 +97,35 @@ def bound_conjectural(k: int, p, beta: float) -> float:
     return k**beta / math.sqrt(p)
 
 
-_FAMILY_FUNCS = {
-    "gershgorin": lambda m, p: bound_gershgorin(m, p),
-    "skew_linear": lambda m, p: bound_skew(m, p, exact=False),
-    "skew_cot": lambda m, p: bound_skew(m, p, exact=True),
-    "dembo_recursive": lambda m, p: bound_dembo_recursive(m, p),
-    "generalized_dembo": lambda m, p: bound_generalized_dembo(m, p),
+@dataclass(frozen=True)
+class Family:
+    """One unconditional family: delta_k <= bound(k, p) for k >= min_k and p >= min_p.
+
+    `floor` is the family's printed closed-form sparsity threshold, if any.
+    """
+
+    bound: Callable[[int, int], float]
+    min_k: int = 1
+    min_p: int = 3
+    floor: Callable[[int], int] | None = None
+
+
+FAMILIES = {
+    "gershgorin": Family(bound_gershgorin,
+                         floor=lambda p: math.floor(math.sqrt(p / 2.0)) + 1),
+    "skew_cot": Family(partial(bound_skew, exact=True)),
+    "skew_linear": Family(bound_skew,
+                          floor=lambda p: math.floor(math.sqrt(p / 2.0) * math.pi / 2.0)),
+    "dembo_recursive": Family(bound_dembo_recursive, min_k=3, min_p=7),
+    "generalized_dembo": Family(bound_generalized_dembo, min_k=3, min_p=7),
 }
+
+
+def family_bounds(k: int, p) -> dict[str, float | None]:
+    """Every family's bound at (k, p), in FAMILIES order; None below a family's domain."""
+    p = check_prime(p)
+    return {name: fam.bound(k, p) if k >= fam.min_k and p >= fam.min_p else None
+            for name, fam in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -115,10 +133,9 @@ class SparsityThreshold:
     """Largest even sparsity 2k a family certifies for recovery at a given p.
 
     `max_even` is the largest even m with family-bound(m) < 1/sqrt(2);
-    `floor_threshold` is the printed closed-form floor where one exists
-    (floor(sqrt(p/2)) + 1 for gershgorin, floor(sqrt(p/2) * pi/2) for
-    skew_linear), reported side by side because the printed value may be
-    odd while a sparsity budget is even.
+    `floor_threshold` is the family's printed closed-form floor where one
+    exists, reported side by side because the printed value may be odd
+    while a sparsity budget is even.
     """
 
     family: str
@@ -129,32 +146,21 @@ class SparsityThreshold:
 def max_sparsity(p, family: str) -> SparsityThreshold:
     """Scan even m = 2k upward until family-bound(m) reaches 1/sqrt(2)."""
     p = check_prime(p)
-    if family not in _FAMILY_FUNCS:
+    if family not in FAMILIES:
         raise ParameterRangeError(f"unknown bound family {family!r}")
-    func = _FAMILY_FUNCS[family]
+    fam = FAMILIES[family]
     best = 0
-    m = 2
-    while m <= p:
+    for m in range(2, p + 1, 2):
         if m == 2:
             val = 1.0 / math.sqrt(p)  # delta_2 = mu exactly, for every family
-        else:
-            try:
-                val = func(m, p)
-            except ParameterRangeError:
-                m += 2
-                continue
-        if val < RECOVERY_THRESHOLD:
-            best = m
-            m += 2
-        else:
+        elif p < fam.min_p:
             break
-    if family == "gershgorin":
-        floor_value = math.floor(math.sqrt(p / 2.0)) + 1
-    elif family == "skew_linear":
-        floor_value = math.floor(math.sqrt(p / 2.0) * math.pi / 2.0)
-    else:
-        floor_value = None
-    return SparsityThreshold(family, best, floor_value)
+        else:
+            val = fam.bound(m, p)
+        if val >= RECOVERY_THRESHOLD:
+            break
+        best = m
+    return SparsityThreshold(family, best, fam.floor(p) if fam.floor else None)
 
 
 def lemma_k_inequality(c: float, k: int, slack: float = 1e-12) -> bool:
@@ -258,46 +264,27 @@ def find_c_alpha(alpha: float, beta: float) -> int:
 class BoundReport:
     """All bound-family values at one (p, k), plus optional extras.
 
-    The recursive and generalized families are None below k = 3 (or when
-    p < 7); `conjectural` is populated only on request and must be treated
-    as conditional.  `best` is the pointwise minimum over the defined
-    unconditional families: no single family dominates for every k, the
-    crossover between skew_linear and the additive families sits near
-    k = 3.
+    `bounds` maps each name in FAMILIES to its value, None below the
+    family's domain (the recursive and generalized families need k >= 3
+    and p >= 7); `conjectural` is populated only on request and must be
+    treated as conditional.  `best` is the pointwise minimum over the
+    defined unconditional families: no single family dominates for every
+    k, the crossover between skew_linear and the additive families sits
+    near k = 3.
     """
 
     p: int
     k: int
-    gershgorin: float
-    skew_cot: float
-    skew_linear: float
-    dembo_recursive: float | None
-    generalized_dembo: float | None
+    bounds: dict[str, float | None]
     conjectural: float | None = None
     conjectural_beta: float | None = None
 
     @property
     def best(self) -> float:
-        vals = [self.gershgorin, self.skew_cot, self.skew_linear]
-        if self.dembo_recursive is not None:
-            vals.append(self.dembo_recursive)
-        if self.generalized_dembo is not None:
-            vals.append(self.generalized_dembo)
-        return min(vals)
+        return min(v for v in self.bounds.values() if v is not None)
 
     def to_dict(self) -> dict:
-        doc = {
-            "p": self.p,
-            "k": self.k,
-            "bounds": {
-                "gershgorin": self.gershgorin,
-                "skew_cot": self.skew_cot,
-                "skew_linear": self.skew_linear,
-                "dembo_recursive": self.dembo_recursive,
-                "generalized_dembo": self.generalized_dembo,
-            },
-            "best": self.best,
-        }
+        doc = {"p": self.p, "k": self.k, "bounds": dict(self.bounds), "best": self.best}
         if self.conjectural is not None:
             doc["conditional"] = {
                 "conjectural": self.conjectural,
@@ -321,22 +308,5 @@ def build_report(p, k: int, beta: float | None = None) -> BoundReport:
     k = int(k)
     if k < 2:
         raise ParameterRangeError(f"bound report needs k >= 2, got {k}")
-    dembo = None
-    generalized = None
-    if k >= 3 and p >= 7:
-        dembo = bound_dembo_recursive(k, p)
-        generalized = bound_generalized_dembo(k, p)
-    conjectural = None
-    if beta is not None:
-        conjectural = bound_conjectural(k, p, beta)
-    return BoundReport(
-        p=p,
-        k=k,
-        gershgorin=bound_gershgorin(k, p),
-        skew_cot=bound_skew(k, p, exact=True),
-        skew_linear=bound_skew(k, p, exact=False),
-        dembo_recursive=dembo,
-        generalized_dembo=generalized,
-        conjectural=conjectural,
-        conjectural_beta=beta if conjectural is not None else None,
-    )
+    conjectural = None if beta is None else bound_conjectural(k, p, beta)
+    return BoundReport(p, k, family_bounds(k, p), conjectural, beta)

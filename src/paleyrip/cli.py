@@ -83,20 +83,11 @@ def _parse_support(p: int, text: str) -> tuple[tuple[int, ...], list]:
 
 
 def _ripcurve_rows(est) -> list[dict]:
-    from . import bounds
+    from .bounds import family_bounds
 
-    rows = []
-    for j in range(1, est.k + 1):
-        row = {
-            "j": j,
-            "d": float(est.d[j - 1]),
-            "gershgorin": bounds.bound_gershgorin(j, est.p),
-            "skew_linear": bounds.bound_skew(j, est.p, exact=False),
-            "dembo_recursive": bounds.bound_dembo_recursive(j, est.p) if j >= 3 else None,
-            "generalized_dembo": bounds.bound_generalized_dembo(j, est.p) if j >= 3 else None,
-        }
-        rows.append(row)
-    return rows
+    return [{"j": j, "d": float(est.d[j - 1]),
+             **{name: bounds[name] for name in RIPCURVE_COLUMNS[2:]}}
+            for j in range(1, est.k + 1) for bounds in (family_bounds(j, est.p),)]
 
 
 # --- command handlers: each returns (text, extra_meta, exit_code) -----------
@@ -133,8 +124,7 @@ def _cmd_estimate(args):
     if args.trials == 1:
         est = experiments.estimate_rip_single(args.p, args.k, args.seed)
     else:
-        est = experiments.estimate_rip_worst(args.p, args.k, args.trials, args.seed,
-                                             keep_supports=False)
+        est = experiments.estimate_rip_worst(args.p, args.k, args.trials, args.seed)
     rows = _ripcurve_rows(est)
     if args.format == "json":
         doc = {"p": est.p, "k": est.k, "seed": est.seed, "trials": est.trials, "rows": rows}
@@ -169,14 +159,11 @@ def _cmd_fit(args):
 
 
 def _cmd_demboratio(args):
+    from dataclasses import asdict
+
     from . import experiments
 
-    rows = [
-        {"j": r.j, "lambda_max": r.lambda_max, "dembo_bound": r.dembo_bound,
-         "gershgorin_bound": r.gershgorin_bound, "dembo_ratio": r.dembo_ratio,
-         "gershgorin_ratio": r.gershgorin_ratio}
-        for r in experiments.dembo_ratio_study(args.p, args.k, args.seed)
-    ]
+    rows = [asdict(r) for r in experiments.dembo_ratio_study(args.p, args.k, args.seed)]
     if args.format == "json":
         doc = {"p": args.p, "k": args.k, "seed": args.seed, "rows": rows}
         return _json_text(doc), {}, 0

@@ -132,6 +132,8 @@ class RipEstimate:
     is max(lambda_max(G_j) - 1, 1 - lambda_min(G_j)); d[0] (order 1) is 0.
     Within a trial the supports are nested prefixes of one random draw, so d
     is nondecreasing by eigenvalue interlacing of principal submatrices.
+    `supports` is the (trials, k) array of drawn column indices, row t the
+    support of trial t in draw order.
     """
 
     p: int
@@ -139,7 +141,7 @@ class RipEstimate:
     seed: int
     trials: int
     d: np.ndarray = field(repr=False)
-    supports: tuple[tuple[int, ...], ...] | None = None
+    supports: np.ndarray = field(repr=False)
 
 
 def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
@@ -152,13 +154,11 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     k = int(k)
     if not 2 <= k <= p:
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
-    support = random_subset(p, k, seed)
-    d = _worst_curve(p, np.array([support]), k)
-    return RipEstimate(p, k, int(seed), 1, d, (support,))
+    idx = random_subsets(p, k, [seed])
+    return RipEstimate(p, k, int(seed), 1, _worst_curve(p, idx, k), idx)
 
 
-def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
-                       keep_supports: bool = True) -> RipEstimate:
+def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
     Trial t uses sub_seed(seed, t); all supports come from one
@@ -176,9 +176,7 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0,
         raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
 
     idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
-    d = _worst_curve(p, idx, k)
-    return RipEstimate(p, k, int(seed), trials, d,
-                       tuple(map(tuple, idx.tolist())) if keep_supports else None)
+    return RipEstimate(p, k, int(seed), trials, _worst_curve(p, idx, k), idx)
 
 
 class _BudgetSpent(Exception):

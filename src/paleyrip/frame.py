@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import check_paley, chi_table, row_index_set
+from .numtheory import check_paley, check_prime, chi_table, row_index_set
 
 
 def check_support(p: int, values) -> tuple[int, ...]:
@@ -47,20 +47,17 @@ def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int
     """Reduce raw residue values mod p, reporting which elements changed.
 
     Accepts literal 1-based sets (an element equal to p maps to 0).  Raises
+    NotPrimeError when p is not prime and there is an element to reduce
+    (an empty support is left to check_support's size check), then
     DuplicateSupportError when two inputs collide after reduction.
     """
-    p = int(p)
-    reduced = []
-    changed = []
-    for v in values:
-        v = int(v)
-        r = v % p
-        if r != v:
-            changed.append((v, r))
-        reduced.append(r)
+    values = [int(v) for v in values]
+    if values:
+        p = check_prime(p, min_p=2)
+    reduced = tuple(v % p for v in values)
     if len(set(reduced)) != len(reduced):
-        raise DuplicateSupportError(f"support {list(values)} collides after reduction mod {p}")
-    return tuple(reduced), changed
+        raise DuplicateSupportError(f"support {values} collides after reduction mod {p}")
+    return reduced, [(v, r) for v, r in zip(values, reduced) if r != v]
 
 
 @dataclass(frozen=True)

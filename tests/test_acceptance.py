@@ -155,7 +155,7 @@ def test_criterion_06_bound_soundness():
                 ok = False
                 detail.append(f"p=7 k={k} {name}={val:.6f} < exact {exact:.6f}")
     for p in (19, 43):
-        worst = estimate_rip_worst(p, 7, trials=2000, seed=606, keep_supports=False)
+        worst = estimate_rip_worst(p, 7, trials=2000, seed=606)
         for j in range(2, 8):
             for name, val in _families(j, p).items():
                 if val < worst.d[j - 1] - 1e-9:
@@ -194,8 +194,8 @@ def test_criterion_08_power_law_band():
 
 def test_criterion_09_figure2_stability():
     seed = 0
-    single = estimate_rip_worst(103, 30, trials=1, seed=seed, keep_supports=False)
-    worst = estimate_rip_worst(103, 30, trials=1000, seed=seed, keep_supports=False)
+    single = estimate_rip_worst(103, 30, trials=1, seed=seed)
+    worst = estimate_rip_worst(103, 30, trials=1000, seed=seed)
     b1 = fit_power_law(single.d)[0]
     b1000 = fit_power_law(worst.d)[0]
     diff = abs(b1000 - b1)

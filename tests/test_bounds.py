@@ -200,9 +200,8 @@ def test_bounds_sound_against_exhaustive_oracle():
 
 def test_build_report():
     rep = build_report(103, 30, beta=0.7)
-    assert rep.best == min(rep.skew_cot, rep.skew_linear, rep.gershgorin,
-                           rep.dembo_recursive, rep.generalized_dembo)
-    assert rep.best == rep.skew_cot  # cot variant wins at k = 30
+    assert rep.best == min(rep.bounds.values())
+    assert rep.best == rep.bounds["skew_cot"]  # cot variant wins at k = 30
     doc = rep.to_dict()
     json.dumps(doc)  # serializable
     assert doc["conditional"]["beta"] == 0.7
@@ -210,7 +209,7 @@ def test_build_report():
     assert doc["max_sparsity"]["gershgorin"]["floor_threshold"] == 8
 
     rep2 = build_report(7, 2)
-    assert rep2.dembo_recursive is None and rep2.generalized_dembo is None
+    assert rep2.bounds["dembo_recursive"] is None and rep2.bounds["generalized_dembo"] is None
     assert "conditional" not in rep2.to_dict()
     with pytest.raises(ParameterRangeError):
         build_report(7, 1)
@@ -219,6 +218,5 @@ def test_build_report():
 def test_report_empirical_lower_invariant():
     rep = build_report(7, 4)
     exact = exact_rip(7, 4)
-    for val in (rep.gershgorin, rep.skew_cot, rep.skew_linear,
-                rep.dembo_recursive, rep.generalized_dembo):
+    for val in rep.bounds.values():
         assert val >= exact - 1e-9

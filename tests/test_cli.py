@@ -61,6 +61,20 @@ def test_gram_duplicate_support_exit_6(capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("argv", [
+    "gram --p 0 --support 1,2",
+    "conjecture --p 0 --support 1,2,3",
+    "conjecture --p 1 --support 1,2,3",
+    "gram --p -7 --support 1,2",
+])
+def test_support_with_bad_modulus_exit_2(argv):
+    # the modulus is checked before any support element is reduced mod p
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr and "warning:" not in res.stderr
+
+
 def test_support_reduction_warning(capsys):
     code, out, err = run_cli(capsys, "gram", "--p", "19", "--support", "1,2,19")
     assert code == 0

@@ -131,7 +131,7 @@ def test_estimate_single_deterministic_prefix_values():
         assert est.d[j - 1] <= bound_gershgorin(j, 103) + 1e-9
     again = estimate_rip_single(103, 30, seed=2024)
     assert np.array_equal(est.d, again.d)
-    assert est.supports == again.supports
+    assert np.array_equal(est.supports, again.supports)
 
 
 def test_estimate_single_matches_direct_eigensolve():
@@ -393,7 +393,7 @@ def test_exhaustive_worst_matches_exact_rip_p7():
     # once the random draws cover every support (at most 35 exist for any j
     # at p = 7), the worst-case curve equals the exhaustive oracle
     for j in (2, 3, 4, 5):
-        worst = estimate_rip_worst(7, j, trials=600, seed=0, keep_supports=True)
+        worst = estimate_rip_worst(7, j, trials=600, seed=0)
         distinct = {tuple(sorted(s)) for s in worst.supports}
         assert len(distinct) == math.comb(7, j)  # full coverage for this seed
         assert abs(worst.d[j - 1] - exact_rip(7, j)) < 1e-10

@@ -1,4 +1,4 @@
-"""Golden stdout of the README's gram and experiment commands, and the oracles behind it.
+"""Golden stdout of the README's bounds, gram and experiment commands, and the oracles behind it.
 
 The files under tests/golden/ pin the exact bytes each command prints with
 one BLAS thread (conftest.py pins it; the eigensolver's last digits depend on
@@ -46,6 +46,12 @@ COMMANDS = {
         ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
     "conjecture-p43-peel.json":
         ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
+    "bounds-p1009-k4.json":
+        ["bounds", "--p", "1009", "--k", "4"],
+    "bounds-p103-k30-beta0.7.json":
+        ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
+    "bounds-p7-k2.json":  # pins the null recursive families below k = 3
+        ["bounds", "--p", "7", "--k", "2"],
 }
 
 
