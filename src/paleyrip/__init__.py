@@ -47,10 +47,10 @@ _EXPORTS = {
         "estimate_rip_single",
         "estimate_rip_worst",
         "exact_rip",
-        "fit_power_law",
         "greedy_peel",
         "one_sided_ratio",
     ),
+    "fit": ("fit_power_law",),
     "frame": (
         "PaleyFrame",
         "build_frame",

@@ -36,10 +36,6 @@ GENERALIZED_OFFSET = (2.0 / 3.0) * (2.0 - math.sqrt(3.0))
 
 RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
 
-# First order j of the log-log fit d(j) ~ j^beta that estimates the
-# conditional family's beta (experiments.fit_power_law and the `fit` command).
-DEFAULT_FIT_JMIN = 3
-
 
 def bound_gershgorin(k: int, p) -> float:
     """(k - 1)/sqrt(p): the disk-theorem bound, uniform over all eigenvalues."""
@@ -87,7 +83,10 @@ def bound_generalized_dembo(k: int, p) -> float:
 
 
 def bound_conjectural(k: int, p, beta: float) -> float:
-    """k^beta/sqrt(p); conditional on the quadratic-residue conjecture."""
+    """k^beta/sqrt(p); conditional on the quadratic-residue conjecture.
+
+    fit.fit_power_law (the `fit` command) estimates beta from an RIP curve.
+    """
     p = check_prime(p)
     if not 0.0 < beta <= 1.0:
         raise ParameterRangeError(f"beta must be in (0, 1], got {beta}")

@@ -8,8 +8,9 @@ the wall time, so published figures are reproducible from metadata alone.
 
 Each command imports the layers it runs inside its handler, so start-up
 loads only those.  numpy is loaded by the layers behind every command
-except `bounds` (the bound families are pure arithmetic in (k, p)), and not
-at all for --help and --version.
+except `bounds` (the bound families are pure arithmetic in (k, p)) and
+`fit` (a least-squares line over plain floats), and not at all for --help
+and --version.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.
@@ -24,7 +25,6 @@ import sys
 import time
 
 from . import __version__
-from .bounds import DEFAULT_FIT_JMIN
 from .errors import (
     EXIT_PARAMETER_RANGE,
     EXIT_VERIFY_FAILED,
@@ -33,6 +33,7 @@ from .errors import (
     ParameterRangeError,
     exit_code_for,
 )
+from .fit import DEFAULT_FIT_JMIN, fit_power_law
 
 RIPCURVE_COLUMNS = ("j", "d", "gershgorin", "skew_linear", "dembo_recursive", "generalized_dembo")
 DEMBORATIO_COLUMNS = ("j", "lambda_max", "dembo_bound", "gershgorin_bound",
@@ -68,18 +69,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAMETER_RANGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_support(p: int, text: str) -> tuple[tuple[int, ...], list]:
+def _parse_support(p: int, text: str, check) -> tuple[int, ...]:
+    """The support residues in text reduced mod p, once check(p) has accepted p.
+
+    The modulus is checked before any element is reduced or warned about.
+    An empty list skips the check and is left to the command's size check.
+    """
     from .frame import reduce_support
 
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise MalformedInputError(f"cannot parse support list {text!r}") from exc
+    if values:
+        p = check(p)
     reduced, changed = reduce_support(p, values)
     for before, after in changed:
         print(f"warning: support element {before} reduced to {after} mod {p}",
               file=sys.stderr)
-    return reduced, changed
+    return reduced
 
 
 def _ripcurve_rows(est) -> list[dict]:
@@ -102,8 +110,9 @@ def _cmd_frame(args):
 
 def _cmd_gram(args):
     from . import frame
+    from .numtheory import check_paley
 
-    support, _ = _parse_support(args.p, args.support)
+    support = _parse_support(args.p, args.support, check_paley)
     if args.method == "direct":
         g = frame.gram_direct(frame.build_frame(args.p), support)
     else:
@@ -133,8 +142,6 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
-    from . import experiments
-
     try:
         with open(args.input, newline="") as fh:
             reader = _csv.DictReader(fh)
@@ -152,7 +159,7 @@ def _cmd_fit(args):
         raise MalformedInputError(f"{args.input}: malformed ripcurve CSV: {exc}") from exc
     if not js or js != list(range(1, len(js) + 1)):
         raise MalformedInputError(f"{args.input}: 'j' column must run 1..k")
-    beta, intercept, r2 = experiments.fit_power_law(ds, j_min=args.jmin)
+    beta, intercept, r2 = fit_power_law(ds, j_min=args.jmin)
     doc = {"beta": beta, "intercept": intercept, "r2": r2,
            "window": {"j_min": args.jmin, "k": len(js)}}
     return _json_text(doc), {}, 0
@@ -187,9 +194,10 @@ def _record_doc(rec) -> dict:
 def _cmd_conjecture(args):
     from . import experiments
     from .frame import check_support
+    from .numtheory import check_prime
 
     if args.support is not None:
-        support, _ = _parse_support(args.p, args.support)
+        support = _parse_support(args.p, args.support, check_prime)
         support = check_support(args.p, support)
         if args.peel:
             trace = experiments.greedy_peel(args.p, support, args.alpha, args.m_alpha)

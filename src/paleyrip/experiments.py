@@ -3,9 +3,9 @@
 Covers the empirical RIP lower-bound curves d(j) and their worst-case
 variant over many random supports, exact RIP (certified by a support that
 attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
-exhaustive at tiny scale), the log-log power-law fit, the bordered-bound
-sharpness study, and the quadratic-residue pair searches behind the
-square-root-barrier conjecture.
+exhaustive at tiny scale), the bordered-bound sharpness study, and the
+quadratic-residue pair searches behind the square-root-barrier conjecture.
+The log-log power-law fit of d(j) lives in `fit`, which needs no numpy.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -40,8 +40,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import spectra
-from .bounds import DEFAULT_FIT_JMIN
-from .errors import MalformedInputError, ParameterRangeError
+from .errors import ParameterRangeError
 from .frame import check_support, sign_matrix
 from .numtheory import check_paley, check_prime
 from .rng import random_subset, random_subsets, sub_seed
@@ -124,7 +123,7 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     return rho / math.sqrt(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RipEstimate:
     """Empirical RIP lower-bound curve d(1..k) with full provenance.
 
@@ -133,7 +132,8 @@ class RipEstimate:
     Within a trial the supports are nested prefixes of one random draw, so d
     is nondecreasing by eigenvalue interlacing of principal submatrices.
     `supports` is the (trials, k) array of drawn column indices, row t the
-    support of trial t in draw order.
+    support of trial t in draw order.  Two estimates are equal when their
+    fields are, the arrays compared whole; like the arrays, they are unhashable.
     """
 
     p: int
@@ -142,6 +142,16 @@ class RipEstimate:
     trials: int
     d: np.ndarray = field(repr=False)
     supports: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, RipEstimate):
+            return NotImplemented
+        return ((self.p, self.k, self.seed, self.trials)
+                == (other.p, other.k, other.seed, other.trials)
+                and np.array_equal(self.d, other.d)
+                and np.array_equal(self.supports, other.supports))
+
+    __hash__ = None
 
 
 def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
@@ -270,36 +280,6 @@ def exact_rip(p, k: int) -> float:
         c = sign_matrix(p, chunk)
         rho = max(rho, _radii(c, np.arange(len(c)), k).max())
     return float(rho) / math.sqrt(p)
-
-
-def fit_power_law(d, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
-    """Least-squares slope of log d(j) on log j over j in [j_min, k].
-
-    `d` is the curve d(1..k), as in RipEstimate.d.  Nonpositive d(j) are
-    skipped.  Returns (beta, intercept, r2).  The default window starts at 3
-    because d(2) and d(3) are deterministic for this construction and would
-    bias the slope of the stochastic regime.
-    """
-    if j_min < 2:
-        raise ParameterRangeError(f"j_min must be >= 2, got {j_min}")
-    d = np.asarray(d, dtype=float)
-    j = np.arange(1, len(d) + 1)
-    mask = (j >= j_min) & (d > 0.0) & np.isfinite(d)
-    if mask.sum() < 3:
-        raise MalformedInputError(
-            f"power-law fit needs >= 3 positive points in the window, got {int(mask.sum())}"
-        )
-    x = np.log(j[mask].astype(float))
-    y = np.log(d[mask])
-    xm, ym = float(x.mean()), float(y.mean())
-    sxx = float(np.sum((x - xm) ** 2))
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    beta = sxy / sxx
-    intercept = ym - beta * xm
-    resid = y - (beta * x + intercept)
-    sst = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / sst if sst > 0 else 1.0
-    return beta, intercept, r2
 
 
 @dataclass(frozen=True)

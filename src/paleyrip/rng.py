@@ -12,11 +12,12 @@ Per-trial sub-seeds reuse the same stream: sub_seed(master, t) is simply the
 t-th output of SplitMix64(master), which makes trial results independent of
 evaluation order and safe to compute in parallel.
 
-random_subsets draws the k-subsets of many seeds at once: it runs the
-partial Fisher-Yates shuffle of every seed's stream side by side in uint64
-numpy arithmetic, and redraws a rejected lane on its own, so each row is
-bit-exact with the scalar shuffle of that seed alone.  random_subset is its
-one-row case.
+SplitMix64.next_u64s(n) mixes the next n states at once in uint64 numpy
+arithmetic, bit-exact with n calls to next_u64().  random_subsets draws
+the k-subsets of many seeds at once: it runs the partial Fisher-Yates
+shuffle of every seed's stream side by side in uint64 numpy arithmetic,
+and redraws a rejected lane on its own, so each row is bit-exact with the
+scalar shuffle of that seed alone.  random_subset is its one-row case.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
+
+    def next_u64s(self, n: int):
+        """The next n outputs as a uint64 numpy array, bit-exact with n next_u64() calls."""
+        import numpy as np
+
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        out = _mix(np.uint64(self._state) + steps)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        return out
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection (no modulo bias)."""

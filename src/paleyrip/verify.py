@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds, spectra
 from .frame import gram_analytic
 from .numtheory import check_paley
-from .rng import SplitMix64, random_subset, sub_seed
+from .rng import SplitMix64, random_subsets, sub_seed
 
 REPORTED_C_ALPHA = 899_998
 
@@ -38,8 +38,7 @@ def _random_sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
 def _check_delta3_spectrum(p, rng) -> CheckResult:
     target = math.sqrt(3.0 / p)
     worst = 0.0
-    for _ in range(50):
-        support = random_subset(p, 3, rng.next_u64())
+    for support in random_subsets(p, 3, rng.next_u64s(50)):
         w = spectra.hermitian_spectrum(gram_analytic(p, support))
         worst = max(
             worst,
@@ -55,8 +54,7 @@ def _check_delta3_spectrum(p, rng) -> CheckResult:
 
 def _check_charpoly(p, rng) -> CheckResult:
     worst = 0.0
-    for _ in range(50):
-        support = random_subset(p, 3, rng.next_u64())
+    for support in random_subsets(p, 3, rng.next_u64s(50)):
         worst = max(worst, spectra.gram3_charpoly_check(gram_analytic(p, support), p))
     return CheckResult(
         "charpoly_identity", worst < 1e-12,
@@ -125,8 +123,10 @@ def _check_cot_radius(p, rng) -> CheckResult:
         worst_eq = max(worst_eq, abs(rho - target))
         # 50 random orientations in one stack; signs drawn row by row over
         # each upper triangle, which is the order triu_indices lists it in.
+        # below(2) never rejects (2 divides 2^64), so each sign is the low
+        # bit of one output.
         upper = np.triu_indices(n, 1)
-        signs = [1.0 if rng.below(2) else -1.0 for _ in range(50 * len(upper[0]))]
+        signs = np.where(rng.next_u64s(50 * len(upper[0])) & 1, 1.0, -1.0)
         c = np.zeros((50, n, n))
         c[:, upper[0], upper[1]] = np.reshape(signs, (50, -1))
         c = c - np.swapaxes(c, -1, -2)

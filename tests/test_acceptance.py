@@ -29,9 +29,9 @@ from paleyrip.experiments import (
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
-    fit_power_law,
     one_sided_ratio,
 )
+from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (

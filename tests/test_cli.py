@@ -75,6 +75,18 @@ def test_support_with_bad_modulus_exit_2(argv):
     assert "Traceback" not in res.stderr and "warning:" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("gram --p 2 --support 1,2", 3),
+    ("conjecture --p 2 --support 1,2,3", 4),
+])
+def test_support_with_small_prime_modulus(argv, code):
+    # a prime outside the command's domain is rejected before any reduction
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
+                         capture_output=True, text=True)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr and "warning:" not in res.stderr
+
+
 def test_support_reduction_warning(capsys):
     code, out, err = run_cli(capsys, "gram", "--p", "19", "--support", "1,2,19")
     assert code == 0

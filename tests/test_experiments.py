@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paleyrip import experiments, rng, spectra
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
@@ -18,10 +20,10 @@ from paleyrip.experiments import (
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
-    fit_power_law,
     greedy_peel,
     one_sided_ratio,
 )
+from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
@@ -41,6 +43,19 @@ def test_splitmix64_reference_outputs():
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     assert rng.next_u64() == 0x06C45D188009454F
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       st.sampled_from([0, 1, 2, 5000]))
+@example(0, 5000)
+@example(2**64 - 1, 5000)
+def test_next_u64s_matches_scalar_stream(seed, n):
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    out = bulk.next_u64s(n)
+    assert out.dtype == np.uint64 and out.shape == (n,)
+    assert out.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk.next_u64() == scalar.next_u64()  # same state after the draw
 
 
 def test_sub_seed_matches_stream():
@@ -132,6 +147,18 @@ def test_estimate_single_deterministic_prefix_values():
     again = estimate_rip_single(103, 30, seed=2024)
     assert np.array_equal(est.d, again.d)
     assert np.array_equal(est.supports, again.supports)
+
+
+def test_rip_estimate_equality():
+    est = estimate_rip_single(103, 5, 1)
+    assert est == estimate_rip_single(103, 5, 1)
+    assert not est != estimate_rip_single(103, 5, 1)
+    assert est != estimate_rip_single(103, 5, 2)  # other seed, other arrays
+    # same provenance fields, other curve: the arrays decide
+    assert est != experiments.RipEstimate(103, 5, 1, 1, est.d + 1.0, est.supports)
+    assert est != (103, 5, 1, 1)
+    with pytest.raises(TypeError):
+        hash(est)
 
 
 def test_estimate_single_matches_direct_eigensolve():
@@ -431,6 +458,16 @@ def test_fit_matches_polyfit():
     slope_ref, int_ref = np.polyfit(np.log(j[mask]), np.log(est.d[mask]), 1)
     assert abs(b - slope_ref) < 1e-12
     assert abs(intercept - int_ref) < 1e-12
+
+
+def test_fit_skips_nonpositive_and_nonfinite_points():
+    k, p, beta = 30, 103, 0.7
+    d = list(np.arange(1, k + 1) ** beta / math.sqrt(p))
+    d[5], d[8], d[12], d[20] = math.nan, math.inf, -1.0, 0.0
+    b, intercept, r2 = fit_power_law(d)
+    assert abs(b - beta) < 1e-10
+    assert abs(intercept - math.log(1 / math.sqrt(p))) < 1e-10
+    assert abs(r2 - 1.0) < 1e-12
 
 
 def test_fit_insufficient_points():

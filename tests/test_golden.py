@@ -1,4 +1,4 @@
-"""Golden stdout of the README's bounds, gram and experiment commands, and the oracles behind it.
+"""Golden stdout of the README's bounds, gram, experiment, fit and verify commands, and the oracles behind them.
 
 The files under tests/golden/ pin the exact bytes each command prints with
 one BLAS thread (conftest.py pins it; the eigensolver's last digits depend on
@@ -9,9 +9,11 @@ them on purpose, with one thread:
         python -m paleyrip estimate --p 103 --k 30 --seed 1 \\
         > tests/golden/estimate-p103-k30-seed1.csv
 
-and so on for every entry of COMMANDS.  Independently of the bytes, every
-ripcurve and demboratio value is checked against dense eigvalsh of
-gram_direct prefixes of the same seeded supports, to 1e-12.
+and so on for every entry of COMMANDS (the fit entries read their input
+from tests/golden/).  Independently of the bytes, every ripcurve and
+demboratio value is checked against dense eigvalsh of gram_direct prefixes
+of the same seeded supports, to 1e-12, and the fit of every ripcurve golden
+against numpy's least squares, to 1e-12.
 """
 
 import csv
@@ -23,6 +25,7 @@ import pytest
 
 from paleyrip.bounds import bound_gershgorin
 from paleyrip.cli import main
+from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_direct
 from paleyrip.rng import random_subset, sub_seed
 from paleyrip.spectra import dembo_upper
@@ -52,7 +55,16 @@ COMMANDS = {
         ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
     "bounds-p7-k2.json":  # pins the null recursive families below k = 3
         ["bounds", "--p", "7", "--k", "2"],
+    "fit-estimate-p103-k30-seed1.json":
+        ["fit", "--input", str(GOLDEN / "estimate-p103-k30-seed1.csv")],
+    "fit-estimate-p103-k30-trials1000-seed1.json":
+        ["fit", "--input", str(GOLDEN / "estimate-p103-k30-trials1000-seed1.csv")],
+    "verify-p103.json":
+        ["verify", "--p", "103"],
+    "verify-p7.json":
+        ["verify", "--p", "7"],
 }
+ESTIMATES = [name for name in sorted(COMMANDS) if name.startswith("estimate-")]
 
 
 def _rows(name: str) -> list[dict]:
@@ -94,6 +106,28 @@ def test_golden_ripcurve_matches_dense_oracle(name, trials):
     for r, (lo, hi) in zip(rows, _dense_extremes(p, supports, k)):
         assert abs(float(r["d"]) - max(hi - 1.0, 1.0 - lo)) < 1e-12
         assert float(r["gershgorin"]) == bound_gershgorin(int(r["j"]), p)
+
+
+def _numpy_fit(d, j_min: int = 3) -> tuple[float, float, float]:
+    """The oracle: the least-squares fit in numpy arrays and numpy's pairwise sums."""
+    d = np.asarray(d, dtype=float)
+    j = np.arange(1, len(d) + 1)
+    mask = (j >= j_min) & (d > 0.0) & np.isfinite(d)
+    x = np.log(j[mask].astype(float))
+    y = np.log(d[mask])
+    xm, ym = float(x.mean()), float(y.mean())
+    beta = float(np.sum((x - xm) * (y - ym))) / float(np.sum((x - xm) ** 2))
+    intercept = ym - beta * xm
+    resid = y - (beta * x + intercept)
+    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - ym) ** 2))
+    return beta, intercept, r2
+
+
+@pytest.mark.parametrize("name", ESTIMATES)
+def test_golden_fit_matches_numpy_formula(name):
+    d = [float(r["d"]) for r in _rows(name)]
+    for got, want in zip(fit_power_law(d), _numpy_fit(d)):
+        assert abs(got - want) < 1e-12
 
 
 def test_golden_demboratio_matches_dense_oracle():

@@ -1,12 +1,14 @@
 """Start-up loads only what a command runs.
 
-`import paleyrip`, `--help`, `--version` and `bounds` must work with numpy
-unimportable (`sys.modules["numpy"] = None` makes any import of it raise),
-and print the same bytes as an ordinary run.
+`import paleyrip`, `--help`, `--version`, `bounds` and `fit` must work with
+numpy unimportable (`sys.modules["numpy"] = None` makes any import of it
+raise), and print the same bytes as an ordinary run.  `bounds` itself is
+loaded only by the commands that evaluate bounds.
 """
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,7 @@ EAGER_NAMES = [
     "check_support", "chi_table", "coherence",
     "conjecture_scan", "conjecture_search", "dembo_lower", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
-    "find_c_alpha", "fit_power_law", "frame", "frame_to_json", "gamma_term",
+    "find_c_alpha", "fit", "fit_power_law", "frame", "frame_to_json", "gamma_term",
     "generalized_dembo_extremes", "gram3_charpoly_check", "gram_analytic", "gram_direct",
     "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime", "l1_coherence", "legendre",
     "lemma_k_inequality", "max_sparsity", "numtheory", "one_sided_ratio", "random_subset",
@@ -38,13 +40,18 @@ NUMPY_FREE_COMMANDS = [
     ["--help"],
     ["bounds", "--p", "1009", "--k", "4"],
     ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
+    ["fit", "--input", "tests/golden/estimate-p103-k30-seed1.csv"],
 ]
 
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 
 
+# Subprocesses run from the repository root, where the fit command's input path starts.
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
 
 
 def _cli(argv, block_numpy: bool) -> subprocess.CompletedProcess:
@@ -61,7 +68,7 @@ def test_command_runs_without_numpy(argv):
     blocked = _cli(argv, block_numpy=True)
     assert blocked.returncode == 0, blocked.stderr
     plain = subprocess.run([sys.executable, "-m", "paleyrip", *argv],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, cwd=ROOT)
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
     assert blocked.stdout
@@ -84,6 +91,23 @@ def test_exact_arithmetic_loaded_on_demand(code):
                   "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n")
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("main(['frame', '--p', '7'])", False),
+    ("main(['gram', '--p', '7', '--support', '0,1,3'])", False),
+    ("main(['conjecture', '--p', '5', '--support', '0,1,2,3,4'])", False),
+    ("main(['demboratio', '--p', '19', '--k', '5'])", False),
+    ("import paleyrip.experiments", False),
+    ("main(['bounds', '--p', '7', '--k', '2'])", True),
+    ("main(['estimate', '--p', '7', '--k', '3'])", True),
+    ("main(['verify', '--p', '7'])", True),
+])
+def test_bounds_loaded_only_where_evaluated(code, loaded):
+    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
+                  "print('paleyrip.bounds' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_import_without_numpy():
@@ -115,7 +139,8 @@ def test_star_import():
     exec("from paleyrip import *", namespace)
     assert set(paleyrip.__all__) <= set(namespace)
     assert set(paleyrip.__all__) == set(EAGER_NAMES) - {
-        "bounds", "errors", "experiments", "frame", "numtheory", "rng", "spectra", "verify"}
+        "bounds", "errors", "experiments", "fit", "frame", "numtheory", "rng", "spectra",
+        "verify"}
 
 
 def test_unknown_attribute():
