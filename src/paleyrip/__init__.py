@@ -37,18 +37,14 @@ _EXPORTS = {
         "WrongResidueError",
     ),
     "experiments": (
-        "ConjectureRecord",
         "ConjectureScanSummary",
         "DemboRatioRow",
         "RipEstimate",
         "conjecture_scan",
-        "conjecture_search",
         "dembo_ratio_study",
         "estimate_rip_single",
         "estimate_rip_worst",
         "exact_rip",
-        "greedy_peel",
-        "one_sided_ratio",
     ),
     "fit": ("fit_power_law",),
     "frame": (
@@ -59,12 +55,21 @@ _EXPORTS = {
         "frame_to_json",
         "gram_analytic",
         "gram_direct",
+        "gram_rows",
         "gram_to_json",
         "l1_coherence",
         "reduce_support",
         "sign_matrix",
     ),
-    "numtheory": ("check_paley", "chi_table", "is_prime", "legendre", "row_index_set"),
+    "numtheory": (
+        "check_paley",
+        "chi_signs",
+        "chi_table",
+        "is_prime",
+        "legendre",
+        "row_index_set",
+    ),
+    "pairs": ("ConjectureRecord", "conjecture_search", "greedy_peel", "one_sided_ratio"),
     "rng": ("SplitMix64", "random_subset", "sub_seed"),
     "spectra": (
         "BorderedBlock",

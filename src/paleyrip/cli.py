@@ -7,10 +7,14 @@ floats, LF line endings and '.' decimals.  When --out is given, a sidecar
 the wall time, so published figures are reproducible from metadata alone.
 
 Each command imports the layers it runs inside its handler, so start-up
-loads only those.  numpy is loaded by the layers behind every command
-except `bounds` (the bound families are pure arithmetic in (k, p)) and
-`fit` (a least-squares line over plain floats), and not at all for --help
-and --version.
+loads only those.  These commands run without numpy: `bounds` (the bound
+families are pure arithmetic in (k, p)), `fit` (a least-squares line over
+plain floats), `gram` with the analytic method (the Gramian written from
+the integer Legendre table), `conjecture --support` with or without
+`--peel` (a popcount pair search over the same table), and --help and
+--version.  Every other command (`frame`, `gram --method direct`,
+`estimate`, `demboratio`, the `conjecture --k` scan, `verify`) loads numpy
+through the layers it runs.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.
@@ -116,7 +120,7 @@ def _cmd_gram(args):
     if args.method == "direct":
         g = frame.gram_direct(frame.build_frame(args.p), support)
     else:
-        g = frame.gram_analytic(args.p, support)
+        g = frame.gram_rows(args.p, support)
     return _json_text(frame.gram_to_json(args.p, support, g)), {}, 0
 
 
@@ -192,23 +196,30 @@ def _record_doc(rec) -> dict:
 
 
 def _cmd_conjecture(args):
-    from . import experiments
-    from .frame import check_support
-    from .numtheory import check_prime
-
     if args.support is not None:
+        if args.k is not None:
+            raise ParameterRangeError(
+                "--k sets the scan's support size and cannot be given with --support")
+        from . import pairs
+        from .frame import check_support
+        from .numtheory import check_prime
+
         support = _parse_support(args.p, args.support, check_prime)
         support = check_support(args.p, support)
         if args.peel:
-            trace = experiments.greedy_peel(args.p, support, args.alpha, args.m_alpha)
+            trace = pairs.greedy_peel(args.p, support, args.alpha, args.m_alpha)
             doc = {"p": args.p, "alpha": args.alpha, "m_alpha": args.m_alpha,
                    "steps": [_record_doc(rec) for rec in trace],
                    "all_satisfied": all(rec.satisfied for rec in trace)}
             return _json_text(doc), {}, 0
-        rec = experiments.conjecture_search(args.p, support, args.alpha)
+        rec = pairs.conjecture_search(args.p, support, args.alpha)
         return _json_text(_record_doc(rec)), {}, 0
+    if args.peel:
+        raise ParameterRangeError("--peel needs --support")
     if args.k is None:
         raise ParameterRangeError("conjecture scan mode needs --k (or pass --support)")
+    from . import experiments
+
     summary = experiments.conjecture_scan(args.p, args.k, args.trials, args.alpha, args.seed)
     rows = [
         {"trial": t, "k": summary.k, "best_i": r.pair[0], "best_j": r.pair[1],

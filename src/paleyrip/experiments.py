@@ -4,8 +4,9 @@ Covers the empirical RIP lower-bound curves d(j) and their worst-case
 variant over many random supports, exact RIP (certified by a support that
 attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
 exhaustive at tiny scale), the bordered-bound sharpness study, and the
-quadratic-residue pair searches behind the square-root-barrier conjecture.
-The log-log power-law fit of d(j) lives in `fit`, which needs no numpy.
+Monte Carlo scan of the quadratic-residue pair conjecture.  The pair search
+in one support and the greedy peel live in `pairs`, and the log-log
+power-law fit of d(j) in `fit`; neither needs numpy.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -13,7 +14,7 @@ is exactly rho(C)/sqrt p.  The experiments build sign matrices with
 frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, solved
 by _radii through spectra.skew_spectral_radius (rho(C)^2 is the top
 eigenvalue of the exact integer product C^T C, one real symmetric solve per
-matrix), and for the pair searches' |C C^T|.  The worst-case curve builds each trial's C once, at
+matrix), and for the pair scan's |C C^T|.  The worst-case curve builds each trial's C once, at
 order k, into an int8 stack of at most 1 MiB whatever the trial count, then
 walks the prefix order down and, by Cauchy interlacing, solves at each order
 only the leading blocks of the trials that can still set the max.
@@ -41,8 +42,9 @@ import numpy as np
 
 from . import spectra
 from .errors import ParameterRangeError
-from .frame import check_support, sign_matrix
+from .frame import sign_matrix
 from .numtheory import check_paley, check_prime
+from .pairs import ConjectureRecord
 from .rng import random_subset, random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
@@ -317,46 +319,7 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     return rows
 
 
-# --- quadratic-residue pair experiments -------------------------------------
-
-
-@dataclass(frozen=True)
-class ConjectureRecord:
-    """Best balanced pair found in one support.
-
-    `numerator` is the exact integer |sum over the one-sided difference set
-    of chi(r_i - r_l) chi(r_j - r_l)|; ratio = numerator / (k - 2).
-    `zero_terms` counts off-diagonal chi-arguments that vanish mod p; a
-    validated support of distinct residues has none, so it is always 0.
-    """
-
-    p: int
-    support: tuple[int, ...]
-    pair: tuple[int, int]
-    ratio: float
-    alpha: float
-    satisfied: bool
-    numerator: int = 0
-    zero_terms: int = 0
-
-
-def one_sided_ratio(p, support, i: int, j: int) -> float:
-    """Normalized character sum over the one-sided difference set of (i, j).
-
-    With a = r_j - r_i the summand chi(r_i - r_l) chi(r_i - r_l + a) equals
-    chi(r_i - r_l) chi(r_j - r_l); the numerator is accumulated as an exact
-    integer and divided by |support| - 2.
-    """
-    p = check_prime(p)
-    support = check_support(p, support)
-    k = len(support)
-    if k < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {k}")
-    if i == j or not (0 <= i < k and 0 <= j < k):
-        raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
-    cm = sign_matrix(p, support)
-    num = int(np.dot(cm[i], cm[j]))  # diagonal chi(0) = 0 drops l in {i, j}
-    return abs(num) / (k - 2)
+# --- Monte Carlo scan of the pair conjecture ---------------------------------
 
 
 def _pair_records(p: int, supports, c: np.ndarray, alpha: float) -> list[ConjectureRecord]:
@@ -380,43 +343,6 @@ def _pair_records(p: int, supports, c: np.ndarray, alpha: float) -> list[Conject
             alpha=float(alpha), satisfied=n / (k - 2) < alpha, numerator=n,
         ))
     return records
-
-
-def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
-    """Exhaustive pair scan for the smallest one-sided ratio.
-
-    All ordered pairs are admissible (the summand is symmetric in i and j,
-    so the minimum lands on the lexicographically smallest position pair).
-    """
-    p = check_prime(p)
-    support = check_support(p, support)
-    if len(support) < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {len(support)}")
-    return _pair_records(p, [support], sign_matrix(p, [support]), alpha)[0]
-
-
-def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[ConjectureRecord]:
-    """Repeatedly remove the best balanced pair until < m_alpha elements remain.
-
-    Mirrors the inductive peeling argument: each step must find a pair with
-    ratio below alpha among the surviving elements.  Returns the full trace;
-    the final residual has m_alpha - 1 or m_alpha - 2 elements, matching the
-    parity of the starting size.
-    """
-    p = check_prime(p)
-    remaining = check_support(p, support)
-    if m_alpha < 3:
-        raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
-    if len(remaining) < m_alpha:
-        raise ParameterRangeError(f"need |support| >= m_alpha, got {len(remaining)} < {m_alpha}")
-    c = sign_matrix(p, remaining)
-    trace = []
-    while len(remaining) >= m_alpha:
-        trace += _pair_records(p, [remaining], c[None], alpha)
-        keep = [x for x in range(len(remaining)) if x not in trace[-1].pair]
-        remaining = tuple(remaining[x] for x in keep)
-        c = c[np.ix_(keep, keep)]
-    return trace
 
 
 @dataclass(frozen=True)

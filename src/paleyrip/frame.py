@@ -4,21 +4,28 @@ The frame is the (p+1)/2 x p slice of the p x p DFT matrix restricted to
 rows indexed by 0 and the quadratic residues mod p, rescaled to unit-norm
 columns.  Inner products of distinct columns then reduce to Legendre
 symbols: <phi_n, phi_n'> = chi(n - n') * i / sqrt(p), so the Gramian of a
-support T is I + (i/sqrt p) C_T.  `sign_matrix` is the one builder of C_T,
-which `gram_analytic` and every experiment use.  `gram_direct` recomputes
-the Gramian from explicit column dot products and exists as the validation
-oracle for the analytic path.
+support T is I + (i/sqrt p) C_T.  `sign_matrix` is the one array builder
+of C_T, which `gram_analytic` and the stacked experiments use; `gram_rows`
+writes the same Gramian as nested lists straight from the Legendre table.
+`gram_direct` recomputes the Gramian from explicit column dot products and
+exists as the validation oracle for the analytic path.
+
+numpy is imported only inside the array builders (`build_frame`,
+`gram_direct`, `sign_matrix`, `gram_analytic`, `coherence`), so the
+validators, `gram_rows` and the JSON writers run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import check_paley, check_prime, chi_table, row_index_set
+from .numtheory import check_paley, check_prime, chi_signs, chi_table, row_index_set
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_support(p: int, values) -> tuple[int, ...]:
@@ -80,6 +87,8 @@ def build_frame(p) -> PaleyFrame:
     scale sqrt(1/p) on the constant row and sqrt(2/p) elsewhere; every
     column has Euclidean norm 1.
     """
+    import numpy as np
+
     p = check_paley(p)
     rows = row_index_set(p)
     n = np.arange(p)
@@ -97,6 +106,8 @@ def gram_direct(frame: PaleyFrame, support) -> np.ndarray:
     which off-diagonals equal chi(T_i - T_j) * i / sqrt(p).  Hermitian
     symmetry is enforced by mirroring the strict upper triangle.
     """
+    import numpy as np
+
     cols = frame.entries[:, list(check_support(frame.p, support))]
     g = cols.T @ cols.conj()
     upper = np.triu(g, 1)
@@ -110,6 +121,8 @@ def sign_matrix(p: int, idx) -> np.ndarray:
     p is any odd prime; the supports are taken as given, not validated.  The
     differences are reduced mod p by take's wrap mode, not by a separate %.
     """
+    import numpy as np
+
     idx = np.asarray(idx)
     return chi_table(p).take(idx[..., :, None] - idx[..., None, :], mode="wrap")
 
@@ -120,6 +133,8 @@ def gram_analytic(p, support) -> np.ndarray:
     Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1.
     Hermitian by construction since chi(-x) = -chi(x) for p = 3 (mod 4).
     """
+    import numpy as np
+
     p = check_paley(p)
     g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
     np.fill_diagonal(g, 1.0)
@@ -132,6 +147,8 @@ def coherence(frame) -> float:
     Accepts a PaleyFrame or any matrix whose columns are the vectors.
     For Paley frames the value is 1/sqrt(p).
     """
+    import numpy as np
+
     cols = frame.entries if isinstance(frame, PaleyFrame) else np.asarray(frame)
     g = cols.conj().T @ cols
     np.fill_diagonal(g, 0.0)
@@ -152,7 +169,20 @@ def l1_coherence(p, s: int) -> float:
     return s / math.sqrt(p)
 
 
-def _entries_to_json(entries: np.ndarray) -> list:
+def gram_rows(p, support) -> list[list[complex]]:
+    """gram_analytic(p, support) as nested lists of Python complex, without numpy.
+
+    Each off-diagonal entry is the integer sign times the same scalar,
+    chi(T_i - T_j) * (1j / sqrt p), so every entry, signed zeros of the real
+    parts included, is bit-identical to gram_analytic's; the diagonal is 1+0j.
+    """
+    p = check_paley(p)
+    support = check_support(p, support)
+    chi, scale = chi_signs(p), 1j / math.sqrt(p)
+    return [[1 + 0j if a == b else chi[a - b] * scale for b in support] for a in support]
+
+
+def _entries_to_json(entries) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in entries]
 
 
@@ -165,8 +195,11 @@ def frame_to_json(frame: PaleyFrame) -> dict:
     }
 
 
-def gram_to_json(p: int, support, entries: np.ndarray) -> dict:
-    """Same schema as frame_to_json; "rows" holds the support indices."""
+def gram_to_json(p: int, support, entries) -> dict:
+    """Same schema as frame_to_json; "rows" holds the support indices.
+
+    entries is a complex array or nested lists of complex (gram_rows).
+    """
     return {
         "p": int(p),
         "rows": list(check_support(p, support)),

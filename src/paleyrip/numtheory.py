@@ -1,14 +1,16 @@
 """Exact integer arithmetic: primality, Legendre symbols, quadratic residues.
 
-Everything here is deterministic and exact.  `chi_table` is the Legendre
-symbol every computation of the package reads: the sign matrices, the
-quadratic-residue row set and the Gramians all come from it.  `legendre`
-evaluates Euler's criterion for one argument and is the independent oracle
-the table is checked against.
+Everything here is deterministic and exact.  `chi_signs` is the Legendre
+symbol every computation of the package reads, a cached tuple of Python
+ints built once per prime from the squares mod p: the sign matrices, the
+pair searches, the quadratic-residue row set and the Gramians all come
+from it.  `chi_table` is the same table as a read-only numpy array, for the
+array builders.  `legendre` evaluates Euler's criterion for one argument
+and is the independent oracle the table is checked against.
 
-Only `chi_table` and `row_index_set` need numpy, and they import it on
-first call, so the validators (and through them the `bounds` families and
-the `bounds` command) run without numpy.
+Only `chi_table` needs numpy, and it imports it on first call, so the
+validators, the table itself and everything built on them (the `bounds`
+families, the pair searches, the analytic Gramian) run without numpy.
 """
 
 from __future__ import annotations
@@ -95,20 +97,30 @@ def check_paley(p) -> int:
 
 
 @lru_cache(maxsize=128)
-def chi_table(p: int):
-    """Legendre symbol lookup table chi[a] for a in [0, p).
+def chi_signs(p) -> tuple[int, ...]:
+    """Legendre symbol chi[a] for a in [0, p), as a tuple of Python ints.
 
     Built from the squares mod p rather than p Euler evaluations and cached
-    per prime.  The returned array is read-only, so no caller can corrupt
-    the cached copy.
+    per prime.  Indexing with a difference x - y of residues in [0, p)
+    needs no reduction: a negative index wraps to x - y + p.
     """
-    import numpy as np
-
     p = check_prime(p)
-    table = np.full(p, -1, dtype=np.int64)
+    table = [-1] * p
     table[0] = 0
     for x in range(1, (p - 1) // 2 + 1):
         table[x * x % p] = 1
+    return tuple(table)
+
+
+@lru_cache(maxsize=128)
+def chi_table(p: int):
+    """chi_signs(p) as a read-only int64 numpy array, cached per prime.
+
+    Read-only, so no caller can corrupt the cached copy.
+    """
+    import numpy as np
+
+    table = np.array(chi_signs(p), dtype=np.int64)
     table.flags.writeable = False
     return table
 
@@ -119,7 +131,5 @@ def row_index_set(p) -> list[int]:
     These are the DFT rows kept by the Paley construction; the list has
     exactly (p + 1) / 2 entries and starts with 0.
     """
-    import numpy as np
-
     p = check_paley(p)
-    return [0] + np.flatnonzero(chi_table(p) == 1).tolist()
+    return [0] + [m for m, s in enumerate(chi_signs(p)) if s == 1]

@@ -1,0 +1,147 @@
+"""Quadratic-residue pair experiments behind the square-root-barrier conjecture.
+
+For a support T of distinct residues and two of its positions i != j, the
+pair numerator is the exact integer
+
+    |sum over l outside {i, j} of chi(T_i - T_l) chi(T_j - T_l)|,
+
+and the one-sided ratio divides it by |T| - 2.  `conjecture_search` finds
+the pair with the smallest numerator in one support, and `greedy_peel`
+removes best pairs one after another, as in the inductive peeling
+argument.  (Bandeira, Fickus, Mixon & Wong, "The road to deterministic
+matrices with the restricted isometry property", JFAA 2013.)
+
+Both work on bitmasks of Python ints read from the Legendre table
+`numtheory.chi_signs`, and this module loads no numpy.  Row a's mask P_a
+has bit l set when chi(T_a - T_l) = +1.  Every summand is +-1, +1 where
+P_i and P_j agree, so with A the mask of the surviving positions and n its
+size the numerator is |(n - 2) - 2 popcount((P_i ^ P_j) & A & ~(bit_i | bit_j))|.
+It has the parity of n, so a pair that reaches n mod 2 ends the search.
+The Monte Carlo scan over many supports, `experiments.conjecture_scan`,
+keeps one stacked product |C C^T| per batch instead.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ParameterRangeError
+from .frame import check_support
+from .numtheory import check_prime, chi_signs
+
+
+@dataclass(frozen=True)
+class ConjectureRecord:
+    """Best balanced pair found in one support.
+
+    `numerator` is the exact integer |sum over the one-sided difference set
+    of chi(r_i - r_l) chi(r_j - r_l)|; ratio = numerator / (k - 2).
+    `zero_terms` counts off-diagonal chi-arguments that vanish mod p; a
+    validated support of distinct residues has none, so it is always 0.
+    """
+
+    p: int
+    support: tuple[int, ...]
+    pair: tuple[int, int]
+    ratio: float
+    alpha: float
+    satisfied: bool
+    numerator: int = 0
+    zero_terms: int = 0
+
+
+def one_sided_ratio(p, support, i: int, j: int) -> float:
+    """Normalized character sum over the one-sided difference set of (i, j).
+
+    With a = r_j - r_i the summand chi(r_i - r_l) chi(r_i - r_l + a) equals
+    chi(r_i - r_l) chi(r_j - r_l); the numerator is accumulated as an exact
+    integer and divided by |support| - 2.
+    """
+    p = check_prime(p)
+    support = check_support(p, support)
+    k = len(support)
+    if k < 3:
+        raise ParameterRangeError(f"need |support| >= 3, got {k}")
+    if i == j or not (0 <= i < k and 0 <= j < k):
+        raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
+    chi = chi_signs(p)
+    # chi(0) = 0 drops l in {i, j}
+    num = sum(chi[support[i] - t] * chi[support[j] - t] for t in support)
+    return abs(num) / (k - 2)
+
+
+def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[ConjectureRecord]:
+    """Best pair of the surviving support, then remove it, while >= m_alpha survive.
+
+    Each step scans the pairs i < j of surviving positions in lexicographic
+    order and keeps a strictly smaller numerator, so it returns the first
+    minimum in row-major order of the full pair table, and it stops at the
+    first pair that reaches the parity floor.  Row masks are built once, on
+    first use; a peel clears bits of the surviving mask and rebuilds no row.
+    """
+    chi = chi_signs(p)
+    masks: list[int | None] = [None] * len(support)
+
+    def mask(a: int) -> int:
+        if masks[a] is None:
+            x = support[a]  # x - t lies in (-p, p), and a negative index wraps mod p
+            masks[a] = int("".join("1" if chi[x - t] == 1 else "0" for t in reversed(support)), 2)
+        return masks[a]
+
+    def best_pair(order: list[int], alive: int) -> tuple[int, int, int]:
+        n = len(order)
+        floor, best = n % 2, (n, 0, 0)  # n is above every numerator
+        for s, a in enumerate(order):
+            mask_a, rest = mask(a), alive ^ 1 << a
+            for t in range(s + 1, n):
+                b = order[t]
+                num = abs(n - 2 - 2 * ((mask_a ^ mask(b)) & (rest ^ 1 << b)).bit_count())
+                if num < best[0]:
+                    best = (num, s, t)
+                    if num == floor:
+                        return best
+        return best
+
+    order = list(range(len(support)))  # surviving positions, in support order
+    alive = (1 << len(support)) - 1
+    records = []
+    while len(order) >= m_alpha:
+        num, i, j = best_pair(order, alive)
+        ratio = num / (len(order) - 2)
+        records.append(ConjectureRecord(
+            p=p, support=tuple(support[x] for x in order), pair=(i, j), ratio=ratio,
+            alpha=float(alpha), satisfied=ratio < alpha, numerator=num,
+        ))
+        alive ^= 1 << order[i] | 1 << order[j]
+        del order[j], order[i]
+    return records
+
+
+def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
+    """Exhaustive pair scan for the smallest one-sided ratio.
+
+    All ordered pairs are admissible (the summand is symmetric in i and j,
+    so the minimum lands on the lexicographically smallest position pair).
+    """
+    p = check_prime(p)
+    support = check_support(p, support)
+    if len(support) < 3:
+        raise ParameterRangeError(f"need |support| >= 3, got {len(support)}")
+    return _peel(p, support, alpha, len(support))[0]
+
+
+def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[ConjectureRecord]:
+    """Repeatedly remove the best balanced pair until < m_alpha elements remain.
+
+    Mirrors the inductive peeling argument: each step must find a pair with
+    ratio below alpha among the surviving elements.  Returns the full trace;
+    the final residual has m_alpha - 1 or m_alpha - 2 elements, matching the
+    parity of the starting size.
+    """
+    p = check_prime(p)
+    support = check_support(p, support)
+    if m_alpha < 3:
+        raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
+    if len(support) < m_alpha:
+        raise ParameterRangeError(f"need |support| >= m_alpha, got {len(support)} < {m_alpha}")
+    return _peel(p, support, alpha, m_alpha)

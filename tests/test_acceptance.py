@@ -24,15 +24,14 @@ from paleyrip.bounds import (
     lemma_k_inequality,
 )
 from paleyrip.experiments import (
-    conjecture_search,
     dembo_ratio_study,
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
-    one_sided_ratio,
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct
+from paleyrip.pairs import conjecture_search, one_sided_ratio
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,

@@ -237,6 +237,19 @@ def test_conjecture_p2_exit_4(capsys):
     assert run_cli(capsys, "conjecture", "--p", "9", "--k", "3", "--trials", "1")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("conjecture --p 19 --k 5 --trials 2 --peel", "--peel needs --support"),
+    ("conjecture --p 19 --support 1,2,3,4,5 --k 9", "--k sets the scan's support size"),
+])
+def test_conjecture_flag_misuse_exit_4(argv, message):
+    # a flag the chosen mode would ignore is a usage error, not a silent no-op
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
+                         capture_output=True, text=True)
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("paleyrip conjecture: ") and message in res.stderr
+
+
 def test_conjecture_peel_mode(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--p", "43",
                            "--support", "1,5,8,12,20,22,30,41,2,9,17,33",

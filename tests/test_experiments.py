@@ -14,17 +14,15 @@ from paleyrip.experiments import (
     _INTERLACING_SLACK,
     STACK_ENTRIES,
     conjecture_scan,
-    conjecture_search,
     cot_witness,
     dembo_ratio_study,
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
-    greedy_peel,
-    one_sided_ratio,
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
+from paleyrip.pairs import conjecture_search, greedy_peel, one_sided_ratio
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 

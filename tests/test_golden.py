@@ -32,6 +32,11 @@ from paleyrip.spectra import dembo_upper
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def _support(values) -> str:
+    return ",".join(map(str, values))
+
+
 COMMANDS = {
     "estimate-p103-k30-seed1.csv":
         ["estimate", "--p", "103", "--k", "30", "--seed", "1"],
@@ -49,6 +54,15 @@ COMMANDS = {
         ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
     "conjecture-p43-peel.json":
         ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
+    "gram-p19-k8.json":
+        ["gram", "--p", "19", "--support", "3,18,0,7,12,1,9,14"],
+    "conjecture-p13-k8.json":  # p = 1 (mod 4): the sign matrix is symmetric
+        ["conjecture", "--p", "13", "--support", "2,11,5,0,7,12,8,3"],
+    "conjecture-p103-k70-seed5.json":  # past one 64-bit word
+        ["conjecture", "--p", "103", "--support", _support(random_subset(103, 70, 5))],
+    "conjecture-p1019-k201-seed3-peel.json":  # odd k, 99 steps
+        ["conjecture", "--p", "1019", "--support", _support(random_subset(1019, 201, 3)),
+         "--peel"],
     "bounds-p1009-k4.json":
         ["bounds", "--p", "1009", "--k", "4"],
     "bounds-p103-k30-beta0.7.json":

@@ -1,6 +1,7 @@
 """Start-up loads only what a command runs.
 
-`import paleyrip`, `--help`, `--version`, `bounds` and `fit` must work with
+`import paleyrip`, `--help`, `--version`, `bounds`, `fit`, the analytic
+`gram` and `conjecture --support` (with and without `--peel`) must work with
 numpy unimportable (`sys.modules["numpy"] = None` makes any import of it
 raise), and print the same bytes as an ordinary run.  `bounds` itself is
 loaded only by the commands that evaluate bounds.
@@ -24,15 +25,16 @@ EAGER_NAMES = [
     "WrongResidueError", "block3_det", "bound_conjectural",
     "bound_dembo_recursive", "bound_generalized_dembo", "bound_gershgorin", "bound_skew",
     "bounds", "build_frame", "build_report", "canonical_tournament", "check_paley",
-    "check_support", "chi_table", "coherence",
+    "check_support", "chi_signs", "chi_table", "coherence",
     "conjecture_scan", "conjecture_search", "dembo_lower", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
     "find_c_alpha", "fit", "fit_power_law", "frame", "frame_to_json", "gamma_term",
     "generalized_dembo_extremes", "gram3_charpoly_check", "gram_analytic", "gram_direct",
-    "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime", "l1_coherence", "legendre",
-    "lemma_k_inequality", "max_sparsity", "numtheory", "one_sided_ratio", "random_subset",
-    "reduce_support", "rng", "row_index_set", "run_verification", "schur_bordered_det",
-    "sign_matrix", "skew_spectral_radius", "spectra", "sub_seed", "verify",
+    "gram_rows", "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime",
+    "l1_coherence", "legendre", "lemma_k_inequality", "max_sparsity", "numtheory",
+    "one_sided_ratio", "pairs", "random_subset", "reduce_support", "rng", "row_index_set",
+    "run_verification", "schur_bordered_det", "sign_matrix", "skew_spectral_radius", "spectra",
+    "sub_seed", "verify",
 ]
 
 NUMPY_FREE_COMMANDS = [
@@ -41,6 +43,9 @@ NUMPY_FREE_COMMANDS = [
     ["bounds", "--p", "1009", "--k", "4"],
     ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
     ["fit", "--input", "tests/golden/estimate-p103-k30-seed1.csv"],
+    ["gram", "--p", "7", "--support", "0,1,3"],
+    ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
+    ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
 ]
 
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
@@ -110,6 +115,18 @@ def test_bounds_loaded_only_where_evaluated(code, loaded):
     assert res.stdout.splitlines()[-1] == str(loaded)
 
 
+@pytest.mark.parametrize("code", [
+    "main(['gram', '--p', '7', '--support', '0,1,3', '--method', 'direct'])",
+    "main(['conjecture', '--p', '19', '--k', '5', '--trials', '2'])",
+])
+def test_array_commands_load_numpy(code):
+    # the positive control of the numpy-free commands above
+    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
+                  "print('numpy' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "True"
+
+
 def test_import_without_numpy():
     res = _python(_BLOCK_NUMPY + "import paleyrip\n"
                   "print(paleyrip.__version__, paleyrip.is_prime(1009),"
@@ -139,8 +156,8 @@ def test_star_import():
     exec("from paleyrip import *", namespace)
     assert set(paleyrip.__all__) <= set(namespace)
     assert set(paleyrip.__all__) == set(EAGER_NAMES) - {
-        "bounds", "errors", "experiments", "fit", "frame", "numtheory", "rng", "spectra",
-        "verify"}
+        "bounds", "errors", "experiments", "fit", "frame", "numtheory", "pairs", "rng",
+        "spectra", "verify"}
 
 
 def test_unknown_attribute():
