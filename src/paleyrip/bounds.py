@@ -188,10 +188,8 @@ def _c_alpha_holds_exact(c: int, one_minus_alpha, one_plus_beta) -> bool:
     # Raise both sides to the beta denominator so everything is integer
     # arithmetic: 12^r c^(r+q) t^r < (s c^2 - 2 t c)^r, with exponent
     # (r+q)/r and 1-alpha = s/t.
-    q = one_plus_beta.numerator
-    r = one_plus_beta.denominator
-    s = one_minus_alpha.numerator
-    t = one_minus_alpha.denominator
+    q, r = one_plus_beta.as_integer_ratio()
+    s, t = one_minus_alpha.as_integer_ratio()
     rhs_base = s * c * c - 2 * t * c
     if rhs_base <= 0:
         return False
@@ -291,10 +289,7 @@ class BoundReport:
                 "note": "valid only if the quadratic-residue conjecture holds",
             }
         doc["max_sparsity"] = {
-            fam: {
-                "max_even": th.max_even,
-                "floor_threshold": th.floor_threshold,
-            }
+            fam: {"max_even": th.max_even, "floor_threshold": th.floor_threshold}
             for fam in ("gershgorin", "skew_linear", "skew_cot")
             for th in (max_sparsity(self.p, fam),)
         }

@@ -21,9 +21,9 @@ only the leading blocks of the trials that can still set the max.
 exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
 closed under subsets and under x -> a x + b, so a depth-first search from
 {0, 1} finds one if any exists; one such witness is a lower bound that
-meets the upper bound.  That search runs first, within its own solve
-budget, and EXACT_RIP_GUARD bounds only the orbit enumeration that runs
-when it finds none.
+meets the upper bound.  That search runs first, tests tightness exactly
+(see cot_witness) within its own candidate budget, and EXACT_RIP_GUARD
+bounds only the orbit enumeration that runs when it finds none.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Per-trial sub-seeds come from rng.sub_seed, a
@@ -43,19 +43,19 @@ import numpy as np
 from . import spectra
 from .errors import ParameterRangeError
 from .frame import sign_matrix
-from .numtheory import check_paley, check_prime
-from .pairs import ConjectureRecord
+from .numtheory import check_paley, check_prime, chi_signs
+from .pairs import ConjectureRecord, check_alpha
 from .rng import random_subset, random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
 # binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked only
 # when the witness search has found no witness.
 EXACT_RIP_GUARD = 10**6
-# Solves exact_rip allows its witness search, about 1.5 s on one core of a
-# 2-core x86 host.  Witnesses at k = 12 took at most 1,450 solves at the
+# Candidates exact_rip allows its witness search to test, about 0.3 s on one
+# core of a 2-core x86 host.  Witnesses at k = 12 took at most 1,450 at the
 # primes tried from 103 to 223; proving that none exists at (107, 12) took
 # 5.1 million.
-_WITNESS_SOLVES = 10**5
+_WITNESS_CANDIDATES = 10**5
 # Sign-matrix entries per stack: large enough to amortise the per-call
 # cost of a stacked solve or product, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
@@ -64,9 +64,6 @@ STACK_ENTRIES = 2**16
 _STORED_ENTRIES = 16 * STACK_ENTRIES
 # Computed radii of nested blocks break interlacing by up to ~1e-15 relative.
 _INTERLACING_SLACK = 1e-12
-# Relative slack of the equality test rho(C_T) = cot(pi/2m) in cot_witness;
-# non-tight radii fall at least 5% below the bound at p = 19 and 23.
-_TIGHT_SLACK = 1e-12
 
 
 def _batch(k: int) -> int:
@@ -192,22 +189,27 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
 
 
 class _BudgetSpent(Exception):
-    """The witness search reached its solve budget before it finished."""
+    """The witness search reached its candidate budget before it finished."""
 
 
 def cot_witness(p, k: int) -> tuple[int, ...] | None:
     """A k-support T with rho(C_T) = cot(pi/2k), the skew_cot bound, or None.
 
-    Depth-first over increasing extensions of (0, 1): the children of a
-    node T are T + (x,) for its candidates x, solved in stacks, and a child
-    of order m is kept when its radius reaches cot(pi/2m) less a 1e-12
-    relative slack; the kept children's last elements are the candidates
-    passed down.  A branch is cut once len(T) plus its candidates falls
-    short of k.  Tightness is AGL(1,p)-invariant (x -> a x + b maps C_T to
-    chi(a) C_T) and hereditary (its equality case, the switching class of
-    the transitive tournament, is closed under subsets), so some tight
-    k-support exists if and only if one containing {0, 1} is found here:
-    the search is complete, and None means none exists.
+    C_T is the skew-adjacency matrix of a tournament on T (u beats v when
+    chi(u - v) = 1), and rho(C_T) = cot(pi/2k) exactly when C_T lies in the
+    switching class of the transitive tournament (Cavers et al., "Skew-
+    adjacency matrices of graphs", Linear Algebra Appl. 436, 2012).
+    Switching at s_u = chi(-u), s_0 = 1, makes 0 a source; making a vertex
+    of a transitive tournament a source only rotates its order, so T is
+    tight exactly when the switched tournament (u beats v when
+    s_u chi(u - v) s_v = 1) is transitive.  Depth-first over increasing
+    extensions of (0, 1), members kept in that order: a candidate x keeps
+    a node tight exactly when the members that beat x form a prefix, and
+    goes right after it.  Tight candidates are passed down; a branch is cut
+    once len(T) plus its candidates falls short of k.  Tightness is
+    AGL(1,p)-invariant (x -> a x + b maps C_T to chi(a) C_T) and hereditary,
+    so the search is complete: None means no tight k-support exists.  A
+    direct call has no budget; at (107, 12) it tests 5.1 million candidates.
     """
     p = check_paley(p)
     k = int(k)
@@ -217,30 +219,31 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
 
 
 def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
-    """cot_witness's search, raising _BudgetSpent once it needs more than `budget` solves."""
-    solves = 0
+    """cot_witness's search, raising _BudgetSpent once it tests more than `budget` candidates."""
+    chi = chi_signs(p)
+    s = [1, *chi[:0:-1]]  # s_u = chi(-u) for u > 0
+    tested = 0
 
-    def extend(t: tuple[int, ...], cands: list[int]) -> tuple[int, ...] | None:
-        nonlocal solves
-        if len(t) == k:
-            return t
-        solves += len(cands)
-        if solves > budget:
+    def extend(order: list[int], cands: list[int]) -> tuple[int, ...] | None:
+        nonlocal tested
+        if len(order) == k:
+            return tuple(sorted(order))
+        tested += len(cands)
+        if tested > budget:
             raise _BudgetSpent
-        m = len(t) + 1
-        c = sign_matrix(p, [(*t, x) for x in cands])
-        rho = _radii(c, np.arange(len(c)), m)
-        cut = (1.0 - _TIGHT_SLACK) / math.tan(math.pi / (2 * m))
-        tight = [x for x, r in zip(cands, rho) if r >= cut]
-        for i, x in enumerate(tight):
-            rest = tight[i + 1:]
-            if m + len(rest) < k:
+        tight = []  # (x, the order with x inserted) for each x that keeps the node tight
+        for x in cands:
+            beats = [s[u] * chi[u - x] == s[x] for u in order]
+            if all(beats[:(j := sum(beats))]):  # the members that beat x are the first j
+                tight.append((x, [*order[:j], x, *order[j:]]))
+        for i, (_, child) in enumerate(tight):
+            if len(child) + len(tight) - i - 1 < k:
                 break
-            if (found := extend((*t, x), rest)) is not None:
+            if (found := extend(child, [x for x, _ in tight[i + 1:]])) is not None:
                 return found
         return None
 
-    return extend((0, 1), list(range(2, p)))
+    return extend([0, 1], list(range(2, p)))
 
 
 def exact_rip(p, k: int) -> float:
@@ -250,7 +253,7 @@ def exact_rip(p, k: int) -> float:
     orbits, and 2-transitivity puts a support containing {0, 1} in each.
     Every rho(C_T) is at most cot(pi/2k) (the skew_cot bound), so a
     cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.  The
-    witness search runs first, within a budget of _WITNESS_SOLVES solves.
+    witness search runs first, testing at most _WITNESS_CANDIDATES candidates.
     Only where it finds none, or runs out of budget, are the
     binomial(p-2, k-2) orbit representatives solved, at order k, as max
     rho(C_T)/sqrt p; EXACT_RIP_GUARD bounds that enumeration, and the error
@@ -264,13 +267,11 @@ def exact_rip(p, k: int) -> float:
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
     try:
-        witness = _cot_search(p, k, _WITNESS_SOLVES)
+        if (witness := _cot_search(p, k, _WITNESS_CANDIDATES)) is not None:
+            return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)
         searched = f"no {k}-support attains cot(pi/{2 * k})"
     except _BudgetSpent:
-        witness = None
-        searched = f"the witness search exceeded its budget of {_WITNESS_SOLVES} solves"
-    if witness is not None:
-        return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)
+        searched = f"the witness search exceeded its budget of {_WITNESS_CANDIDATES} candidates"
     if math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
         raise ParameterRangeError(
             f"{searched}, and the enumeration of binomial({p - 2}, {k - 2}) representatives"
@@ -365,6 +366,7 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
     Trial sub-seeding matches estimate_rip_worst, so extending the trial
     count only appends trials and can never lower the worst best-ratio.
     """
+    alpha = check_alpha(alpha)
     p = check_prime(p)
     trials = int(trials)
     if trials < 1:

@@ -23,6 +23,7 @@ keeps one stacked product |C C^T| per batch instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterRangeError
@@ -48,6 +49,13 @@ class ConjectureRecord:
     satisfied: bool
     numerator: int = 0
     zero_terms: int = 0
+
+
+def check_alpha(alpha) -> float:
+    """The conjecture threshold as a float; ParameterRangeError when it is NaN or infinite."""
+    if not math.isfinite(alpha := float(alpha)):
+        raise ParameterRangeError(f"alpha must be finite, got {alpha}")
+    return alpha
 
 
 def one_sided_ratio(p, support, i: int, j: int) -> float:
@@ -123,6 +131,7 @@ def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
     All ordered pairs are admissible (the summand is symmetric in i and j,
     so the minimum lands on the lexicographically smallest position pair).
     """
+    alpha = check_alpha(alpha)
     p = check_prime(p)
     support = check_support(p, support)
     if len(support) < 3:
@@ -138,6 +147,7 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     the final residual has m_alpha - 1 or m_alpha - 2 elements, matching the
     parity of the starting size.
     """
+    alpha = check_alpha(alpha)
     p = check_prime(p)
     support = check_support(p, support)
     if m_alpha < 3:

@@ -37,15 +37,11 @@ def _random_sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
 
 def _check_delta3_spectrum(p, rng) -> CheckResult:
     target = math.sqrt(3.0 / p)
+    expected = (1.0 - target, 1.0, 1.0 + target)
     worst = 0.0
     for support in random_subsets(p, 3, rng.next_u64s(50)):
         w = spectra.hermitian_spectrum(gram_analytic(p, support))
-        worst = max(
-            worst,
-            abs(w[0] - (1.0 - target)),
-            abs(w[1] - 1.0),
-            abs(w[2] - (1.0 + target)),
-        )
+        worst = max(worst, *(abs(x - e) for x, e in zip(w, expected)))
     return CheckResult(
         "delta3_spectrum", worst <= 1e-10,
         f"max deviation from {{1-sqrt(3/p), 1, 1+sqrt(3/p)}}: {worst:.3e}",
@@ -103,11 +99,8 @@ def _check_block_det(p, rng) -> CheckResult:
 
 
 def _check_lemma_k(p, rng) -> CheckResult:
-    failures = 0
-    for c in (1.0, bounds.DEMBO_C, 2.0, 10.0):
-        for k in range(1, 10_001):
-            if not bounds.lemma_k_inequality(c, k):
-                failures += 1
+    failures = sum(not bounds.lemma_k_inequality(c, k)
+                   for c in (1.0, bounds.DEMBO_C, 2.0, 10.0) for k in range(1, 10_001))
     return CheckResult(
         "lemma_k_inequality", failures == 0,
         f"{failures} failures over c in {{1, 1/(2(2-sqrt3)), 2, 10}}, k <= 10^4",

@@ -250,6 +250,20 @@ def test_conjecture_flag_misuse_exit_4(argv, message):
     assert res.stderr.startswith("paleyrip conjecture: ") and message in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "conjecture --p 19 --support 1,2,3,4,5 --alpha nan",
+    "conjecture --p 19 --support 1,2,3,4,5 --peel --alpha inf",
+    "conjecture --p 19 --k 5 --trials 3 --alpha nan",
+    "conjecture --p 19 --k 5 --trials 3 --alpha=-inf",
+])
+def test_conjecture_nonfinite_alpha_exit_4(capsys, argv):
+    # a NaN threshold printed "alpha": NaN, which is not JSON, and an infinite
+    # one satisfied every step; all three modes reject both before any work
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 4 and out == ""
+    assert err.startswith("paleyrip conjecture: alpha must be finite")
+
+
 def test_conjecture_peel_mode(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--p", "43",
                            "--support", "1,5,8,12,20,22,30,41,2,9,17,33",

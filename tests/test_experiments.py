@@ -322,7 +322,7 @@ def test_exact_rip_witness_before_guard(p, k):
 
 def test_exact_rip_witness_search_budget():
     # proving that no tight 13-support exists at p = 103 takes tens of seconds;
-    # the bounded search gives up after a fixed number of solves
+    # the bounded search gives up after a fixed number of candidates
     start = time.perf_counter()
     with pytest.raises(ParameterRangeError,
                        match=r"witness search exceeded its budget .* binomial\(101, 11\)"):
@@ -399,6 +399,64 @@ def test_cot_witness_validates_range():
     assert cot_witness(7, 3) == (0, 1, 2)  # every 3 x 3 sign matrix has radius sqrt(3)
 
 
+def _spectral_cot_search(p, k, budget):
+    # the witness search the switching test replaced: every child's radius
+    # solved, kept when it reaches cot(pi/2m) less a 1e-12 relative slack
+    solves = 0
+
+    def extend(t, cands):
+        nonlocal solves
+        if len(t) == k:
+            return t
+        solves += len(cands)
+        if solves > budget:
+            raise experiments._BudgetSpent
+        m = len(t) + 1
+        rho = skew_spectral_radius(sign_matrix(p, [(*t, x) for x in cands]))
+        cut = (1.0 - 1e-12) / math.tan(math.pi / (2 * m))
+        tight = [x for x, r in zip(cands, rho) if r >= cut]
+        for i, x in enumerate(tight):
+            rest = tight[i + 1:]
+            if m + len(rest) < k:
+                break
+            if (found := extend((*t, x), rest)) is not None:
+                return found
+        return None
+
+    return extend((0, 1), list(range(2, p)))
+
+
+def test_cot_search_matches_spectral_oracle():
+    outcomes = []
+    for p in (7, 11, 19, 23, 31, 43, 47):
+        for k in range(2, min(p, 10) + 1):
+            for budget in (10**4, 50):
+                try:
+                    expected = _spectral_cot_search(p, k, budget)
+                except experiments._BudgetSpent:
+                    expected = "budget"
+                try:
+                    got = experiments._cot_search(p, k, budget)
+                except experiments._BudgetSpent:
+                    got = "budget"
+                assert got == expected, (p, k, budget)
+                outcomes.append(got)
+    assert len(outcomes) == 120 and outcomes.count("budget") == 37
+
+
+def test_cot_witness_needs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search called an eigensolver")
+
+    monkeypatch.setattr(spectra, "skew_spectral_radius", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    witness = cot_witness(103, 12)
+    monkeypatch.undo()
+    assert len(witness) == 12 and witness[:2] == (0, 1)
+    rho = skew_spectral_radius(sign_matrix(103, witness))
+    assert abs(rho - 1.0 / math.tan(math.pi / 24)) < 1e-12
+
+
 def test_exact_rip_witness_skips_enumeration(monkeypatch):
     solved = []
     full = spectra.skew_spectral_radius
@@ -410,7 +468,7 @@ def test_exact_rip_witness_skips_enumeration(monkeypatch):
 
     monkeypatch.setattr(spectra, "skew_spectral_radius", counting)
     d = exact_rip(23, 6)
-    assert sum(solved) < 200  # the enumeration solves binomial(21, 4) = 5985
+    assert sum(solved) == 1  # the witness's radius; the enumeration solves binomial(21, 4) = 5985
     assert abs(d - bound_skew(6, 23, exact=True)) < 1e-12
 
 
@@ -701,3 +759,12 @@ def test_conjecture_scan_alpha_one():
     assert 0.0 <= s.worst_ratio <= 1.0
     if s.worst_ratio < 1.0:
         assert s.fraction_satisfied == 1.0
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_pair_searches_reject_nonfinite_alpha(alpha):
+    for run in (lambda: conjecture_search(19, (1, 2, 3, 4, 5), alpha),
+                lambda: greedy_peel(19, (1, 2, 3, 4, 5), alpha),
+                lambda: conjecture_scan(19, 5, 3, alpha)):
+        with pytest.raises(ParameterRangeError, match="alpha must be finite"):
+            run()
