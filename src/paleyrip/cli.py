@@ -155,6 +155,9 @@ def _cmd_fit(args):
                 )
             js, ds = [], []
             for line in reader:
+                if None in (line["j"], line["d"]):  # a short row's missing cells read None
+                    raise MalformedInputError(
+                        f"{args.input}: line {reader.line_num} has no 'j' or 'd' cell")
                 js.append(int(line["j"]))
                 ds.append(float(line["d"]))
     except OSError as exc:
@@ -195,11 +198,32 @@ def _record_doc(rec) -> dict:
     }
 
 
+# Defaults of the conjecture flags that only some modes read.  The parser
+# leaves them None, so that a flag the chosen mode ignores can be rejected.
+_CONJECTURE_DEFAULTS = {"trials": 1, "seed": 0, "format": "csv", "m_alpha": 5}
+
+
 def _cmd_conjecture(args):
+    if args.support is None:
+        if args.peel:
+            raise ParameterRangeError("--peel needs --support")
+        if args.k is None:
+            raise ParameterRangeError("conjecture scan mode needs --k (or pass --support)")
+        ignored = {"m_alpha": "the --k scan"}
+    elif args.k is not None:
+        raise ParameterRangeError(
+            "--k sets the scan's support size and cannot be given with --support")
+    else:
+        ignored = dict.fromkeys(("trials", "seed", "format"), "--support")
+        if not args.peel:
+            ignored["m_alpha"] = "--support without --peel"
+    for name, mode in ignored.items():
+        if getattr(args, name) is not None:
+            raise ParameterRangeError(f"{mode} ignores --{name.replace('_', '-')}")
+    for name, default in _CONJECTURE_DEFAULTS.items():  # the values the sidecar records
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.support is not None:
-        if args.k is not None:
-            raise ParameterRangeError(
-                "--k sets the scan's support size and cannot be given with --support")
         from . import pairs
         from .frame import check_support
         from .numtheory import check_prime
@@ -214,10 +238,6 @@ def _cmd_conjecture(args):
             return _json_text(doc), {}, 0
         rec = pairs.conjecture_search(args.p, support, args.alpha)
         return _json_text(_record_doc(rec)), {}, 0
-    if args.peel:
-        raise ParameterRangeError("--peel needs --support")
-    if args.k is None:
-        raise ParameterRangeError("conjecture scan mode needs --k (or pass --support)")
     from . import experiments
 
     summary = experiments.conjecture_scan(args.p, args.k, args.trials, args.alpha, args.seed)
@@ -300,8 +320,9 @@ def build_parser() -> _Parser:
                k=True, seed=True, trials=True, alpha=True, fmt="csv", support=True)
     conj.add_argument("--peel", action="store_true",
                       help="with --support: peel best pairs until < m_alpha remain")
-    conj.add_argument("--m-alpha", dest="m_alpha", type=int, default=5,
+    conj.add_argument("--m-alpha", dest="m_alpha", type=int,
                       help="minimum support size the peeling keeps searching at")
+    conj.set_defaults(**dict.fromkeys(_CONJECTURE_DEFAULTS))
     add("verify", _cmd_verify, "run the identity suite; exit 7 on failure")
     return parser
 

@@ -4,9 +4,10 @@ Covers the empirical RIP lower-bound curves d(j) and their worst-case
 variant over many random supports, exact RIP (certified by a support that
 attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
 exhaustive at tiny scale), the bordered-bound sharpness study, and the
-Monte Carlo scan of the quadratic-residue pair conjecture.  The pair search
-in one support and the greedy peel live in `pairs`, and the log-log
-power-law fit of d(j) in `fit`; neither needs numpy.
+Monte Carlo scan of the quadratic-residue pair conjecture.  The pair
+numerator is computed only in `pairs` (the scan runs its popcount search on
+each drawn support), and the log-log power-law fit of d(j) only in `fit`;
+neither needs numpy.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -14,7 +15,8 @@ is exactly rho(C)/sqrt p.  The experiments build sign matrices with
 frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, solved
 by _radii through spectra.skew_spectral_radius (rho(C)^2 is the top
 eigenvalue of the exact integer product C^T C, one real symmetric solve per
-matrix), and for the pair scan's |C C^T|.  The worst-case curve builds each trial's C once, at
+matrix).  _worst_curve is the one prefix-radius path: the RIP curves and
+the bordered-bound study read it.  It builds each trial's C once, at
 order k, into an int8 stack of at most 1 MiB whatever the trial count, then
 walks the prefix order down and, by Cauchy interlacing, solves at each order
 only the leading blocks of the trials that can still set the max.
@@ -44,8 +46,8 @@ from . import spectra
 from .errors import ParameterRangeError
 from .frame import sign_matrix
 from .numtheory import check_paley, check_prime, chi_signs
-from .pairs import ConjectureRecord, check_alpha
-from .rng import random_subset, random_subsets, sub_seed
+from .pairs import ConjectureRecord, check_alpha, conjecture_search
+from .rng import random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
 # binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked only
@@ -57,13 +59,20 @@ EXACT_RIP_GUARD = 10**6
 # 5.1 million.
 _WITNESS_CANDIDATES = 10**5
 # Sign-matrix entries per stack: large enough to amortise the per-call
-# cost of a stacked solve or product, small enough to stay about a megabyte.
+# cost of a stacked solve, small enough to stay about a megabyte.
 STACK_ENTRIES = 2**16
 # int8 sign-matrix entries _worst_curve stores at once (1 MiB), whatever
 # the trial count.
 _STORED_ENTRIES = 16 * STACK_ENTRIES
 # Computed radii of nested blocks break interlacing by up to ~1e-15 relative.
 _INTERLACING_SLACK = 1e-12
+
+
+def _check_k(k, p: int, lo: int) -> int:
+    """k as an int; ParameterRangeError unless lo <= k <= p."""
+    if not lo <= (k := int(k)) <= p:
+        raise ParameterRangeError(f"k must be in [{lo}, p], got k={k}, p={p}")
+    return k
 
 
 def _batch(k: int) -> int:
@@ -160,9 +169,7 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     function of (p, k, seed).
     """
     p = check_paley(p)
-    k = int(k)
-    if not 2 <= k <= p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
+    k = _check_k(k, p, 2)
     idx = random_subsets(p, k, [seed])
     return RipEstimate(p, k, int(seed), 1, _worst_curve(p, idx, k), idx)
 
@@ -180,9 +187,7 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
-    k = int(k)
-    if not 2 <= k <= p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
+    k = _check_k(k, p, 2)
 
     idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
     return RipEstimate(p, k, int(seed), trials, _worst_curve(p, idx, k), idx)
@@ -212,9 +217,7 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
     direct call has no budget; at (107, 12) it tests 5.1 million candidates.
     """
     p = check_paley(p)
-    k = int(k)
-    if not 2 <= k <= p:
-        raise ParameterRangeError(f"k must be in [2, p], got k={k}, p={p}")
+    k = _check_k(k, p, 2)
     return _cot_search(p, k, math.inf)
 
 
@@ -261,9 +264,7 @@ def exact_rip(p, k: int) -> float:
     closed-form bounds are checked against.
     """
     p = check_paley(p)
-    k = int(k)
-    if not 1 <= k <= p:
-        raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
+    k = _check_k(k, p, 1)
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
     try:
@@ -298,21 +299,21 @@ class DemboRatioRow:
 def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     """Sharpness of the one-step bordered bound against the disk bound.
 
-    One random support; for each prefix order j the bordered bound is fed
-    the exact previous top eigenvalue (the idealized recursion) and the
-    squared border norm (j-1)/p, then both bounds are divided by the true
-    lambda_max = 1 + rho(C_j)/sqrt p of the prefix Gramian.
+    One random support, the one estimate_rip_single(p, k, seed) draws; for
+    each prefix order j the bordered bound is fed the exact previous top
+    eigenvalue (the idealized recursion) and the squared border norm
+    (j-1)/p, then both bounds are divided by the true
+    lambda_max = 1 + d(j) = 1 + rho(C_j)/sqrt p of the prefix Gramian, read
+    from that estimate's curve.
     """
     p = check_paley(p)
-    k = int(k)
-    if not 3 <= k <= p:
-        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
-    c = sign_matrix(p, random_subset(p, k, seed))
+    k = _check_k(k, p, 3)
+    d = estimate_rip_single(p, k, seed).d
     sqrt_p = math.sqrt(p)
     rows = []
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix
     for j in range(2, k + 1):
-        lam = 1.0 + spectra.skew_spectral_radius(c[:j, :j]) / sqrt_p
+        lam = 1.0 + float(d[j - 1])
         dembo = spectra.dembo_upper(1.0, lam_prev, (j - 1) / p)
         gersh = 1.0 + (j - 1) / sqrt_p
         rows.append(DemboRatioRow(j, lam, dembo, gersh, dembo / lam, gersh / lam))
@@ -321,29 +322,6 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
 
 
 # --- Monte Carlo scan of the pair conjecture ---------------------------------
-
-
-def _pair_records(p: int, supports, c: np.ndarray, alpha: float) -> list[ConjectureRecord]:
-    """Best pair of each k-support, from the stack c of their sign matrices.
-
-    Entry (i, j) of |C C^T| is the exact pair numerator.  The product runs
-    in float32, which is exact: every partial sum is an integer of size at
-    most k, and k < 2^24 for any stack that fits in memory.  With the diagonal set to k, above every pair numerator,
-    argmin gives the first minimum in row-major order.
-    """
-    k = c.shape[-1]
-    cf = c.astype(np.float32)
-    nums = np.abs(cf @ cf.transpose(0, 2, 1)).reshape(len(c), k * k)
-    nums[:, :: k + 1] = k
-    records = []
-    for support, row in zip(supports, nums):
-        best = int(row.argmin())
-        n = int(row[best])
-        records.append(ConjectureRecord(
-            p=p, support=tuple(support), pair=divmod(best, k), ratio=n / (k - 2),
-            alpha=float(alpha), satisfied=n / (k - 2) < alpha, numerator=n,
-        ))
-    return records
 
 
 @dataclass(frozen=True)
@@ -363,28 +341,24 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
                     seed: int = 0) -> ConjectureScanSummary:
     """Best-pair search over many random supports; reports the worst case.
 
-    Trial sub-seeding matches estimate_rip_worst, so extending the trial
-    count only appends trials and can never lower the worst best-ratio.
+    The supports come from one random_subsets draw, with the trial
+    sub-seeding of estimate_rip_worst, so extending the trial count only
+    appends trials and can never lower the worst best-ratio.  Each trial's
+    record is pairs.conjecture_search on its support.
     """
     alpha = check_alpha(alpha)
     p = check_prime(p)
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
-    k = int(k)
-    if not 3 <= k <= p:
-        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
+    k = _check_k(k, p, 3)
 
     idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
-    supports = list(map(tuple, idx.tolist()))
-    records = []
-    for s in range(0, trials, _batch(k)):
-        c = sign_matrix(p, idx[s:s + _batch(k)])
-        records += _pair_records(p, supports[s:s + _batch(k)], c, alpha)
+    records = [conjecture_search(p, support, alpha) for support in idx.tolist()]
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(
         p=p, k=k, trials=trials, seed=int(seed), alpha=float(alpha),
         records=tuple(records), fraction_satisfied=frac,
-        worst_ratio=records[worst].ratio, worst_support=supports[worst],
+        worst_ratio=records[worst].ratio, worst_support=records[worst].support,
     )

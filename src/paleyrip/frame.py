@@ -5,8 +5,9 @@ rows indexed by 0 and the quadratic residues mod p, rescaled to unit-norm
 columns.  Inner products of distinct columns then reduce to Legendre
 symbols: <phi_n, phi_n'> = chi(n - n') * i / sqrt(p), so the Gramian of a
 support T is I + (i/sqrt p) C_T.  `sign_matrix` is the one array builder
-of C_T, which `gram_analytic` and the stacked experiments use; `gram_rows`
-writes the same Gramian as nested lists straight from the Legendre table.
+of C_T, which `gram_analytic` and the experiments' stacked spectral solves
+use (the pair search of `pairs` reads the Legendre table itself);
+`gram_rows` writes the same Gramian as nested lists straight from that table.
 `gram_direct` recomputes the Gramian from explicit column dot products and
 exists as the validation oracle for the analytic path.
 

@@ -17,8 +17,9 @@ has bit l set when chi(T_a - T_l) = +1.  Every summand is +-1, +1 where
 P_i and P_j agree, so with A the mask of the surviving positions and n its
 size the numerator is |(n - 2) - 2 popcount((P_i ^ P_j) & A & ~(bit_i | bit_j))|.
 It has the parity of n, so a pair that reaches n mod 2 ends the search.
-The Monte Carlo scan over many supports, `experiments.conjecture_scan`,
-keeps one stacked product |C C^T| per batch instead.
+This is the one place a pair numerator is computed: the Monte Carlo scan
+over many supports, `experiments.conjecture_scan`, runs `conjecture_search`
+on each; `one_sided_ratio` is the scalar oracle.
 """
 
 from __future__ import annotations

@@ -185,6 +185,12 @@ def test_fit_malformed_exit_5(tmp_path, capsys):
     few.write_text("j,d\n1,0.0\n2,0.1\n3,0.2\n")  # only two positive rows
     assert run_cli(capsys, "fit", "--input", str(few))[0] == 5
     assert run_cli(capsys, "fit", "--input", str(tmp_path / "missing.csv"))[0] == 5
+    short = tmp_path / "short.csv"
+    for text in ("j,d\n1,0\n2\n3,0.3\n", "d,j\n0,1\n0.1\n0.3,3\n"):  # row 3 lacks a cell
+        short.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(short))
+        assert (code, out) == (5, "")
+        assert err == f"paleyrip fit: {short}: line 3 has no 'j' or 'd' cell\n"
 
 
 def test_demboratio_command(capsys):
@@ -240,6 +246,12 @@ def test_conjecture_p2_exit_4(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("conjecture --p 19 --k 5 --trials 2 --peel", "--peel needs --support"),
     ("conjecture --p 19 --support 1,2,3,4,5 --k 9", "--k sets the scan's support size"),
+    ("conjecture --p 19 --support 1,2,3,4,5 --trials 1", "--support ignores --trials"),
+    ("conjecture --p 19 --support 1,2,3,4,5 --peel --seed 0", "--support ignores --seed"),
+    ("conjecture --p 19 --support 1,2,3,4,5 --format csv", "--support ignores --format"),
+    ("conjecture --p 19 --support 1,2,3,4,5 --m-alpha 3",
+     "--support without --peel ignores --m-alpha"),
+    ("conjecture --p 19 --k 5 --m-alpha 5", "the --k scan ignores --m-alpha"),
 ])
 def test_conjecture_flag_misuse_exit_4(argv, message):
     # a flag the chosen mode would ignore is a usage error, not a silent no-op
@@ -262,6 +274,26 @@ def test_conjecture_nonfinite_alpha_exit_4(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 4 and out == ""
     assert err.startswith("paleyrip conjecture: alpha must be finite")
+
+
+@pytest.mark.parametrize("argv, given", [
+    ("--support 1,2,3,4,5", {"support": "1,2,3,4,5"}),
+    ("--support 1,2,3,4,5 --peel --m-alpha 3", {"support": "1,2,3,4,5", "peel": True,
+                                                 "m_alpha": 3}),
+    ("--k 5", {"k": 5}),
+    ("--k 5 --trials 3 --seed 4 --format json", {"k": 5, "trials": 3, "seed": 4,
+                                                  "format": "json"}),
+])
+def test_conjecture_sidecar_parameters(tmp_path, capsys, argv, given):
+    # the flags only some modes read are None on the parser; the sidecar
+    # records the values the command ran with, omitted flags at their defaults
+    out = tmp_path / "out"
+    assert run_cli(capsys, "conjecture", "--p", "19", *argv.split(), "--out", str(out))[0] == 0
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    want = {"alpha": 0.8, "command": "conjecture", "format": "csv", "k": None, "m_alpha": 5,
+            "p": 19, "peel": False, "seed": 0, "support": None, "trials": 1, **given}
+    assert list(meta["parameters"].items()) == sorted(want.items())
+    assert meta["seed"] == want["seed"]
 
 
 def test_conjecture_peel_mode(capsys):

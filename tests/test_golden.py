@@ -48,6 +48,8 @@ COMMANDS = {
         ["demboratio", "--p", "103", "--k", "30", "--seed", "1"],
     "conjecture-p19-k12-trials500-seed7.csv":
         ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
+    "conjecture-p1019-k200-trials100-seed7.csv":  # the montecarlo benchmark's scan size
+        ["conjecture", "--p", "1019", "--k", "200", "--trials", "100", "--seed", "7"],
     "gram-p7-support0-1-3.json":  # pins the signed zeros of the real parts
         ["gram", "--p", "7", "--support", "0,1,3"],
     "conjecture-p5-support0-4.json":

@@ -1,9 +1,11 @@
 """The numpy-free pair search and Gramian against their numpy references.
 
-The popcount pair search of `pairs` must give the same records as the
-stacked |C C^T| of `experiments._pair_records`, and the peel the same trace
-as a loop that solves one sign matrix per step with it.  `frame.gram_rows`
-must give gram_analytic's entries bit for bit, signed zeros included.
+The popcount pair search of `pairs`, the only pair-numerator path of the
+package, must give the same records as the stacked float32 |C C^T| product
+kept here as its oracle, alone and through the Monte Carlo scan
+`experiments.conjecture_scan`, and the peel the same trace as a loop that
+solves one sign matrix per step with it.  `frame.gram_rows` must give
+gram_analytic's entries bit for bit, signed zeros included.
 """
 
 import numpy as np
@@ -11,14 +13,45 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paleyrip.experiments import _pair_records
+from paleyrip.experiments import conjecture_scan
 from paleyrip.frame import gram_analytic, gram_rows, sign_matrix
 from paleyrip.numtheory import chi_signs, chi_table
-from paleyrip.pairs import conjecture_search, greedy_peel
-from paleyrip.rng import random_subset
+from paleyrip.pairs import ConjectureRecord, conjecture_search, greedy_peel
+from paleyrip.rng import random_subset, random_subsets, sub_seed
 
 # both residue classes mod 4, past one 64-bit word from 67 on
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 71, 73, 97, 101, 103, 131, 137]
+
+
+def _pair_records(p, supports, c, alpha):
+    """The oracle: the best pair of each k-support, from the stack c of their sign matrices.
+
+    Entry (i, j) of |C C^T| is the exact pair numerator.  The product runs
+    in float32, which is exact: every partial sum is an integer of size at
+    most k < 2^24.  With the diagonal set to k, above every pair numerator,
+    argmin gives the first minimum in row-major order.
+    """
+    k = c.shape[-1]
+    cf = c.astype(np.float32)
+    nums = np.abs(cf @ cf.transpose(0, 2, 1)).reshape(len(c), k * k)
+    nums[:, :: k + 1] = k
+    records = []
+    for support, row in zip(supports, nums):
+        best = int(row.argmin())
+        n = int(row[best])
+        records.append(ConjectureRecord(
+            p=p, support=tuple(support), pair=divmod(best, k), ratio=n / (k - 2),
+            alpha=float(alpha), satisfied=n / (k - 2) < alpha, numerator=n,
+        ))
+    return records
+
+
+def test_pair_product_float32_is_exact():
+    # the pair numerators |C C^T| are integers of size <= k, exact in float32
+    idx = random_subsets(1019, 200, [sub_seed(0, t) for t in range(4)])
+    c = sign_matrix(1019, idx)
+    c32, c64 = c.astype(np.float32), c.astype(float)
+    assert np.array_equal(c32 @ c32.transpose(0, 2, 1), c64 @ c64.transpose(0, 2, 1))
 
 
 def _stacked_peel(p, support, alpha, m_alpha):
@@ -76,6 +109,22 @@ def test_search_matches_stacked_product_at_1019(k):
 def test_peel_matches_stacked_loop_at_1019(k):
     support = random_subset(1019, k, 3)
     assert greedy_peel(1019, support) == _stacked_peel(1019, support, 0.8, 5)
+
+
+def test_conjecture_scan_records_match_per_support_search():
+    # every scan record equals the stacked product's on its trial's own
+    # support, and reruns agree; the sizes cover both parities of k, k = 3
+    # and k = p
+    for p, k, trials in ((43, 8, 30), (103, 60, 40), (19, 12, 500), (1019, 201, 20),
+                         (131, 3, 100), (5, 5, 10)):
+        s1 = conjecture_scan(p, k, trials=trials, alpha=0.8, seed=5)
+        assert s1.records == conjecture_scan(p, k, trials=trials, alpha=0.8, seed=5).records
+        idx = random_subsets(p, k, [sub_seed(5, t) for t in range(trials)])
+        assert list(s1.records) == _pair_records(p, idx.tolist(), sign_matrix(p, idx), 0.8)
+        worst = max(range(trials), key=lambda t: (s1.records[t].ratio, -t))
+        assert (s1.worst_ratio, s1.worst_support) == (s1.records[worst].ratio,
+                                                       tuple(idx[worst].tolist()))
+        assert all(rec.satisfied == (rec.ratio < rec.alpha) for rec in s1.records)
 
 
 def test_search_reaches_parity_floor_on_all_residues():
