@@ -37,10 +37,8 @@ _EXPORTS = {
         "WrongResidueError",
     ),
     "experiments": (
-        "ConjectureScanSummary",
         "DemboRatioRow",
         "RipEstimate",
-        "conjecture_scan",
         "dembo_ratio_study",
         "estimate_rip_single",
         "estimate_rip_worst",
@@ -69,7 +67,14 @@ _EXPORTS = {
         "legendre",
         "row_index_set",
     ),
-    "pairs": ("ConjectureRecord", "conjecture_search", "greedy_peel", "one_sided_ratio"),
+    "pairs": (
+        "ConjectureRecord",
+        "ConjectureScanSummary",
+        "conjecture_scan",
+        "conjecture_search",
+        "greedy_peel",
+        "one_sided_ratio",
+    ),
     "rng": ("SplitMix64", "random_subset", "sub_seed"),
     "spectra": (
         "BorderedBlock",

@@ -10,11 +10,12 @@ Each command imports the layers it runs inside its handler, so start-up
 loads only those.  These commands run without numpy: `bounds` (the bound
 families are pure arithmetic in (k, p)), `fit` (a least-squares line over
 plain floats), `gram` with the analytic method (the Gramian written from
-the integer Legendre table), `conjecture --support` with or without
-`--peel` (a popcount pair search over the same table), and --help and
---version.  Every other command (`frame`, `gram --method direct`,
-`estimate`, `demboratio`, the `conjecture --k` scan, `verify`) loads numpy
-through the layers it runs.
+the integer Legendre table), `conjecture` in all three modes (a popcount
+pair search over the same table: `--support`, `--support --peel`, and the
+`--k` scan, whose supports come from the scalar Fisher-Yates draw of
+`rng.random_subset`), and --help and --version.  Every other command
+(`frame`, `gram --method direct`, `estimate`, `demboratio`, `verify`) loads
+numpy through the layers it runs.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.
@@ -223,8 +224,9 @@ def _cmd_conjecture(args):
     for name, default in _CONJECTURE_DEFAULTS.items():  # the values the sidecar records
         if getattr(args, name) is None:
             setattr(args, name, default)
+    from . import pairs
+
     if args.support is not None:
-        from . import pairs
         from .frame import check_support
         from .numtheory import check_prime
 
@@ -238,9 +240,7 @@ def _cmd_conjecture(args):
             return _json_text(doc), {}, 0
         rec = pairs.conjecture_search(args.p, support, args.alpha)
         return _json_text(_record_doc(rec)), {}, 0
-    from . import experiments
-
-    summary = experiments.conjecture_scan(args.p, args.k, args.trials, args.alpha, args.seed)
+    summary = pairs.conjecture_scan(args.p, args.k, args.trials, args.alpha, args.seed)
     rows = [
         {"trial": t, "k": summary.k, "best_i": r.pair[0], "best_j": r.pair[1],
          "ratio": r.ratio, "satisfied": r.satisfied}

@@ -3,11 +3,10 @@
 Covers the empirical RIP lower-bound curves d(j) and their worst-case
 variant over many random supports, exact RIP (certified by a support that
 attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
-exhaustive at tiny scale), the bordered-bound sharpness study, and the
-Monte Carlo scan of the quadratic-residue pair conjecture.  The pair
-numerator is computed only in `pairs` (the scan runs its popcount search on
-each drawn support), and the log-log power-law fit of d(j) only in `fit`;
-neither needs numpy.
+exhaustive at tiny scale) and the bordered-bound sharpness study.  The
+quadratic-residue pair experiments, the Monte Carlo scan included, live in
+`pairs`, and the log-log power-law fit of d(j) in `fit`; neither needs
+numpy, and this module imports neither.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -45,8 +44,7 @@ import numpy as np
 from . import spectra
 from .errors import ParameterRangeError
 from .frame import sign_matrix
-from .numtheory import check_paley, check_prime, chi_signs
-from .pairs import ConjectureRecord, check_alpha, conjecture_search
+from .numtheory import check_paley, chi_signs
 from .rng import random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
@@ -319,46 +317,3 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
         rows.append(DemboRatioRow(j, lam, dembo, gersh, dembo / lam, gersh / lam))
         lam_prev = lam
     return rows
-
-
-# --- Monte Carlo scan of the pair conjecture ---------------------------------
-
-
-@dataclass(frozen=True)
-class ConjectureScanSummary:
-    p: int
-    k: int
-    trials: int
-    seed: int
-    alpha: float
-    records: tuple[ConjectureRecord, ...]
-    fraction_satisfied: float
-    worst_ratio: float
-    worst_support: tuple[int, ...]
-
-
-def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
-                    seed: int = 0) -> ConjectureScanSummary:
-    """Best-pair search over many random supports; reports the worst case.
-
-    The supports come from one random_subsets draw, with the trial
-    sub-seeding of estimate_rip_worst, so extending the trial count only
-    appends trials and can never lower the worst best-ratio.  Each trial's
-    record is pairs.conjecture_search on its support.
-    """
-    alpha = check_alpha(alpha)
-    p = check_prime(p)
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterRangeError(f"trials must be >= 1, got {trials}")
-    k = _check_k(k, p, 3)
-
-    idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
-    records = [conjecture_search(p, support, alpha) for support in idx.tolist()]
-    worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
-    frac = sum(r.satisfied for r in records) / trials
-    return ConjectureScanSummary(
-        p=p, k=k, trials=trials, seed=int(seed), alpha=float(alpha),
-        records=tuple(records), fraction_satisfied=frac,
-        worst_ratio=records[worst].ratio, worst_support=records[worst].support,
-    )

@@ -12,24 +12,34 @@ argument.  (Bandeira, Fickus, Mixon & Wong, "The road to deterministic
 matrices with the restricted isometry property", JFAA 2013.)
 
 Both work on bitmasks of Python ints read from the Legendre table
-`numtheory.chi_signs`, and this module loads no numpy.  Row a's mask P_a
-has bit l set when chi(T_a - T_l) = +1.  Every summand is +-1, +1 where
-P_i and P_j agree, so with A the mask of the surviving positions and n its
-size the numerator is |(n - 2) - 2 popcount((P_i ^ P_j) & A & ~(bit_i | bit_j))|.
+`numtheory.chi_signs`, and this module loads no numpy.  The masks live in
+residue space, p bits wide.  R has bit u set when chi(-u) = +1; it is
+built once per prime and cached, and row x's mask P_x, R rotated left by x
+within p bits, has bit t set when chi(x - t) = +1, in either class of
+p mod 4.  Every summand is +-1, +1 where P_{T_i} and P_{T_j} agree, so
+with A the mask of the surviving residues and n its size the numerator is
+|(n - 2) - 2 popcount((P_{T_i} ^ P_{T_j}) & A & ~(bit T_i | bit T_j))|.
 It has the parity of n, so a pair that reaches n mod 2 ends the search.
-This is the one place a pair numerator is computed: the Monte Carlo scan
-over many supports, `experiments.conjecture_scan`, runs `conjecture_search`
-on each; `one_sided_ratio` is the scalar oracle.
+Cost model: a row mask is one rotation and a pair a few operations on
+p-bit ints, so each costs O(p/64) machine words whatever the support size;
+the supports themselves are never reindexed.
+
+This is the one place a pair numerator is computed.  `conjecture_scan`,
+the Monte Carlo scan over many supports, draws each with the scalar
+`rng.random_subset` and runs `conjecture_search` on it, so the scan loads
+no numpy either; `one_sided_ratio` is the scalar oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterRangeError
 from .frame import check_support
 from .numtheory import check_prime, chi_signs
+from .rng import random_subset, sub_seed
 
 
 @dataclass(frozen=True)
@@ -79,32 +89,45 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
     return abs(num) / (k - 2)
 
 
+@lru_cache(maxsize=128)
+def _residue_mask(p: int) -> int:
+    """The p-bit int R whose bit u is set when chi(-u) = +1, cached per prime.
+
+    Its binary digits, most significant first, are chi(1), ..., chi(p - 1),
+    then chi(0) = 0 for bit 0.
+    """
+    return int("".join("1" if s == 1 else "0" for s in chi_signs(p)[1:]) + "0", 2)
+
+
 def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[ConjectureRecord]:
     """Best pair of the surviving support, then remove it, while >= m_alpha survive.
 
     Each step scans the pairs i < j of surviving positions in lexicographic
     order and keeps a strictly smaller numerator, so it returns the first
     minimum in row-major order of the full pair table, and it stops at the
-    first pair that reaches the parity floor.  Row masks are built once, on
-    first use; a peel clears bits of the surviving mask and rebuilds no row.
+    first pair that reaches the parity floor.  Masks live in residue space:
+    row x's mask is R rotated left by x within p bits, whose bit t is set
+    when chi(x - t) = +1, and the surviving mask holds the residues of the
+    surviving positions.  Row masks are built once, on first use; a peel
+    clears bits of the surviving mask and rebuilds no row.
     """
-    chi = chi_signs(p)
+    r, full = _residue_mask(p), (1 << p) - 1
     masks: list[int | None] = [None] * len(support)
 
     def mask(a: int) -> int:
         if masks[a] is None:
-            x = support[a]  # x - t lies in (-p, p), and a negative index wraps mod p
-            masks[a] = int("".join("1" if chi[x - t] == 1 else "0" for t in reversed(support)), 2)
+            x = support[a]
+            masks[a] = ((r << x) | (r >> (p - x))) & full
         return masks[a]
 
     def best_pair(order: list[int], alive: int) -> tuple[int, int, int]:
         n = len(order)
         floor, best = n % 2, (n, 0, 0)  # n is above every numerator
         for s, a in enumerate(order):
-            mask_a, rest = mask(a), alive ^ 1 << a
+            mask_a, rest = mask(a), alive ^ 1 << support[a]
             for t in range(s + 1, n):
                 b = order[t]
-                num = abs(n - 2 - 2 * ((mask_a ^ mask(b)) & (rest ^ 1 << b)).bit_count())
+                num = abs(n - 2 - 2 * ((mask_a ^ mask(b)) & (rest ^ 1 << support[b])).bit_count())
                 if num < best[0]:
                     best = (num, s, t)
                     if num == floor:
@@ -112,7 +135,10 @@ def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[
         return best
 
     order = list(range(len(support)))  # surviving positions, in support order
-    alive = (1 << len(support)) - 1
+    bits = bytearray(p // 8 + 1)  # the surviving mask, written in O(p/8 + k)
+    for x in support:
+        bits[x >> 3] |= 1 << (x & 7)
+    alive = int.from_bytes(bits, "little")
     records = []
     while len(order) >= m_alpha:
         num, i, j = best_pair(order, alive)
@@ -121,7 +147,7 @@ def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[
             p=p, support=tuple(support[x] for x in order), pair=(i, j), ratio=ratio,
             alpha=float(alpha), satisfied=ratio < alpha, numerator=num,
         ))
-        alive ^= 1 << order[i] | 1 << order[j]
+        alive ^= 1 << support[order[i]] | 1 << support[order[j]]
         del order[j], order[i]
     return records
 
@@ -156,3 +182,47 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     if len(support) < m_alpha:
         raise ParameterRangeError(f"need |support| >= m_alpha, got {len(support)} < {m_alpha}")
     return _peel(p, support, alpha, m_alpha)
+
+
+# --- Monte Carlo scan of the pair conjecture ---------------------------------
+
+
+@dataclass(frozen=True)
+class ConjectureScanSummary:
+    p: int
+    k: int
+    trials: int
+    seed: int
+    alpha: float
+    records: tuple[ConjectureRecord, ...]
+    fraction_satisfied: float
+    worst_ratio: float
+    worst_support: tuple[int, ...]
+
+
+def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
+                    seed: int = 0) -> ConjectureScanSummary:
+    """Best-pair search over many random supports; reports the worst case.
+
+    Trial t's support is random_subset(p, k, sub_seed(seed, t)), the trial
+    sub-seeding of experiments.estimate_rip_worst, so extending the trial
+    count only appends trials and can never lower the worst best-ratio.
+    Each trial's record is conjecture_search on its support.
+    """
+    alpha = check_alpha(alpha)
+    p = check_prime(p)
+    trials = int(trials)
+    if trials < 1:
+        raise ParameterRangeError(f"trials must be >= 1, got {trials}")
+    if not 3 <= (k := int(k)) <= p:
+        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
+
+    records = [conjecture_search(p, random_subset(p, k, sub_seed(seed, t)), alpha)
+               for t in range(trials)]
+    worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
+    frac = sum(r.satisfied for r in records) / trials
+    return ConjectureScanSummary(
+        p=p, k=k, trials=trials, seed=int(seed), alpha=float(alpha),
+        records=tuple(records), fraction_satisfied=frac,
+        worst_ratio=records[worst].ratio, worst_support=records[worst].support,
+    )

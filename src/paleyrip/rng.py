@@ -12,12 +12,17 @@ Per-trial sub-seeds reuse the same stream: sub_seed(master, t) is simply the
 t-th output of SplitMix64(master), which makes trial results independent of
 evaluation order and safe to compute in parallel.
 
-SplitMix64.next_u64s(n) mixes the next n states at once in uint64 numpy
-arithmetic, bit-exact with n calls to next_u64().  random_subsets draws
-the k-subsets of many seeds at once: it runs the partial Fisher-Yates
-shuffle of every seed's stream side by side in uint64 numpy arithmetic,
-and redraws a rejected lane on its own, so each row is bit-exact with the
-scalar shuffle of that seed alone.  random_subset is its one-row case.
+A k-subset of {0, ..., p-1} is drawn by the partial Fisher-Yates shuffle
+of SplitMix64(seed): step i swaps slot i with slot i + below(p - i), and
+the first k slots, in draw order, are the subset.  random_subset runs it
+in plain Python ints, keeping only the slots it has moved, so a draw costs
+O(k) time and memory whatever p, and needs no numpy.  random_subsets draws
+the k-subsets of many seeds at once: it runs the same shuffle of every
+seed's stream side by side in uint64 numpy arithmetic, and redraws a
+rejected lane through SplitMix64.below, so each row is bit-exact with
+random_subset of that seed.  SplitMix64.next_u64s(n) mixes the next n
+states at once in the same arithmetic, bit-exact with n calls to
+next_u64().
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ def random_subsets(p: int, k: int, seeds):
     are returned.  Each lane's k outputs are mixed at once from the states
     seed + (i + 1) * gamma, and the swaps run over all lanes together,
     _DRAW_ENTRIES shuffled slots at a time.  A lane with an output in
-    below()'s rejection zone is redrawn alone by SplitMix64.below, so every
-    row is a pure function of (p, k, seed).  Seeds are taken mod 2^64, as
+    below()'s rejection zone is redrawn alone by SplitMix64.below, so row t
+    equals random_subset(p, k, seeds[t]).  Seeds are taken mod 2^64, as
     SplitMix64 takes them.
     """
     import numpy as np
@@ -114,5 +119,20 @@ def random_subsets(p: int, k: int, seeds):
 
 
 def random_subset(p: int, k: int, seed: int) -> tuple[int, ...]:
-    """Uniform random k-subset of {0, ..., p-1} in draw order: random_subsets of one seed."""
-    return tuple(random_subsets(p, k, [seed])[0].tolist())
+    """Uniform random k-subset of {0, ..., p-1} in draw order: the partial Fisher-Yates shuffle.
+
+    Step i swaps slot i with slot j = i + below(p - i) of SplitMix64(seed)
+    and emits the new slot i.  Slot i is never read again, so only the
+    value moved to slot j is stored, in a dict of the slots written so far;
+    a slot not in it still holds its own index.
+    """
+    if not 0 < k <= p:
+        raise ValueError(f"need 0 < k <= p, got k={k}, p={p}")
+    stream = SplitMix64(seed)
+    moved: dict[int, int] = {}
+    out = []
+    for i in range(k):
+        j = i + stream.below(p - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return tuple(out)

@@ -13,7 +13,6 @@ from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeEr
 from paleyrip.experiments import (
     _INTERLACING_SLACK,
     STACK_ENTRIES,
-    conjecture_scan,
     cot_witness,
     dembo_ratio_study,
     estimate_rip_single,
@@ -22,7 +21,7 @@ from paleyrip.experiments import (
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
-from paleyrip.pairs import conjecture_search, greedy_peel, one_sided_ratio
+from paleyrip.pairs import conjecture_scan, conjecture_search, greedy_peel, one_sided_ratio
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 
@@ -82,7 +81,8 @@ def test_random_subset_coverage():
 
 
 def _fisher_yates(p, k, seed):
-    # the scalar partial Fisher-Yates shuffle that random_subsets vectorises
+    # the partial Fisher-Yates shuffle over a full list of p slots, the oracle
+    # of random_subset's dict of moved slots and of random_subsets' lanes
     stream = SplitMix64(seed)
     arr = list(range(p))
     for i in range(k):
@@ -96,7 +96,17 @@ def _seeds(trials):
     return [0, 2**64 - 1, -1, 2**64 + 5] + [sub_seed(3, t) for t in range(trials)]
 
 
-@pytest.mark.parametrize("p", [7, 19, 103, 1019])
+@pytest.mark.parametrize("p", [13, 1019, 100003])
+def test_random_subset_is_fisher_yates(p):
+    # k between 1 and p, and a p whose full slot list the scalar draw never builds
+    seeds = _seeds(6)
+    for k in (2, min(p // 2 + 1, 300)):
+        rows = random_subsets(p, k, seeds).tolist()
+        for row, seed in zip(rows, seeds):
+            assert random_subset(p, k, seed) == _fisher_yates(p, k, seed) == tuple(row)
+
+
+@pytest.mark.parametrize("p", [3, 7, 19, 103, 1019])
 @pytest.mark.parametrize("k", ["one", "p"])
 def test_random_subsets_match_scalar_oracle(p, k, monkeypatch):
     # five rows per draw batch, so the 19 trials span four batches
@@ -112,22 +122,33 @@ def test_random_subsets_match_scalar_oracle(p, k, monkeypatch):
 @pytest.mark.parametrize("p", [7, 19, 103])
 def test_random_subsets_redraw_rejected_lanes(p, monkeypatch):
     # a mixer that returns 2^64 - 1, which below(n) rejects for every n that
-    # is not a power of two, on one output in 23 forces the redraw branch
+    # is not a power of two, on one output in 23 forces the redraw branch of
+    # random_subsets and the rejection loop of random_subset's below()
     seeds = _seeds(40)
+    plain = [random_subset(p, p, seed) for seed in seeds]
     mix = rng._mix
     scalar_mixes = []
+    forced_scalar = []
 
     def forced(z):
         u = mix(z)
         if isinstance(u, int):
             scalar_mixes.append(z)
-            return rng._MASK if u % 23 == 0 else u
+            if u % 23 == 0:
+                forced_scalar.append(z)
+                return rng._MASK
+            return u
         return np.where(u % np.uint64(23) == 0, np.uint64(rng._MASK), u)
 
     monkeypatch.setattr(rng, "_mix", forced)
     rows = random_subsets(p, p, seeds).tolist()
     assert scalar_mixes  # some lane was redrawn
-    assert [tuple(r) for r in rows] == [_fisher_yates(p, p, seed) for seed in seeds]
+    want = [_fisher_yates(p, p, seed) for seed in seeds]
+    assert [tuple(r) for r in rows] == want
+    forced_scalar.clear()
+    assert [random_subset(p, p, seed) for seed in seeds] == want
+    assert forced_scalar  # the scalar draw met rejected outputs
+    assert want != plain  # and drew again past them
 
 
 # --- d(j) curves ---------------------------------------------------------------

@@ -3,8 +3,10 @@
 The popcount pair search of `pairs`, the only pair-numerator path of the
 package, must give the same records as the stacked float32 |C C^T| product
 kept here as its oracle, alone and through the Monte Carlo scan
-`experiments.conjecture_scan`, and the peel the same trace as a loop that
-solves one sign matrix per step with it.  `frame.gram_rows` must give
+`pairs.conjecture_scan`, and the peel the same trace as a loop that solves
+one sign matrix per step with it.  The search's row masks are rotations of
+one p-bit residue mask, so the cases include rotations by 0 and p - 1,
+both classes of p mod 4, p = 3 and k = p.  `frame.gram_rows` must give
 gram_analytic's entries bit for bit, signed zeros included.
 """
 
@@ -13,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paleyrip.experiments import conjecture_scan
 from paleyrip.frame import gram_analytic, gram_rows, sign_matrix
 from paleyrip.numtheory import chi_signs, chi_table
-from paleyrip.pairs import ConjectureRecord, conjecture_search, greedy_peel
+from paleyrip.pairs import ConjectureRecord, conjecture_scan, conjecture_search, greedy_peel
 from paleyrip.rng import random_subset, random_subsets, sub_seed
 
 # both residue classes mod 4, past one 64-bit word from 67 on
@@ -111,12 +112,50 @@ def test_peel_matches_stacked_loop_at_1019(k):
     assert greedy_peel(1019, support) == _stacked_peel(1019, support, 0.8, 5)
 
 
+def _rotation_edge_supports(p):
+    """Supports holding residues 0 and p - 1, the masks rotated by 0 and by p - 1."""
+    k = min(p, 12)
+    middle = random_subset(p - 2, k - 2, p)  # k - 2 residues of 1..p-2, shifted below
+    return [
+        (0, p - 1, *(x + 1 for x in middle)),
+        (*(x + 1 for x in middle), p - 1, 0),
+        tuple(range(k - 1)) + (p - 1,),
+        tuple(range(p - 1, p - 1 - k, -1)),
+    ]
+
+
+# p = 1 (mod 4) makes chi(-u) = chi(u), so R is symmetric; p = 3 is the smallest prime
+@pytest.mark.parametrize("p", [3, 5, 13, 19, 29, 101, 103])
+def test_search_matches_stacked_product_at_rotation_edges(p):
+    for support in _rotation_edge_supports(p) + [tuple(range(p)), tuple(range(p))[::-1]]:
+        want = _pair_records(p, [support], sign_matrix(p, [support]), 0.8)[0]
+        assert conjecture_search(p, support) == want, support
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 19, 29, 101, 103])
+def test_peel_matches_stacked_loop_at_rotation_edges(p):
+    for support in _rotation_edge_supports(p) + [tuple(range(p)), random_subset(p, p, 1)]:
+        m_alpha = min(5, len(support))
+        assert greedy_peel(p, support, 0.8, m_alpha) == _stacked_peel(p, support, 0.8, m_alpha)
+
+
+@pytest.mark.parametrize("p", [13, 29, 101])
+def test_search_matches_stacked_product_one_mod_four(p):
+    # supports of every size, k = p included, at primes p = 1 (mod 4)
+    for k in range(3, p + 1, max(1, p // 12)):
+        for seed in range(3):
+            support = random_subset(p, k, sub_seed(p, seed))
+            want = _pair_records(p, [support], sign_matrix(p, [support]), 0.8)[0]
+            assert conjecture_search(p, support) == want, support
+            assert greedy_peel(p, support, 0.8, 3) == _stacked_peel(p, support, 0.8, 3)
+
+
 def test_conjecture_scan_records_match_per_support_search():
     # every scan record equals the stacked product's on its trial's own
     # support, and reruns agree; the sizes cover both parities of k, k = 3
     # and k = p
     for p, k, trials in ((43, 8, 30), (103, 60, 40), (19, 12, 500), (1019, 201, 20),
-                         (131, 3, 100), (5, 5, 10)):
+                         (131, 3, 100), (5, 5, 10), (13, 13, 30), (3, 3, 5)):
         s1 = conjecture_scan(p, k, trials=trials, alpha=0.8, seed=5)
         assert s1.records == conjecture_scan(p, k, trials=trials, alpha=0.8, seed=5).records
         idx = random_subsets(p, k, [sub_seed(5, t) for t in range(trials)])

@@ -1,10 +1,11 @@
 """Start-up loads only what a command runs.
 
 `import paleyrip`, `--help`, `--version`, `bounds`, `fit`, the analytic
-`gram` and `conjecture --support` (with and without `--peel`) must work with
-numpy unimportable (`sys.modules["numpy"] = None` makes any import of it
-raise), and print the same bytes as an ordinary run.  `bounds` itself is
-loaded only by the commands that evaluate bounds.
+`gram` and `conjecture` in all three modes (`--support`, `--support --peel`
+and the `--k` scan, in CSV and JSON) must work with numpy unimportable
+(`sys.modules["numpy"] = None` makes any import of it raise), and print
+the same bytes as an ordinary run.  `bounds` itself is loaded only by the
+commands that evaluate bounds, and `pairs` only by `conjecture`.
 """
 
 import subprocess
@@ -46,6 +47,8 @@ NUMPY_FREE_COMMANDS = [
     ["gram", "--p", "7", "--support", "0,1,3"],
     ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
     ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
+    ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
+    ["conjecture", "--p", "43", "--k", "8", "--trials", "200", "--seed", "7", "--format", "json"],
 ]
 
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
@@ -115,9 +118,22 @@ def test_bounds_loaded_only_where_evaluated(code, loaded):
     assert res.stdout.splitlines()[-1] == str(loaded)
 
 
+@pytest.mark.parametrize("code, loaded", [
+    ("main(['conjecture', '--p', '19', '--k', '5', '--trials', '2'])", True),
+    ("main(['conjecture', '--p', '5', '--support', '0,1,2,3,4'])", True),
+    ("main(['estimate', '--p', '7', '--k', '3'])", False),
+    ("main(['demboratio', '--p', '19', '--k', '5'])", False),
+])
+def test_pairs_loaded_only_by_conjecture(code, loaded):
+    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
+                  "print('paleyrip.pairs' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str(loaded)
+
+
 @pytest.mark.parametrize("code", [
     "main(['gram', '--p', '7', '--support', '0,1,3', '--method', 'direct'])",
-    "main(['conjecture', '--p', '19', '--k', '5', '--trials', '2'])",
+    "main(['estimate', '--p', '19', '--k', '5', '--trials', '2'])",
 ])
 def test_array_commands_load_numpy(code):
     # the positive control of the numpy-free commands above
