@@ -93,8 +93,8 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
 def _residue_mask(p: int) -> int:
     """The p-bit int R whose bit u is set when chi(-u) = +1, cached per prime.
 
-    Its binary digits, most significant first, are chi(1), ..., chi(p - 1),
-    then chi(0) = 0 for bit 0.
+    Its binary digits, most significant first, are 1 where chi(1), ...,
+    chi(p - 1) is +1 and 0 elsewhere, then 0 for bit 0, as chi(0) = 0.
     """
     return int("".join("1" if s == 1 else "0" for s in chi_signs(p)[1:]) + "0", 2)
 
