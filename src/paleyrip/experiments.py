@@ -11,14 +11,18 @@ numpy, and this module imports neither.
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
 is exactly rho(C)/sqrt p.  The experiments build sign matrices with
-frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, solved
-by _radii through spectra.skew_spectral_radius (rho(C)^2 is the top
-eigenvalue of the exact integer product C^T C, one real symmetric solve per
-matrix).  _worst_curve is the one prefix-radius path: the RIP curves and
-the bordered-bound study read it.  It builds each trial's C once, at
-order k, into an int8 stack of at most 1 MiB whatever the trial count, then
-walks the prefix order down and, by Cauchy interlacing, solves at each order
-only the leading blocks of the trials that can still set the max.
+frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, gate
+each stack they build once with spectra.check_sign_matrices, and solve
+each C^T C with spectra.gram_radius (rho(C)^2 is its top eigenvalue, one
+real symmetric solve per matrix).  Each product is formed from the integer
+stack in float32 and cast to float64 (_gram): its partial sums are
+integers of size at most the order, so it is exact.  _worst_curve is the
+one prefix-radius path: the RIP curves and the bordered-bound study read
+it.  It builds each trial's C once, at order k, into an int8 stack of at
+most 1 MiB whatever the trial count, then walks the prefix order down and,
+by Cauchy interlacing, solves at each order only the leading blocks of the
+trials that can still set the max; a trial solved alone at consecutive
+orders takes its product as an exact rank-one downdate of the one above.
 exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
 closed under subsets and under x -> a x + b, so a depth-first search from
 {0, 1} finds one if any exists; one such witness is a lower bound that
@@ -78,14 +82,24 @@ def _batch(k: int) -> int:
     return max(1, STACK_ENTRIES // (k * k))
 
 
+def _gram(c: np.ndarray) -> np.ndarray:
+    """C^T C of a gated sign matrix or stack, formed in float32 and cast to float64.
+
+    Every partial sum is an integer of size at most the order n < 2^24, so
+    the product is exact: the same bits as the float64 product.
+    """
+    a = c.astype(np.float32)
+    return (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
+
+
 def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
     """rho of the leading j x j blocks of c[rows], solved _batch(j) matrices at a time.
 
-    Each batch is sliced from c on its own, so a selection of a large
-    stored stack is never copied whole.
+    c is a gated sign-matrix stack.  Each batch is sliced from c on its
+    own, so a selection of a large stored stack is never copied whole.
     """
     return np.concatenate([
-        spectra.skew_spectral_radius(c[rows[s:s + _batch(j)], :j, :j])
+        spectra.gram_radius(_gram(c[rows[s:s + _batch(j)], :j, :j]))
         for s in range(0, len(rows), _batch(j))
     ])
 
@@ -97,12 +111,16 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     trial's radius is nondecreasing in j, and its last solved radius is an
     upper bound ub at every lower order.  The trials are taken in groups of
     at most _STORED_ENTRIES sign-matrix entries, each group's C built once,
-    at order k, as an int8 stack whose leading blocks are solved.  A group
-    solves all its trials at order k; then, walking j down, its trial with
-    the largest ub is solved first, and after it only the trials whose ub
-    still reaches the max so far at j, from this group and those before it,
-    less the slack.  Pruned trials cannot set the max, so d equals the full
-    max exactly.
+    at order k, as an int8 stack that is gated once and whose leading
+    blocks are solved.  A group solves all its trials at order k; then,
+    walking j down, its trial with the largest ub is solved first, and
+    after it only the trials whose ub still reaches the max so far at j,
+    from this group and those before it, less the slack.  Pruned trials
+    cannot set the max, so d equals the full max exactly.
+    A trial solved alone at order j + 1 and again at j has
+    C_j^T C_j = (C_{j+1}^T C_{j+1})[:j, :j] - c c^T with c = C[j, :j], an
+    exact integer downdate, so only that one product is held: the group's
+    leading trial, and at every order a group of one trial.
     """
     rho = np.zeros(k)
     group = max(1, _STORED_ENTRIES // (k * k))
@@ -111,14 +129,27 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
         c = np.empty((len(members), k, k), dtype=np.int8)
         for s in range(0, len(c), _batch(k)):
             c[s:s + _batch(k)] = sign_matrix(p, members[s:s + _batch(k)])
-        ub = _radii(c, np.arange(len(c)), k)
+        spectra.check_sign_matrices(c)
+        held = None  # (t, C^T C) of the trial t last solved alone, at order len(C^T C)
+
+        def alone(t: int, j: int) -> float:
+            nonlocal held
+            if held is not None and held[0] == t and len(held[1]) == j + 1:
+                row = c[t, j, :j].astype(np.float64)
+                s = held[1][:j, :j] - np.outer(row, row)
+            else:
+                s = _gram(c[t, :j, :j])
+            held = (t, s)
+            return spectra.gram_radius(s)
+
+        ub = np.array([alone(0, k)]) if len(c) == 1 else _radii(c, np.arange(len(c)), k)
         rho[k - 1] = max(rho[k - 1], ub.max())
         for j in range(k - 1, 1, -1):
             best = rho[j - 1]
             top = np.argmax(ub)
             if ub[top] <= best * (1.0 - _INTERLACING_SLACK):
                 continue  # no trial of this group can reach the max at j
-            ub[top] = r = _radii(c, [top], j)[0]
+            ub[top] = r = alone(top, j)
             best = max(best, r)
             rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
             rest = rest[rest != top]
@@ -280,7 +311,8 @@ def exact_rip(p, k: int) -> float:
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
         c = sign_matrix(p, chunk)
-        rho = max(rho, _radii(c, np.arange(len(c)), k).max())
+        spectra.check_sign_matrices(c)
+        rho = max(rho, spectra.gram_radius(_gram(c)).max())
     return float(rho) / math.sqrt(p)
 
 

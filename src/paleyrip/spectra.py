@@ -3,12 +3,15 @@
 Every Gramian of the Paley frame is I + (i/sqrt p) C with C a +-1
 skew-symmetric sign matrix, and the spectrum of iC is symmetric about 0, so
 the deviation max(lambda_max - 1, 1 - lambda_min) is exactly rho(C)/sqrt p.
-skew_spectral_radius is therefore the package's one spectral path for sign
-matrices: it takes one matrix or a stack and, in a single call to LAPACK's
-real symmetric solver (numpy.linalg.eigvalsh), finds rho(C) as
-sqrt(lambda_max(C^T C)).  For a sign matrix C^T C has integer entries of
-size at most n, so the float64 product is exact and only the eigensolver
-rounds.  Input gates are relative to the largest entry.  The
+gram_radius(S) = sqrt(lambda_max(S)) for S = C^T C is the one call of
+LAPACK's real symmetric solver (numpy.linalg.eigvalsh) on sign matrices,
+for one matrix or a stack.  skew_spectral_radius gates its input and
+passes it the product of C / max|C|.  For a sign matrix every partial sum
+of C^T C is an integer of size at most n, so even a float32 product is
+exact for n < 2^24 and only the solver rounds; code that builds sign-matrix
+stacks gates each once with check_sign_matrices and forms the products
+itself.  The tolerance gates of hermitian_spectrum and
+skew_spectral_radius are relative to the largest entry.  The
 bordered-matrix bounds are evaluated from their closed forms and
 cross-checked elsewhere against dense oracles; the extreme roots of the
 two-row bordered quartic are the extreme eigenvalues of that matrix
@@ -81,11 +84,44 @@ def canonical_tournament(n: int) -> np.ndarray:
     return np.triu(ones, 1) - np.tril(ones, -1)
 
 
+def check_sign_matrices(c) -> None:
+    """Gate a sign matrix or a stack of them, whole, before their products are solved.
+
+    Raises ParameterRangeError for input that is not square and of an
+    integer dtype, and NonHermitianError for an entry outside {-1, 0, 1} or
+    a matrix that is not exactly skew-symmetric: the types
+    skew_spectral_radius raises.  What passes has integer C^T C entries of
+    size at most n, so every partial sum of the product is exact in float32
+    for n < 2^24.
+    """
+    c = np.asarray(c)
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
+        raise ParameterRangeError(f"need square matrices, got shape {c.shape}")
+    if not np.issubdtype(c.dtype, np.integer):
+        raise ParameterRangeError(f"need integer sign matrices, got dtype {c.dtype}")
+    if c.size and (c.min() < -1 or c.max() > 1):
+        raise NonHermitianError("sign matrices need entries in {-1, 0, 1}")
+    asym = np.any(c + np.swapaxes(c, -1, -2), axis=(-2, -1))
+    if asym.any():
+        raise NonHermitianError(
+            f"{np.count_nonzero(asym)} of {asym.size} sign matrices are not skew-symmetric"
+        )
+
+
+def gram_radius(s):
+    """sqrt(lambda_max(S)) of a real symmetric S = C^T C, or of each in a stack.
+
+    For real skew-symmetric C this is rho(C).  One eigvalsh call, which
+    reads the lower triangle; the input is taken as it is, ungated.
+    """
+    return np.sqrt(np.linalg.eigvalsh(s)[..., -1])
+
+
 def skew_spectral_radius(c):
     """Spectral radius of a real skew-symmetric matrix, or of each in a stack.
 
     Equals the largest eigenvalue of the Hermitian matrix i*C, and is found
-    as s * sqrt(lambda_max(A^T A)) with A = C / s and s = max|C| (1 for a
+    as s * gram_radius(A^T A) with A = C / s and s = max|C| (1 for a
     zero matrix): A^T A = -C^2 / s^2 is real symmetric with the squared
     radius on top.  The scaling keeps the product clear of overflow and
     underflow at any overall magnitude of C and puts lambda_max >= 1 for
@@ -117,7 +153,7 @@ def skew_spectral_radius(c):
         )
     scale = np.where(scale > 0, scale, 1.0).astype(np.float64)
     a = c / scale[..., None, None]
-    rho = scale * np.sqrt(np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1])
+    rho = scale * gram_radius(np.swapaxes(a, -1, -2) @ a)
     return float(rho) if c.ndim == 2 else rho
 
 

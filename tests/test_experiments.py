@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from paleyrip import experiments, rng, spectra
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
-from paleyrip.errors import MalformedInputError, NotPrimeError, ParameterRangeError
+from paleyrip.errors import (
+    MalformedInputError,
+    NonHermitianError,
+    NotPrimeError,
+    ParameterRangeError,
+)
 from paleyrip.experiments import (
     _INTERLACING_SLACK,
     STACK_ENTRIES,
@@ -261,18 +266,105 @@ def test_estimate_worst_builds_each_sign_matrix_once(monkeypatch):
     assert len(built) <= math.ceil(1000 / (STACK_ENTRIES // 30**2))
 
 
-def test_estimate_worst_prunes_most_solves(monkeypatch):
+def _count_gram_solves(monkeypatch) -> list:
+    # the number of matrices each spectra.gram_radius call solves
     solved = []
-    full = spectra.skew_spectral_radius
+    full = spectra.gram_radius
 
-    def counting(c, *args, **kwargs):
-        c = np.asarray(c)
-        solved.append(math.prod(c.shape[:-2]))
-        return full(c, *args, **kwargs)
+    def counting(s):
+        solved.append(math.prod(np.shape(s)[:-2]))
+        return full(s)
 
-    monkeypatch.setattr(spectra, "skew_spectral_radius", counting)
+    monkeypatch.setattr(spectra, "gram_radius", counting)
+    return solved
+
+
+def test_estimate_worst_prunes_most_solves(monkeypatch):
+    # every trial at order 30, and at least the leading trial at each of the
+    # 28 orders below it, against 1000 per order unpruned
+    solved = _count_gram_solves(monkeypatch)
     estimate_rip_worst(103, 30, 1000, seed=1)
-    assert sum(solved) < 1000 * 29 / 2
+    assert 1000 + 28 <= sum(solved) < 1000 * 29 / 2
+
+
+def _assert_exact_grams(c):
+    # the float32 product, cast, equals the float64 product, and the
+    # rank-one downdate from order n equals the fresh order n - 1 product,
+    # sign bits of zeros included; gram_radius of either gives
+    # skew_spectral_radius's bits
+    a = c.astype(np.float64)
+    s = experiments._gram(c)
+    down = s[:-1, :-1] - np.outer(a[-1, :-1], a[-1, :-1])
+    fresh = a[:-1, :-1].T @ a[:-1, :-1]
+    for got, want in ((s, a.T @ a), (down, fresh), (experiments._gram(c[:-1, :-1]), fresh)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert spectra.gram_radius(s) == skew_spectral_radius(c)
+    assert spectra.gram_radius(down) == skew_spectral_radius(c[:-1, :-1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+def test_gram_products_and_downdate_are_exact(n, seed):
+    # random +-1 orientations of order n
+    upper = np.triu(np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (n, n)), 1)
+    _assert_exact_grams(upper - upper.T)
+
+
+def test_gram_product_exact_at_order_1019():
+    # the whole Paley tournament at p = 1019
+    _assert_exact_grams(sign_matrix(1019, range(1019)).astype(np.int8))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([103, 1019]), k=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+def test_single_support_downdates_match_unpruned_reference(p, k, seed):
+    # one trial is solved alone at every order, each product downdated from
+    # the order above: the same bits as a fresh solve at every order
+    k = min(k, p)
+    assert np.array_equal(estimate_rip_worst(p, k, 1, seed).d,
+                          _unpruned_worst_curve(p, k, 1, seed))
+
+
+def _corrupt(monkeypatch, support, entry):
+    # sign_matrix as experiments calls it, with `entry` written at (0, 1) of
+    # the matrix of `support`; returns the list of writes made
+    full = experiments.sign_matrix
+    writes = []
+
+    def patched(p, idx):
+        c = full(p, idx)
+        for t in np.flatnonzero((np.asarray(idx) == support).all(axis=-1)):
+            c[t, 0, 1] = c[t, 1, 0] if entry == "symmetric" else entry
+            writes.append(t)
+        return c
+
+    monkeypatch.setattr(experiments, "sign_matrix", patched)
+    return writes
+
+
+@pytest.mark.parametrize("entry", ["symmetric", 2])
+def test_gate_guards_second_stored_group(monkeypatch, entry):
+    # a trial of the second stored group of (103, 60, 300), whose stack is
+    # gated once, before any of its solves
+    p, k, trials = 103, 60, 300
+    t = experiments._STORED_ENTRIES // (k * k) + 4
+    assert t < trials
+    support = random_subsets(p, k, [sub_seed(5, i) for i in range(trials)])[t]
+    writes = _corrupt(monkeypatch, support, entry)
+    with pytest.raises(NonHermitianError):
+        estimate_rip_worst(p, k, trials, seed=5)
+    assert len(writes) == 1
+
+
+@pytest.mark.parametrize("entry", ["symmetric", 2])
+def test_gate_guards_exact_rip_chunk(monkeypatch, entry):
+    # a representative in the third chunk of the (19, 7) enumeration, which
+    # runs because no 7-support attains cot(pi/14) at p = 19
+    rest = next(islice(combinations(range(2, 19), 5), 3000, None))
+    writes = _corrupt(monkeypatch, (0, 1, *rest), entry)
+    with pytest.raises(NonHermitianError):
+        exact_rip(19, 7)
+    assert len(writes) == 1
 
 
 def test_estimate_validates_range():
@@ -479,15 +571,7 @@ def test_cot_witness_needs_no_eigensolve(monkeypatch):
 
 
 def test_exact_rip_witness_skips_enumeration(monkeypatch):
-    solved = []
-    full = spectra.skew_spectral_radius
-
-    def counting(c, *args, **kwargs):
-        c = np.asarray(c)
-        solved.append(math.prod(c.shape[:-2]))
-        return full(c, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "skew_spectral_radius", counting)
+    solved = _count_gram_solves(monkeypatch)
     d = exact_rip(23, 6)
     assert sum(solved) == 1  # the witness's radius; the enumeration solves binomial(21, 4) = 5985
     assert abs(d - bound_skew(6, 23, exact=True)) < 1e-12

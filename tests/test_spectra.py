@@ -14,6 +14,7 @@ from paleyrip.spectra import (
     _compressed_spectrum,
     block3_det,
     canonical_tournament,
+    check_sign_matrices,
     dembo_lower,
     dembo_upper,
     gamma_term,
@@ -212,6 +213,28 @@ def test_skew_radius_rejects_non_skew():
     # relative gate: a large rotated tournament keeps its cot(pi/2n) radius
     target = 1e5 / math.tan(math.pi / 24)
     assert abs(skew_spectral_radius(_rotated_scaled_tournament()) - target) < 1e-12 * target
+
+
+def test_sign_gate_admits_exactly_skew_sign_stacks():
+    good = sign_matrix(103, np.array([random_subset(103, 12, s) for s in range(6)]))
+    for c in (good, good.astype(np.int8), good[0], np.zeros((3, 1, 1), dtype=np.int8)):
+        check_sign_matrices(c)
+    for dtype in (np.int8, np.int64):
+        for bad in (2, -2, -128):
+            c = good.astype(dtype)
+            c[4, 0, 1] = bad
+            c[4, 1, 0] = -bad if bad != -128 else 1  # skew where the dtype allows it
+            with pytest.raises(NonHermitianError, match=r"\{-1, 0, 1\}"):
+                check_sign_matrices(c)
+        for a, b in ((3, 9), (7, 7)):
+            c = good.astype(dtype)
+            c[2, a, b] = c[2, b, a] if a != b else 1  # sign entries, but not skew
+            with pytest.raises(NonHermitianError, match="1 of 6"):
+                check_sign_matrices(c)
+    with pytest.raises(ParameterRangeError):
+        check_sign_matrices(good.astype(float))  # exactness is argued for integers only
+    with pytest.raises(ParameterRangeError):
+        check_sign_matrices(good[:, :, :5])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
