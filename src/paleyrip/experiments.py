@@ -11,18 +11,16 @@ numpy, and this module imports neither.
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
 is exactly rho(C)/sqrt p.  The experiments build sign matrices with
-frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, gate
-each stack they build once with spectra.check_sign_matrices, and solve
-each C^T C with spectra.gram_radius (rho(C)^2 is its top eigenvalue, one
-real symmetric solve per matrix).  Each product is formed from the integer
-stack in float32 and cast to float64 (_gram): its partial sums are
-integers of size at most the order, so it is exact.  _worst_curve is the
-one prefix-radius path: the RIP curves and the bordered-bound study read
-it.  It builds each trial's C once, at order k, into an int8 stack of at
-most 1 MiB whatever the trial count, then walks the prefix order down and,
-by Cauchy interlacing, solves at each order only the leading blocks of the
-trials that can still set the max; a trial solved alone at consecutive
-orders takes its product as an exact rank-one downdate of the one above.
+frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, and
+solve them on spectra's exact radius path: gate, exact C^T C product, one
+real symmetric solve per matrix (the spectra docstring says why the product
+is exact).  _worst_curve is the one prefix-radius path: the RIP curves and
+the bordered-bound study read it.  It builds each trial's C once, at order
+k, into an int8 stack of at most 1 MiB whatever the trial count, then walks
+the prefix order down and, by Cauchy interlacing, solves at each order only
+the leading blocks of the trials that can still set the max; a trial solved
+alone at consecutive orders takes its product as an exact rank-one downdate
+of the one above.
 exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
 closed under subsets and under x -> a x + b, so a depth-first search from
 {0, 1} finds one if any exists; one such witness is a lower bound that
@@ -47,7 +45,7 @@ import numpy as np
 
 from . import spectra
 from .errors import ParameterRangeError
-from .frame import sign_matrix
+from .frame import check_k, sign_matrix
 from .numtheory import check_paley, chi_signs
 from .rng import random_subsets, sub_seed
 
@@ -70,26 +68,9 @@ _STORED_ENTRIES = 16 * STACK_ENTRIES
 _INTERLACING_SLACK = 1e-12
 
 
-def _check_k(k, p: int, lo: int) -> int:
-    """k as an int; ParameterRangeError unless lo <= k <= p."""
-    if not lo <= (k := int(k)) <= p:
-        raise ParameterRangeError(f"k must be in [{lo}, p], got k={k}, p={p}")
-    return k
-
-
 def _batch(k: int) -> int:
     """Order-k matrices per stack: STACK_ENTRIES entries, at least one matrix."""
     return max(1, STACK_ENTRIES // (k * k))
-
-
-def _gram(c: np.ndarray) -> np.ndarray:
-    """C^T C of a gated sign matrix or stack, formed in float32 and cast to float64.
-
-    Every partial sum is an integer of size at most the order n < 2^24, so
-    the product is exact: the same bits as the float64 product.
-    """
-    a = c.astype(np.float32)
-    return (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
 
 
 def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
@@ -99,7 +80,7 @@ def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
     own, so a selection of a large stored stack is never copied whole.
     """
     return np.concatenate([
-        spectra.gram_radius(_gram(c[rows[s:s + _batch(j)], :j, :j]))
+        spectra.gram_radius(spectra.sign_gram(c[rows[s:s + _batch(j)], :j, :j]))
         for s in range(0, len(rows), _batch(j))
     ])
 
@@ -138,7 +119,7 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
                 row = c[t, j, :j].astype(np.float64)
                 s = held[1][:j, :j] - np.outer(row, row)
             else:
-                s = _gram(c[t, :j, :j])
+                s = spectra.sign_gram(c[t, :j, :j])
             held = (t, s)
             return spectra.gram_radius(s)
 
@@ -167,7 +148,9 @@ class RipEstimate:
     d[j-1] = rho(C_j)/sqrt p, where C_j is the sign matrix of the j-prefix,
     is max(lambda_max(G_j) - 1, 1 - lambda_min(G_j)); d[0] (order 1) is 0.
     Within a trial the supports are nested prefixes of one random draw, so d
-    is nondecreasing by eigenvalue interlacing of principal submatrices.
+    is nondecreasing in exact arithmetic, by eigenvalue interlacing of
+    principal submatrices; at ties, common near j = p, a computed value can
+    dip by a rounding step, never by more than _INTERLACING_SLACK relative.
     `supports` is the (trials, k) array of drawn column indices, row t the
     support of trial t in draw order.  Two estimates are equal when their
     fields are, the arrays compared whole; like the arrays, they are unhashable.
@@ -198,7 +181,7 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
     function of (p, k, seed).
     """
     p = check_paley(p)
-    k = _check_k(k, p, 2)
+    k = check_k(k, p, 2)
     idx = random_subsets(p, k, [seed])
     return RipEstimate(p, k, int(seed), 1, _worst_curve(p, idx, k), idx)
 
@@ -216,7 +199,7 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
-    k = _check_k(k, p, 2)
+    k = check_k(k, p, 2)
 
     idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
     return RipEstimate(p, k, int(seed), trials, _worst_curve(p, idx, k), idx)
@@ -246,7 +229,7 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
     direct call has no budget; at (107, 12) it tests 5.1 million candidates.
     """
     p = check_paley(p)
-    k = _check_k(k, p, 2)
+    k = check_k(k, p, 2)
     return _cot_search(p, k, math.inf)
 
 
@@ -293,7 +276,7 @@ def exact_rip(p, k: int) -> float:
     closed-form bounds are checked against.
     """
     p = check_paley(p)
-    k = _check_k(k, p, 1)
+    k = check_k(k, p, 1)
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
     try:
@@ -310,9 +293,7 @@ def exact_rip(p, k: int) -> float:
     reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
-        c = sign_matrix(p, chunk)
-        spectra.check_sign_matrices(c)
-        rho = max(rho, spectra.gram_radius(_gram(c)).max())
+        rho = max(rho, spectra.skew_spectral_radius(sign_matrix(p, chunk)).max())
     return float(rho) / math.sqrt(p)
 
 
@@ -337,7 +318,7 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     from that estimate's curve.
     """
     p = check_paley(p)
-    k = _check_k(k, p, 3)
+    k = check_k(k, p, 3)
     d = estimate_rip_single(p, k, seed).d
     sqrt_p = math.sqrt(p)
     rows = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterRangeError
-from .frame import check_support
+from .frame import check_k, check_support
 from .numtheory import check_prime, chi_signs
 from .rng import random_subset, sub_seed
 
@@ -214,8 +214,7 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
     trials = int(trials)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
-    if not 3 <= (k := int(k)) <= p:
-        raise ParameterRangeError(f"k must be in [3, p], got k={k}, p={p}")
+    k = check_k(k, p, 3)
 
     records = [conjecture_search(p, random_subset(p, k, sub_seed(seed, t)), alpha)
                for t in range(trials)]

@@ -27,6 +27,8 @@ next_u64().
 
 from __future__ import annotations
 
+from .errors import ParameterRangeError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # Shuffled slots random_subsets holds at once (rows times p).
@@ -64,7 +66,7 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection (no modulo bias)."""
         if n <= 0:
-            raise ValueError("bound must be positive")
+            raise ParameterRangeError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -93,7 +95,7 @@ def random_subsets(p: int, k: int, seeds):
     import numpy as np
 
     if not 0 < k <= p:
-        raise ValueError(f"need 0 < k <= p, got k={k}, p={p}")
+        raise ParameterRangeError(f"need 0 < k <= p, got k={k}, p={p}")
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     n = np.arange(p, p - k, -1, dtype=np.uint64)  # below()'s bound at step i
     # below(n) accepts u < 2^64 - (2^64 mod n), and 2^64 mod n = (_MASK mod n + 1) mod n
@@ -127,7 +129,7 @@ def random_subset(p: int, k: int, seed: int) -> tuple[int, ...]:
     a slot not in it still holds its own index.
     """
     if not 0 < k <= p:
-        raise ValueError(f"need 0 < k <= p, got k={k}, p={p}")
+        raise ParameterRangeError(f"need 0 < k <= p, got k={k}, p={p}")
     stream = SplitMix64(seed)
     moved: dict[int, int] = {}
     out = []

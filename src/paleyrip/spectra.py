@@ -3,18 +3,18 @@
 Every Gramian of the Paley frame is I + (i/sqrt p) C with C a +-1
 skew-symmetric sign matrix, and the spectrum of iC is symmetric about 0, so
 the deviation max(lambda_max - 1, 1 - lambda_min) is exactly rho(C)/sqrt p.
-gram_radius(S) = sqrt(lambda_max(S)) for S = C^T C is the one call of
-LAPACK's real symmetric solver (numpy.linalg.eigvalsh) on sign matrices,
-for one matrix or a stack.  skew_spectral_radius gates its input and
-passes it the product of C / max|C|.  For a sign matrix every partial sum
-of C^T C is an integer of size at most n, so even a float32 product is
-exact for n < 2^24 and only the solver rounds; code that builds sign-matrix
-stacks gates each once with check_sign_matrices and forms the products
-itself.  The tolerance gates of hermitian_spectrum and
-skew_spectral_radius are relative to the largest entry.  The
-bordered-matrix bounds are evaluated from their closed forms and
-cross-checked elsewhere against dense oracles; the extreme roots of the
-two-row bordered quartic are the extreme eigenvalues of that matrix
+skew_spectral_radius is the one radius path for sign matrices: it gates C
+exactly with check_sign_matrices, forms S = C^T C with sign_gram and solves
+it with gram_radius, sqrt(lambda_max(S)), the one call of LAPACK's real
+symmetric solver (numpy.linalg.eigvalsh) on sign matrices, for one matrix
+or a stack.  For a gated sign matrix every partial sum of C^T C is an
+integer of size at most the order n, so the float32 product of sign_gram is
+exact for n < 2^24 and only the solver rounds; code that solves many slices
+of one stored stack gates it once and calls sign_gram and gram_radius
+itself.  The tolerance gate of hermitian_spectrum is relative to the
+largest entry.  The bordered-matrix bounds are evaluated from their closed
+forms and cross-checked elsewhere against dense oracles; the extreme roots
+of the two-row bordered quartic are the extreme eigenvalues of that matrix
 compressed to its invariant subspace of dimension at most 4, a 4x4 matrix
 written in closed form from |c|^2, |d|^2 and d.conj c (no QR), and both
 comparison matrices are solved in one stacked call.
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NonHermitianError, ParameterRangeError
 
 HERMITIAN_TOL = 1e-10
-SKEW_TOL = 1e-12
 # Points at which gram3_charpoly_check compares the two cubics.
 CHARPOLY_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -76,11 +75,11 @@ def gram3_charpoly_check(g: np.ndarray, p) -> float:
 
 
 def canonical_tournament(n: int) -> np.ndarray:
-    """Skew adjacency of the transitive tournament: +1 above, -1 below."""
+    """Integer skew adjacency of the transitive tournament: +1 above, -1 below."""
     n = int(n)
     if n < 1:
         raise ParameterRangeError(f"order must be >= 1, got {n}")
-    ones = np.ones((n, n))
+    ones = np.ones((n, n), dtype=int)
     return np.triu(ones, 1) - np.tril(ones, -1)
 
 
@@ -89,10 +88,8 @@ def check_sign_matrices(c) -> None:
 
     Raises ParameterRangeError for input that is not square and of an
     integer dtype, and NonHermitianError for an entry outside {-1, 0, 1} or
-    a matrix that is not exactly skew-symmetric: the types
-    skew_spectral_radius raises.  What passes has integer C^T C entries of
-    size at most n, so every partial sum of the product is exact in float32
-    for n < 2^24.
+    a matrix that is not exactly skew-symmetric.  What passes has integer
+    C^T C entries of size at most n, so sign_gram forms its product exactly.
     """
     c = np.asarray(c)
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
@@ -108,6 +105,16 @@ def check_sign_matrices(c) -> None:
         )
 
 
+def sign_gram(c: np.ndarray) -> np.ndarray:
+    """C^T C of a gated sign matrix or stack, formed in float32 and cast to float64.
+
+    Every partial sum is an integer of size at most the order n < 2^24, so
+    the product is exact: the same bits as the float64 product.
+    """
+    a = c.astype(np.float32)
+    return (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
+
+
 def gram_radius(s):
     """sqrt(lambda_max(S)) of a real symmetric S = C^T C, or of each in a stack.
 
@@ -118,42 +125,19 @@ def gram_radius(s):
 
 
 def skew_spectral_radius(c):
-    """Spectral radius of a real skew-symmetric matrix, or of each in a stack.
+    """Spectral radius of a sign matrix, or of each in a stack: gram_radius(sign_gram(C)).
 
-    Equals the largest eigenvalue of the Hermitian matrix i*C, and is found
-    as s * gram_radius(A^T A) with A = C / s and s = max|C| (1 for a
-    zero matrix): A^T A = -C^2 / s^2 is real symmetric with the squared
-    radius on top.  The scaling keeps the product clear of overflow and
-    underflow at any overall magnitude of C and puts lambda_max >= 1 for
-    any nonzero C.
-    For a sign matrix s = 1 and A^T A has integer entries of size at most
-    n, so the float64 product is exact under any BLAS blocking.  `c` is one
-    (n, n) matrix, giving a float, or a stack (..., n, n), giving an array of
-    radii.  A matrix with a NaN or infinite entry, or whose deviation from
-    skew-symmetry exceeds SKEW_TOL * max(1, max|C|), is rejected.  For any
+    C must pass check_sign_matrices: square, of an integer dtype, with
+    entries in {-1, 0, 1} and exactly skew-symmetric.  rho(C) is the
+    largest eigenvalue of the Hermitian matrix i*C and the square root of
+    the top eigenvalue of C^T C = -C^2.  `c` is one (n, n) matrix, giving a
+    float, or a stack (..., n, n), giving an array of radii.  For any
     orientation of a graph on n vertices the radius is at most cot(pi/2n),
     with equality for the canonical tournament.
     """
     c = np.asarray(c)
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
-        raise ParameterRangeError(f"need square matrices, got shape {c.shape}")
-    if np.iscomplexobj(c):
-        raise ParameterRangeError(f"need real matrices, got dtype {c.dtype}")
-    scale = np.abs(c).max(axis=(-2, -1))
-    nonfinite = ~np.isfinite(scale)
-    if nonfinite.any():
-        raise NonHermitianError(
-            f"NaN or infinite entries in {np.count_nonzero(nonfinite)} of {nonfinite.size} matrices"
-        )
-    dev = np.abs(c + np.swapaxes(c, -1, -2)).max(axis=(-2, -1))
-    bound = SKEW_TOL * np.maximum(1.0, scale)
-    if np.any(dev > bound):
-        raise NonHermitianError(
-            f"skew-symmetry deviation {np.max(dev):.3e} exceeds {SKEW_TOL:.1e} * max(1, max|C|)"
-        )
-    scale = np.where(scale > 0, scale, 1.0).astype(np.float64)
-    a = c / scale[..., None, None]
-    rho = scale * gram_radius(np.swapaxes(a, -1, -2) @ a)
+    check_sign_matrices(c)
+    rho = gram_radius(sign_gram(c))
     return float(rho) if c.ndim == 2 else rho
 
 

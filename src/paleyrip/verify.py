@@ -119,8 +119,8 @@ def _check_cot_radius(p, rng) -> CheckResult:
         # below(2) never rejects (2 divides 2^64), so each sign is the low
         # bit of one output.
         upper = np.triu_indices(n, 1)
-        signs = np.where(rng.next_u64s(50 * len(upper[0])) & 1, 1.0, -1.0)
-        c = np.zeros((50, n, n))
+        signs = np.where(rng.next_u64s(50 * len(upper[0])) & 1, 1, -1).astype(np.int8)
+        c = np.zeros((50, n, n), dtype=np.int8)
         c[:, upper[0], upper[1]] = np.reshape(signs, (50, -1))
         c = c - np.swapaxes(c, -1, -2)
         worst_excess = max(worst_excess, float(np.max(spectra.skew_spectral_radius(c))) - target)

@@ -111,7 +111,7 @@ def test_criterion_04_cot_radius_theorem():
     for n in range(2, 11):
         target = 1.0 / math.tan(math.pi / (2 * n))
         for _ in range(200):
-            c = np.zeros((n, n))
+            c = np.zeros((n, n), dtype=int)
             for i in range(n):
                 for j in range(i + 1, n):
                     s = 1.0 if rng.below(2) else -1.0

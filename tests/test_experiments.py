@@ -73,8 +73,12 @@ def test_random_subset_deterministic_and_valid():
     assert len(set(s1)) == 30
     assert all(0 <= x < 103 for x in s1)
     assert random_subset(103, 30, 8) != s1
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRangeError):
         random_subset(10, 11, 0)
+    with pytest.raises(ParameterRangeError):
+        random_subsets(10, 11, [0])
+    with pytest.raises(ParameterRangeError):
+        SplitMix64(0).below(0)
 
 
 def test_random_subset_coverage():
@@ -166,6 +170,10 @@ def test_estimate_single_deterministic_prefix_values():
     assert abs(est.d[2] - math.sqrt(3.0 / 103.0)) < 1e-10
     # nondecreasing by interlacing, bounded by the disk bound
     assert np.all(np.diff(est.d) >= -1e-12)
+    # a k = p curve ties at its top orders, where a computed value may dip
+    # by a rounding step, never by more than the interlacing slack
+    d = estimate_rip_single(103, 103, seed=2024).d
+    assert np.all(d[1:] >= d[:-1] * (1.0 - _INTERLACING_SLACK))
     for j in range(1, 31):
         assert est.d[j - 1] <= bound_gershgorin(j, 103) + 1e-9
     again = estimate_rip_single(103, 30, seed=2024)
@@ -290,16 +298,17 @@ def test_estimate_worst_prunes_most_solves(monkeypatch):
 def _assert_exact_grams(c):
     # the float32 product, cast, equals the float64 product, and the
     # rank-one downdate from order n equals the fresh order n - 1 product,
-    # sign bits of zeros included; gram_radius of either gives
-    # skew_spectral_radius's bits
+    # sign bits of zeros included; gram_radius of either matches the top
+    # eigenvalue of the Hermitian matrix iC from LAPACK's complex solver
     a = c.astype(np.float64)
-    s = experiments._gram(c)
+    s = spectra.sign_gram(c)
     down = s[:-1, :-1] - np.outer(a[-1, :-1], a[-1, :-1])
     fresh = a[:-1, :-1].T @ a[:-1, :-1]
-    for got, want in ((s, a.T @ a), (down, fresh), (experiments._gram(c[:-1, :-1]), fresh)):
+    for got, want in ((s, a.T @ a), (down, fresh), (spectra.sign_gram(c[:-1, :-1]), fresh)):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    assert spectra.gram_radius(s) == skew_spectral_radius(c)
-    assert spectra.gram_radius(down) == skew_spectral_radius(c[:-1, :-1])
+    for got, m in ((s, c), (down, c[:-1, :-1])):
+        oracle = np.linalg.eigvalsh(1j * m)[-1]
+        assert abs(spectra.gram_radius(got) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,7 +17,7 @@ def _cot_radius_reference(rng: SplitMix64) -> CheckResult:
         rho = spectra.skew_spectral_radius(spectra.canonical_tournament(n))
         worst_eq = max(worst_eq, abs(rho - target))
         for _ in range(50):
-            c = np.zeros((n, n))
+            c = np.zeros((n, n), dtype=int)
             for i in range(n):
                 for j in range(i + 1, n):
                     s = 1.0 if rng.below(2) else -1.0
