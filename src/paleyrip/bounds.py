@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import ParameterRangeError
 from .numtheory import check_prime
@@ -96,8 +96,7 @@ def bound_conjectural(k: int, p, beta: float) -> float:
     return k**beta / math.sqrt(p)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One unconditional family: delta_k <= bound(k, p) for k >= min_k and p >= min_p.
 
     `floor` is the family's printed closed-form sparsity threshold, if any.
@@ -127,8 +126,7 @@ def family_bounds(k: int, p) -> dict[str, float | None]:
             for name, fam in FAMILIES.items()}
 
 
-@dataclass(frozen=True)
-class SparsityThreshold:
+class SparsityThreshold(NamedTuple):
     """Largest even sparsity 2k a family certifies for recovery at a given p.
 
     `max_even` is the largest even m with family-bound(m) < 1/sqrt(2);
@@ -257,8 +255,7 @@ def find_c_alpha(alpha: float, beta: float) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bound-family values at one (p, k), plus optional extras.
 
     `bounds` maps each name in FAMILIES to its value, None below the

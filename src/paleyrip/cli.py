@@ -24,7 +24,6 @@ error, 5 malformed input, 6 duplicate support, 7 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import json
 import sys
 import time
@@ -147,9 +146,11 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
+    import csv
+
     try:
         with open(args.input, newline="") as fh:
-            reader = _csv.DictReader(fh)
+            reader = csv.DictReader(fh)
             if reader.fieldnames is None or "j" not in reader.fieldnames or "d" not in reader.fieldnames:
                 raise MalformedInputError(
                     f"{args.input}: expected ripcurve CSV with 'j' and 'd' columns"

@@ -19,8 +19,7 @@ validators, `gram_rows` and the JSON writers run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicateSupportError, ParameterRangeError
 from .numtheory import check_paley, check_prime, chi_signs, chi_table, row_index_set
@@ -75,17 +74,19 @@ def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int
     return reduced, [(v, r) for v, r in zip(values, reduced) if r != v]
 
 
-@dataclass(frozen=True)
-class PaleyFrame:
+class PaleyFrame(NamedTuple):
     """Dense (p+1)/2 x p measurement matrix with its kept row indices."""
 
     p: int
     rows: tuple[int, ...]
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
+
+    def __repr__(self) -> str:  # the entries are left out
+        return f"PaleyFrame(p={self.p!r}, rows={self.rows!r})"
 
 
 def build_frame(p) -> PaleyFrame:

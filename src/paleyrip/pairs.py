@@ -33,8 +33,8 @@ no numpy either; `one_sided_ratio` is the scalar oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ParameterRangeError
 from .frame import check_k, check_support
@@ -42,8 +42,7 @@ from .numtheory import check_prime, chi_signs
 from .rng import random_subset, sub_seed
 
 
-@dataclass(frozen=True)
-class ConjectureRecord:
+class ConjectureRecord(NamedTuple):
     """Best balanced pair found in one support.
 
     `numerator` is the exact integer |sum over the one-sided difference set
@@ -187,8 +186,7 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
 # --- Monte Carlo scan of the pair conjecture ---------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureScanSummary:
+class ConjectureScanSummary(NamedTuple):
     p: int
     k: int
     trials: int

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,12 +99,40 @@ def _check_block_det(p, rng) -> CheckResult:
     )
 
 
+def _lemma_k_holds(c: Fraction) -> bool:
+    """Whether the step lemma holds strictly for every k >= 1 at c, decided exactly.
+
+    With t = k - 1/(ck) and R = k + 1 - 1/(c(k+1)), the lemma
+    t/2 + sqrt(t^2/4 + k + 1) < R holds exactly when R > t/2 and the margin
+    R(R - t) - (k + 1) is positive.  Times c^2 k (k+1)^2, both sides of
+    R(R - t) - (k + 1) = (1 - 1/(c(k+1))) / (c k (k+1)) are polynomials of
+    degree at most 4 in k, so equality at k = 1..5 makes it an identity.
+    For c > 0 the closed form's numerator c(k+1) - 1 grows with k, so the
+    margin is positive for every k >= 1 once it is at k = 1 (c > 1/2).  R
+    grows with k too, so R > 0 at k = 1 gives R > 0 for every k; R(R - t) > 0
+    then gives R - t > 0, and with it 2R - t = R + (R - t) > 0.
+    """
+
+    def margins(k: int) -> tuple[Fraction, Fraction, Fraction]:
+        t, r = k - 1 / (c * k), k + 1 - 1 / (c * (k + 1))
+        return r, r * (r - t) - (k + 1), (1 - 1 / (c * (k + 1))) / (c * k * (k + 1))
+
+    if c <= 0 or any(m != closed for _, m, closed in map(margins, range(1, 6))):
+        return False
+    r, margin, _ = margins(1)
+    return margin > 0 and r > 0
+
+
 def _check_lemma_k(p, rng) -> CheckResult:
+    constants = (1.0, bounds.DEMBO_C, 2.0, 10.0)
+    proved = all(_lemma_k_holds(Fraction(c)) for c in constants)
     failures = sum(not bounds.lemma_k_inequality(c, k)
-                   for c in (1.0, bounds.DEMBO_C, 2.0, 10.0) for k in range(1, 10_001))
+                   for c in constants for k in (1, 2, 3, 10, 100, 1000))
     return CheckResult(
-        "lemma_k_inequality", failures == 0,
-        f"{failures} failures over c in {{1, 1/(2(2-sqrt3)), 2, 10}}, k <= 10^4",
+        "lemma_k_inequality", proved and failures == 0,
+        f"c in {{1, 1/(2(2-sqrt3)), 2, 10}}: exact margin (c(k+1) - 1)/(c^2 k (k+1)^2) > 0 "
+        f"and R > t/2 for every k >= 1: {proved}; "
+        f"float failures at k in {{1, 2, 3, 10, 100, 1000}}: {failures}",
     )
 
 

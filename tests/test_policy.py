@@ -1,7 +1,13 @@
-"""Source policy: no runtime check in the package is written as an `assert`.
+"""Source policy of the package.
 
-`python -O` strips assert statements, so a check written that way silently
-stops guarding anything.  Checks raise a PaleyRipError subclass instead.
+No runtime check is written as an `assert`: `python -O` strips assert
+statements, so a check written that way silently stops guarding anything.
+Checks raise a PaleyRipError subclass instead.
+
+A module that runs without numpy does not import `dataclasses`, which loads
+`inspect` and with it `ast`, `dis` and `tokenize` on every start-up; its
+records are NamedTuples.  Modules that import numpy, which loads `inspect`
+anyway, may keep dataclasses.
 """
 
 import ast
@@ -20,3 +26,25 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    """Top-level package names a module imports unconditionally at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_numpy_free_modules_do_not_import_dataclasses():
+    imports = {path.stem: _module_level_imports(ast.parse(path.read_text(), filename=str(path)))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    numpy_free = sorted(name for name, found in imports.items() if "numpy" not in found)
+    # the split as it stands: the array layers import numpy, the rest do not
+    assert {"bounds", "cli", "fit", "frame", "numtheory", "pairs", "rng"} <= set(numpy_free)
+    assert {"experiments", "spectra", "verify"}.isdisjoint(numpy_free)
+    offenders = [name for name in numpy_free if "dataclasses" in imports[name]]
+    assert not offenders, f"numpy-free modules importing dataclasses: {offenders}"

@@ -1,0 +1,107 @@
+"""The records of the numpy-free modules are NamedTuples.
+
+`frame.PaleyFrame`, `bounds.Family`, `bounds.SparsityThreshold`,
+`bounds.BoundReport`, `pairs.ConjectureRecord` and
+`pairs.ConjectureScanSummary` keep their field order, defaults, properties
+and `to_dict`, refuse assignment, and compare equal to the tuple of their
+fields.  The values they carry are pinned at two inputs each, against the
+golden JSON of the commands that print them.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from paleyrip.bounds import (
+    FAMILIES,
+    BoundReport,
+    Family,
+    SparsityThreshold,
+    bound_gershgorin,
+    build_report,
+    max_sparsity,
+)
+from paleyrip.frame import PaleyFrame, build_frame
+from paleyrip.pairs import ConjectureRecord, ConjectureScanSummary, conjecture_scan, conjecture_search
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+RECORDS = [
+    (PaleyFrame, ("p", "rows", "entries"), {}),
+    (Family, ("bound", "min_k", "min_p", "floor"), {"min_k": 1, "min_p": 3, "floor": None}),
+    (SparsityThreshold, ("family", "max_even", "floor_threshold"), {}),
+    (BoundReport, ("p", "k", "bounds", "conjectural", "conjectural_beta"),
+     {"conjectural": None, "conjectural_beta": None}),
+    (ConjectureRecord,
+     ("p", "support", "pair", "ratio", "alpha", "satisfied", "numerator", "zero_terms"),
+     {"numerator": 0, "zero_terms": 0}),
+    (ConjectureScanSummary,
+     ("p", "k", "trials", "seed", "alpha", "records", "fraction_satisfied", "worst_ratio",
+      "worst_support"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_fields_and_defaults(cls, fields, defaults):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+
+
+@pytest.mark.parametrize("record", [
+    build_frame(7),
+    FAMILIES["gershgorin"],
+    max_sparsity(1009, "gershgorin"),
+    build_report(1009, 4),
+    conjecture_search(5, (0, 1, 2, 3, 4)),
+    conjecture_scan(19, 5, 2),
+], ids=lambda r: type(r).__name__)
+def test_assignment_raises(record):
+    with pytest.raises(AttributeError):
+        record.p = 0
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[-1], None)
+
+
+def test_frame_shape_and_repr():
+    frame = build_frame(7)
+    assert frame.shape == (4, 7)
+    assert repr(frame) == "PaleyFrame(p=7, rows=(0, 1, 2, 4))"
+
+
+def test_family_defaults_and_tuple_equality():
+    fam = Family(bound_gershgorin)
+    assert fam == (bound_gershgorin, 1, 3, None)
+    assert FAMILIES["dembo_recursive"][1:3] == (3, 7)
+    assert max_sparsity(1009, "gershgorin") == ("gershgorin", 22, 23)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ((1009, 4, None), "bounds-p1009-k4.json"),
+    ((103, 30, 0.7), "bounds-p103-k30-beta0.7.json"),
+])
+def test_bound_report_to_dict_unchanged(argv, golden):
+    report = build_report(*argv)
+    assert report.to_dict() == json.loads((GOLDEN / golden).read_text())
+    assert report.best == min(v for v in report.bounds.values() if v is not None)
+    assert BoundReport(report.p, report.k, report.bounds) == (*report[:3], None, None)
+
+
+@pytest.mark.parametrize("support, golden", [
+    ((0, 1, 2, 3, 4), "conjecture-p5-support0-4.json"),
+    ((2, 11, 5, 0, 7, 12, 8, 3), "conjecture-p13-k8.json"),
+])
+def test_conjecture_record_unchanged(support, golden):
+    doc = json.loads((GOLDEN / golden).read_text())
+    rec = conjecture_search(doc["p"], support)
+    assert rec == (doc["p"], tuple(doc["support"]), tuple(doc["pair"]), doc["ratio"],
+                   doc["alpha"], doc["satisfied"], doc["numerator"], doc["zero_terms"])
+    assert type(rec.numerator) is int and type(rec.satisfied) is bool
+
+
+def test_scan_summary_records():
+    summary = conjecture_scan(19, 12, 20, seed=7)
+    assert summary[:5] == (19, 12, 20, 7, 0.8)
+    assert all(type(r) is ConjectureRecord for r in summary.records)
+    worst = max(summary.records, key=lambda r: r.ratio)
+    assert (summary.worst_ratio, summary.worst_support) == (worst.ratio, worst.support)

@@ -4,8 +4,10 @@
 `gram` and `conjecture` in all three modes (`--support`, `--support --peel`
 and the `--k` scan, in CSV and JSON) must work with numpy unimportable
 (`sys.modules["numpy"] = None` makes any import of it raise), and print
-the same bytes as an ordinary run.  `bounds` itself is loaded only by the
-commands that evaluate bounds, and `pairs` only by `conjecture`.
+the same bytes as an ordinary run; so must each of them with `dataclasses`
+unimportable as well, since the modules they run keep their records in
+NamedTuples.  `bounds` itself is loaded only by the commands that evaluate
+bounds, and `pairs` only by `conjecture`.
 """
 
 import subprocess
@@ -52,6 +54,7 @@ NUMPY_FREE_COMMANDS = [
 ]
 
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+_BLOCK_DATACLASSES = "sys.modules['dataclasses'] = None\n"
 
 
 # Subprocesses run from the repository root, where the fit command's input path starts.
@@ -62,13 +65,14 @@ def _python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
 
 
-def _cli(argv, block_numpy: bool) -> subprocess.CompletedProcess:
+def _cli(argv, block_numpy: bool, block_dataclasses: bool = False) -> subprocess.CompletedProcess:
     run = (
         "import runpy, sys\n"
         f"sys.argv = {['paleyrip', *argv]!r}\n"
         "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"
     )
-    return _python((_BLOCK_NUMPY if block_numpy else "") + run)
+    blocked = (_BLOCK_NUMPY if block_numpy else "") + (_BLOCK_DATACLASSES if block_dataclasses else "")
+    return _python(blocked + run)
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
@@ -77,6 +81,16 @@ def test_command_runs_without_numpy(argv):
     assert blocked.returncode == 0, blocked.stderr
     plain = subprocess.run([sys.executable, "-m", "paleyrip", *argv],
                            capture_output=True, text=True, cwd=ROOT)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+    assert blocked.stdout
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_command_runs_without_dataclasses(argv):
+    blocked = _cli(argv, block_numpy=True, block_dataclasses=True)
+    assert blocked.returncode == 0, blocked.stderr
+    plain = _cli(argv, block_numpy=False)
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
     assert blocked.stdout
