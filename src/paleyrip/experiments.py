@@ -6,7 +6,7 @@ attains the skew_cot bound cot(pi/2k)/sqrt p where one exists, else
 exhaustive at tiny scale) and the bordered-bound sharpness study.  The
 quadratic-residue pair experiments, the Monte Carlo scan included, live in
 `pairs`, and the log-log power-law fit of d(j) in `fit`; neither needs
-numpy, and this module imports neither.
+numpy, and only exact_rip imports one: `pairs`, for its witness search.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -21,11 +21,9 @@ the prefix order down and, by Cauchy interlacing, solves at each order only
 the leading blocks of the trials that can still set the max; a trial solved
 alone at consecutive orders takes its product as an exact rank-one downdate
 of the one above.
-exact_rip first searches the supports with rho(C_T) = cot(pi/2k), a set
-closed under subsets and under x -> a x + b, so a depth-first search from
-{0, 1} finds one if any exists; one such witness is a lower bound that
-meets the upper bound.  That search runs first, tests tightness exactly
-(see cot_witness) within its own candidate budget, and EXACT_RIP_GUARD
+exact_rip first runs the witness search of pairs.cot_witness, within its
+own candidate budget: a support with rho(C_T) = cot(pi/2k), the skew_cot
+bound, is a lower bound that meets the upper bound.  EXACT_RIP_GUARD
 bounds only the orbit enumeration that runs when it finds none.
 
 Determinism contract: every result is a pure function of its arguments
@@ -46,7 +44,7 @@ import numpy as np
 from . import spectra
 from .errors import ParameterRangeError
 from .frame import check_k, sign_matrix
-from .numtheory import check_paley, chi_signs
+from .numtheory import check_paley
 from .rng import random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
@@ -205,70 +203,14 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     return RipEstimate(p, k, int(seed), trials, _worst_curve(p, idx, k), idx)
 
 
-class _BudgetSpent(Exception):
-    """The witness search reached its candidate budget before it finished."""
-
-
-def cot_witness(p, k: int) -> tuple[int, ...] | None:
-    """A k-support T with rho(C_T) = cot(pi/2k), the skew_cot bound, or None.
-
-    C_T is the skew-adjacency matrix of a tournament on T (u beats v when
-    chi(u - v) = 1), and rho(C_T) = cot(pi/2k) exactly when C_T lies in the
-    switching class of the transitive tournament (Cavers et al., "Skew-
-    adjacency matrices of graphs", Linear Algebra Appl. 436, 2012).
-    Switching at s_u = chi(-u), s_0 = 1, makes 0 a source; making a vertex
-    of a transitive tournament a source only rotates its order, so T is
-    tight exactly when the switched tournament (u beats v when
-    s_u chi(u - v) s_v = 1) is transitive.  Depth-first over increasing
-    extensions of (0, 1), members kept in that order: a candidate x keeps
-    a node tight exactly when the members that beat x form a prefix, and
-    goes right after it.  Tight candidates are passed down; a branch is cut
-    once len(T) plus its candidates falls short of k.  Tightness is
-    AGL(1,p)-invariant (x -> a x + b maps C_T to chi(a) C_T) and hereditary,
-    so the search is complete: None means no tight k-support exists.  A
-    direct call has no budget; at (107, 12) it tests 5.1 million candidates.
-    """
-    p = check_paley(p)
-    k = check_k(k, p, 2)
-    return _cot_search(p, k, math.inf)
-
-
-def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
-    """cot_witness's search, raising _BudgetSpent once it tests more than `budget` candidates."""
-    chi = chi_signs(p)
-    s = [1, *chi[:0:-1]]  # s_u = chi(-u) for u > 0
-    tested = 0
-
-    def extend(order: list[int], cands: list[int]) -> tuple[int, ...] | None:
-        nonlocal tested
-        if len(order) == k:
-            return tuple(sorted(order))
-        tested += len(cands)
-        if tested > budget:
-            raise _BudgetSpent
-        tight = []  # (x, the order with x inserted) for each x that keeps the node tight
-        for x in cands:
-            beats = [s[u] * chi[u - x] == s[x] for u in order]
-            if all(beats[:(j := sum(beats))]):  # the members that beat x are the first j
-                tight.append((x, [*order[:j], x, *order[j:]]))
-        for i, (_, child) in enumerate(tight):
-            if len(child) + len(tight) - i - 1 < k:
-                break
-            if (found := extend(child, [x for x, _ in tight[i + 1:]])) is not None:
-                return found
-        return None
-
-    return extend([0, 1], list(range(2, p)))
-
-
 def exact_rip(p, k: int) -> float:
     """Worst eigenvalue deviation over all k-subsets (tiny scale only).
 
     x -> a x + b maps C_T to chi(a) C_T, so rho(C_T) is constant on AGL(1,p)
     orbits, and 2-transitivity puts a support containing {0, 1} in each.
     Every rho(C_T) is at most cot(pi/2k) (the skew_cot bound), so a
-    cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.  The
-    witness search runs first, testing at most _WITNESS_CANDIDATES candidates.
+    pairs.cot_witness support certifies delta_k = rho(C_T)/sqrt p at once.
+    That search runs first, testing at most _WITNESS_CANDIDATES candidates.
     Only where it finds none, or runs out of budget, are the
     binomial(p-2, k-2) orbit representatives solved, at order k, as max
     rho(C_T)/sqrt p; EXACT_RIP_GUARD bounds that enumeration, and the error
@@ -279,6 +221,7 @@ def exact_rip(p, k: int) -> float:
     k = check_k(k, p, 1)
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
+    from .pairs import _BudgetSpent, _cot_search  # the curve commands never load pairs
     try:
         if (witness := _cot_search(p, k, _WITNESS_CANDIDATES)) is not None:
             return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)

@@ -11,18 +11,20 @@ removes best pairs one after another, as in the inductive peeling
 argument.  (Bandeira, Fickus, Mixon & Wong, "The road to deterministic
 matrices with the restricted isometry property", JFAA 2013.)
 
-Both work on bitmasks of Python ints read from the Legendre table
-`numtheory.chi_signs`, and this module loads no numpy.  The masks live in
+Only this module reads the Legendre tournament as bitmasks, Python ints
+read from `numtheory.chi_signs`; it loads no numpy.  The masks live in
 residue space, p bits wide.  R has bit u set when chi(-u) = +1; it is
-built once per prime and cached, and row x's mask P_x, R rotated left by x
-within p bits, has bit t set when chi(x - t) = +1, in either class of
-p mod 4.  Every summand is +-1, +1 where P_{T_i} and P_{T_j} agree, so
-with A the mask of the surviving residues and n its size the numerator is
+built once per prime and cached, and row x's mask P_x (`_row_mask`), R
+rotated left by x within p bits, has bit t set when chi(x - t) = +1, in
+either class of p mod 4.  Every summand is +-1, +1 where P_{T_i} and
+P_{T_j} agree, so with A the mask of the surviving residues and n its
+size the numerator is
 |(n - 2) - 2 popcount((P_{T_i} ^ P_{T_j}) & A & ~(bit T_i | bit T_j))|.
 It has the parity of n, so a pair that reaches n mod 2 ends the search.
-Cost model: a row mask is one rotation and a pair a few operations on
-p-bit ints, so each costs O(p/64) machine words whatever the support size;
-the supports themselves are never reindexed.
+`cot_witness`, the skew_cot witness search of `experiments.exact_rip`,
+reads them too: B_x (`_beaten_by`) is P_x ^ (R | 1) or its complement.  A
+row mask, a pair and a candidate each cost O(p/64) words whatever the
+support size; supports are never reindexed, and no p-mask table is held.
 
 This is the one place a pair numerator is computed.  `conjecture_scan`,
 the Monte Carlo scan over many supports, draws each with the scalar
@@ -33,12 +35,12 @@ no numpy either; `one_sided_ratio` is the scalar oracle.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .errors import ParameterRangeError
 from .frame import check_k, check_support
-from .numtheory import check_prime, chi_signs
+from .numtheory import check_paley, check_prime, chi_signs
 from .rng import random_subset, sub_seed
 
 
@@ -98,26 +100,32 @@ def _residue_mask(p: int) -> int:
     return int("".join("1" if s == 1 else "0" for s in chi_signs(p)[1:]) + "0", 2)
 
 
+def _row_mask(r: int, p: int, x: int) -> int:
+    """P_x, R rotated left by x within p bits: bit t is set when chi(x - t) = +1."""
+    return ((r << x) | (r >> (p - x))) & ((1 << p) - 1)
+
+
+def _beaten_by(r: int, p: int, x: int) -> int:
+    """B_x: bit u != x is set when u beats x after switching, s_u chi(u - x) s_x = 1.
+
+    S = R | 1 marks s_u = chi(-u) = +1 (s_0 = 1), and chi(u - x) = -chi(x - u)
+    as p = 3 (mod 4), so B_x is P_x ^ S when s_x = +1, else its complement.
+    """
+    b = _row_mask(r, p, x) ^ (r | 1)
+    return b if x == 0 or r >> x & 1 else ~b
+
+
 def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[ConjectureRecord]:
     """Best pair of the surviving support, then remove it, while >= m_alpha survive.
 
     Each step scans the pairs i < j of surviving positions in lexicographic
     order and keeps a strictly smaller numerator, so it returns the first
     minimum in row-major order of the full pair table, and it stops at the
-    first pair that reaches the parity floor.  Masks live in residue space:
-    row x's mask is R rotated left by x within p bits, whose bit t is set
-    when chi(x - t) = +1, and the surviving mask holds the residues of the
-    surviving positions.  Row masks are built once, on first use; a peel
-    clears bits of the surviving mask and rebuilds no row.
+    first pair that reaches the parity floor.  The surviving mask holds the
+    surviving residues; a peel clears its bits and rebuilds no row mask.
     """
-    r, full = _residue_mask(p), (1 << p) - 1
-    masks: list[int | None] = [None] * len(support)
-
-    def mask(a: int) -> int:
-        if masks[a] is None:
-            x = support[a]
-            masks[a] = ((r << x) | (r >> (p - x))) & full
-        return masks[a]
+    r = _residue_mask(p)
+    mask = cache(lambda a: _row_mask(r, p, support[a]))  # row masks, built on first use
 
     def best_pair(order: list[int], alive: int) -> tuple[int, int, int]:
         n = len(order)
@@ -181,6 +189,63 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     if len(support) < m_alpha:
         raise ParameterRangeError(f"need |support| >= m_alpha, got {len(support)} < {m_alpha}")
     return _peel(p, support, alpha, m_alpha)
+
+
+class _BudgetSpent(Exception):
+    """The witness search reached its candidate budget before it finished."""
+
+
+def cot_witness(p, k: int) -> tuple[int, ...] | None:
+    """A k-support T with rho(C_T) = cot(pi/2k), the skew_cot bound, or None.
+
+    C_T is the skew-adjacency matrix of a tournament on T (u beats v when
+    chi(u - v) = 1), and rho(C_T) = cot(pi/2k) exactly when C_T lies in the
+    switching class of the transitive tournament (Cavers et al., "Skew-
+    adjacency matrices of graphs", Linear Algebra Appl. 436, 2012).
+    Switching at s_u = chi(-u), s_0 = 1, makes 0 a source; making a vertex
+    of a transitive tournament a source only rotates its order, so T is
+    tight exactly when the switched tournament (u beats v when
+    s_u chi(u - v) s_v = 1) is transitive.  Depth-first over increasing
+    extensions of (0, 1), members kept in that order, with pre[j] the mask
+    of the first j: a candidate x keeps a node tight exactly when the
+    members that beat x form a prefix, b = B_x & pre[-1] = pre[popcount(b)],
+    and goes right after them.  Tight candidates are passed down; a branch
+    is cut once len(T) plus its candidates falls short of k.  Tightness is
+    AGL(1,p)-invariant (x -> a x + b maps C_T to chi(a) C_T) and hereditary,
+    so the search is complete: None means no tight k-support exists.  A
+    direct call has no budget; at (107, 12) it tests 5.1 million candidates.
+    """
+    p = check_paley(p)
+    k = check_k(k, p, 2)
+    return _cot_search(p, k, math.inf)
+
+
+def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
+    """cot_witness's search, raising _BudgetSpent once it tests more than `budget` candidates."""
+    r = _residue_mask(p)
+    tested = 0
+
+    def extend(pre: list[int], cands: list[int]) -> tuple[int, ...] | None:
+        nonlocal tested
+        if len(pre) > k:
+            return tuple(sorted((pre[j + 1] ^ pre[j]).bit_length() - 1 for j in range(k)))
+        tested += len(cands)
+        if tested > budget:
+            raise _BudgetSpent
+        tight = []  # (x, popcount(b)) for each x that keeps the node tight
+        for x in cands:
+            b = _beaten_by(r, p, x) & pre[-1]
+            if b == pre[j := b.bit_count()]:
+                tight.append((x, j))
+        for i, (x, j) in enumerate(tight):
+            if len(pre) + len(tight) - i - 1 < k:
+                break
+            child = [*pre[:j + 1], *(m | 1 << x for m in pre[j:])]
+            if (found := extend(child, [y for y, _ in tight[i + 1:]])) is not None:
+                return found
+        return None
+
+    return extend([0, 1, 3], list(range(2, p)))  # the order (0, 1): 0 is a source
 
 
 # --- Monte Carlo scan of the pair conjecture ---------------------------------

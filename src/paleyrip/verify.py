@@ -60,19 +60,21 @@ def _check_charpoly(p, rng) -> CheckResult:
 
 
 def _check_gamma_nonneg(p, rng) -> CheckResult:
+    # sign borders c = i a/sqrt p, d = i b/sqrt p: p^2 gamma = k^2 - (a.b)^2 exactly
     scale = 1.0 / math.sqrt(p)
-    low, high_excess = 0.0, 0.0
+    low, worst = 0.0, 0.0
     for _ in range(200):
         k = 2 + rng.below(9)
         c = _random_sign_vector(rng, k, scale)
         d = _random_sign_vector(rng, k, scale)
         g = spectra.gamma_term(c, d)
         low = min(low, g)
-        high_excess = max(high_excess, g - 2.0 * k * (k - 1) / p**2)
-    ok = low >= -1e-14 and high_excess <= 1e-14
+        a_dot_b = int(np.sign(c.imag) @ np.sign(d.imag))
+        worst = max(worst, abs(g * p**2 - (k * k - a_dot_b**2)) / (k * k))
+    ok = low >= -1e-14 and worst <= 1e-12
     return CheckResult(
         "gamma_nonneg", ok,
-        f"min gamma {low:.3e}, excess over 2k(k-1)/p^2 {high_excess:.3e}",
+        f"min gamma {low:.3e}, max |p^2 gamma - (k^2 - (a.b)^2)|/k^2 {worst:.3e}",
     )
 
 

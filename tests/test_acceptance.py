@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from paleyrip.spectra import (
     hermitian_spectrum,
     skew_spectral_radius,
 )
+from paleyrip.verify import _lemma_k_holds
 
 WORST_SET_19 = (1, 2, 18, 16, 15, 14, 8, 7, 6, 4)
 RANDOM_SET_19 = (8, 15, 5, 13, 10, 2, 17, 4, 11, 18, 16, 0)
@@ -268,14 +270,19 @@ def test_criterion_11_block_determinant_identity():
 
 
 def test_criterion_12_lemma_k_inequality():
-    failures = 0
+    # past k ~ 4,600 at c = 10 the true margin is below the float check's
+    # 1e-12 slack, so the float samples alone cannot fail there; the exact
+    # Fraction decision covers every k >= 1, the sampled ones included
+    failures, unproved = 0, 0
     for c in (1.0, DEMBO_C, 2.0, 10.0):
+        unproved += not _lemma_k_holds(Fraction(c))
         for k in range(1, 10_001):
             if not lemma_k_inequality(c, k):
                 failures += 1
-    _report(12, failures == 0,
+    _report(12, failures == 0 and unproved == 0,
             f"step inequality holds for c in {{1, 1/(2(2-sqrt3)), 2, 10}}, "
-            f"k = 1..10^4 ({failures} failures)")
+            f"k = 1..10^4 ({failures} float failures); exact for every k >= 1 "
+            f"({unproved} constants unproved)")
 
 
 def test_criterion_13_c_alpha_search():

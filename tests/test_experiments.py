@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paleyrip import experiments, rng, spectra
+from paleyrip import experiments, pairs, rng, spectra
 from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
 from paleyrip.errors import (
     MalformedInputError,
@@ -18,7 +18,6 @@ from paleyrip.errors import (
 from paleyrip.experiments import (
     _INTERLACING_SLACK,
     STACK_ENTRIES,
-    cot_witness,
     dembo_ratio_study,
     estimate_rip_single,
     estimate_rip_worst,
@@ -26,7 +25,13 @@ from paleyrip.experiments import (
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
-from paleyrip.pairs import conjecture_scan, conjecture_search, greedy_peel, one_sided_ratio
+from paleyrip.pairs import (
+    conjecture_scan,
+    conjecture_search,
+    cot_witness,
+    greedy_peel,
+    one_sided_ratio,
+)
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
 from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
 
@@ -532,7 +537,7 @@ def _spectral_cot_search(p, k, budget):
             return t
         solves += len(cands)
         if solves > budget:
-            raise experiments._BudgetSpent
+            raise pairs._BudgetSpent
         m = len(t) + 1
         rho = skew_spectral_radius(sign_matrix(p, [(*t, x) for x in cands]))
         cut = (1.0 - 1e-12) / math.tan(math.pi / (2 * m))
@@ -555,11 +560,11 @@ def test_cot_search_matches_spectral_oracle():
             for budget in (10**4, 50):
                 try:
                     expected = _spectral_cot_search(p, k, budget)
-                except experiments._BudgetSpent:
+                except pairs._BudgetSpent:
                     expected = "budget"
                 try:
-                    got = experiments._cot_search(p, k, budget)
-                except experiments._BudgetSpent:
+                    got = pairs._cot_search(p, k, budget)
+                except pairs._BudgetSpent:
                     got = "budget"
                 assert got == expected, (p, k, budget)
                 outcomes.append(got)

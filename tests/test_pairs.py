@@ -8,6 +8,11 @@ one sign matrix per step with it.  The search's row masks are rotations of
 one p-bit residue mask, so the cases include rotations by 0 and p - 1,
 both classes of p mod 4, p = 3 and k = p.  `frame.gram_rows` must give
 gram_analytic's entries bit for bit, signed zeros included.
+
+The witness search `pairs.cot_witness` reads the same masks: each
+"beaten by" mask B_x must match the switched tournament's signs bit for
+bit, and the search must give the outcomes of the list-predicate search it
+replaced, kept here as its oracle.
 """
 
 import numpy as np
@@ -17,7 +22,16 @@ from hypothesis import strategies as st
 
 from paleyrip.frame import gram_analytic, gram_rows, sign_matrix
 from paleyrip.numtheory import chi_signs, chi_table
-from paleyrip.pairs import ConjectureRecord, conjecture_scan, conjecture_search, greedy_peel
+from paleyrip.pairs import (
+    ConjectureRecord,
+    _beaten_by,
+    _BudgetSpent,
+    _cot_search,
+    _residue_mask,
+    conjecture_scan,
+    conjecture_search,
+    greedy_peel,
+)
 from paleyrip.rng import random_subset, random_subsets, sub_seed
 
 # both residue classes mod 4, past one 64-bit word from 67 on
@@ -189,3 +203,74 @@ def test_chi_table_is_chi_signs(p):
     assert table.dtype == np.int64 and not table.flags.writeable
     assert table.tolist() == list(chi_signs(p))
     assert all(type(s) is int for s in chi_signs(p))
+
+
+# --- the witness search on the tournament's masks ---------------------------------
+
+
+def _switching_signs(p):
+    # s_u = chi(-u) for u > 0 and s_0 = 1: the switching that makes 0 a source
+    return [1, *chi_signs(p)[:0:-1]]
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 43, 103])
+def test_beaten_by_mask_matches_switched_tournament(p):
+    chi, s, r = chi_signs(p), _switching_signs(p), _residue_mask(p)
+    for x in range(p):
+        b = _beaten_by(r, p, x)
+        assert [b >> u & 1 for u in range(p) if u != x] == [
+            int(s[u] * chi[u - x] * s[x] == 1) for u in range(p) if u != x], x
+
+
+def _list_predicate_search(p, k, budget):
+    """The oracle: the witness search as it was before it read masks.
+
+    Each candidate's beats are a Python list over the members' order, and it
+    keeps the node tight when the members that beat it are the first j.
+    """
+    chi, s = chi_signs(p), _switching_signs(p)
+    tested = 0
+
+    def extend(order, cands):
+        nonlocal tested
+        if len(order) == k:
+            return tuple(sorted(order))
+        tested += len(cands)
+        if tested > budget:
+            raise _BudgetSpent
+        tight = []
+        for x in cands:
+            beats = [s[u] * chi[u - x] == s[x] for u in order]
+            if all(beats[:(j := sum(beats))]):
+                tight.append((x, [*order[:j], x, *order[j:]]))
+        for i, (_, child) in enumerate(tight):
+            if len(child) + len(tight) - i - 1 < k:
+                break
+            if (found := extend(child, [x for x, _ in tight[i + 1:]])) is not None:
+                return found
+        return None
+
+    return extend([0, 1], list(range(2, p)))
+
+
+def test_cot_search_matches_list_predicate_oracle():
+    # the 13 primes p = 3 (mod 4) from 7 to 103 and k = 2..min(p, 16): 181
+    # cells, each at a budget that completes most searches and one that
+    # stops most of them
+    outcomes = []
+    for p in (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103):
+        for k in range(2, min(p, 16) + 1):
+            for budget in (10**4, 50):
+                try:
+                    expected = _list_predicate_search(p, k, budget)
+                except _BudgetSpent:
+                    expected = "budget"
+                try:
+                    got = _cot_search(p, k, budget)
+                except _BudgetSpent:
+                    got = "budget"
+                assert got == expected, (p, k, budget)
+                outcomes.append("budget" if got == "budget" else type(got).__name__)
+    assert len(outcomes) == 362
+    assert (outcomes.count("tuple"), outcomes.count("NoneType"), outcomes.count("budget")) == (
+        119, 46, 197)

@@ -7,7 +7,8 @@ and the `--k` scan, in CSV and JSON) must work with numpy unimportable
 the same bytes as an ordinary run; so must each of them with `dataclasses`
 unimportable as well, since the modules they run keep their records in
 NamedTuples.  `bounds` itself is loaded only by the commands that evaluate
-bounds, and `pairs` only by `conjecture`.
+bounds, and `pairs` only by `conjecture` (and by `exact_rip`, which no
+command runs).  The witness search `pairs.cot_witness` runs without numpy.
 """
 
 import subprocess
@@ -163,6 +164,13 @@ def test_import_without_numpy():
                   " paleyrip.max_sparsity(1009, 'gershgorin').floor_threshold)\n")
     assert res.returncode == 0, res.stderr
     assert res.stdout == f"{paleyrip.__version__} True 23\n"
+
+
+def test_cot_witness_without_numpy():
+    res = _python(_BLOCK_NUMPY + "from paleyrip.pairs import cot_witness\n"
+                  "print(cot_witness(103, 12))\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "(0, 1, 2, 3, 7, 8, 9, 14, 27, 79, 85, 98)\n"
 
 
 def test_import_loads_no_submodule():

@@ -6,7 +6,13 @@ import pytest
 
 from paleyrip import bounds, spectra
 from paleyrip.rng import SplitMix64, sub_seed
-from paleyrip.verify import CheckResult, _check_cot_radius, _check_lemma_k, _lemma_k_holds
+from paleyrip.verify import (
+    CheckResult,
+    _check_cot_radius,
+    _check_gamma_nonneg,
+    _check_lemma_k,
+    _lemma_k_holds,
+)
 
 
 def _cot_radius_reference(rng: SplitMix64) -> CheckResult:
@@ -74,3 +80,12 @@ def test_lemma_check_catches_a_tampered_float_lemma(monkeypatch):
     result = _check_lemma_k(7, None)
     assert not result.passed
     assert result.detail.endswith("float failures at k in {1, 2, 3, 10, 100, 1000}: 4")
+
+
+def test_gamma_check_catches_a_dropped_correction(monkeypatch):
+    # gamma without its second sum, k(k-1)/p^2, is nonnegative and below the
+    # old bound 2k(k-1)/p^2, but not the closed form k^2 - (a.b)^2 over p^2
+    p = 103
+    assert _check_gamma_nonneg(p, SplitMix64(sub_seed(0, p))).passed
+    monkeypatch.setattr(spectra, "gamma_term", lambda c, d: len(c) * (len(c) - 1) / p**2)
+    assert not _check_gamma_nonneg(p, SplitMix64(sub_seed(0, p))).passed
