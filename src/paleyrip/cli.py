@@ -7,15 +7,16 @@ floats, LF line endings and '.' decimals.  When --out is given, a sidecar
 the wall time, so published figures are reproducible from metadata alone.
 
 Each command imports the layers it runs inside its handler, so start-up
-loads only those.  These commands run without numpy: `bounds` (the bound
-families are pure arithmetic in (k, p)), `fit` (a least-squares line over
-plain floats), `gram` with the analytic method (the Gramian written from
-the integer Legendre table), `conjecture` in all three modes (a popcount
-pair search over the same table: `--support`, `--support --peel`, and the
-`--k` scan, whose supports come from the scalar Fisher-Yates draw of
-`rng.random_subset`), and --help and --version.  Every other command
-(`frame`, `gram --method direct`, `estimate`, `demboratio`, `verify`) loads
-numpy through the layers it runs.
+loads only those.  These commands run without numpy: `frame` (the
+partial-DFT frame in Python complex), `bounds` (the bound families are pure
+arithmetic in (k, p)), `fit` (a least-squares line over plain floats),
+`gram` with either method (the analytic Gramian written from the integer
+Legendre table, the direct one from the frame's column dot products),
+`conjecture` in all three modes (a popcount pair search over the same
+table: `--support`, `--support --peel`, and the `--k` scan, whose supports
+come from the scalar Fisher-Yates draw of `rng.random_subset`), and --help
+and --version.  The other commands (`estimate`, `demboratio`, `verify`)
+load numpy through the layers they run.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.

@@ -11,14 +11,17 @@ use (the pair search of `pairs` reads the Legendre table itself);
 `gram_direct` recomputes the Gramian from explicit column dot products and
 exists as the validation oracle for the analytic path.
 
-numpy is imported only inside the array builders (`build_frame`,
-`gram_direct`, `sign_matrix`, `gram_analytic`, `coherence`), so the
-validators, `gram_rows` and the JSON writers run without it.
+The frame (`build_frame`, rows of Python complex), `gram_direct` (nested
+lists), the validators, `gram_rows` and the JSON writers run without numpy.
+numpy is imported only inside the array routines `sign_matrix`,
+`gram_analytic` and `coherence`; callers that want the frame or a direct
+Gramian as an array call `np.asarray` on it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicateSupportError, ParameterRangeError
@@ -79,11 +82,11 @@ class PaleyFrame(NamedTuple):
 
     p: int
     rows: tuple[int, ...]
-    entries: np.ndarray
+    entries: tuple[tuple[complex, ...], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return len(self.entries), len(self.entries[0])
 
     def __repr__(self) -> str:  # the entries are left out
         return f"PaleyFrame(p={self.p!r}, rows={self.rows!r})"
@@ -94,33 +97,41 @@ def build_frame(p) -> PaleyFrame:
 
     Row m', column n holds scale(m') * exp(2*pi*i * rows[m'] * n / p) with
     scale sqrt(1/p) on the constant row and sqrt(2/p) elsewhere; every
-    column has Euclidean norm 1.
+    column has Euclidean norm 1.  The phase angle is (2*pi*(m*n)) * (1/p),
+    the order numpy evaluates 2j*pi*outer(m, n)/p in, so each entry is the
+    numpy frame's bit for bit, signed zeros included.
     """
-    import numpy as np
-
     p = check_paley(p)
     rows = row_index_set(p)
-    n = np.arange(p)
-    m = np.asarray(rows)
-    phase = np.exp(2j * np.pi * np.outer(m, n) / p)
-    scale = np.full(len(rows), math.sqrt(2.0 / p))
-    scale[0] = math.sqrt(1.0 / p)
-    return PaleyFrame(p, tuple(rows), scale[:, None] * phase)
+    inv_p, two_pi = 1.0 / p, 2 * math.pi
+    scales = [math.sqrt(1.0 / p)] + [math.sqrt(2.0 / p)] * (len(rows) - 1)
+    entries = tuple(
+        tuple(complex(scale) * complex(math.cos(y), math.sin(y))
+              for y in [two_pi * (m * n) * inv_p for n in range(p)])
+        for m, scale in zip(rows, scales)
+    )
+    return PaleyFrame(p, tuple(rows), entries)
 
 
-def gram_direct(frame: PaleyFrame, support) -> np.ndarray:
+def gram_direct(frame: PaleyFrame, support) -> list[list[complex]]:
     """Gramian of the selected columns via explicit complex dot products.
 
     Entry (i, j) is sum_m col_i[m] * conj(col_j[m]), the orientation under
-    which off-diagonals equal chi(T_i - T_j) * i / sqrt(p).  Hermitian
-    symmetry is enforced by mirroring the strict upper triangle.
+    which off-diagonals equal chi(T_i - T_j) * i / sqrt(p).  Only the upper
+    triangle is summed; the lower one is its conjugate and the diagonal is
+    kept real, so the result is Hermitian exactly.  Nested lists of Python
+    complex, as `gram_rows` returns.
     """
-    import numpy as np
-
-    cols = frame.entries[:, list(check_support(frame.p, support))]
-    g = cols.T @ cols.conj()
-    upper = np.triu(g, 1)
-    return upper + upper.conj().T + np.diag(g.diagonal().real)
+    support = check_support(frame.p, support)
+    cols = [[row[t] for row in frame.entries] for t in support]
+    conj = [[z.conjugate() for z in col] for col in cols]
+    g = [[0j] * len(cols) for _ in cols]
+    for i, col in enumerate(cols):
+        g[i][i] = complex(sum(map(mul, col, conj[i])).real)
+        for j in range(i + 1, len(cols)):
+            g[i][j] = z = sum(map(mul, col, conj[j]))
+            g[j][i] = z.conjugate()
+    return g
 
 
 def sign_matrix(p: int, idx) -> np.ndarray:
@@ -158,7 +169,7 @@ def coherence(frame) -> float:
     """
     import numpy as np
 
-    cols = frame.entries if isinstance(frame, PaleyFrame) else np.asarray(frame)
+    cols = np.asarray(frame.entries if isinstance(frame, PaleyFrame) else frame)
     g = cols.conj().T @ cols
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max())
@@ -207,7 +218,8 @@ def frame_to_json(frame: PaleyFrame) -> dict:
 def gram_to_json(p: int, support, entries) -> dict:
     """Same schema as frame_to_json; "rows" holds the support indices.
 
-    entries is a complex array or nested lists of complex (gram_rows).
+    entries is a complex array or nested lists of complex (gram_rows,
+    gram_direct).
     """
     return {
         "p": int(p),

@@ -22,9 +22,10 @@ size the numerator is
 |(n - 2) - 2 popcount((P_{T_i} ^ P_{T_j}) & A & ~(bit T_i | bit T_j))|.
 It has the parity of n, so a pair that reaches n mod 2 ends the search.
 `cot_witness`, the skew_cot witness search of `experiments.exact_rip`,
-reads them too: B_x (`_beaten_by`) is P_x ^ (R | 1) or its complement.  A
-row mask, a pair and a candidate each cost O(p/64) words whatever the
-support size; supports are never reindexed, and no p-mask table is held.
+reads them too: the mask B_x of the residues that beat x is P_x ^ (R | 1)
+or its complement, formed inline for each candidate.  A row mask, a pair
+and a candidate each cost O(p/64) words whatever the support size; supports
+are never reindexed, and no p-mask table is held.
 
 This is the one place a pair numerator is computed.  `conjecture_scan`,
 the Monte Carlo scan over many supports, draws each with the scalar
@@ -103,16 +104,6 @@ def _residue_mask(p: int) -> int:
 def _row_mask(r: int, p: int, x: int) -> int:
     """P_x, R rotated left by x within p bits: bit t is set when chi(x - t) = +1."""
     return ((r << x) | (r >> (p - x))) & ((1 << p) - 1)
-
-
-def _beaten_by(r: int, p: int, x: int) -> int:
-    """B_x: bit u != x is set when u beats x after switching, s_u chi(u - x) s_x = 1.
-
-    S = R | 1 marks s_u = chi(-u) = +1 (s_0 = 1), and chi(u - x) = -chi(x - u)
-    as p = 3 (mod 4), so B_x is P_x ^ S when s_x = +1, else its complement.
-    """
-    b = _row_mask(r, p, x) ^ (r | 1)
-    return b if x == 0 or r >> x & 1 else ~b
 
 
 def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[ConjectureRecord]:
@@ -221,8 +212,16 @@ def cot_witness(p, k: int) -> tuple[int, ...] | None:
 
 
 def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
-    """cot_witness's search, raising _BudgetSpent once it tests more than `budget` candidates."""
+    """cot_witness's search, raising _BudgetSpent once it tests more than `budget` candidates.
+
+    B_x, bit u != x set when u beats x after switching (s_u chi(u - x) s_x = 1),
+    is P_x ^ S with S = R | 1 (s_u = chi(-u) = +1, s_0 = 1) when s_x = +1,
+    else its complement, as chi(u - x) = -chi(x - u) for p = 3 (mod 4).  Only
+    B_x & pre[-1] is read, so P_x's rotation is left unmasked: the bits it
+    carries past p fall outside the members.
+    """
     r = _residue_mask(p)
+    s = r | 1
     tested = 0
 
     def extend(pre: list[int], cands: list[int]) -> tuple[int, ...] | None:
@@ -233,8 +232,11 @@ def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
         if tested > budget:
             raise _BudgetSpent
         tight = []  # (x, popcount(b)) for each x that keeps the node tight
-        for x in cands:
-            b = _beaten_by(r, p, x) & pre[-1]
+        top = pre[-1]
+        for x in cands:  # x >= 2, so s_x = chi(-x) is bit x of R
+            b = ((r << x | r >> (p - x)) ^ s) & top
+            if not r >> x & 1:
+                b ^= top
             if b == pre[j := b.bit_count()]:
                 tight.append((x, j))
         for i, (x, j) in enumerate(tight):

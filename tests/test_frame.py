@@ -38,7 +38,7 @@ def test_build_frame_shape_and_norms():
 
 def test_build_frame_row_zero_constant():
     f = build_frame(7)
-    assert np.abs(f.entries[0] - math.sqrt(1.0 / 7.0)).max() < 1e-15
+    assert np.abs(np.asarray(f.entries[0]) - math.sqrt(1.0 / 7.0)).max() < 1e-15
 
 
 def test_build_frame_entry_formula():
@@ -47,7 +47,7 @@ def test_build_frame_entry_formula():
         scale = math.sqrt((1.0 if mi == 0 else 2.0) / 11.0)
         for n in range(11):
             expected = scale * np.exp(2j * np.pi * m * n / 11.0)
-            assert abs(f.entries[mi, n] - expected) < 1e-14
+            assert abs(f.entries[mi][n] - expected) < 1e-14
 
 
 def test_build_frame_rejects_bad_p():
@@ -60,15 +60,34 @@ def test_build_frame_rejects_bad_p():
 def test_gram_direct_singleton_and_pair():
     f = build_frame(7)
     g1 = gram_direct(f, (3,))
-    assert g1.shape == (1, 1)
-    assert abs(g1[0, 0] - 1.0) < 1e-12
+    assert np.shape(g1) == (1, 1)
+    assert abs(g1[0][0] - 1.0) < 1e-12
 
     g2 = gram_direct(f, (0, 1))
-    assert abs(abs(g2[0, 1]) - 1 / math.sqrt(7)) < 1e-12
+    assert abs(abs(g2[0][1]) - 1 / math.sqrt(7)) < 1e-12
     # four-term dot product, conjugating the second column
-    oracle = sum(f.entries[m, 0] * np.conj(f.entries[m, 1]) for m in range(4))
+    oracle = sum(f.entries[m][0] * np.conj(f.entries[m][1]) for m in range(4))
     assert abs(oracle - (-1j / math.sqrt(7))) < 1e-12
-    assert abs(g2[0, 1] - (-1j / math.sqrt(7))) < 1e-12
+    assert abs(g2[0][1] - (-1j / math.sqrt(7))) < 1e-12
+
+
+def test_gram_direct_is_hermitian_with_real_diagonal():
+    g = gram_direct(build_frame(19), (3, 18, 0, 7, 12))
+    assert all(type(z) is complex for row in g for z in row)
+    assert all(g[i][j] == g[j][i].conjugate() for i in range(5) for j in range(5))
+    assert all(g[i][i].imag == 0.0 for i in range(5))
+
+
+@pytest.mark.parametrize("p", [7, 19, 43, 103])
+def test_gram_direct_matches_numpy_dot_product(p):
+    # the oracle: the frame as an array and one complex matrix product
+    f = build_frame(p)
+    cols = np.asarray(f.entries)
+    rng = SplitMix64(2000 + p)
+    for _ in range(40):
+        support = random_subset(p, 1 + rng.below(min(p, 30)), rng.next_u64())
+        sub = cols[:, list(support)]
+        assert np.abs(np.asarray(gram_direct(f, support)) - sub.T @ sub.conj()).max() < 1e-15
 
 
 def test_gram_analytic_matches_sign_convention():
@@ -156,9 +175,10 @@ def test_gram_minus_identity_is_skew():
 
 def test_coherence():
     f = build_frame(7)
+    cols = np.asarray(f.entries)
     # oracle: explicit max over the 21 column pairs
     worst = max(
-        abs(np.vdot(f.entries[:, j], f.entries[:, i]))
+        abs(np.vdot(cols[:, j], cols[:, i]))
         for i in range(7) for j in range(i + 1, 7)
     )
     assert abs(worst - 1 / math.sqrt(7)) < 1e-12

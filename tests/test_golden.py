@@ -1,4 +1,4 @@
-"""Golden stdout of the README's bounds, gram, experiment, fit and verify commands, and the oracles behind them.
+"""Golden stdout of the README's frame, bounds, gram, experiment, fit and verify commands, and the oracles behind them.
 
 The files under tests/golden/ pin the exact bytes each command prints with
 one BLAS thread (conftest.py pins it; the eigensolver's last digits depend on
@@ -11,9 +11,10 @@ them on purpose, with one thread:
 
 and so on for every entry of COMMANDS (the fit entries read their input
 from tests/golden/).  Independently of the bytes, every ripcurve and
-demboratio value is checked against dense eigvalsh of gram_direct prefixes
-of the same seeded supports, to 1e-12, and the fit of every ripcurve golden
-against numpy's least squares, to 1e-12.
+demboratio value is checked against dense eigvalsh of the Gramians of the
+same seeded supports, formed by one numpy product of the frame's columns
+(the pure-Python gram_direct is slow at p = 1019, k = 200), to 1e-12, and
+the fit of every ripcurve golden against numpy's least squares, to 1e-12.
 """
 
 import csv
@@ -26,7 +27,7 @@ import pytest
 from paleyrip.bounds import bound_gershgorin
 from paleyrip.cli import main
 from paleyrip.fit import fit_power_law
-from paleyrip.frame import build_frame, gram_direct
+from paleyrip.frame import build_frame
 from paleyrip.rng import random_subset, sub_seed
 from paleyrip.spectra import dembo_upper
 
@@ -50,8 +51,14 @@ COMMANDS = {
         ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
     "conjecture-p1019-k200-trials100-seed7.csv":  # the montecarlo benchmark's scan size
         ["conjecture", "--p", "1019", "--k", "200", "--trials", "100", "--seed", "7"],
+    "frame-p7.json":  # the numpy frame's bytes, signed zeros included
+        ["frame", "--p", "7"],
+    "frame-p19.json":
+        ["frame", "--p", "19"],
     "gram-p7-support0-1-3.json":  # pins the signed zeros of the real parts
         ["gram", "--p", "7", "--support", "0,1,3"],
+    "gram-p7-support0-1-3-direct.json":  # Python's left-to-right complex sums
+        ["gram", "--p", "7", "--support", "0,1,3", "--method", "direct"],
     "conjecture-p5-support0-4.json":
         ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
     "conjecture-p43-peel.json":
@@ -90,8 +97,9 @@ def _rows(name: str) -> list[dict]:
 
 def _dense_extremes(p: int, supports, k: int) -> list[tuple[float, float]]:
     """(min lambda_min, max lambda_max) over the supports' j-prefix Gramians, j = 1..k."""
-    frame = build_frame(p)
-    g = np.stack([gram_direct(frame, s) for s in supports])
+    frame = np.asarray(build_frame(p).entries)
+    cols = np.stack([frame[:, list(s)] for s in supports])
+    g = cols.transpose(0, 2, 1) @ cols.conj()
     out = []
     for j in range(1, k + 1):
         w = np.linalg.eigvalsh(g[:, :j, :j])

@@ -10,7 +10,8 @@ both classes of p mod 4, p = 3 and k = p.  `frame.gram_rows` must give
 gram_analytic's entries bit for bit, signed zeros included.
 
 The witness search `pairs.cot_witness` reads the same masks: each
-"beaten by" mask B_x must match the switched tournament's signs bit for
+"beaten by" mask B_x, which the search forms inline and `_beaten_by` here
+forms the same way, must match the switched tournament's signs bit for
 bit, and the search must give the outcomes of the list-predicate search it
 replaced, kept here as its oracle.
 """
@@ -24,10 +25,10 @@ from paleyrip.frame import gram_analytic, gram_rows, sign_matrix
 from paleyrip.numtheory import chi_signs, chi_table
 from paleyrip.pairs import (
     ConjectureRecord,
-    _beaten_by,
     _BudgetSpent,
     _cot_search,
     _residue_mask,
+    _row_mask,
     conjecture_scan,
     conjecture_search,
     greedy_peel,
@@ -211,6 +212,12 @@ def test_chi_table_is_chi_signs(p):
 def _switching_signs(p):
     # s_u = chi(-u) for u > 0 and s_0 = 1: the switching that makes 0 a source
     return [1, *chi_signs(p)[:0:-1]]
+
+
+def _beaten_by(r, p, x):
+    """B_x as the search forms it inline: P_x ^ S, complemented when s_x = -1."""
+    b = _row_mask(r, p, x) ^ (r | 1)
+    return b if x == 0 or r >> x & 1 else ~b
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23, 43, 103])

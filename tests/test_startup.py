@@ -1,9 +1,9 @@
 """Start-up loads only what a command runs.
 
-`import paleyrip`, `--help`, `--version`, `bounds`, `fit`, the analytic
-`gram` and `conjecture` in all three modes (`--support`, `--support --peel`
-and the `--k` scan, in CSV and JSON) must work with numpy unimportable
-(`sys.modules["numpy"] = None` makes any import of it raise), and print
+`import paleyrip`, `--help`, `--version`, `frame`, `bounds`, `fit`, `gram`
+with either method and `conjecture` in all three modes (`--support`,
+`--support --peel` and the `--k` scan, in CSV and JSON) must work with numpy
+unimportable (`sys.modules["numpy"] = None` makes any import of it raise), and print
 the same bytes as an ordinary run; so must each of them with `dataclasses`
 unimportable as well, since the modules they run keep their records in
 NamedTuples.  `bounds` itself is loaded only by the commands that evaluate
@@ -44,10 +44,12 @@ EAGER_NAMES = [
 NUMPY_FREE_COMMANDS = [
     ["--version"],
     ["--help"],
+    ["frame", "--p", "7"],
     ["bounds", "--p", "1009", "--k", "4"],
     ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
     ["fit", "--input", "tests/golden/estimate-p103-k30-seed1.csv"],
     ["gram", "--p", "7", "--support", "0,1,3"],
+    ["gram", "--p", "7", "--support", "0,1,3", "--method", "direct"],
     ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
     ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
     ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
@@ -147,8 +149,9 @@ def test_pairs_loaded_only_by_conjecture(code, loaded):
 
 
 @pytest.mark.parametrize("code", [
-    "main(['gram', '--p', '7', '--support', '0,1,3', '--method', 'direct'])",
     "main(['estimate', '--p', '19', '--k', '5', '--trials', '2'])",
+    "main(['demboratio', '--p', '19', '--k', '5'])",
+    "main(['verify', '--p', '7'])",
 ])
 def test_array_commands_load_numpy(code):
     # the positive control of the numpy-free commands above
