@@ -84,7 +84,6 @@ _EXPORTS = {
         "dembo_upper",
         "gamma_term",
         "generalized_dembo_extremes",
-        "gram3_charpoly_check",
         "hermitian_spectrum",
         "schur_bordered_det",
         "skew_spectral_radius",

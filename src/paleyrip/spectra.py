@@ -11,13 +11,14 @@ or a stack.  For a gated sign matrix every partial sum of C^T C is an
 integer of size at most the order n, so the float32 product of sign_gram is
 exact for n < 2^24 and only the solver rounds; code that solves many slices
 of one stored stack gates it once and calls sign_gram and gram_radius
-itself.  The tolerance gate of hermitian_spectrum is relative to the
-largest entry.  The bordered-matrix bounds are evaluated from their closed
-forms and cross-checked elsewhere against dense oracles; the extreme roots
-of the two-row bordered quartic are the extreme eigenvalues of that matrix
-compressed to its invariant subspace of dimension at most 4, a 4x4 matrix
-written in closed form from |c|^2, |d|^2 and d.conj c (no QR), and both
-comparison matrices are solved in one stacked call.
+itself.  hermitian_spectrum, the dense oracle of the tests and the
+benchmark, has no caller in the package; its tolerance gate is relative to
+the largest entry.  The bordered-matrix bounds are evaluated from their
+closed forms and cross-checked elsewhere against dense oracles; the extreme
+roots of the two-row bordered quartic are the extreme eigenvalues of that
+matrix compressed to its invariant subspace of dimension at most 4, a 4x4
+matrix written in closed form from |c|^2, |d|^2 and d.conj c (no QR), and
+both comparison matrices are solved in one stacked call.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 from .errors import NonHermitianError, ParameterRangeError
 
 HERMITIAN_TOL = 1e-10
-# Points at which gram3_charpoly_check compares the two cubics.
-CHARPOLY_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def hermitian_spectrum(m) -> np.ndarray:
@@ -42,8 +41,8 @@ def hermitian_spectrum(m) -> np.ndarray:
     convergence failures propagate as numpy.linalg.LinAlgError.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterRangeError(f"need a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ParameterRangeError(f"need a square matrix of order >= 1, got shape {m.shape}")
     scale = float(np.abs(m).max())
     if not math.isfinite(scale):
         raise NonHermitianError("matrix has a NaN or infinite entry")
@@ -52,26 +51,6 @@ def hermitian_spectrum(m) -> np.ndarray:
     if dev > bound:
         raise NonHermitianError(f"Hermitian deviation {dev:.3e} exceeds {bound:.1e}")
     return np.linalg.eigvalsh(m)
-
-
-def gram3_charpoly_check(g: np.ndarray, p) -> float:
-    """Max residual of det(G - xI) - [(1-x)^3 - 3(1-x)/p] over CHARPOLY_GRID.
-
-    Every order-3 Gramian of the Paley frame has this characteristic
-    polynomial regardless of the off-diagonal sign pattern, which pins its
-    spectrum to {1 - sqrt(3/p), 1, 1 + sqrt(3/p)}.
-    """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (3, 3):
-        raise ParameterRangeError(f"need a 3x3 matrix, got shape {g.shape}")
-    p = int(p)
-    worst = 0.0
-    eye = np.eye(3)
-    for x in CHARPOLY_GRID:
-        det = np.linalg.det(g - x * eye)
-        ref = (1.0 - x) ** 3 - 3.0 * (1.0 - x) / p
-        worst = max(worst, abs(det - ref))
-    return worst
 
 
 def canonical_tournament(n: int) -> np.ndarray:
@@ -86,14 +65,15 @@ def canonical_tournament(n: int) -> np.ndarray:
 def check_sign_matrices(c) -> None:
     """Gate a sign matrix or a stack of them, whole, before their products are solved.
 
-    Raises ParameterRangeError for input that is not square and of an
-    integer dtype, and NonHermitianError for an entry outside {-1, 0, 1} or
-    a matrix that is not exactly skew-symmetric.  What passes has integer
-    C^T C entries of size at most n, so sign_gram forms its product exactly.
+    Raises ParameterRangeError for input that is not square, of order >= 1
+    and of an integer dtype (a stack of no matrices passes), and
+    NonHermitianError for an entry outside {-1, 0, 1} or a matrix that is
+    not exactly skew-symmetric.  What passes has integer C^T C entries of
+    size at most n, so sign_gram forms its product exactly.
     """
     c = np.asarray(c)
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
-        raise ParameterRangeError(f"need square matrices, got shape {c.shape}")
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] == 0:
+        raise ParameterRangeError(f"need square matrices of order >= 1, got shape {c.shape}")
     if not np.issubdtype(c.dtype, np.integer):
         raise ParameterRangeError(f"need integer sign matrices, got dtype {c.dtype}")
     if c.size and (c.min() < -1 or c.max() > 1):
@@ -145,17 +125,18 @@ def dembo_upper(c: float, eta_k: float, btb: float) -> float:
     """Upper bound (c + eta)/2 + sqrt((c - eta)^2/4 + b*b) on the top eigenvalue.
 
     `eta_k` is any upper bound for the trailing block's largest eigenvalue
-    and `btb` the squared norm of the border vector.
+    and `btb` the squared norm of the border vector; all three must be
+    finite, and btb >= 0.
     """
-    if btb < 0:
-        raise ParameterRangeError(f"btb must be >= 0, got {btb}")
+    if not (math.isfinite(c) and math.isfinite(eta_k) and 0 <= btb < math.inf):
+        raise ParameterRangeError(f"need finite c, eta and btb >= 0, got {c}, {eta_k}, {btb}")
     return (c + eta_k) / 2.0 + math.sqrt((c - eta_k) ** 2 / 4.0 + btb)
 
 
 def dembo_lower(c: float, eta_1: float, btb: float) -> float:
     """Mirror of dembo_upper bounding the bottom eigenvalue from below."""
-    if btb < 0:
-        raise ParameterRangeError(f"btb must be >= 0, got {btb}")
+    if not (math.isfinite(c) and math.isfinite(eta_1) and 0 <= btb < math.inf):
+        raise ParameterRangeError(f"need finite c, eta and btb >= 0, got {c}, {eta_1}, {btb}")
     return (c + eta_1) / 2.0 - math.sqrt((c - eta_1) ** 2 / 4.0 + btb)
 
 

@@ -4,6 +4,12 @@ Runs the identity and inequality checks that the closed-form machinery
 rests on, at a caller-chosen prime plus a fixed internal grid, and returns
 a structured pass/fail report.  Checks route through the public module
 functions so a fault injected into any of them is caught here.
+
+Five checks are exact: delta3_spectrum and charpoly_identity (gram_analytic
+bit for bit against I + (i/sqrt p) C, then the characteristic polynomials
+of C^T C and C in ints), gamma_nonneg, lemma_k_inequality and
+c_alpha_search.  block_determinant and cot_radius compare float code with
+dense LAPACK.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, spectra
-from .frame import gram_analytic
-from .numtheory import check_paley
+from . import bounds, frame, spectra
+from .numtheory import check_paley, legendre
 from .rng import SplitMix64, random_subsets, sub_seed
 
 REPORTED_C_ALPHA = 899_998
@@ -36,26 +41,48 @@ def _random_sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
     return 1j * scale * signs
 
 
+def _charpoly3(m) -> tuple[int, int, int]:
+    """(e2, e1, e0) with det(xI - M) = x^3 + e2 x^2 + e1 x + e0, for a 3x3 integer M."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return -(a + e + i), (a * e - b * d) + (a * i - c * g) + (e * i - f * h), -det
+
+
+def _order3_signs(p, support) -> tuple[list[list[int]], bool]:
+    """C_T in ints, and whether gram_analytic(p, T) is I + (i/sqrt p) C_T bit for bit.
+
+    C_ab = legendre(T_a - T_b, p), by Euler's criterion, not from the chi
+    table gram_analytic reads; signed zeros must match too.
+    """
+    c = [[legendre(a - b, p) for b in support] for a in support]
+    scale = 1j / math.sqrt(p)
+    ref = np.array([[1 if a == b else s * scale for b, s in enumerate(row)]
+                    for a, row in enumerate(c)])
+    g = np.asarray(frame.gram_analytic(p, support), dtype=complex)
+    return c, g.shape == (3, 3) and g.tobytes() == ref.tobytes()
+
+
+def _check_order3(name, p, rng, poly_of, want, claim) -> CheckResult:
+    cases = [_order3_signs(p, t) for t in random_subsets(p, 3, rng.next_u64s(50))]
+    exact = sum(ok for _, ok in cases)
+    polys = sum(_charpoly3(poly_of(c)) == want for c, _ in cases)
+    detail = f"gram_analytic = I + (i/sqrt p) C bit for bit: {exact} of 50; {claim}: {polys} of 50"
+    return CheckResult(name, exact == polys == 50, detail)
+
+
 def _check_delta3_spectrum(p, rng) -> CheckResult:
-    target = math.sqrt(3.0 / p)
-    expected = (1.0 - target, 1.0, 1.0 + target)
-    worst = 0.0
-    for support in random_subsets(p, 3, rng.next_u64s(50)):
-        w = spectra.hermitian_spectrum(gram_analytic(p, support))
-        worst = max(worst, *(abs(x - e) for x, e in zip(w, expected)))
-    return CheckResult(
-        "delta3_spectrum", worst <= 1e-10,
-        f"max deviation from {{1-sqrt(3/p), 1, 1+sqrt(3/p)}}: {worst:.3e}",
+    return _check_order3(
+        "delta3_spectrum", p, rng,
+        lambda c: [[sum(r[i] * r[j] for r in c) for j in range(3)] for i in range(3)],
+        (-6, 9, 0),
+        "det(xI - C^T C) = x(x-3)^2 in integers, so spectrum {1-sqrt(3/p), 1, 1+sqrt(3/p)}",
     )
 
 
 def _check_charpoly(p, rng) -> CheckResult:
-    worst = 0.0
-    for support in random_subsets(p, 3, rng.next_u64s(50)):
-        worst = max(worst, spectra.gram3_charpoly_check(gram_analytic(p, support), p))
-    return CheckResult(
-        "charpoly_identity", worst < 1e-12,
-        f"max residual of det(G - xI) vs (1-x)^3 - 3(1-x)/p: {worst:.3e}",
+    return _check_order3(
+        "charpoly_identity", p, rng, lambda c: c, (0, 3, 0),
+        "det(xI - C) = x^3 + 3x in integers, so det(G - xI) = (1-x)^3 - 3(1-x)/p",
     )
 
 

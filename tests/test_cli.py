@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from paleyrip import frame
 from paleyrip.cli import RIPCURVE_COLUMNS, _csv_text, main
+from paleyrip.frame import sign_matrix
 
 
 def run_cli(capsys, *argv):
@@ -329,22 +331,31 @@ def test_verify_command(capsys):
     }
 
 
+_real_gram_analytic = frame.gram_analytic
+
+
+def _flipped_sign_gram(p, support):
+    g = _real_gram_analytic(p, support)
+    g[0, 1] = -g[0, 1]
+    return g
+
+
+def _scale_one_over_p_gram(p, support):
+    g = sign_matrix(p, support) * (1j / p)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
 def test_verify_fault_injection_exit_7(capsys, monkeypatch):
-    # a tampered eigensolver must be caught and mapped to exit 7
-    import paleyrip.spectra as spectra
-
-    real = spectra.hermitian_spectrum
-
-    def tampered(m):
-        return real(m) + 1e-6
-
-    monkeypatch.setattr(spectra, "hermitian_spectrum", tampered)
-    code, out, err = run_cli(capsys, "verify", "--p", "7")
-    assert code == 7
-    doc = json.loads(out)
-    assert not doc["all_passed"]
-    assert "delta3_spectrum" in doc["failed"]
-    assert "verification failed" in err
+    # a faulty analytic Gramian must fail both order-3 checks and map to exit 7
+    for tampered in (_flipped_sign_gram, _scale_one_over_p_gram):
+        monkeypatch.setattr(frame, "gram_analytic", tampered)
+        code, out, err = run_cli(capsys, "verify", "--p", "7")
+        assert code == 7
+        doc = json.loads(out)
+        assert not doc["all_passed"]
+        assert doc["failed"] == ["delta3_spectrum", "charpoly_identity"], tampered.__name__
+        assert "verification failed" in err
 
 
 def test_out_file_and_meta_sidecar(tmp_path, capsys):

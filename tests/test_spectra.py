@@ -19,7 +19,6 @@ from paleyrip.spectra import (
     dembo_upper,
     gamma_term,
     generalized_dembo_extremes,
-    gram3_charpoly_check,
     hermitian_spectrum,
     schur_bordered_det,
     sign_gram,
@@ -137,6 +136,11 @@ def test_spectrum_rejects_non_hermitian():
     assert np.abs(hermitian_spectrum(m) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
+def test_spectrum_rejects_order_zero():
+    with pytest.raises(ParameterRangeError, match="order >= 1"):
+        hermitian_spectrum(np.zeros((0, 0)))
+
+
 # --- order-3 characteristic polynomial --------------------------------------
 
 
@@ -146,7 +150,8 @@ def test_charpoly_identity_and_spectrum(p):
     target = math.sqrt(3.0 / p)
     for _ in range(30):
         g = gram_analytic(p, random_subset(p, 3, rng.next_u64()))
-        assert gram3_charpoly_check(g, p) < 1e-12
+        # det(xI - G) = (x-1)^3 - 3(x-1)/p, from LAPACK's eigenvalues
+        assert np.abs(np.poly(g) - [1.0, -3.0, 3.0 - 3.0 / p, 3.0 / p - 1.0]).max() < 1e-12
         w = hermitian_spectrum(g)
         assert np.abs(w - np.array([1 - target, 1.0, 1 + target])).max() < 1e-10
 
@@ -236,6 +241,14 @@ def test_sign_gate_admits_exactly_skew_sign_stacks():
         check_sign_matrices(good.astype(float))  # exactness is argued for integers only
     with pytest.raises(ParameterRangeError):
         check_sign_matrices(good[:, :, :5])
+
+
+def test_sign_gate_rejects_order_zero_but_not_an_empty_stack():
+    for c in (np.zeros((0, 0), dtype=int), np.zeros((3, 0, 0), dtype=np.int8)):
+        with pytest.raises(ParameterRangeError, match="order >= 1"):
+            skew_spectral_radius(c)
+    rho = skew_spectral_radius(np.zeros((0, 4, 4), dtype=int))
+    assert isinstance(rho, np.ndarray) and rho.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -350,6 +363,17 @@ def test_dembo_upper_monotone():
         assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
     with pytest.raises(ParameterRangeError):
         dembo_upper(1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["c", "eta", "btb"])
+def test_dembo_bounds_reject_nonfinite_input(bad, slot):
+    # a NaN btb passes a btb < 0 gate, and a NaN c or eta would come back as a NaN bound
+    args = [1.0, 1.0, 0.5]
+    args[slot] = bad
+    for bound in (dembo_upper, dembo_lower):
+        with pytest.raises(ParameterRangeError, match="finite"):
+            bound(*args)
 
 
 # --- Schur determinant --------------------------------------------------------

@@ -33,7 +33,7 @@ EAGER_NAMES = [
     "conjecture_scan", "conjecture_search", "dembo_lower", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
     "find_c_alpha", "fit", "fit_power_law", "frame", "frame_to_json", "gamma_term",
-    "generalized_dembo_extremes", "gram3_charpoly_check", "gram_analytic", "gram_direct",
+    "generalized_dembo_extremes", "gram_analytic", "gram_direct",
     "gram_rows", "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime",
     "l1_coherence", "legendre", "lemma_k_inequality", "max_sparsity", "numtheory",
     "one_sided_ratio", "pairs", "random_subset", "reduce_support", "rng", "row_index_set",
