@@ -4,7 +4,8 @@ Every command is deterministic given its full flag set; experiment output
 is CSV (or the equivalent JSON projection) with 17-significant-digit
 floats, LF line endings and '.' decimals.  When --out is given, a sidecar
 <out>.meta.json records the command, package version, all parameters and
-the wall time, so published figures are reproducible from metadata alone.
+the wall time, so published figures are reproducible from metadata alone;
+an output or sidecar path that cannot be written is a usage error (exit 4).
 
 Each command imports the layers it runs inside its handler, so start-up
 loads only those.  These commands run without numpy: `frame` (the
@@ -341,8 +342,6 @@ def main(argv=None) -> int:
     wall = time.monotonic() - t0
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
         params = {
             key: value for key, value in sorted(vars(args).items())
             if key not in ("func", "out") and not key.startswith("_")
@@ -355,8 +354,17 @@ def main(argv=None) -> int:
             "wall_time_s": wall,
             **extra_meta,
         }
-        with open(f"{args.out}.meta.json", "w") as fh:
-            fh.write(_json_text(meta))
+        path = args.out
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            path = f"{args.out}.meta.json"
+            with open(path, "w") as fh:
+                fh.write(_json_text(meta))
+        except OSError as exc:
+            print(f"paleyrip {args.command}: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_PARAMETER_RANGE
     else:
         sys.stdout.write(text)
     return code

@@ -13,12 +13,10 @@ exact for n < 2^24 and only the solver rounds; code that solves many slices
 of one stored stack gates it once and calls sign_gram and gram_radius
 itself.  hermitian_spectrum, the dense oracle of the tests and the
 benchmark, has no caller in the package; its tolerance gate is relative to
-the largest entry.  The bordered-matrix bounds are evaluated from their
-closed forms and cross-checked elsewhere against dense oracles; the extreme
-roots of the two-row bordered quartic are the extreme eigenvalues of that
-matrix compressed to its invariant subspace of dimension at most 4, a 4x4
-matrix written in closed form from |c|^2, |d|^2 and d.conj c (no QR), and
-both comparison matrices are solved in one stacked call.
+the largest entry.  The bordered-matrix closed forms read the border
+invariants |c|^2, |d|^2, d.conj c and the residual norm r of d against c,
+formed by _border_invariants: gamma = |c|^2 r^2 is never negative, and the
+quartic's extreme roots are those of a 4x4 compression written from them.
 """
 
 from __future__ import annotations
@@ -157,36 +155,49 @@ def schur_bordered_det(a, b, c, eta, k: int):
     return eta**k * (a - np.dot(b, c) / eta)
 
 
+def _border_vectors(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Border vectors as flat complex arrays of equal length >= 1, or ParameterRangeError."""
+    c = np.asarray(c, dtype=complex).ravel()
+    d = np.asarray(d, dtype=complex).ravel()
+    if len(c) != len(d) or len(c) < 1:
+        raise ParameterRangeError(f"border vectors need equal length >= 1, got {len(c)} and {len(d)}")
+    return c, d
+
+
+def _border_invariants(c: np.ndarray, d: np.ndarray):
+    """|c|^2, |d|^2, d.conj c and r = |d - (d.conj c/|c|^2) c|, with r = |d| for c = 0.
+
+    r is the residual vector's norm, accurate to about eps |d| even for d parallel
+    to c, where sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to sqrt(eps) |d|.
+    """
+    cc, dd = np.vdot(c, c).real, np.vdot(d, d).real
+    if cc > 0.0:
+        dc = np.vdot(c, d)  # d.conj c
+        nc = math.sqrt(cc)
+        res = d - (dc / (nc * nc)) * c
+        return cc, dd, dc, math.sqrt(np.vdot(res, res).real)
+    return cc, dd, 0j, math.sqrt(dd)
+
+
 def gamma_term(c, d) -> float:
     """Correction term of the bordered determinant closed form.
 
     gamma = sum_i |c_i|^2 (d_i . d_i*) - sum_i c_i d_i* (d_i . c_i*), where
-    the subscript-i vectors drop entry i.  The value is real in exact
-    arithmetic; an imaginary residue above 1e-12 of |first| + |second| (the
-    magnitudes of the two sums) raises NonHermitianError.
+    the subscript-i vectors drop entry i.  By the Lagrange identity it equals
+    |c|^2 |d|^2 - |d.c*|^2 = |c|^2 r^2, the form evaluated (r from
+    _border_invariants): real and never negative.  Unequal or empty vectors
+    raise ParameterRangeError.
     """
-    c = np.asarray(c, dtype=complex).ravel()
-    d = np.asarray(d, dtype=complex).ravel()
-    if len(c) != len(d):
-        raise ParameterRangeError(f"length mismatch: {len(c)} vs {len(d)}")
-    if len(c) < 1:
-        raise ParameterRangeError("vectors must have length >= 1")
-    dd = np.abs(d) ** 2
-    first = float(np.sum(np.abs(c) ** 2 * (dd.sum() - dd)))
-    s_dc = np.dot(d, c.conj())
-    second = np.sum(c * d.conj() * (s_dc - d * c.conj()))
-    gamma = first - second
-    scale = abs(first) + abs(second)
-    if abs(gamma.imag) > 1e-12 * scale:
-        raise NonHermitianError(f"gamma has imaginary residue {gamma.imag:.3e} at scale {scale:.3e}")
-    return float(gamma.real)
+    cc, _, _, r = _border_invariants(*_border_vectors(c, d))
+    return float(cc * r * r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BorderedBlock:
     """Data of the two-row bordered matrix [[a, b, c], [b*, a, d], [c*, d*, eta*I]].
 
-    `eta` is the spectral proxy standing in for the trailing block.
+    `eta` is the spectral proxy standing in for the trailing block.  Blocks are
+    equal when their fields are, the borders compared whole; they are unhashable.
     """
 
     a: float
@@ -196,14 +207,17 @@ class BorderedBlock:
     eta: float
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex).ravel()
-        d = np.asarray(self.d, dtype=complex).ravel()
-        if len(c) != len(d) or len(c) < 1:
-            raise ParameterRangeError(
-                f"border vectors need equal length >= 1, got {len(c)} and {len(d)}"
-            )
+        c, d = _border_vectors(self.c, self.d)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if not isinstance(other, BorderedBlock):
+            return NotImplemented
+        return ((self.a, self.b, self.eta) == (other.a, other.b, other.eta)
+                and np.array_equal(self.c, other.c) and np.array_equal(self.d, other.d))
+
+    __hash__ = None
 
     @property
     def order(self) -> int:
@@ -228,16 +242,13 @@ def _bordered_quartic(blk: BorderedBlock, x) -> np.ndarray:
     """Degree-4 factor of det(R - xI) for the bordered matrix R.
 
     q(x) = (a-x)^2 (eta-x)^2 - (a-x)(eta-x)(dd* + cc*) - bb*(eta-x)^2
-           + 2 (eta-x) Re(b d.c*) + gamma
+           + 2 (eta-x) Re(b d.c*) + gamma,   gamma = |c|^2 r^2 (gamma_term)
     """
     u = blk.a - np.asarray(x, dtype=float)
     v = blk.eta - np.asarray(x, dtype=float)
-    cc = float(np.sum(np.abs(blk.c) ** 2))
-    dd = float(np.sum(np.abs(blk.d) ** 2))
-    bb = abs(blk.b) ** 2
-    rbdc = float(np.real(blk.b * np.dot(blk.d, blk.c.conj())))
-    gam = gamma_term(blk.c, blk.d)
-    return u * u * v * v - u * v * (dd + cc) - bb * v * v + 2.0 * v * rbdc + gam
+    cc, dd, dc, r = _border_invariants(blk.c, blk.d)
+    return (u * u * v * v - u * v * (dd + cc) - abs(blk.b) ** 2 * v * v
+            + 2.0 * v * float(np.real(blk.b * dc)) + cc * r * r)
 
 
 def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
@@ -265,28 +276,16 @@ def _compressed_spectrum(*blks: BorderedBlock) -> np.ndarray:
          [|c|, (d.conj c/|c|)*,   eta,           0],
          [0,   r,                 0,           eta]]
 
-    with r = |d - (d.conj c/|c|^2) c| = |conj d - (u1^H conj d) u1|.  By the
-    Lagrange identity r^2 = gamma/|c|^2, which ties the compression to the
-    bordered quartic: its characteristic polynomial is that quartic.  r is
-    the norm of the residual vector, accurate to about eps |d| even for d
-    parallel to c, where sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to
-    about sqrt(eps) |d|.  c = 0 takes u1 from conj d.  A zero residual (d
-    parallel to c, k = 1, zero borders) only adds the eigenvalue eta.  All
-    blocks are solved in one stacked call.
+    with r = |conj d - (u1^H conj d) u1| from _border_invariants, so that
+    r^2 = gamma/|c|^2 and the characteristic polynomial is the bordered
+    quartic.  c = 0 takes u1 from conj d; a zero residual (d parallel to c,
+    k = 1, zero borders) only adds the eigenvalue eta.  One stacked solve.
     """
-    def norm(v) -> float:
-        return math.sqrt(np.vdot(v, v).real)
-
     h = np.zeros((len(blks), 4, 4), dtype=complex)
     for hb, blk in zip(h, blks):
-        nc = norm(blk.c)
-        if nc > 0.0:
-            dc = np.vdot(blk.c, blk.d)  # d.conj c
-            hb[0, 2] = nc
-            hb[1, 2] = dc / nc
-            hb[1, 3] = norm(blk.d - (dc / (nc * nc)) * blk.c)
-        else:
-            hb[1, 2] = norm(blk.d)
+        cc, _, dc, r = _border_invariants(blk.c, blk.d)
+        nc = math.sqrt(cc)
+        hb[0, 2], hb[1, 2], hb[1, 3] = (nc, dc / nc, r) if nc > 0.0 else (0.0, r, 0.0)
         hb[0, 0] = hb[1, 1] = blk.a
         hb[0, 1] = blk.b
         hb[2, 2] = hb[3, 3] = blk.eta

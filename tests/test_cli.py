@@ -89,6 +89,21 @@ def test_support_with_small_prime_modulus(argv, code):
     assert "Traceback" not in res.stderr and "warning:" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, out, unwritable", [
+    ("estimate --p 7 --k 3", "missing/x.csv", "missing/x.csv"),  # no parent directory
+    ("gram --p 7 --support 0,1", "adir", "adir"),  # a directory
+    ("gram --p 7 --support 0,1", "x.json", "x.json.meta.json"),  # the sidecar's path
+])
+def test_unwritable_out_exit_4(tmp_path, argv, out, unwritable):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "x.json.meta.json").mkdir()
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split(), "--out", out],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: cannot write {unwritable}: ")
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
 def test_support_reduction_warning(capsys):
     code, out, err = run_cli(capsys, "gram", "--p", "19", "--support", "1,2,19")
     assert code == 0

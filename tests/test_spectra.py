@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -429,8 +430,8 @@ def test_gamma_term_equal_signs():
 
 
 def test_gamma_term_scaled_complex_borders():
-    # magnitude-1e3 complex borders: the imaginary rounding residue grows with
-    # the scale of the sums, so the reality gate has to be relative
+    # magnitude-1e3 complex borders against the paper's literal double sum,
+    # to a tolerance relative to the size of its terms, which cancel
     rng = np.random.default_rng(23)
     for _ in range(200):
         c = 1e3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
@@ -444,6 +445,48 @@ def test_gamma_term_scaled_complex_borders():
             ref += first - second.real
             scale += first + abs(second)
         assert abs(gamma_term(c, d) - ref) <= 1e-12 * scale
+
+
+def _exact_gamma(c, d) -> Fraction:
+    # |c|^2 |d|^2 - |<c, d>|^2 in exact arithmetic from the float inputs
+    fc = [(Fraction(z.real), Fraction(z.imag)) for z in c]
+    fd = [(Fraction(z.real), Fraction(z.imag)) for z in d]
+    cc = sum(x * x + y * y for x, y in fc)
+    dd = sum(x * x + y * y for x, y in fd)
+    re = sum(x * u + y * v for (x, y), (u, v) in zip(fc, fd))
+    im = sum(x * v - y * u for (x, y), (u, v) in zip(fc, fd))
+    return cc * dd - re * re - im * im
+
+
+def _norms2(c, d) -> float:
+    return float(np.vdot(c, c).real * np.vdot(d, d).real)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_gamma_term_vs_exact_arithmetic(k):
+    rng = np.random.default_rng(100 + k)
+    z = 0.7 - 0.2j
+    for _ in range(20):
+        c, d, e = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(3))
+        # random borders
+        assert abs(Fraction(gamma_term(c, d)) - _exact_gamma(c, d)) <= 2e-15 * _norms2(c, d)
+        # exactly parallel: gamma is a rounding residue, never negative
+        assert 0.0 <= gamma_term(c, z * c) <= 1e-28 * _norms2(c, z * c)
+        # nearly parallel, where the paper's sums cancel to 0.22 relative; at
+        # k = 1 every d is parallel to c
+        d = z * c + 1e-7 * e
+        ref = _exact_gamma(c, d)
+        tol = 1e-6 * ref if k > 1 else 1e-28 * _norms2(c, d)
+        assert gamma_term(c, d) >= 0.0 and abs(Fraction(gamma_term(c, d)) - ref) <= tol
+        # c = 0
+        assert gamma_term(np.zeros(k), e) == 0.0 == _exact_gamma(np.zeros(k), e)
+
+
+def test_gamma_term_rounding_regressions():
+    # the paper's sums gave -5.55e-17 here, and raised NonHermitianError at k = 1
+    c = np.array([0.1 + 0.2j, 0.3 - 0.4j, -0.5 + 0.6j])
+    assert 0.0 <= gamma_term(c, (0.7 - 0.2j) * c) <= 1e-28
+    assert 0.0 <= gamma_term([0.1 + 0.2j], [0.4 + 0.5j]) <= 1e-30
 
 
 def test_gamma_term_bounds_for_sign_patterns():
@@ -479,6 +522,27 @@ def test_block3_det_vs_dense_oracle():
     assert worst <= 1e-10
     with pytest.raises(ParameterRangeError):
         block3_det(BorderedBlock(1.0, 0.0, [1j], [1j], 1.0))
+
+
+def test_block3_det_nearly_parallel_complex_borders():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        k = 2 + int(rng.integers(11))
+        c = rng.normal(size=k) + 1j * rng.normal(size=k)
+        d = (0.7 - 0.2j) * c + 1e-7 * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        blk = BorderedBlock(rng.normal(), complex(rng.normal(), rng.normal()), c, d, rng.normal())
+        x = rng.uniform(-3.0, 3.0)
+        dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
+        assert abs(block3_det(blk, x) - dense.real) <= 1e-10 * max(abs(dense.real), 1e-14)
+
+
+def test_bordered_block_equality():
+    blk = BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 1.0)
+    assert blk == BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 1.0)
+    assert blk != BorderedBlock(1.0, 0j, [1j, 1j], [1j, 1j], 1.0)
+    assert blk != BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 2.0)
+    with pytest.raises(TypeError):
+        hash(blk)
 
 
 def test_block3_real_cross_term_vanishes_for_paley_data():
