@@ -49,13 +49,11 @@ _EXPORTS = {
         "PaleyFrame",
         "build_frame",
         "check_support",
-        "coherence",
         "frame_to_json",
         "gram_analytic",
         "gram_direct",
         "gram_rows",
         "gram_to_json",
-        "l1_coherence",
         "reduce_support",
         "sign_matrix",
     ),
@@ -80,12 +78,10 @@ _EXPORTS = {
         "BorderedBlock",
         "block3_det",
         "canonical_tournament",
-        "dembo_lower",
         "dembo_upper",
         "gamma_term",
         "generalized_dembo_extremes",
         "hermitian_spectrum",
-        "schur_bordered_det",
         "skew_spectral_radius",
     ),
     "verify": ("run_verification",),

@@ -35,6 +35,7 @@ DEMBO_C = 1.0 / (2.0 * (2.0 - math.sqrt(3.0)))
 GENERALIZED_OFFSET = (2.0 / 3.0) * (2.0 - math.sqrt(3.0))
 
 RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
+LEMMA_K_SLACK = 1e-12  # equality slack of the float lemma_k_inequality
 
 
 def bound_gershgorin(k: int, p) -> float:
@@ -160,11 +161,11 @@ def max_sparsity(p, family: str) -> SparsityThreshold:
     return SparsityThreshold(family, best, fam.floor(p) if fam.floor else None)
 
 
-def lemma_k_inequality(c: float, k: int, slack: float = 1e-12) -> bool:
+def lemma_k_inequality(c: float, k: int) -> bool:
     """Single-step inductive inequality behind the recursive family.
 
     Checks (k - 1/(ck))/2 + sqrt((k - 1/(ck))^2/4 + k + 1) <= k + 1 - 1/(c(k+1))
-    in floating point with the given equality slack.
+    in floating point with the equality slack LEMMA_K_SLACK.
     """
     if c < 1.0:
         raise ParameterRangeError(f"c must be >= 1, got {c}")
@@ -174,7 +175,7 @@ def lemma_k_inequality(c: float, k: int, slack: float = 1e-12) -> bool:
     t = k - 1.0 / (c * k)
     lhs = t / 2.0 + math.sqrt(t * t / 4.0 + k + 1.0)
     rhs = k + 1.0 - 1.0 / (c * (k + 1.0))
-    return lhs <= rhs + slack
+    return lhs <= rhs + LEMMA_K_SLACK
 
 
 # --- smallest integer satisfying 12 c^(1+beta) < (1-alpha) c^2 - 2c ---------

@@ -5,7 +5,8 @@ is CSV (or the equivalent JSON projection) with 17-significant-digit
 floats, LF line endings and '.' decimals.  When --out is given, a sidecar
 <out>.meta.json records the command, package version, all parameters and
 the wall time, so published figures are reproducible from metadata alone;
-an output or sidecar path that cannot be written is a usage error (exit 4).
+an output or sidecar path that cannot be written is a usage error (exit 4),
+and then neither file is left behind.
 
 Each command imports the layers it runs inside its handler, so start-up
 loads only those.  These commands run without numpy: `frame` (the
@@ -26,7 +27,9 @@ error, 5 malformed input, 6 duplicate support, 7 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -362,6 +365,10 @@ def main(argv=None) -> int:
             with open(path, "w") as fh:
                 fh.write(_json_text(meta))
         except OSError as exc:
+            # the output was written: remove it, unless it is a device such as /dev/null
+            if path != args.out and os.path.isfile(args.out):
+                with contextlib.suppress(OSError):
+                    os.remove(args.out)
             print(f"paleyrip {args.command}: cannot write {path}: {exc.strerror or exc}",
                   file=sys.stderr)
             return EXIT_PARAMETER_RANGE

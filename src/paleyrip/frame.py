@@ -13,9 +13,9 @@ exists as the validation oracle for the analytic path.
 
 The frame (`build_frame`, rows of Python complex), `gram_direct` (nested
 lists), the validators, `gram_rows` and the JSON writers run without numpy.
-numpy is imported only inside the array routines `sign_matrix`,
-`gram_analytic` and `coherence`; callers that want the frame or a direct
-Gramian as an array call `np.asarray` on it.
+numpy is imported only inside the array routines `sign_matrix` and
+`gram_analytic`; callers that want the frame or a direct Gramian as an
+array call `np.asarray` on it.
 """
 
 from __future__ import annotations
@@ -159,34 +159,6 @@ def gram_analytic(p, support) -> np.ndarray:
     g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
     np.fill_diagonal(g, 1.0)
     return g
-
-
-def coherence(frame) -> float:
-    """Largest |<col_i, col_j>| over distinct column pairs.
-
-    Accepts a PaleyFrame or any matrix whose columns are the vectors.
-    For Paley frames the value is 1/sqrt(p).
-    """
-    import numpy as np
-
-    cols = np.asarray(frame.entries if isinstance(frame, PaleyFrame) else frame)
-    g = cols.conj().T @ cols
-    np.fill_diagonal(g, 0.0)
-    return float(np.abs(g).max())
-
-
-def l1_coherence(p, s: int) -> float:
-    """Worst s-term sum of off-diagonal inner-product magnitudes: s/sqrt(p).
-
-    Every distinct-column inner product of the Paley frame has magnitude
-    exactly 1/sqrt(p), so the s-term coherence function is s times the
-    plain coherence.
-    """
-    p = check_paley(p)
-    s = int(s)
-    if not 1 <= s <= p - 1:
-        raise ParameterRangeError(f"s must be in [1, p-1], got {s} for p={p}")
-    return s / math.sqrt(p)
 
 
 def gram_rows(p, support) -> list[list[complex]]:

@@ -131,36 +131,13 @@ def dembo_upper(c: float, eta_k: float, btb: float) -> float:
     return (c + eta_k) / 2.0 + math.sqrt((c - eta_k) ** 2 / 4.0 + btb)
 
 
-def dembo_lower(c: float, eta_1: float, btb: float) -> float:
-    """Mirror of dembo_upper bounding the bottom eigenvalue from below."""
-    if not (math.isfinite(c) and math.isfinite(eta_1) and 0 <= btb < math.inf):
-        raise ParameterRangeError(f"need finite c, eta and btb >= 0, got {c}, {eta_1}, {btb}")
-    return (c + eta_1) / 2.0 - math.sqrt((c - eta_1) ** 2 / 4.0 + btb)
-
-
-def schur_bordered_det(a, b, c, eta, k: int):
-    """det of [[a, b], [c, eta*I_k]] via the Schur complement: eta^k (a - b.c/eta).
-
-    `b` is the length-k top row block, `c` the length-k left column block;
-    the dot product does not conjugate either factor.
-    """
-    if eta == 0:
-        raise ParameterRangeError("eta must be nonzero")
-    b = np.asarray(b, dtype=complex).ravel()
-    c = np.asarray(c, dtype=complex).ravel()
-    if len(b) != k or len(c) != k:
-        raise ParameterRangeError(f"border length mismatch: {len(b)}, {len(c)} vs k={k}")
-    if k == 0:
-        return complex(a)
-    return eta**k * (a - np.dot(b, c) / eta)
-
-
 def _border_vectors(c, d) -> tuple[np.ndarray, np.ndarray]:
-    """Border vectors as flat complex arrays of equal length >= 1, or ParameterRangeError."""
+    """Border vectors as flat finite complex arrays of equal length >= 1, or ParameterRangeError."""
     c = np.asarray(c, dtype=complex).ravel()
     d = np.asarray(d, dtype=complex).ravel()
-    if len(c) != len(d) or len(c) < 1:
-        raise ParameterRangeError(f"border vectors need equal length >= 1, got {len(c)} and {len(d)}")
+    if len(c) != len(d) or len(c) < 1 or not (np.isfinite(c).all() and np.isfinite(d).all()):
+        raise ParameterRangeError(
+            f"border vectors need finite entries and equal length >= 1, got {len(c)} and {len(d)}")
     return c, d
 
 
@@ -185,8 +162,8 @@ def gamma_term(c, d) -> float:
     gamma = sum_i |c_i|^2 (d_i . d_i*) - sum_i c_i d_i* (d_i . c_i*), where
     the subscript-i vectors drop entry i.  By the Lagrange identity it equals
     |c|^2 |d|^2 - |d.c*|^2 = |c|^2 r^2, the form evaluated (r from
-    _border_invariants): real and never negative.  Unequal or empty vectors
-    raise ParameterRangeError.
+    _border_invariants): real and never negative.  Unequal, empty or
+    non-finite vectors raise ParameterRangeError.
     """
     cc, _, _, r = _border_invariants(*_border_vectors(c, d))
     return float(cc * r * r)
@@ -196,8 +173,9 @@ def gamma_term(c, d) -> float:
 class BorderedBlock:
     """Data of the two-row bordered matrix [[a, b, c], [b*, a, d], [c*, d*, eta*I]].
 
-    `eta` is the spectral proxy standing in for the trailing block.  Blocks are
-    equal when their fields are, the borders compared whole; they are unhashable.
+    `eta` is the spectral proxy standing in for the trailing block.  Every field
+    must be finite (ParameterRangeError otherwise).  Blocks are equal when their
+    fields are, the borders compared whole; they are unhashable.
     """
 
     a: float
@@ -207,6 +185,8 @@ class BorderedBlock:
     eta: float
 
     def __post_init__(self):
+        if not np.isfinite((self.a, self.b, self.eta)).all():
+            raise ParameterRangeError(f"need finite a, b and eta, got {self.a}, {self.b}, {self.eta}")
         c, d = _border_vectors(self.c, self.d)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)

@@ -102,6 +102,7 @@ def test_unwritable_out_exit_4(tmp_path, argv, out, unwritable):
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: cannot write {unwritable}: ")
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+    assert not (tmp_path / "x.json").exists()  # written before its sidecar failed, then removed
 
 
 def test_support_reduction_warning(capsys):

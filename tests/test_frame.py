@@ -12,12 +12,10 @@ from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRange
 from paleyrip.frame import (
     build_frame,
     check_support,
-    coherence,
     frame_to_json,
     gram_analytic,
     gram_direct,
     gram_to_json,
-    l1_coherence,
     reduce_support,
     sign_matrix,
 )
@@ -171,30 +169,6 @@ def test_gram_minus_identity_is_skew():
     a = g - np.eye(5)
     assert np.abs(a + a.T).max() < 1e-12
     assert np.abs(a.real).max() < 1e-12
-
-
-def test_coherence():
-    f = build_frame(7)
-    cols = np.asarray(f.entries)
-    # oracle: explicit max over the 21 column pairs
-    worst = max(
-        abs(np.vdot(cols[:, j], cols[:, i]))
-        for i in range(7) for j in range(i + 1, 7)
-    )
-    assert abs(worst - 1 / math.sqrt(7)) < 1e-12
-    assert abs(coherence(f) - 1 / math.sqrt(7)) < 1e-12
-    assert abs(coherence(build_frame(103)) - 1 / math.sqrt(103)) < 1e-12
-    assert coherence(np.eye(5)) == 0.0
-
-
-def test_l1_coherence():
-    assert abs(l1_coherence(7, 1) - 1 / math.sqrt(7)) < 1e-15
-    assert abs(l1_coherence(103, 30) - 30 / math.sqrt(103)) < 1e-15
-    assert abs(l1_coherence(7, 6) - 6 / math.sqrt(7)) < 1e-15
-    with pytest.raises(ParameterRangeError):
-        l1_coherence(7, 0)
-    with pytest.raises(ParameterRangeError):
-        l1_coherence(7, 7)
 
 
 def test_support_set_validation():

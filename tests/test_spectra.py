@@ -16,12 +16,10 @@ from paleyrip.spectra import (
     block3_det,
     canonical_tournament,
     check_sign_matrices,
-    dembo_lower,
     dembo_upper,
     gamma_term,
     generalized_dembo_extremes,
     hermitian_spectrum,
-    schur_bordered_det,
     sign_gram,
     skew_spectral_radius,
 )
@@ -338,20 +336,19 @@ def test_sign_matrix_gram_product_is_exact(p, k, batch):
 
 def test_dembo_closed_forms():
     assert dembo_upper(1.0, 1.0, 0.0) == 1.0
-    assert dembo_lower(1.0, 1.0, 0.0) == 1.0
     k, p = 5, 103
     assert abs(dembo_upper(1.0, 1.0, k / p) - (1 + math.sqrt(k / p))) < 1e-15
-    assert abs(dembo_lower(1.0, 1.0, k / p) - (1 - math.sqrt(k / p))) < 1e-15
 
 
-def test_dembo_mirror_identity():
+def test_dembo_upper_vs_eigvalsh():
+    # dembo_upper is the top eigenvalue of [[c, sqrt b], [sqrt b, eta]]
     rng = SplitMix64(5)
     for _ in range(50):
         c = rng.below(1000) / 500.0
         e = rng.below(1000) / 500.0
         b = rng.below(1000) / 1000.0
-        s = dembo_upper(c, e, b) + dembo_lower(c, e, b)
-        assert abs(s - (c + e)) < 1e-14 * max(1.0, c + e)
+        lam = np.linalg.eigvalsh([[c, math.sqrt(b)], [math.sqrt(b), e]])[-1]
+        assert abs(dembo_upper(c, e, b) - lam) <= 1e-14 * max(1.0, abs(lam))
 
 
 def test_dembo_upper_monotone():
@@ -372,44 +369,8 @@ def test_dembo_bounds_reject_nonfinite_input(bad, slot):
     # a NaN btb passes a btb < 0 gate, and a NaN c or eta would come back as a NaN bound
     args = [1.0, 1.0, 0.5]
     args[slot] = bad
-    for bound in (dembo_upper, dembo_lower):
-        with pytest.raises(ParameterRangeError, match="finite"):
-            bound(*args)
-
-
-# --- Schur determinant --------------------------------------------------------
-
-
-def test_schur_bordered_det_degenerate():
-    assert schur_bordered_det(2.5, [], [], 3.0, 0) == 2.5
-
-
-def test_schur_bordered_det_hermitian_border():
-    p, k = 7, 4
-    b = np.full(k, 1j / math.sqrt(p))
-    c = b.conj()
-    val = schur_bordered_det(1.0, b, c, 1.0, k)
-    assert abs(val - (1 - k / p)) < 1e-14
-
-
-def test_schur_bordered_det_vs_dense():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        k = int(rng.integers(1, 9))
-        a = complex(rng.normal(), rng.normal())
-        b = rng.normal(size=k) + 1j * rng.normal(size=k)
-        c = rng.normal(size=k) + 1j * rng.normal(size=k)
-        eta = float(rng.normal()) or 1.0
-        m = np.zeros((k + 1, k + 1), dtype=complex)
-        m[0, 0] = a
-        m[0, 1:] = b
-        m[1:, 0] = c
-        m[1:, 1:] = eta * np.eye(k)
-        dense = np.linalg.det(m)
-        closed = schur_bordered_det(a, b, c, eta, k)
-        assert abs(closed - dense) <= 1e-10 * max(abs(dense), 1e-14)
-    with pytest.raises(ParameterRangeError):
-        schur_bordered_det(1.0, [1.0], [1.0], 0.0, 1)
+    with pytest.raises(ParameterRangeError, match="finite"):
+        dembo_upper(*args)
 
 
 # --- gamma and the block determinant ------------------------------------------
@@ -534,6 +495,19 @@ def test_block3_det_nearly_parallel_complex_borders():
         x = rng.uniform(-3.0, 3.0)
         dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
         assert abs(block3_det(blk, x) - dense.real) <= 1e-10 * max(abs(dense.real), 1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["a", "b", "c", "d", "eta"])
+def test_bordered_block_rejects_nonfinite_input(bad, field):
+    # a NaN in c used to fail the |c|^2 > 0 branch and be read as c = 0
+    fields = {"a": 1.0, "b": 0j, "c": [1.0, 1.0], "d": [1.0, 1.0], "eta": 1.0}
+    fields[field] = [bad, 1.0] if field in ("c", "d") else bad
+    with pytest.raises(ParameterRangeError, match="finite"):
+        BorderedBlock(**fields)
+    if field in ("c", "d"):
+        with pytest.raises(ParameterRangeError, match="finite"):
+            gamma_term(fields["c"], fields["d"])
 
 
 def test_bordered_block_equality():
