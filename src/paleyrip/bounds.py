@@ -10,22 +10,23 @@ All families bound delta_k for the Paley construction by f(k)/sqrt(p):
     conjectural         f(k) = k^beta, valid only if the residue
                         distribution conjecture holds
 
-FAMILIES declares the five unconditional families once, with their
-domains; the report, the sparsity scan and the CLI's ripcurve columns all
-read it.  The formulas are pure arithmetic in (k, p): they do not touch
-the frame, so they accept any prime p (notably p = 1009 = 1 mod 4, which
-appears in the sparsity-threshold comparison as formula evaluation only).
+FAMILIES declares each of the five unconditional families once, as its
+f(k) and its domain min_k <= k <= p, p >= min_p; the bound functions, the
+report, the sparsity scan and the CLI's ripcurve columns all read it, and
+numtheory.check_k decides the range of k for every one.  The formulas
+are pure arithmetic in (k, p): they do not touch the frame, so they
+accept any prime p (notably p = 1009 = 1 mod 4, which appears in the
+sparsity-threshold comparison as formula evaluation only).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 from .errors import ParameterRangeError
-from .numtheory import check_prime
+from .numtheory import check_k, check_prime
 
 # Constant of the recursive family; 1/(2c) = 2 - sqrt(3) makes the k = 3
 # base case collapse to sqrt(3)/sqrt(p).
@@ -38,49 +39,59 @@ RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
 LEMMA_K_SLACK = 1e-12  # equality slack of the float lemma_k_inequality
 
 
+class Family(NamedTuple):
+    """One unconditional family: delta_k <= f(k)/sqrt(p) for min_k <= k <= p, p >= min_p.
+
+    `floor` is the family's printed closed-form sparsity threshold, if any.
+    """
+
+    f: Callable[[int], float]
+    min_k: int = 1
+    min_p: int = 3
+    floor: Callable[[int], int] | None = None
+
+
+FAMILIES = {
+    "gershgorin": Family(lambda k: k - 1,
+                         floor=lambda p: math.floor(math.sqrt(p / 2.0)) + 1),
+    # 0.0 at k = 1, the radius of the 1 x 1 zero matrix, where the float
+    # cot(pi/2) would leave ~6e-17
+    "skew_cot": Family(lambda k: 1.0 / math.tan(math.pi / (2.0 * k)) if k > 1 else 0.0),
+    "skew_linear": Family(lambda k: 2.0 * k / math.pi,
+                          floor=lambda p: math.floor(math.sqrt(p / 2.0) * math.pi / 2.0)),
+    "dembo_recursive": Family(lambda k: k - 1 - 1.0 / (DEMBO_C * (k - 1)), min_k=3, min_p=7),
+    "generalized_dembo": Family(lambda k: k - 1 - GENERALIZED_OFFSET, min_k=3, min_p=7),
+}
+
+
+def _evaluate(family: str, k: int, p) -> float:
+    fam = FAMILIES[family]
+    p = check_prime(p, min_p=fam.min_p)
+    return fam.f(check_k(k, p, fam.min_k)) / math.sqrt(p)
+
+
 def bound_gershgorin(k: int, p) -> float:
     """(k - 1)/sqrt(p): the disk-theorem bound, uniform over all eigenvalues."""
-    p = check_prime(p)
-    k = int(k)
-    if k < 1:
-        raise ParameterRangeError(f"k must be >= 1, got {k}")
-    return (k - 1) / math.sqrt(p)
+    return _evaluate("gershgorin", k, p)
 
 
 def bound_skew(k: int, p, exact: bool = False) -> float:
     """Skew-adjacency bound: cot(pi/2k)/sqrt(p), or its linear relaxation (2k/pi)/sqrt(p).
 
     cot(x) <= 1/x on (0, pi/2), so the exact variant never exceeds the
-    linear one.  At k = 1 the exact variant is 0.0, the radius of the 1 x 1
-    zero matrix, where the float cot(pi/2) would leave ~6e-17.
+    linear one.  At k = 1 the exact variant is 0.0.
     """
-    p = check_prime(p)
-    k = int(k)
-    if not 1 <= k <= p:
-        raise ParameterRangeError(f"k must be in [1, p], got k={k}, p={p}")
-    if exact:
-        if k == 1:
-            return 0.0
-        return (1.0 / math.tan(math.pi / (2.0 * k))) / math.sqrt(p)
-    return (2.0 * k / math.pi) / math.sqrt(p)
+    return _evaluate("skew_cot" if exact else "skew_linear", k, p)
 
 
 def bound_dembo_recursive(k: int, p) -> float:
     """(k - 1 - 1/(c(k-1)))/sqrt(p) with c = 1/(2(2 - sqrt(3))), for k >= 3."""
-    p = check_prime(p, min_p=7)
-    k = int(k)
-    if k < 3:
-        raise ParameterRangeError(f"recursive bound needs k >= 3, got {k}")
-    return (k - 1 - 1.0 / (DEMBO_C * (k - 1))) / math.sqrt(p)
+    return _evaluate("dembo_recursive", k, p)
 
 
 def bound_generalized_dembo(k: int, p) -> float:
     """(k - 1 - (2/3)(2 - sqrt(3)))/sqrt(p) for k >= 3; the offset is k-free."""
-    p = check_prime(p, min_p=7)
-    k = int(k)
-    if k < 3:
-        raise ParameterRangeError(f"generalized bound needs k >= 3, got {k}")
-    return (k - 1 - GENERALIZED_OFFSET) / math.sqrt(p)
+    return _evaluate("generalized_dembo", k, p)
 
 
 def bound_conjectural(k: int, p, beta: float) -> float:
@@ -91,39 +102,14 @@ def bound_conjectural(k: int, p, beta: float) -> float:
     p = check_prime(p)
     if not 0.0 < beta <= 1.0:
         raise ParameterRangeError(f"beta must be in (0, 1], got {beta}")
-    k = int(k)
-    if k < 1:
-        raise ParameterRangeError(f"k must be >= 1, got {k}")
-    return k**beta / math.sqrt(p)
-
-
-class Family(NamedTuple):
-    """One unconditional family: delta_k <= bound(k, p) for k >= min_k and p >= min_p.
-
-    `floor` is the family's printed closed-form sparsity threshold, if any.
-    """
-
-    bound: Callable[[int, int], float]
-    min_k: int = 1
-    min_p: int = 3
-    floor: Callable[[int], int] | None = None
-
-
-FAMILIES = {
-    "gershgorin": Family(bound_gershgorin,
-                         floor=lambda p: math.floor(math.sqrt(p / 2.0)) + 1),
-    "skew_cot": Family(partial(bound_skew, exact=True)),
-    "skew_linear": Family(bound_skew,
-                          floor=lambda p: math.floor(math.sqrt(p / 2.0) * math.pi / 2.0)),
-    "dembo_recursive": Family(bound_dembo_recursive, min_k=3, min_p=7),
-    "generalized_dembo": Family(bound_generalized_dembo, min_k=3, min_p=7),
-}
+    return check_k(k, p, 1) ** beta / math.sqrt(p)
 
 
 def family_bounds(k: int, p) -> dict[str, float | None]:
     """Every family's bound at (k, p), in FAMILIES order; None below a family's domain."""
     p = check_prime(p)
-    return {name: fam.bound(k, p) if k >= fam.min_k and p >= fam.min_p else None
+    k = check_k(k, p, 1)
+    return {name: fam.f(k) / math.sqrt(p) if k >= fam.min_k and p >= fam.min_p else None
             for name, fam in FAMILIES.items()}
 
 
@@ -143,19 +129,14 @@ class SparsityThreshold(NamedTuple):
 
 def max_sparsity(p, family: str) -> SparsityThreshold:
     """Scan even m = 2k upward until family-bound(m) reaches 1/sqrt(2)."""
-    p = check_prime(p)
     if family not in FAMILIES:
         raise ParameterRangeError(f"unknown bound family {family!r}")
     fam = FAMILIES[family]
+    p = check_prime(p, min_p=fam.min_p)
     best = 0
     for m in range(2, p + 1, 2):
-        if m == 2:
-            val = 1.0 / math.sqrt(p)  # delta_2 = mu exactly, for every family
-        elif p < fam.min_p:
-            break
-        else:
-            val = fam.bound(m, p)
-        if val >= RECOVERY_THRESHOLD:
+        # delta_2 = mu exactly, for every family
+        if (1.0 if m == 2 else fam.f(m)) / math.sqrt(p) >= RECOVERY_THRESHOLD:
             break
         best = m
     return SparsityThreshold(family, best, fam.floor(p) if fam.floor else None)
@@ -171,7 +152,7 @@ def lemma_k_inequality(c: float, k: int) -> bool:
         raise ParameterRangeError(f"c must be >= 1, got {c}")
     k = int(k)
     if k < 1:
-        raise ParameterRangeError(f"k must be >= 1, got {k}")
+        raise ParameterRangeError(f"lemma_k_inequality takes k >= 1, got {k}")
     t = k - 1.0 / (c * k)
     lhs = t / 2.0 + math.sqrt(t * t / 4.0 + k + 1.0)
     rhs = k + 1.0 - 1.0 / (c * (k + 1.0))
@@ -295,10 +276,8 @@ class BoundReport(NamedTuple):
 
 
 def build_report(p, k: int, beta: float | None = None) -> BoundReport:
-    """Evaluate every family at (p, k); k >= 2 required."""
+    """Evaluate every family at (p, k); 2 <= k <= p required."""
     p = check_prime(p)
-    k = int(k)
-    if k < 2:
-        raise ParameterRangeError(f"bound report needs k >= 2, got {k}")
+    k = check_k(k, p, 2)
     conjectural = None if beta is None else bound_conjectural(k, p, beta)
     return BoundReport(p, k, family_bounds(k, p), conjectural, beta)

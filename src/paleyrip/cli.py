@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     if args.out:
         params = {
             key: value for key, value in sorted(vars(args).items())
-            if key not in ("func", "out") and not key.startswith("_")
+            if key not in ("func", "out")
         }
         meta = {
             "command": args.command,

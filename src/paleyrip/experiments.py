@@ -43,8 +43,8 @@ import numpy as np
 
 from . import spectra
 from .errors import ParameterRangeError
-from .frame import check_k, sign_matrix
-from .numtheory import check_paley
+from .frame import sign_matrix
+from .numtheory import check_k, check_paley
 from .rng import random_subsets, sub_seed
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},

@@ -53,13 +53,6 @@ def check_support(p: int, values) -> tuple[int, ...]:
     return indices
 
 
-def check_k(k, p: int, lo: int) -> int:
-    """k as an int; ParameterRangeError unless lo <= k <= p."""
-    if not lo <= (k := int(k)) <= p:
-        raise ParameterRangeError(f"k must be in [{lo}, p], got k={k}, p={p}")
-    return k
-
-
 def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Reduce raw residue values mod p, reporting which elements changed.
 

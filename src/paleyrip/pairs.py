@@ -40,8 +40,8 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .errors import ParameterRangeError
-from .frame import check_k, check_support
-from .numtheory import check_paley, check_prime, chi_signs
+from .frame import check_support
+from .numtheory import check_k, check_paley, check_prime, chi_signs
 from .rng import random_subset, sub_seed
 
 

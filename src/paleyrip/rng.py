@@ -28,6 +28,7 @@ next_u64().
 from __future__ import annotations
 
 from .errors import ParameterRangeError
+from .numtheory import check_k
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -94,8 +95,7 @@ def random_subsets(p: int, k: int, seeds):
     """
     import numpy as np
 
-    if not 0 < k <= p:
-        raise ParameterRangeError(f"need 0 < k <= p, got k={k}, p={p}")
+    k = check_k(k, p, 1)
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     n = np.arange(p, p - k, -1, dtype=np.uint64)  # below()'s bound at step i
     # below(n) accepts u < 2^64 - (2^64 mod n), and 2^64 mod n = (_MASK mod n + 1) mod n
@@ -128,8 +128,7 @@ def random_subset(p: int, k: int, seed: int) -> tuple[int, ...]:
     value moved to slot j is stored, in a dict of the slots written so far;
     a slot not in it still holds its own index.
     """
-    if not 0 < k <= p:
-        raise ParameterRangeError(f"need 0 < k <= p, got k={k}, p={p}")
+    k = check_k(k, p, 1)
     stream = SplitMix64(seed)
     moved: dict[int, int] = {}
     out = []

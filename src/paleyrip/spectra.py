@@ -239,7 +239,7 @@ def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
     """
     k = len(blk.c)
     if k < 2:
-        raise ParameterRangeError(f"block determinant needs k >= 2, got {k}")
+        raise ParameterRangeError(f"block determinant needs a border of length >= 2, got {k}")
     return float((blk.eta - x) ** (k - 2) * _bordered_quartic(blk, x))
 
 

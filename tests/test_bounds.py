@@ -6,6 +6,7 @@ import pytest
 
 from paleyrip.bounds import (
     DEMBO_C,
+    FAMILIES,
     GENERALIZED_OFFSET,
     bound_conjectural,
     bound_dembo_recursive,
@@ -13,12 +14,31 @@ from paleyrip.bounds import (
     bound_gershgorin,
     bound_skew,
     build_report,
+    family_bounds,
     find_c_alpha,
     lemma_k_inequality,
     max_sparsity,
 )
 from paleyrip.errors import NotPrimeError, ParameterRangeError
 from paleyrip.experiments import exact_rip
+
+# Each family's public function at (k, p).
+FAMILY_FUNCTIONS = {
+    "gershgorin": bound_gershgorin,
+    "skew_cot": lambda k, p: bound_skew(k, p, exact=True),
+    "skew_linear": bound_skew,
+    "dembo_recursive": bound_dembo_recursive,
+    "generalized_dembo": bound_generalized_dembo,
+}
+
+# Each family's bound written out with the float operations of its formula.
+WRITTEN_OUT = {
+    "gershgorin": lambda k, p: (k - 1) / math.sqrt(p),
+    "skew_cot": lambda k, p: 0.0 if k == 1 else (1.0 / math.tan(math.pi / (2.0 * k))) / math.sqrt(p),
+    "skew_linear": lambda k, p: (2.0 * k / math.pi) / math.sqrt(p),
+    "dembo_recursive": lambda k, p: (k - 1 - 1.0 / (DEMBO_C * (k - 1))) / math.sqrt(p),
+    "generalized_dembo": lambda k, p: (k - 1 - GENERALIZED_OFFSET) / math.sqrt(p),
+}
 
 
 def test_constants():
@@ -74,7 +94,7 @@ def test_dembo_recursive():
 def test_dembo_recursive_increments():
     # consecutive difference exceeds the disk-bound increment by exactly
     # 2(2 - sqrt(3)) / (k (k-1) sqrt(p)) and shrinks toward it
-    p = 103
+    p = 1019
     sq = math.sqrt(p)
     for k in range(3, 200):
         diff = bound_dembo_recursive(k + 1, p) - bound_dembo_recursive(k, p)
@@ -220,3 +240,50 @@ def test_report_empirical_lower_invariant():
     exact = exact_rip(7, 4)
     for val in rep.bounds.values():
         assert val >= exact - 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 103, 1009, 1019])
+def test_bounds_bit_identical_to_written_formulas(p):
+    # every k of each family's domain min_k <= k <= p, compared with ==
+    for name, fam in FAMILIES.items():
+        if p < fam.min_p:
+            continue
+        for k in range(fam.min_k, p + 1):
+            want = WRITTEN_OUT[name](k, p)
+            assert FAMILY_FUNCTIONS[name](k, p) == want, (name, k)
+            assert family_bounds(k, p)[name] == want, (name, k)
+    for k in range(1, p + 1):
+        assert bound_conjectural(k, p, 0.7) == k**0.7 / math.sqrt(p)
+
+
+# (call(k, p), min_k, min_p) of every public function taking k and p.
+DOMAINS = {
+    **{name: (fn, FAMILIES[name].min_k, FAMILIES[name].min_p)
+       for name, fn in FAMILY_FUNCTIONS.items()},
+    "conjectural": (lambda k, p: bound_conjectural(k, p, 0.5), 1, 3),
+    "family_bounds": (family_bounds, 1, 3),
+    "build_report": (lambda k, p: build_report(p, k), 2, 3),
+}
+
+
+@pytest.mark.parametrize("call, min_k, min_p", DOMAINS.values(), ids=DOMAINS)
+def test_every_bound_rejects_k_and_p_outside_its_domain(call, min_k, min_p):
+    for p in (7, 1019):
+        call(p, p)  # k = p is the top of every domain
+        with pytest.raises(ParameterRangeError, match=r"k must be in \["):
+            call(p + 1, p)
+        with pytest.raises(ParameterRangeError, match=r"k must be in \["):
+            call(min_k - 1, p)
+    below = 2 if min_p == 3 else 5
+    with pytest.raises(ParameterRangeError, match=f"p must be >= {min_p}"):
+        call(min(min_k, below), below)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_max_sparsity_rejects_p_below_family_domain(family):
+    min_p = FAMILIES[family].min_p
+    max_sparsity(min_p, family)
+    for p in (2, 3, 5):
+        if p < min_p:
+            with pytest.raises(ParameterRangeError, match=f"p must be >= {min_p}"):
+                max_sparsity(p, family)

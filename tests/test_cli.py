@@ -112,6 +112,19 @@ def test_support_reduction_warning(capsys):
     assert json.loads(out)["rows"] == [1, 2, 0]
 
 
+def test_negative_support_element_via_equals_form(capsys):
+    # argparse reads "-1,2" after a separate --support as an option: only
+    # the --support=-1,2 form passes a negative residue
+    code, out, err = run_cli(capsys, "gram", "--p", "7", "--support=-1,2")
+    assert code == 0
+    assert err == "warning: support element -1 reduced to 6 mod 7\n"
+    assert json.loads(out)["rows"] == [6, 2]
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--p", "7", "--support", "-1,2"])
+    assert exc.value.code == 4
+    assert "argument --support: expected one argument" in capsys.readouterr().err
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--p", "1009", "--k", "4")
     assert code == 0

@@ -71,6 +71,13 @@ def test_sub_seed_matches_stream():
     assert [sub_seed(42, t) for t in range(5)] == stream
 
 
+def test_samplers_reject_k_with_check_k_message():
+    for sampler in (lambda k: random_subset(10, k, 0), lambda k: random_subsets(10, k, [0])):
+        for k in (0, 11):
+            with pytest.raises(ParameterRangeError, match=rf"k must be in \[1, p\], got k={k}, p=10"):
+                sampler(k)
+
+
 def test_random_subset_deterministic_and_valid():
     s1 = random_subset(103, 30, 7)
     s2 = random_subset(103, 30, 7)

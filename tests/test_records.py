@@ -18,7 +18,6 @@ from paleyrip.bounds import (
     BoundReport,
     Family,
     SparsityThreshold,
-    bound_gershgorin,
     build_report,
     max_sparsity,
 )
@@ -29,7 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RECORDS = [
     (PaleyFrame, ("p", "rows", "entries"), {}),
-    (Family, ("bound", "min_k", "min_p", "floor"), {"min_k": 1, "min_p": 3, "floor": None}),
+    (Family, ("f", "min_k", "min_p", "floor"), {"min_k": 1, "min_p": 3, "floor": None}),
     (SparsityThreshold, ("family", "max_even", "floor_threshold"), {}),
     (BoundReport, ("p", "k", "bounds", "conjectural", "conjectural_beta"),
      {"conjectural": None, "conjectural_beta": None}),
@@ -70,8 +69,8 @@ def test_frame_shape_and_repr():
 
 
 def test_family_defaults_and_tuple_equality():
-    fam = Family(bound_gershgorin)
-    assert fam == (bound_gershgorin, 1, 3, None)
+    f = FAMILIES["gershgorin"].f
+    assert Family(f) == (f, 1, 3, None)
     assert FAMILIES["dembo_recursive"][1:3] == (3, 7)
     assert max_sparsity(1009, "gershgorin") == ("gershgorin", 22, 23)
 
