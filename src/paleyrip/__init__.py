@@ -54,7 +54,6 @@ _EXPORTS = {
         "gram_direct",
         "gram_rows",
         "gram_to_json",
-        "reduce_support",
         "sign_matrix",
     ),
     "numtheory": (

@@ -34,15 +34,10 @@ import sys
 import time
 
 from . import __version__
-from .errors import (
-    EXIT_PARAMETER_RANGE,
-    EXIT_VERIFY_FAILED,
-    MalformedInputError,
-    PaleyRipError,
-    ParameterRangeError,
-    exit_code_for,
-)
+from .errors import DuplicateSupportError, MalformedInputError, PaleyRipError, ParameterRangeError
 from .fit import DEFAULT_FIT_JMIN, fit_power_law
+
+EXIT_VERIFY_FAILED = 7  # a failed identity check is a result, not an error
 
 RIPCURVE_COLUMNS = ("j", "d", "gershgorin", "skew_linear", "dembo_recursive", "generalized_dembo")
 DEMBORATIO_COLUMNS = ("j", "lambda_max", "dembo_bound", "gershgorin_bound",
@@ -75,27 +70,31 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_PARAMETER_RANGE, f"{self.prog}: error: {message}\n")
+        self.exit(ParameterRangeError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def _parse_support(p: int, text: str, check) -> tuple[int, ...]:
     """The support residues in text reduced mod p, once check(p) has accepted p.
 
-    The modulus is checked before any element is reduced or warned about.
-    An empty list skips the check and is left to the command's size check.
+    Accepts literal 1-based sets (an element equal to p maps to 0).  The
+    modulus is checked, then a collision after reduction raises
+    DuplicateSupportError, before any element is warned about.  An empty
+    list skips the check and is left to the command's size check.
     """
-    from .frame import reduce_support
-
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise MalformedInputError(f"cannot parse support list {text!r}") from exc
-    if values:
-        p = check(p)
-    reduced, changed = reduce_support(p, values)
-    for before, after in changed:
-        print(f"warning: support element {before} reduced to {after} mod {p}",
-              file=sys.stderr)
+    if not values:
+        return ()
+    p = check(p)
+    reduced = tuple(v % p for v in values)
+    if len(set(reduced)) != len(reduced):
+        raise DuplicateSupportError(f"support {values} collides after reduction mod {p}")
+    for before, after in zip(values, reduced):
+        if after != before:
+            print(f"warning: support element {before} reduced to {after} mod {p}",
+                  file=sys.stderr)
     return reduced
 
 
@@ -341,7 +340,7 @@ def main(argv=None) -> int:
         text, extra_meta, code = args.func(args)
     except PaleyRipError as exc:
         print(f"paleyrip {args.command}: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     wall = time.monotonic() - t0
 
     if args.out:
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
                     os.remove(args.out)
             print(f"paleyrip {args.command}: cannot write {path}: {exc.strerror or exc}",
                   file=sys.stderr)
-            return EXIT_PARAMETER_RANGE
+            return ParameterRangeError.exit_code
     else:
         sys.stdout.write(text)
     return code

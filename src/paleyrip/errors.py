@@ -1,60 +1,48 @@
 """Exception types shared across the package.
 
-Each type maps to a stable CLI exit code (see EXIT_CODES); library code
-raises these so the command-line layer never has to parse messages.
+Each type carries its stable CLI exit code as the class attribute
+`exit_code`; library code raises these so the command-line layer never has
+to parse messages.
 """
 
 
 class PaleyRipError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class NotPrimeError(PaleyRipError):
     """A modulus that must be prime is composite (or < 2)."""
+
+    exit_code = 2
 
 
 class WrongResidueError(PaleyRipError):
     """A prime that must be 3 mod 4 lies in the wrong residue class."""
 
+    exit_code = 3
+
 
 class ParameterRangeError(PaleyRipError, ValueError):
     """A numeric argument violates its documented domain."""
+
+    exit_code = 4
 
 
 class MalformedInputError(PaleyRipError):
     """Input data (CSV, fit window, ...) cannot be used as requested."""
 
+    exit_code = 5
+
 
 class DuplicateSupportError(PaleyRipError):
     """Support indices collide after reduction mod p."""
+
+    exit_code = 6
 
 
 class NonHermitianError(PaleyRipError):
     """Matrix input fails its Hermitian / skew-symmetric gate."""
 
-
-# Stable CLI exit codes.  0 = success, 7 = verification check failed.
-EXIT_OK = 0
-EXIT_NOT_PRIME = 2
-EXIT_WRONG_RESIDUE = 3
-EXIT_PARAMETER_RANGE = 4
-EXIT_MALFORMED_INPUT = 5
-EXIT_DUPLICATE_SUPPORT = 6
-EXIT_VERIFY_FAILED = 7
-
-EXIT_CODES = {
-    NotPrimeError: EXIT_NOT_PRIME,
-    WrongResidueError: EXIT_WRONG_RESIDUE,
-    ParameterRangeError: EXIT_PARAMETER_RANGE,
-    MalformedInputError: EXIT_MALFORMED_INPUT,
-    DuplicateSupportError: EXIT_DUPLICATE_SUPPORT,
-    NonHermitianError: EXIT_PARAMETER_RANGE,
-}
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Exit code for an exception instance (first matching class wins)."""
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1
+    exit_code = 4

@@ -25,7 +25,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import check_paley, check_prime, chi_signs, chi_table, row_index_set
+from .numtheory import check_k, check_paley, chi_signs, chi_table, row_index_set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,38 +36,18 @@ def check_support(p: int, values) -> tuple[int, ...]:
 
     Order matters: nested-prefix experiments and the pair re-tagging
     procedure both rely on a caller-chosen ordering.  Raises
-    ParameterRangeError when the size is outside [1, p] or an index lies
-    outside [0, p), then DuplicateSupportError on a repeated index.
+    ParameterRangeError when check_k rejects the size (outside [1, p]) or
+    an index lies outside [0, p), then DuplicateSupportError on a repeated index.
     """
     p = int(p)
     indices = tuple(int(i) for i in values)
-    if not 1 <= len(indices) <= p:
-        raise ParameterRangeError(
-            f"support size must be in [1, p], got {len(indices)} for p={p}"
-        )
+    check_k(len(indices), p, 1)
     for i in indices:
         if not 0 <= i < p:
             raise ParameterRangeError(f"support index {i} outside [0, {p})")
     if len(set(indices)) != len(indices):
         raise DuplicateSupportError(f"duplicate indices in support {indices}")
     return indices
-
-
-def reduce_support(p: int, values) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Reduce raw residue values mod p, reporting which elements changed.
-
-    Accepts literal 1-based sets (an element equal to p maps to 0).  Raises
-    NotPrimeError when p is not prime and there is an element to reduce
-    (an empty support is left to check_support's size check), then
-    DuplicateSupportError when two inputs collide after reduction.
-    """
-    values = [int(v) for v in values]
-    if values:
-        p = check_prime(p, min_p=2)
-    reduced = tuple(v % p for v in values)
-    if len(set(reduced)) != len(reduced):
-        raise DuplicateSupportError(f"support {values} collides after reduction mod {p}")
-    return reduced, [(v, r) for v, r in zip(values, reduced) if r != v]
 
 
 class PaleyFrame(NamedTuple):

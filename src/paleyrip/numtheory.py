@@ -24,9 +24,8 @@ from .errors import NotPrimeError, ParameterRangeError, WrongResidueError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-# Cached: legendre re-validates its modulus on every call (1,002 calls in
-# `verify --p 103`), and the `conjecture --k` scan once per trial (502 calls
-# in `conjecture --p 19 --k 12 --trials 500`).
+# Cached: legendre re-validates its modulus on every call (900 legendre and
+# 1,002 is_prime calls in `verify --p 103`).
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all 64-bit inputs."""

@@ -29,8 +29,8 @@ are never reindexed, and no p-mask table is held.
 
 This is the one place a pair numerator is computed.  `conjecture_scan`,
 the Monte Carlo scan over many supports, draws each with the scalar
-`rng.random_subset` and runs `conjecture_search` on it, so the scan loads
-no numpy either; `one_sided_ratio` is the scalar oracle.
+`rng.random_subset` and runs `conjecture_search`'s peel on it, so the scan
+loads no numpy either; `one_sided_ratio` is the scalar oracle.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ def one_sided_ratio(p, support, i: int, j: int) -> float:
     """
     p = check_prime(p)
     support = check_support(p, support)
-    k = len(support)
-    if k < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {k}")
+    k = check_k(len(support), p, 3)
     if i == j or not (0 <= i < k and 0 <= j < k):
         raise ParameterRangeError(f"invalid pair positions ({i}, {j}) for size {k}")
     chi = chi_signs(p)
@@ -159,9 +157,7 @@ def conjecture_search(p, support, alpha: float = 0.8) -> ConjectureRecord:
     alpha = check_alpha(alpha)
     p = check_prime(p)
     support = check_support(p, support)
-    if len(support) < 3:
-        raise ParameterRangeError(f"need |support| >= 3, got {len(support)}")
-    return _peel(p, support, alpha, len(support))[0]
+    return _peel(p, support, alpha, check_k(len(support), p, 3))[0]
 
 
 def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[ConjectureRecord]:
@@ -177,8 +173,7 @@ def greedy_peel(p, support, alpha: float = 0.8, m_alpha: int = 5) -> list[Conjec
     support = check_support(p, support)
     if m_alpha < 3:
         raise ParameterRangeError(f"m_alpha must be >= 3, got {m_alpha}")
-    if len(support) < m_alpha:
-        raise ParameterRangeError(f"need |support| >= m_alpha, got {len(support)} < {m_alpha}")
+    check_k(len(support), p, m_alpha)
     return _peel(p, support, alpha, m_alpha)
 
 
@@ -272,7 +267,8 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
     Trial t's support is random_subset(p, k, sub_seed(seed, t)), the trial
     sub-seeding of experiments.estimate_rip_worst, so extending the trial
     count only appends trials and can never lower the worst best-ratio.
-    Each trial's record is conjecture_search on its support.
+    Each trial's record is conjecture_search's on its support, read from
+    _peel: a draw is k distinct residues, so it is not validated again.
     """
     alpha = check_alpha(alpha)
     p = check_prime(p)
@@ -281,7 +277,7 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
     k = check_k(k, p, 3)
 
-    records = [conjecture_search(p, random_subset(p, k, sub_seed(seed, t)), alpha)
+    records = [_peel(p, random_subset(p, k, sub_seed(seed, t)), alpha, k)[0]
                for t in range(trials)]
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials

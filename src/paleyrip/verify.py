@@ -5,11 +5,12 @@ rests on, at a caller-chosen prime plus a fixed internal grid, and returns
 a structured pass/fail report.  Checks route through the public module
 functions so a fault injected into any of them is caught here.
 
-Five checks are exact: delta3_spectrum and charpoly_identity (gram_analytic
+Four checks are exact: delta3_spectrum and charpoly_identity (gram_analytic
 bit for bit against I + (i/sqrt p) C, then the characteristic polynomials
-of C^T C and C in ints), gamma_nonneg, lemma_k_inequality and
-c_alpha_search.  block_determinant and cot_radius compare float code with
-dense LAPACK.
+of C^T C and C in ints), lemma_k_inequality and c_alpha_search.  Three
+compare float code with an exact value or with dense LAPACK: gamma_nonneg
+(the float gamma_term against the integer p^2 gamma within 1e-12 relative,
+and min gamma >= -1e-14), block_determinant and cot_radius.
 """
 
 from __future__ import annotations

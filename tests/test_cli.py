@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paleyrip import frame
-from paleyrip.cli import RIPCURVE_COLUMNS, _csv_text, main
+from paleyrip import errors, frame
+from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, main
 from paleyrip.frame import sign_matrix
 
 
@@ -45,6 +47,32 @@ def test_validation_exit_codes(capsys, argv, code):
     assert run_cli(capsys, *argv.split())[0] == code
 
 
+def test_error_classes_carry_readme_exit_codes():
+    # README's exit-code table: two columns of "<code> <meaning>" cells
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Exit codes", 1)[1].split("```")[1]
+    table = dict(cell.split(" ", 1) for line in block.splitlines()
+                 for cell in re.split(r"\s{2,}", line.strip()) if cell)
+    range_error = "parameter out of range / usage error"
+    meanings = {
+        errors.NotPrimeError: "modulus not prime",
+        errors.WrongResidueError: "prime not 3 mod 4",
+        errors.ParameterRangeError: range_error,
+        errors.MalformedInputError: "malformed input (bad CSV, unusable fit window)",
+        errors.DuplicateSupportError: "duplicate support after reduction mod p",
+        errors.NonHermitianError: range_error,
+    }
+    classes = {v for v in vars(errors).values()
+               if isinstance(v, type) and issubclass(v, errors.PaleyRipError)}
+    assert classes == {errors.PaleyRipError, *meanings}
+    for cls, meaning in meanings.items():
+        assert table[str(cls.exit_code)] == meaning, cls
+    # any other package error exits 1, a code the table leaves to no named cause
+    assert errors.PaleyRipError.exit_code == 1 and "1" not in table
+    assert table[str(EXIT_VERIFY_FAILED)] == "verification check failed"
+    assert table["0"] == "ok"
+
+
 def test_gram_command_and_methods(capsys):
     code, out_a, _ = run_cli(capsys, "gram", "--p", "7", "--support", "0,1,3")
     assert code == 0
@@ -61,6 +89,7 @@ def test_gram_command_and_methods(capsys):
 def test_gram_duplicate_support_exit_6(capsys):
     code, _, err = run_cli(capsys, "gram", "--p", "19", "--support", "0,19")
     assert code == 6
+    assert "warning:" not in err  # a collision is decided before any warning
 
 
 @pytest.mark.parametrize("argv", [

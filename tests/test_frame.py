@@ -16,7 +16,6 @@ from paleyrip.frame import (
     gram_analytic,
     gram_direct,
     gram_to_json,
-    reduce_support,
     sign_matrix,
 )
 from paleyrip.numtheory import legendre
@@ -185,14 +184,6 @@ def test_support_set_validation():
         check_support(3, (0, 0, 0, 0))
     with pytest.raises(ParameterRangeError):
         check_support(7, (9, 9))
-
-
-def test_reduce_support_mod_p():
-    reduced, changed = reduce_support(19, [8, 15, 19])
-    assert reduced == (8, 15, 0)
-    assert changed == [(19, 0)]
-    with pytest.raises(DuplicateSupportError):
-        reduce_support(19, [0, 19])
 
 
 def test_gram_rejects_mismatched_support():

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paleyrip.frame import gram_analytic, gram_rows, sign_matrix
+from paleyrip.errors import ParameterRangeError
+from paleyrip.frame import check_support, gram_analytic, gram_rows, sign_matrix
 from paleyrip.numtheory import chi_signs, chi_table
 from paleyrip.pairs import (
     ConjectureRecord,
@@ -32,6 +33,7 @@ from paleyrip.pairs import (
     conjecture_scan,
     conjecture_search,
     greedy_peel,
+    one_sided_ratio,
 )
 from paleyrip.rng import random_subset, random_subsets, sub_seed
 
@@ -179,6 +181,31 @@ def test_conjecture_scan_records_match_per_support_search():
         assert (s1.worst_ratio, s1.worst_support) == (s1.records[worst].ratio,
                                                        tuple(idx[worst].tolist()))
         assert all(rec.satisfied == (rec.ratio < rec.alpha) for rec in s1.records)
+
+
+def test_conjecture_scan_records_are_conjecture_search():
+    # the scan peels its own draws without validating them again; each record
+    # is still the validated library call's on the trial's support
+    summary = conjecture_scan(19, 12, 50, seed=7)
+    assert list(summary.records) == [
+        conjecture_search(19, random_subset(19, 12, sub_seed(7, t))) for t in range(50)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_support(19, ()), "k must be in [1, p], got k=0, p=19"),
+    (lambda: check_support(7, range(8)), "k must be in [1, p], got k=8, p=7"),
+    (lambda: one_sided_ratio(19, (1, 2), 0, 1), "k must be in [3, p], got k=2, p=19"),
+    (lambda: one_sided_ratio(7, range(8), 0, 1), "k must be in [1, p], got k=8, p=7"),
+    (lambda: conjecture_search(19, (1, 2)), "k must be in [3, p], got k=2, p=19"),
+    (lambda: conjecture_search(7, range(8)), "k must be in [1, p], got k=8, p=7"),
+    (lambda: greedy_peel(19, (1, 2, 3, 4), 0.8, 5), "k must be in [5, p], got k=4, p=19"),
+    (lambda: greedy_peel(7, range(8), 0.8, 5), "k must be in [1, p], got k=8, p=7"),
+])
+def test_support_size_is_decided_by_check_k(call, message):
+    # a support above p fails check_support's size check before any minimum
+    with pytest.raises(ParameterRangeError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_search_reaches_parity_floor_on_all_residues():

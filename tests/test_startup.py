@@ -36,7 +36,7 @@ EAGER_NAMES = [
     "generalized_dembo_extremes", "gram_analytic", "gram_direct",
     "gram_rows", "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime",
     "legendre", "lemma_k_inequality", "max_sparsity", "numtheory",
-    "one_sided_ratio", "pairs", "random_subset", "reduce_support", "rng", "row_index_set",
+    "one_sided_ratio", "pairs", "random_subset", "rng", "row_index_set",
     "run_verification", "sign_matrix", "skew_spectral_radius", "spectra",
     "sub_seed", "verify",
 ]
