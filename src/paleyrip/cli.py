@@ -232,11 +232,9 @@ def _cmd_conjecture(args):
     from . import pairs
 
     if args.support is not None:
-        from .frame import check_support
         from .numtheory import check_prime
 
         support = _parse_support(args.p, args.support, check_prime)
-        support = check_support(args.p, support)
         if args.peel:
             trace = pairs.greedy_peel(args.p, support, args.alpha, args.m_alpha)
             doc = {"p": args.p, "alpha": args.alpha, "m_alpha": args.m_alpha,

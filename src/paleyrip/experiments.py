@@ -27,7 +27,7 @@ bound, is a lower bound that meets the upper bound.  EXACT_RIP_GUARD
 bounds only the orbit enumeration that runs when it finds none.
 
 Determinism contract: every result is a pure function of its arguments
-including the master seed.  Per-trial sub-seeds come from rng.sub_seed, a
+including the master seed.  Trial seeds come from rng.trial_seeds, a
 run's supports are drawn in one rng.random_subsets call (bit-exact with
 drawing each alone), and batch sizes depend only on the matrix order, so
 outcomes do not depend on evaluation order.
@@ -45,7 +45,7 @@ from . import spectra
 from .errors import ParameterRangeError
 from .frame import sign_matrix
 from .numtheory import check_k, check_paley
-from .rng import random_subsets, sub_seed
+from .rng import random_subsets, trial_seeds
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
 # binomial(p-2, k-2) of them) exact_rip will enumerate; it is checked only
@@ -98,8 +98,8 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     cannot set the max, so d equals the full max exactly.
     A trial solved alone at order j + 1 and again at j has
     C_j^T C_j = (C_{j+1}^T C_{j+1})[:j, :j] - c c^T with c = C[j, :j], an
-    exact integer downdate, so only that one product is held: the group's
-    leading trial, and at every order a group of one trial.
+    exact integer downdate, so only that one product is held.  Order k is
+    solved as a stack, so the held product starts at order k - 1.
     """
     rho = np.zeros(k)
     group = max(1, _STORED_ENTRIES // (k * k))
@@ -121,7 +121,7 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
             held = (t, s)
             return spectra.gram_radius(s)
 
-        ub = np.array([alone(0, k)]) if len(c) == 1 else _radii(c, np.arange(len(c)), k)
+        ub = _radii(c, np.arange(len(c)), k)
         rho[k - 1] = max(rho[k - 1], ub.max())
         for j in range(k - 1, 1, -1):
             best = rho[j - 1]
@@ -187,20 +187,17 @@ def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
 def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     """Pointwise max of d(j) over `trials` independent single-support runs.
 
-    Trial t uses sub_seed(seed, t); all supports come from one
+    Trial t uses seed t of rng.trial_seeds; all supports come from one
     random_subsets draw.  Every trial is solved at order k; below
     it, a trial is solved at order j only while its radius at the last order
     it was solved at can still reach the max (see _worst_curve), so most
     solves are skipped and d is the same as solving every trial at every j.
     """
     p = check_paley(p)
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterRangeError(f"trials must be >= 1, got {trials}")
+    seeds = trial_seeds(seed, trials)
     k = check_k(k, p, 2)
-
-    idx = random_subsets(p, k, [sub_seed(seed, t) for t in range(trials)])
-    return RipEstimate(p, k, int(seed), trials, _worst_curve(p, idx, k), idx)
+    idx = random_subsets(p, k, seeds)
+    return RipEstimate(p, k, int(seed), len(seeds), _worst_curve(p, idx, k), idx)
 
 
 def exact_rip(p, k: int) -> float:

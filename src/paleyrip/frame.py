@@ -74,8 +74,7 @@ def build_frame(p) -> PaleyFrame:
     the order numpy evaluates 2j*pi*outer(m, n)/p in, so each entry is the
     numpy frame's bit for bit, signed zeros included.
     """
-    p = check_paley(p)
-    rows = row_index_set(p)
+    rows, p = row_index_set(p), int(p)  # row_index_set checks p
     inv_p, two_pi = 1.0 / p, 2 * math.pi
     scales = [math.sqrt(1.0 / p)] + [math.sqrt(2.0 / p)] * (len(rows) - 1)
     entries = tuple(

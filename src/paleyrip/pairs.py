@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import ParameterRangeError
 from .frame import check_support
 from .numtheory import check_k, check_paley, check_prime, chi_signs
-from .rng import random_subset, sub_seed
+from .rng import random_subset, trial_seeds
 
 
 class ConjectureRecord(NamedTuple):
@@ -264,21 +264,18 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
                     seed: int = 0) -> ConjectureScanSummary:
     """Best-pair search over many random supports; reports the worst case.
 
-    Trial t's support is random_subset(p, k, sub_seed(seed, t)), the trial
-    sub-seeding of experiments.estimate_rip_worst, so extending the trial
-    count only appends trials and can never lower the worst best-ratio.
+    Trial t's support is random_subset(p, k, s), s seed t of rng.trial_seeds
+    as in experiments.estimate_rip_worst, so extending the trial count only
+    appends trials and can never lower the worst best-ratio.
     Each trial's record is conjecture_search's on its support, read from
     _peel: a draw is k distinct residues, so it is not validated again.
     """
     alpha = check_alpha(alpha)
     p = check_prime(p)
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterRangeError(f"trials must be >= 1, got {trials}")
+    seeds = trial_seeds(seed, trials)
     k = check_k(k, p, 3)
-
-    records = [_peel(p, random_subset(p, k, sub_seed(seed, t)), alpha, k)[0]
-               for t in range(trials)]
+    records = [_peel(p, random_subset(p, k, s), alpha, k)[0] for s in seeds]
+    trials = len(records)
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(

@@ -10,7 +10,8 @@ Vigna's 64-bit counter generator with a xorshift-multiply finalizer):
 
 Per-trial sub-seeds reuse the same stream: sub_seed(master, t) is simply the
 t-th output of SplitMix64(master), which makes trial results independent of
-evaluation order and safe to compute in parallel.
+evaluation order and safe to compute in parallel.  trial_seeds, the trial
+rule of both Monte Carlo experiments, lists those of trials 0, ..., n - 1.
 
 A k-subset of {0, ..., p-1} is drawn by the partial Fisher-Yates shuffle
 of SplitMix64(seed): step i swaps slot i with slot i + below(p - i), and
@@ -79,6 +80,13 @@ def sub_seed(master_seed: int, trial: int) -> int:
     """Deterministic per-trial seed: the trial-th output of SplitMix64(master)."""
     state = (int(master_seed) + (int(trial) + 1) * _GAMMA) & _MASK
     return _mix(state)
+
+
+def trial_seeds(master_seed: int, trials: int) -> list[int]:
+    """The sub-seeds of trials 0, ..., trials - 1; ParameterRangeError unless trials >= 1."""
+    if (trials := int(trials)) < 1:
+        raise ParameterRangeError(f"trials must be >= 1, got {trials}")
+    return [sub_seed(master_seed, t) for t in range(trials)]
 
 
 def random_subsets(p: int, k: int, seeds):

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paleyrip import errors, frame
+from paleyrip import errors, frame, numtheory, pairs
 from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, main
-from paleyrip.frame import sign_matrix
+from paleyrip.frame import check_support, sign_matrix
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +37,8 @@ def test_frame_exit_codes(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    ("conjecture --p 9 --support ,", 4),  # support size is checked before primality
+    ("conjecture --p 9 --support ,", 2),  # the modulus is checked before the support, as for gram
+    ("conjecture --p 9 --support , --peel", 2),
     ("gram --p 9 --support ,", 2),
     ("gram --p 13 --support 0,20", 3),
     ("frame --p 3", 4),
@@ -45,6 +46,32 @@ def test_frame_exit_codes(capsys):
 ])
 def test_validation_exit_codes(capsys, argv, code):
     assert run_cli(capsys, *argv.split())[0] == code
+
+
+@pytest.mark.parametrize("argv, support_checks, prime_checks", [
+    ("frame --p 7", 0, 2),
+    # gram_to_json, a public formatter, checks its own input
+    ("gram --p 7 --support 0,1,3", 2, 3),
+    ("gram --p 7 --support 0,1,3 --method direct", 2, 3),
+    ("conjecture --p 5 --support 0,1,2,3,4", 1, 3),
+    ("conjecture --p 43 --support 1,5,9,12,17,20,22,30,33,38,40,41 --peel --m-alpha 5", 1, 3),
+])
+def test_each_value_is_checked_once(capsys, monkeypatch, argv, support_checks, prime_checks):
+    # check_support calls in every module that imported it, and is_prime
+    # calls as hits plus misses of its cache, from cold caches
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_support(*args)
+
+    for module in (frame, pairs):
+        monkeypatch.setattr(module, "check_support", counted)
+    for cached in (numtheory.is_prime, numtheory.chi_signs, pairs._residue_mask):
+        cached.cache_clear()
+    assert run_cli(capsys, *argv.split())[0] == 0
+    info = numtheory.is_prime.cache_info()
+    assert (len(calls), info.hits + info.misses) == (support_checks, prime_checks)
 
 
 def test_error_classes_carry_readme_exit_codes():

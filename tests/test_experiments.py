@@ -231,8 +231,18 @@ def test_estimate_worst_is_max_of_singles_and_rerun_identical():
         for d in singles:
             assert np.all(worst.d >= d)
         assert np.array_equal(worst.d, np.maximum.reduce(singles))
-    with pytest.raises(ParameterRangeError):
-        estimate_rip_worst(43, 8, trials=0, seed=3)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+def test_trial_rule_lives_in_rng(seed):
+    # both Monte Carlo experiments draw trial t with sub_seed(seed, t), and
+    # both refuse fewer than one trial through rng.trial_seeds
+    assert rng.trial_seeds(seed, 7) == [sub_seed(seed, t) for t in range(7)]
+    for trials in (0, -1):
+        with pytest.raises(ParameterRangeError, match="trials must be >= 1"):
+            estimate_rip_worst(43, 8, trials=trials, seed=seed)
+        with pytest.raises(ParameterRangeError, match="trials must be >= 1"):
+            conjecture_scan(19, 5, trials=trials, seed=seed)
 
 
 def _unpruned_worst_curve(p, k, trials, seed):
