@@ -18,11 +18,8 @@ _EXPORTS = {
         "BoundReport",
         "SparsityThreshold",
         "bound_conjectural",
-        "bound_dembo_recursive",
-        "bound_generalized_dembo",
-        "bound_gershgorin",
-        "bound_skew",
         "build_report",
+        "family_bounds",
         "find_c_alpha",
         "lemma_k_inequality",
         "max_sparsity",

@@ -11,7 +11,7 @@ All families bound delta_k for the Paley construction by f(k)/sqrt(p):
                         distribution conjecture holds
 
 FAMILIES declares each of the five unconditional families once, as its
-f(k) and its domain min_k <= k <= p, p >= min_p; the bound functions, the
+f(k) and its domain min_k <= k <= p, p >= min_p; family_bounds, the
 report, the sparsity scan and the CLI's ripcurve columns all read it, and
 numtheory.check_k decides the range of k for every one.  The formulas
 are pure arithmetic in (k, p): they do not touch the frame, so they
@@ -62,36 +62,6 @@ FAMILIES = {
     "dembo_recursive": Family(lambda k: k - 1 - 1.0 / (DEMBO_C * (k - 1)), min_k=3, min_p=7),
     "generalized_dembo": Family(lambda k: k - 1 - GENERALIZED_OFFSET, min_k=3, min_p=7),
 }
-
-
-def _evaluate(family: str, k: int, p) -> float:
-    fam = FAMILIES[family]
-    p = check_prime(p, min_p=fam.min_p)
-    return fam.f(check_k(k, p, fam.min_k)) / math.sqrt(p)
-
-
-def bound_gershgorin(k: int, p) -> float:
-    """(k - 1)/sqrt(p): the disk-theorem bound, uniform over all eigenvalues."""
-    return _evaluate("gershgorin", k, p)
-
-
-def bound_skew(k: int, p, exact: bool = False) -> float:
-    """Skew-adjacency bound: cot(pi/2k)/sqrt(p), or its linear relaxation (2k/pi)/sqrt(p).
-
-    cot(x) <= 1/x on (0, pi/2), so the exact variant never exceeds the
-    linear one.  At k = 1 the exact variant is 0.0.
-    """
-    return _evaluate("skew_cot" if exact else "skew_linear", k, p)
-
-
-def bound_dembo_recursive(k: int, p) -> float:
-    """(k - 1 - 1/(c(k-1)))/sqrt(p) with c = 1/(2(2 - sqrt(3))), for k >= 3."""
-    return _evaluate("dembo_recursive", k, p)
-
-
-def bound_generalized_dembo(k: int, p) -> float:
-    """(k - 1 - (2/3)(2 - sqrt(3)))/sqrt(p) for k >= 3; the offset is k-free."""
-    return _evaluate("generalized_dembo", k, p)
 
 
 def bound_conjectural(k: int, p, beta: float) -> float:

@@ -179,11 +179,9 @@ def _cmd_fit(args):
 
 
 def _cmd_demboratio(args):
-    from dataclasses import asdict
-
     from . import experiments
 
-    rows = [asdict(r) for r in experiments.dembo_ratio_study(args.p, args.k, args.seed)]
+    rows = [r._asdict() for r in experiments.dembo_ratio_study(args.p, args.k, args.seed)]
     if args.format == "json":
         doc = {"p": args.p, "k": args.k, "seed": args.seed, "rows": rows}
         return _json_text(doc), {}, 0

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,8 +238,7 @@ def exact_rip(p, k: int) -> float:
     return float(rho) / math.sqrt(p)
 
 
-@dataclass(frozen=True)
-class DemboRatioRow:
+class DemboRatioRow(NamedTuple):
     j: int
     lambda_max: float
     dembo_bound: float

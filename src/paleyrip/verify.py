@@ -16,8 +16,8 @@ and min gamma >= -1e-14), block_determinant and cot_radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ REPORTED_C_ALPHA = 899_998
 _SUITE_SEED = 0x5EED0FA1  # fixed: the report must be reproducible
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

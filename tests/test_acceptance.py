@@ -16,11 +16,8 @@ import pytest
 
 from paleyrip.bounds import (
     DEMBO_C,
-    bound_dembo_recursive,
-    bound_generalized_dembo,
-    bound_gershgorin,
-    bound_skew,
     build_report,
+    family_bounds,
     find_c_alpha,
     lemma_k_inequality,
 )
@@ -140,15 +137,7 @@ def test_criterion_05_p1009_sparsity_thresholds():
 
 
 def _families(k: int, p: int):
-    vals = {
-        "gershgorin": bound_gershgorin(k, p),
-        "skew_cot": bound_skew(k, p, exact=True),
-        "skew_linear": bound_skew(k, p, exact=False),
-    }
-    if k >= 3:
-        vals["dembo_recursive"] = bound_dembo_recursive(k, p)
-        vals["generalized_dembo"] = bound_generalized_dembo(k, p)
-    return vals
+    return {name: val for name, val in family_bounds(k, p).items() if val is not None}
 
 
 def test_criterion_06_bound_soundness():

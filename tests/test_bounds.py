@@ -9,10 +9,6 @@ from paleyrip.bounds import (
     FAMILIES,
     GENERALIZED_OFFSET,
     bound_conjectural,
-    bound_dembo_recursive,
-    bound_generalized_dembo,
-    bound_gershgorin,
-    bound_skew,
     build_report,
     family_bounds,
     find_c_alpha,
@@ -22,14 +18,8 @@ from paleyrip.bounds import (
 from paleyrip.errors import NotPrimeError, ParameterRangeError
 from paleyrip.experiments import exact_rip
 
-# Each family's public function at (k, p).
-FAMILY_FUNCTIONS = {
-    "gershgorin": bound_gershgorin,
-    "skew_cot": lambda k, p: bound_skew(k, p, exact=True),
-    "skew_linear": bound_skew,
-    "dembo_recursive": bound_dembo_recursive,
-    "generalized_dembo": bound_generalized_dembo,
-}
+# Each family's column of family_bounds at (k, p).
+FAMILY_FUNCTIONS = {name: lambda k, p, name=name: family_bounds(k, p)[name] for name in FAMILIES}
 
 # Each family's bound written out with the float operations of its formula.
 WRITTEN_OUT = {
@@ -48,47 +38,48 @@ def test_constants():
 
 
 def test_gershgorin():
-    assert bound_gershgorin(1, 7) == 0.0
-    assert abs(bound_gershgorin(3, 7) - 2 / math.sqrt(7)) < 1e-15
-    assert abs(bound_gershgorin(30, 103) - 29 / math.sqrt(103)) < 1e-15
+    assert family_bounds(1, 7)["gershgorin"] == 0.0
+    assert abs(family_bounds(3, 7)["gershgorin"] - 2 / math.sqrt(7)) < 1e-15
+    assert abs(family_bounds(30, 103)["gershgorin"] - 29 / math.sqrt(103)) < 1e-15
     with pytest.raises(ParameterRangeError):
-        bound_gershgorin(0, 7)
+        family_bounds(0, 7)
     with pytest.raises(NotPrimeError):
-        bound_gershgorin(3, 8)
+        family_bounds(3, 8)
 
 
 def test_skew():
     # sqrt(3) < 6/pi < 2 at k = 3
     assert math.sqrt(3) < 6 / math.pi < 2
-    assert abs(bound_skew(3, 7) - (6 / math.pi) / math.sqrt(7)) < 1e-15
-    assert abs(bound_skew(2, 7, exact=True) - 1 / math.sqrt(7)) < 1e-12
-    assert abs(bound_skew(30, 103) - 1.881840302316197) < 1e-14
-    # cot(x) <= 1/x: the exact variant never exceeds the linear one
+    assert abs(family_bounds(3, 7)["skew_linear"] - (6 / math.pi) / math.sqrt(7)) < 1e-15
+    assert abs(family_bounds(2, 7)["skew_cot"] - 1 / math.sqrt(7)) < 1e-12
+    assert abs(family_bounds(30, 103)["skew_linear"] - 1.881840302316197) < 1e-14
+    # cot(x) <= 1/x: skew_cot never exceeds skew_linear
     for k in range(1, 60):
-        assert bound_skew(k, 103, exact=True) <= bound_skew(k, 103) + 1e-15
+        b = family_bounds(k, 103)
+        assert b["skew_cot"] <= b["skew_linear"] + 1e-15
     with pytest.raises(ParameterRangeError):
-        bound_skew(8, 7)
+        family_bounds(8, 7)
 
 
 def test_skew_exact_order_one_is_zero():
     # a 1 x 1 sign matrix has radius 0; the float cot(pi/2) is ~6e-17
     assert 1.0 / math.tan(math.pi / 2.0) > 0.0
     for p in (3, 7, 103, 1019):
-        assert bound_skew(1, p, exact=True) == 0.0
-        assert bound_skew(1, p, exact=False) == (2.0 / math.pi) / math.sqrt(p)
+        assert family_bounds(1, p)["skew_cot"] == 0.0
+        assert family_bounds(1, p)["skew_linear"] == (2.0 / math.pi) / math.sqrt(p)
     # a relative tightness test now holds at order 1 as at every order
-    assert 0.0 >= bound_skew(1, 7, exact=True) * (1.0 - 1e-12)
+    assert 0.0 >= family_bounds(1, 7)["skew_cot"] * (1.0 - 1e-12)
 
 
 def test_dembo_recursive():
     # k = 3 collapses to sqrt(3)/sqrt(p)
     for p in (7, 19, 103):
-        assert abs(bound_dembo_recursive(3, p) - math.sqrt(3) / math.sqrt(p)) < 1e-14
-    assert abs(bound_dembo_recursive(4, 7) - 2.821367205045918 / math.sqrt(7)) < 1e-14
+        assert abs(family_bounds(3, p)["dembo_recursive"] - math.sqrt(3) / math.sqrt(p)) < 1e-14
+    assert abs(family_bounds(4, 7)["dembo_recursive"] - 2.821367205045918 / math.sqrt(7)) < 1e-14
     for k in range(3, 100):
-        assert bound_dembo_recursive(k, 103) < bound_gershgorin(k, 103)
-    with pytest.raises(ParameterRangeError):
-        bound_dembo_recursive(2, 7)
+        b = family_bounds(k, 103)
+        assert b["dembo_recursive"] < b["gershgorin"]
+    assert family_bounds(2, 7)["dembo_recursive"] is None
 
 
 def test_dembo_recursive_increments():
@@ -97,32 +88,32 @@ def test_dembo_recursive_increments():
     p = 1019
     sq = math.sqrt(p)
     for k in range(3, 200):
-        diff = bound_dembo_recursive(k + 1, p) - bound_dembo_recursive(k, p)
+        diff = family_bounds(k + 1, p)["dembo_recursive"] - family_bounds(k, p)["dembo_recursive"]
         excess = 2.0 * (2.0 - math.sqrt(3.0)) / (k * (k - 1))
         assert diff > 1.0 / sq
         assert abs(diff - (1.0 + excess) / sq) < 1e-13
 
 
 def test_generalized_dembo():
-    assert abs(bound_generalized_dembo(3, 7) - (2 - GENERALIZED_OFFSET) / math.sqrt(7)) < 1e-15
+    assert abs(family_bounds(3, 7)["generalized_dembo"] - (2 - GENERALIZED_OFFSET) / math.sqrt(7)) < 1e-15
     # k = 4: both families reduce to (3 - (2/3)(2 - sqrt 3))/sqrt(p)
     for p in (7, 19, 103):
-        assert abs(bound_generalized_dembo(4, p) - bound_dembo_recursive(4, p)) < 1e-15
-    with pytest.raises(ParameterRangeError):
-        bound_generalized_dembo(2, 7)
+        b = family_bounds(4, p)
+        assert abs(b["generalized_dembo"] - b["dembo_recursive"]) < 1e-15
+    assert family_bounds(2, 7)["generalized_dembo"] is None
 
 
 def test_family_ordering_measured():
     # measured crossover: the linear skew bound beats the additive families
     # from k = 4 on, but loses at k = 3
-    assert bound_skew(3, 103) > bound_generalized_dembo(3, 103)
-    assert bound_dembo_recursive(3, 103) < bound_generalized_dembo(3, 103)
+    b = family_bounds(3, 103)
+    assert b["skew_linear"] > b["generalized_dembo"]
+    assert b["dembo_recursive"] < b["generalized_dembo"]
     for p in (7, 19, 43, 103):
         for k in range(4, min(p, 60) + 1):
-            sk = bound_skew(k, p)
-            gd = bound_generalized_dembo(k, p)
-            dr = bound_dembo_recursive(k, p)
-            ge = bound_gershgorin(k, p)
+            b = family_bounds(k, p)
+            sk, gd = b["skew_linear"], b["generalized_dembo"]
+            dr, ge = b["dembo_recursive"], b["gershgorin"]
             assert sk < gd < ge
             assert gd <= dr + 1e-15 if k == 4 else gd < dr
             assert dr < ge
@@ -131,7 +122,7 @@ def test_family_ordering_measured():
 def test_conjectural():
     assert abs(bound_conjectural(1, 7, 0.5) - 1 / math.sqrt(7)) < 1e-15
     for k in range(1, 40):
-        assert bound_conjectural(k, 103, 1.0) >= bound_gershgorin(k, 103)
+        assert bound_conjectural(k, 103, 1.0) >= family_bounds(k, 103)["gershgorin"]
     assert abs(bound_conjectural(32, 103, 0.7) - 1.1147728228665883) < 1e-14
     with pytest.raises(ParameterRangeError):
         bound_conjectural(3, 7, 0.0)
@@ -145,8 +136,9 @@ def test_max_sparsity_p1009():
     assert skew.floor_threshold == 35
     assert skew.max_even == 34
     # direct check of the defining property
-    assert bound_skew(34, 1009) < 1 / math.sqrt(2) <= bound_skew(36, 1009)
-    assert bound_gershgorin(22, 1009) < 1 / math.sqrt(2) <= bound_gershgorin(24, 1009)
+    skew_linear, gershgorin = FAMILY_FUNCTIONS["skew_linear"], FAMILY_FUNCTIONS["gershgorin"]
+    assert skew_linear(34, 1009) < 1 / math.sqrt(2) <= skew_linear(36, 1009)
+    assert gershgorin(22, 1009) < 1 / math.sqrt(2) <= gershgorin(24, 1009)
 
 
 def test_max_sparsity_small_p():
@@ -210,12 +202,13 @@ def test_find_c_alpha_monotone_in_alpha():
 def test_bounds_sound_against_exhaustive_oracle():
     for k in range(2, 8):
         exact = exact_rip(7, k)
-        assert bound_gershgorin(k, 7) >= exact - 1e-9
-        assert bound_skew(k, 7, exact=True) >= exact - 1e-9
-        assert bound_skew(k, 7, exact=False) >= exact - 1e-9
+        b = family_bounds(k, 7)
+        assert b["gershgorin"] >= exact - 1e-9
+        assert b["skew_cot"] >= exact - 1e-9
+        assert b["skew_linear"] >= exact - 1e-9
         if k >= 3:
-            assert bound_dembo_recursive(k, 7) >= exact - 1e-9
-            assert bound_generalized_dembo(k, 7) >= exact - 1e-9
+            assert b["dembo_recursive"] >= exact - 1e-9
+            assert b["generalized_dembo"] >= exact - 1e-9
 
 
 def test_build_report():
@@ -244,22 +237,20 @@ def test_report_empirical_lower_invariant():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 103, 1009, 1019])
 def test_bounds_bit_identical_to_written_formulas(p):
-    # every k of each family's domain min_k <= k <= p, compared with ==
+    # every k in [1, p], compared with ==; None below each family's domain
     for name, fam in FAMILIES.items():
-        if p < fam.min_p:
-            continue
-        for k in range(fam.min_k, p + 1):
-            want = WRITTEN_OUT[name](k, p)
+        for k in range(1, p + 1):
+            want = WRITTEN_OUT[name](k, p) if k >= fam.min_k and p >= fam.min_p else None
             assert FAMILY_FUNCTIONS[name](k, p) == want, (name, k)
-            assert family_bounds(k, p)[name] == want, (name, k)
     for k in range(1, p + 1):
         assert bound_conjectural(k, p, 0.7) == k**0.7 / math.sqrt(p)
 
 
-# (call(k, p), min_k, min_p) of every public function taking k and p.
+# (call(k, p), min_k, min_p) of every public function taking k and p.  A
+# family's column raises outside k in [1, p], p >= 3, as family_bounds does;
+# below the family's own domain it is None (test_bounds_bit_identical_to_written_formulas).
 DOMAINS = {
-    **{name: (fn, FAMILIES[name].min_k, FAMILIES[name].min_p)
-       for name, fn in FAMILY_FUNCTIONS.items()},
+    **{name: (fn, 1, 3) for name, fn in FAMILY_FUNCTIONS.items()},
     "conjectural": (lambda k, p: bound_conjectural(k, p, 0.5), 1, 3),
     "family_bounds": (family_bounds, 1, 3),
     "build_report": (lambda k, p: build_report(p, k), 2, 3),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paleyrip import experiments, pairs, rng, spectra
-from paleyrip.bounds import bound_dembo_recursive, bound_gershgorin, bound_skew
+from paleyrip.bounds import family_bounds
 from paleyrip.errors import (
     MalformedInputError,
     NonHermitianError,
@@ -187,7 +187,7 @@ def test_estimate_single_deterministic_prefix_values():
     d = estimate_rip_single(103, 103, seed=2024).d
     assert np.all(d[1:] >= d[:-1] * (1.0 - _INTERLACING_SLACK))
     for j in range(1, 31):
-        assert est.d[j - 1] <= bound_gershgorin(j, 103) + 1e-9
+        assert est.d[j - 1] <= family_bounds(j, 103)["gershgorin"] + 1e-9
     again = estimate_rip_single(103, 30, seed=2024)
     assert np.array_equal(est.d, again.d)
     assert np.array_equal(est.supports, again.supports)
@@ -415,7 +415,7 @@ def test_exact_rip_small_orders():
     full = skew_spectral_radius(sign_matrix(7, range(7))) / math.sqrt(7)
     assert abs(exact_rip(7, 7) - full) < 1e-12
     assert abs(exact_rip(7, 3) - math.sqrt(3.0 / 7.0)) < 1e-10
-    assert exact_rip(7, 4) <= bound_dembo_recursive(4, 7)
+    assert exact_rip(7, 4) <= family_bounds(4, 7)["dembo_recursive"]
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (11, 4), (19, 4)])
@@ -454,7 +454,7 @@ def test_exact_rip_guard():
         exact_rip(47, 9)
     assert math.comb(47, 5) > 10**6
     d5 = exact_rip(47, 5)
-    assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= bound_dembo_recursive(5, 47)
+    assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= family_bounds(5, 47)["dembo_recursive"]
 
 
 @pytest.mark.parametrize("p, k", [(47, 7), (103, 12)])
@@ -530,7 +530,7 @@ def test_cot_witness_pins_k_star(p, k_star):
         assert list(witness) == sorted(set(witness)) and witness[-1] < p
         w = np.linalg.eigvalsh(gram_direct(frame, witness))
         deviation = max(w[-1] - 1.0, 1.0 - w[0])
-        assert abs(deviation - bound_skew(k, p, exact=True)) < 1e-12
+        assert abs(deviation - family_bounds(k, p)["skew_cot"]) < 1e-12
     assert cot_witness(p, k_star + 1) is None
 
 
@@ -605,7 +605,7 @@ def test_exact_rip_witness_skips_enumeration(monkeypatch):
     solved = _count_gram_solves(monkeypatch)
     d = exact_rip(23, 6)
     assert sum(solved) == 1  # the witness's radius; the enumeration solves binomial(21, 4) = 5985
-    assert abs(d - bound_skew(6, 23, exact=True)) < 1e-12
+    assert abs(d - family_bounds(6, 23)["skew_cot"]) < 1e-12
 
 
 def test_exhaustive_worst_matches_exact_rip_p7():

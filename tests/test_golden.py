@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paleyrip.bounds import bound_gershgorin
+from paleyrip.bounds import family_bounds
 from paleyrip.cli import main
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame
@@ -129,7 +129,7 @@ def test_golden_ripcurve_matches_dense_oracle(name, trials):
     assert [int(r["j"]) for r in rows] == list(range(1, k + 1))
     for r, (lo, hi) in zip(rows, _dense_extremes(p, supports, k)):
         assert abs(float(r["d"]) - max(hi - 1.0, 1.0 - lo)) < 1e-12
-        assert float(r["gershgorin"]) == bound_gershgorin(int(r["j"]), p)
+        assert float(r["gershgorin"]) == family_bounds(int(r["j"]), p)["gershgorin"]
 
 
 def _numpy_fit(d, j_min: int = 3) -> tuple[float, float, float]:
