@@ -16,9 +16,11 @@ arithmetic in (k, p)), `fit` (a least-squares line over plain floats),
 Legendre table, the direct one from the frame's column dot products),
 `conjecture` in all three modes (a popcount pair search over the same
 table: `--support`, `--support --peel`, and the `--k` scan, whose supports
-come from the scalar Fisher-Yates draw of `rng.random_subset`), and --help
-and --version.  The other commands (`estimate`, `demboratio`, `verify`)
-load numpy through the layers they run.
+come from the scalar Fisher-Yates draw of `rng.random_subset`), `verify`
+(every check decided in Python ints, positive definiteness by the Bareiss
+pivots of `numtheory.is_positive_definite`), and --help and --version.  The
+other commands (`estimate`, `demboratio`) load numpy through the layers
+they run.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.

@@ -94,9 +94,11 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     at order k, as an int8 stack that is gated once and whose leading
     blocks are solved.  A group solves all its trials at order k; then,
     walking j down, its trial with the largest ub is solved first, and
-    after it only the trials whose ub still reaches the max so far at j,
-    from this group and those before it, less the slack.  Pruned trials
-    cannot set the max, so d equals the full max exactly.
+    after it the others best first: by descending ub, in chunks of 8, 16,
+    ... up to _batch(j) trials, each chunk only of the trials whose ub
+    still reaches the max so far at j, from this group and those before
+    it, less the slack.  Pruned trials cannot set the max, so d equals the
+    full max exactly.
     A trial solved alone at order j + 1 and again at j has
     C_j^T C_j = (C_{j+1}^T C_{j+1})[:j, :j] - c c^T with c = C[j, :j], an
     exact integer downdate, so only that one product is held.  Order k is
@@ -133,9 +135,13 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
             best = max(best, r)
             rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
             rest = rest[rest != top]
-            if rest.size:
-                ub[rest] = _radii(c, rest, j)
-                best = max(best, ub[rest].max())
+            rest = rest[np.argsort(-ub[rest], kind="stable")]
+            size = min(8, _batch(j))
+            while (rest := rest[ub[rest] > best * (1.0 - _INTERLACING_SLACK)]).size:
+                chunk, rest = rest[:size], rest[size:]
+                ub[chunk] = _radii(c, chunk, j)
+                best = max(best, ub[chunk].max())
+                size = min(2 * size, _batch(j))
             rho[j - 1] = best
     return rho / math.sqrt(p)
 

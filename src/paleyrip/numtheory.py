@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: primality, Legendre symbols, quadratic residues.
+"""Exact integer arithmetic: primality, Legendre symbols, quadratic residues,
+and the positive-definiteness test of integer symmetric matrices.
 
 Everything here is deterministic and exact.  `chi_signs` is the Legendre
 symbol every computation of the package reads, a cached tuple of Python
@@ -7,6 +8,9 @@ pair searches, the quadratic-residue row set and the Gramians all come
 from it.  `chi_table` is the same table as a read-only numpy array, for the
 array builders.  `legendre` evaluates Euler's criterion for one argument
 and is the independent oracle the table is checked against.
+`is_positive_definite` decides positive definiteness from the pivots of
+fraction-free elimination, so a threshold on a spectral radius is decided
+with no eigensolve and no rounding.
 
 Only `chi_table` needs numpy, and it imports it on first call, so the
 validators, the table itself and everything built on them (the `bounds`
@@ -141,3 +145,27 @@ def row_index_set(p) -> list[int]:
     """
     p = check_paley(p)
     return [0] + [m for m, s in enumerate(chi_signs(p)) if s == 1]
+
+
+def is_positive_definite(m) -> bool:
+    """Whether the integer symmetric matrix m (a sequence of rows) is positive definite, exactly.
+
+    By Sylvester's criterion it is when every leading principal minor is
+    positive.  Fraction-free (Bareiss) elimination returns those minors as
+    its pivots: after step k, entry (i, j) of the trailing block is the
+    minor on rows 0..k, i and columns 0..k, j, so each division by the
+    previous pivot is exact.  It stops at the first pivot that is not
+    positive.  Only the upper triangle is read, so m is taken as symmetric;
+    it is not modified.  (Bareiss, Math. Comp. 22, 1968.)
+    """
+    a = [list(map(int, row)) for row in m]
+    prev = 1
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = row_k[i]  # a[i][k], read from the upper triangle
+            a[i][i:] = [(x * pivot - f * y) // prev for x, y in zip(a[i][i:], row_k[i:])]
+        prev = pivot
+    return True

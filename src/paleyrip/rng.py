@@ -22,25 +22,28 @@ the k-subsets of many seeds at once: it runs the same shuffle of every
 seed's stream side by side in uint64 numpy arithmetic, and redraws a
 rejected lane through SplitMix64.below, so each row is bit-exact with
 random_subset of that seed.  SplitMix64.next_u64s(n) mixes the next n
-states at once in the same arithmetic, bit-exact with n calls to
-next_u64().
+states side by side in one Python int, bit-exact with n calls to
+next_u64(), and needs no numpy.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .errors import ParameterRangeError
 from .numtheory import check_k
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # Shuffled slots random_subsets holds at once (rows times p).
 _DRAW_ENTRIES = 2**18
 
 
 def _mix(z):
     """SplitMix64 finalizer of a Python int or, elementwise, a uint64 array."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    z = (z ^ (z >> 30)) * _MUL1 & _MASK
+    z = (z ^ (z >> 27)) * _MUL2 & _MASK
     return z ^ (z >> 31)
 
 
@@ -56,14 +59,26 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
 
-    def next_u64s(self, n: int):
-        """The next n outputs as a uint64 numpy array, bit-exact with n next_u64() calls."""
-        import numpy as np
+    def next_u64s(self, n: int) -> list[int]:
+        """The next n outputs, bit-exact with n next_u64() calls, as a list of ints.
 
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        out = _mix(np.uint64(self._state) + steps)
+        State t sits in bits [128 t, 128 t + 64) of one Python int, its
+        128-bit lane, and the finalizer runs on all lanes at once.  The
+        bits a right shift brings down from the next lane land above bit 64
+        and are masked off before each product, and a lane's product by a
+        64-bit constant stays within its 128 bits, so no lane reaches
+        another; the unpack reads only the low 8 bytes of each lane.
+        """
+        lanes = "<" + "Q8x" * n  # each output's 8 bytes, then its lane's upper 8
+        ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+        low = ones * _MASK
+        steps = int.from_bytes(struct.pack(lanes, *range(1, n + 1)), "little")
+        z = (self._state * ones + _GAMMA * steps) & low
+        for shift, mul in ((30, _MUL1), (27, _MUL2)):
+            z = (z ^ ((z >> shift) & low)) * mul & low
+        z ^= z >> 31
         self._state = (self._state + n * _GAMMA) & _MASK
-        return out
+        return list(struct.unpack(lanes, z.to_bytes(16 * n, "little")))
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection (no modulo bias)."""

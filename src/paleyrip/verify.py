@@ -5,40 +5,61 @@ rests on, at a caller-chosen prime plus a fixed internal grid, and returns
 a structured pass/fail report.  Checks route through the public module
 functions so a fault injected into any of them is caught here.
 
-Four checks are exact: delta3_spectrum and charpoly_identity (gram_analytic
-bit for bit against I + (i/sqrt p) C, then the characteristic polynomials
-of C^T C and C in ints), lemma_k_inequality and c_alpha_search.  Three
-compare float code with an exact value or with dense LAPACK: gamma_nonneg
-(the float gamma_term against the integer p^2 gamma within 1e-12 relative,
-and min gamma >= -1e-14), block_determinant and cot_radius.
+Every check decides in Python ints, so `verify` loads neither numpy nor
+`spectra`:
+
+- delta3_spectrum and charpoly_identity: frame.gram_rows of 50 random
+  3-supports against I + (i/sqrt p) C bit for bit, signed zeros included,
+  then the characteristic polynomials of C^T C and C in ints.
+- gamma_nonneg: at 200 sign borders c = i a, d = i b (p^2 times the
+  paper's, so k = 2..10 and every entry is a Gaussian integer), the
+  paper's two sums equal the Lagrange form |c|^2 |d|^2 - |d.conj c|^2 and
+  are >= 0.
+- block_determinant: det(R - xI) = (eta-x)^(k-2) q(x) at 20 random points
+  of Z[i], every real and imaginary part in [-10^6, 10^6] and k = 2..10,
+  with a fraction-free determinant of the assembled order-(k+2) matrix on
+  the left and the quartic q in ints on the right.  Both sides are
+  polynomials of degree k + 2 in the parts, so by Schwartz-Zippel a false
+  identity passes one point with probability at most
+  (k+2)/(2*10^6 + 1) <= 6.0e-6.
+- cot_radius: for every orientation C of K_n, n = 2..12, rho(C) <=
+  cot(pi/2n) with equality for the canonical tournament.  With dyadic
+  h-_n < cot^2(pi/2n) < h+_n, h+_n - h-_n = 2^-40, rho^2 < h is decided
+  by whether h I - C^T C is positive definite (numtheory's Bareiss test),
+  after integer Gershgorin and trace bounds that settle most random
+  orientations.  The canonical tournament must give h-_n < rho^2 < h+_n,
+  and 50 random orientations per order rho^2 < h+_n, so every rho is at
+  most cot(pi/2n) + 2^-41.
+- lemma_k_inequality and c_alpha_search: exact Fraction and integer
+  decisions of the step lemma and of the c_alpha inequality.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
-from . import bounds, frame, spectra
-from .numtheory import check_paley, legendre
-from .rng import SplitMix64, random_subsets, sub_seed
+from . import bounds, frame
+from .numtheory import check_paley, is_positive_definite, legendre
+from .rng import SplitMix64, random_subset, sub_seed
 
 REPORTED_C_ALPHA = 899_998
 
 _SUITE_SEED = 0x5EED0FA1  # fixed: the report must be reproducible
+
+# block_determinant's points: real and imaginary parts in [-_PART, _PART].
+_DET_POINTS = 20
+_PART = 10**6
+# h-_n and h+_n are multiples of 1/_COT_DEN.
+_COT_DEN = 2**42
 
 
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-def _random_sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
-    signs = np.array([1.0 if rng.below(2) else -1.0 for _ in range(k)])
-    return 1j * scale * signs
 
 
 def _charpoly3(m) -> tuple[int, int, int]:
@@ -48,25 +69,29 @@ def _charpoly3(m) -> tuple[int, int, int]:
     return -(a + e + i), (a * e - b * d) + (a * i - c * g) + (e * i - f * h), -det
 
 
+def _bits(rows) -> list[list[tuple[str, str]]]:
+    """Real and imaginary parts of each entry as float.hex: equal exactly when equal bit for bit."""
+    return [[(float(z.real).hex(), float(z.imag).hex()) for z in row] for row in rows]
+
+
 def _order3_signs(p, support) -> tuple[list[list[int]], bool]:
-    """C_T in ints, and whether gram_analytic(p, T) is I + (i/sqrt p) C_T bit for bit.
+    """C_T in ints, and whether gram_rows(p, T) is I + (i/sqrt p) C_T bit for bit.
 
     C_ab = legendre(T_a - T_b, p), by Euler's criterion, not from the chi
-    table gram_analytic reads; signed zeros must match too.
+    table gram_rows reads; signed zeros must match too.
     """
     c = [[legendre(a - b, p) for b in support] for a in support]
     scale = 1j / math.sqrt(p)
-    ref = np.array([[1 if a == b else s * scale for b, s in enumerate(row)]
-                    for a, row in enumerate(c)])
-    g = np.asarray(frame.gram_analytic(p, support), dtype=complex)
-    return c, g.shape == (3, 3) and g.tobytes() == ref.tobytes()
+    ref = [[1 + 0j if a == b else s * scale for b, s in enumerate(row)]
+           for a, row in enumerate(c)]
+    return c, _bits(frame.gram_rows(p, support)) == _bits(ref)
 
 
 def _check_order3(name, p, rng, poly_of, want, claim) -> CheckResult:
-    cases = [_order3_signs(p, t) for t in random_subsets(p, 3, rng.next_u64s(50))]
+    cases = [_order3_signs(p, random_subset(p, 3, seed)) for seed in rng.next_u64s(50)]
     exact = sum(ok for _, ok in cases)
     polys = sum(_charpoly3(poly_of(c)) == want for c, _ in cases)
-    detail = f"gram_analytic = I + (i/sqrt p) C bit for bit: {exact} of 50; {claim}: {polys} of 50"
+    detail = f"gram_rows = I + (i/sqrt p) C bit for bit: {exact} of 50; {claim}: {polys} of 50"
     return CheckResult(name, exact == polys == 50, detail)
 
 
@@ -86,45 +111,135 @@ def _check_charpoly(p, rng) -> CheckResult:
     )
 
 
+# Gaussian integers are (re, im) pairs of ints.
+
+def _gmul(x, y) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gdot(u, v) -> tuple[int, int]:
+    """u.conj v = sum_i u_i conj(v_i)."""
+    return (sum(a * c + b * d for (a, b), (c, d) in zip(u, v)),
+            sum(b * c - a * d for (a, b), (c, d) in zip(u, v)))
+
+
+def _lagrange_gamma(c, d) -> int:
+    """|c|^2 |d|^2 - |d.conj c|^2, the Lagrange form of gamma."""
+    dc = _gdot(d, c)
+    return _gdot(c, c)[0] * _gdot(d, d)[0] - dc[0] ** 2 - dc[1] ** 2
+
+
+def _paper_gamma_sums(c, d) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The paper's two sums, sum_i |c_i|^2 (d_i.conj d_i) and sum_i c_i conj(d_i) (d_i.conj c_i).
+
+    The subscript-i vectors drop entry i, so their products are the full
+    ones less entry i's term.  gamma is the first sum less the second.
+    """
+    dd, dc = _gdot(d, d)[0], _gdot(d, c)
+    first = sum((a * a + b * b) * (dd - e * e - f * f) for (a, b), (e, f) in zip(c, d))
+    second = (0, 0)
+    for (a, b), (e, f) in zip(c, d):
+        w = a * e + b * f, b * e - a * f  # c_i conj(d_i); d_i conj(c_i) is conj(w)
+        t = _gmul(w, (dc[0] - w[0], dc[1] + w[1]))
+        second = second[0] + t[0], second[1] + t[1]
+    return (first, 0), second
+
+
+def _sign_border(rng: SplitMix64, k: int) -> list[tuple[int, int]]:
+    return [(0, 1) if rng.below(2) else (0, -1) for _ in range(k)]
+
+
 def _check_gamma_nonneg(p, rng) -> CheckResult:
-    # sign borders c = i a/sqrt p, d = i b/sqrt p: p^2 gamma = k^2 - (a.b)^2 exactly
-    scale = 1.0 / math.sqrt(p)
-    low, worst = 0.0, 0.0
+    # sign borders c = i a/sqrt p, d = i b/sqrt p, scaled by sqrt p: p^2 gamma
+    equal, low = 0, math.inf
     for _ in range(200):
         k = 2 + rng.below(9)
-        c = _random_sign_vector(rng, k, scale)
-        d = _random_sign_vector(rng, k, scale)
-        g = spectra.gamma_term(c, d)
-        low = min(low, g)
-        a_dot_b = int(np.sign(c.imag) @ np.sign(d.imag))
-        worst = max(worst, abs(g * p**2 - (k * k - a_dot_b**2)) / (k * k))
-    ok = low >= -1e-14 and worst <= 1e-12
+        c, d = _sign_border(rng, k), _sign_border(rng, k)
+        first, second = _paper_gamma_sums(c, d)
+        gamma = (first[0] - second[0], first[1] - second[1])
+        equal += gamma == (_lagrange_gamma(c, d), 0)
+        low = min(low, gamma[0])
     return CheckResult(
-        "gamma_nonneg", ok,
-        f"min gamma {low:.3e}, max |p^2 gamma - (k^2 - (a.b)^2)|/k^2 {worst:.3e}",
+        "gamma_nonneg", equal == 200 and low >= 0,
+        f"paper's two sums = |c|^2 |d|^2 - |d.conj c|^2 in Gaussian integers at sign borders:"
+        f" {equal} of 200; min p^2 gamma {low}",
     )
 
 
+def _gauss_det(m) -> tuple[int, int]:
+    """Determinant of a square matrix over Z[i] by fraction-free (Bareiss) elimination.
+
+    A row swap brings up a nonzero pivot; each division by the previous
+    pivot q is exact, done as t conj(q) / |q|^2 in each part.
+    """
+    a = [list(row) for row in m]
+    n, sign, (qr, qi) = len(a), 1, (1, 0)
+    for k in range(n - 1):
+        r = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
+        if r is None:
+            return 0, 0
+        if r != k:
+            a[k], a[r], sign = a[r], a[k], -sign
+        (pr, pi), row_k, qq = a[k][k], a[k], qr * qr + qi * qi
+        for row in a[k + 1:]:
+            fr, fi = row[k]
+            for j in range(k + 1, n):
+                (xr, xi), (yr, yi) = row[j], row_k[j]
+                tr = xr * pr - xi * pi - fr * yr + fi * yi  # x p - f y
+                ti = xr * pi + xi * pr - fr * yi - fi * yr
+                row[j] = (tr * qr + ti * qi) // qq, (ti * qr - tr * qi) // qq
+        qr, qi = pr, pi
+    dr, di = a[-1][-1]
+    return sign * dr, sign * di
+
+
+def _bordered_matrix(a, b, c, d, eta, x) -> list[list[tuple[int, int]]]:
+    """R - xI for R = [[a, b, c], [conj b, a, d], [conj c, conj d, eta I]] over Z[i]."""
+    k = len(c)
+    u, v = (a[0] - x[0], a[1] - x[1]), (eta[0] - x[0], eta[1] - x[1])
+    rows = [[u, b, *c], [(b[0], -b[1]), u, *d]]
+    for i in range(k):
+        tail = [(0, 0)] * k
+        tail[i] = v
+        rows.append([(c[i][0], -c[i][1]), (d[i][0], -d[i][1]), *tail])
+    return rows
+
+
+def _closed_form_det(a, b, c, d, eta, x) -> tuple[int, int]:
+    """(eta-x)^(k-2) q(x) over Z[i], with the bordered quartic
+
+    q = (a-x)^2 (eta-x)^2 - (a-x)(eta-x)(|d|^2 + |c|^2) - |b|^2 (eta-x)^2
+        + 2 (eta-x) Re(b (d.conj c)) + |c|^2 |d|^2 - |d.conj c|^2.
+    """
+    u, v = (a[0] - x[0], a[1] - x[1]), (eta[0] - x[0], eta[1] - x[1])
+    uv, vv = _gmul(u, v), _gmul(v, v)
+    cc, dd, bb = _gdot(c, c)[0], _gdot(d, d)[0], b[0] ** 2 + b[1] ** 2
+    re2 = 2 * _gmul(b, _gdot(d, c))[0]  # 2 Re(b (d.conj c))
+    uu, gamma = _gmul(uv, uv), _lagrange_gamma(c, d)
+    q = (uu[0] - (dd + cc) * uv[0] - bb * vv[0] + re2 * v[0] + gamma,
+         uu[1] - (dd + cc) * uv[1] - bb * vv[1] + re2 * v[1])
+    for _ in range(len(c) - 2):
+        q = _gmul(q, v)
+    return q
+
+
 def _check_block_det(p, rng) -> CheckResult:
-    scale = 1.0 / math.sqrt(p)
-    worst = 0.0
-    for _ in range(200):
+    def gauss() -> tuple[int, int]:
+        return rng.below(2 * _PART + 1) - _PART, rng.below(2 * _PART + 1) - _PART
+
+    agree = 0
+    for _ in range(_DET_POINTS):
         k = 2 + rng.below(9)
-        blk = spectra.BorderedBlock(
-            a=1.0,
-            b=1j * scale * (1.0 if rng.below(2) else -1.0),
-            c=_random_sign_vector(rng, k, scale),
-            d=_random_sign_vector(rng, k, scale),
-            eta=1.0 + (rng.below(1000) / 1000.0 - 0.5) * scale,
-        )
-        x = rng.below(2000) / 1000.0 - 0.5
-        closed = spectra.block3_det(blk, x)
-        dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
-        err = abs(closed - dense) / max(abs(dense), 1e-14)
-        worst = max(worst, err)
+        a, b, eta, x = gauss(), gauss(), gauss(), gauss()
+        c, d = [gauss() for _ in range(k)], [gauss() for _ in range(k)]
+        agree += _gauss_det(_bordered_matrix(a, b, c, d, eta, x)) == _closed_form_det(
+            a, b, c, d, eta, x)
+    bound = (10 + 2) / (2 * _PART + 1)
     return CheckResult(
-        "block_determinant", worst <= 1e-10,
-        f"max relative error vs dense LU determinant: {worst:.3e}",
+        "block_determinant", agree == _DET_POINTS,
+        f"det(R - xI) = (eta-x)^(k-2) q(x) exactly over Z[i] at random points, k in 2..10, "
+        f"parts in [-10^6, 10^6]: {agree} of {_DET_POINTS}; Schwartz-Zippel: a false identity "
+        f"passes a point with probability <= (k+2)/{2 * _PART + 1} <= {bound:.1e}",
     )
 
 
@@ -165,27 +280,87 @@ def _check_lemma_k(p, rng) -> CheckResult:
     )
 
 
+def _cot_square_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """(h-_n, h+_n): 2/_COT_DEN either side of the multiple of 1/_COT_DEN nearest cot^2(pi/2n).
+
+    The float cot^2 is within 1e-13 of the true one for n <= 12, far less
+    than the 2/_COT_DEN = 4.5e-13 margin; the check itself confirms
+    h-_n < cot^2(pi/2n) < h+_n on the canonical tournament, exactly.
+    """
+    m = round(_COT_DEN / math.tan(math.pi / (2 * n)) ** 2)
+    return Fraction(m - 2, _COT_DEN), Fraction(m + 2, _COT_DEN)
+
+
+def _tournament_gram(n: int, bits) -> list[list[int]]:
+    """S = C^T C in ints for the orientation C of K_n whose upper triangle, row by row, is bits.
+
+    C_ij = +1 for i < j where the bit is 1, -1 where it is 0, and
+    C_ji = -C_ij.  Column j is held as the bitmask of the rows l with
+    C_lj = +1.  For l outside {i, j}, C_li C_lj is -1 exactly where the
+    masks of columns i and j differ; of rows i and j, where C_ii = C_jj = 0,
+    exactly one differs, since one of C_ij and C_ji is +1.  So
+    S_ij = (n - 2) - 2 (popcount(mask_i ^ mask_j) - 1), and S_ii = n - 1.
+    """
+    plus = [0] * n
+    pairs = iter(bits)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if next(pairs):
+                plus[j] |= 1 << i
+            else:
+                plus[i] |= 1 << j
+    s = [[n - 1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = s[j][i] = n - 2 * (plus[i] ^ plus[j]).bit_count()
+    return s
+
+
+def _norm_below(s, h: Fraction) -> bool:
+    """Whether an integer bound shows lambda_max(S) < h for S = C^T C of a tournament.
+
+    Gershgorin: lambda_max(S) <= max_i sum_j |S_ij|.  And with T = S - (n - 1) I,
+    which has trace 0, lambda_max(T)^2 <= (n - 1)/n trace(T^2).  Either bound
+    below h settles it; neither is tight, so an orientation with rho^2 near h
+    is left to the Bareiss test.
+    """
+    num, den, n = h.numerator, h.denominator, len(s)
+    if max(map(sum, (map(abs, row) for row in s))) * den < num:
+        return True
+    margin = num - (n - 1) * den  # (h - (n - 1)) den
+    off = sum(sum(map(mul, row, row)) for row in s) - n * (n - 1) ** 2  # trace(T^2)
+    return margin > 0 and n * margin * margin > (n - 1) * off * den * den
+
+
+def _top_below(s, h: Fraction) -> bool:
+    """Whether lambda_max(S) < h for an integer symmetric S: h I - S positive definite, exactly."""
+    num, den = h.numerator, h.denominator
+    return is_positive_definite(
+        [[num * (i == j) - den * x for j, x in enumerate(row)] for i, row in enumerate(s)])
+
+
 def _check_cot_radius(p, rng) -> CheckResult:
-    worst_eq = 0.0
-    worst_excess = 0.0
+    enclosed = below = by_norms = 0
     for n in range(2, 13):
-        target = 1.0 / math.tan(math.pi / (2 * n))
-        rho = spectra.skew_spectral_radius(spectra.canonical_tournament(n))
-        worst_eq = max(worst_eq, abs(rho - target))
-        # 50 random orientations in one stack; signs drawn row by row over
-        # each upper triangle, which is the order triu_indices lists it in.
-        # below(2) never rejects (2 divides 2^64), so each sign is the low
-        # bit of one output.
-        upper = np.triu_indices(n, 1)
-        signs = np.where(rng.next_u64s(50 * len(upper[0])) & 1, 1, -1).astype(np.int8)
-        c = np.zeros((50, n, n), dtype=np.int8)
-        c[:, upper[0], upper[1]] = np.reshape(signs, (50, -1))
-        c = c - np.swapaxes(c, -1, -2)
-        worst_excess = max(worst_excess, float(np.max(spectra.skew_spectral_radius(c))) - target)
-    ok = worst_eq <= 1e-12 and worst_excess <= 1e-12
+        lo, hi = _cot_square_bounds(n)
+        pairs = n * (n - 1) // 2
+        canonical = _tournament_gram(n, [1] * pairs)
+        enclosed += _top_below(canonical, hi) and not _top_below(canonical, lo)
+        # one SplitMix64 output per sign, its low bit: below(2) never rejects
+        bits = [u & 1 for u in rng.next_u64s(50 * pairs)]
+        for t in range(0, len(bits), pairs):
+            s = _tournament_gram(n, bits[t:t + pairs])
+            if _norm_below(s, hi):
+                by_norms += 1
+                below += 1
+            else:
+                below += _top_below(s, hi)
     return CheckResult(
-        "cot_radius", ok,
-        f"canonical equality error {worst_eq:.3e}, random-orientation excess {worst_excess:.3e}",
+        "cot_radius", enclosed == 11 and below == 550,
+        f"h-_n < rho^2 < h+_n for the canonical tournament, n = 2..12: {enclosed} of 11; "
+        f"rho^2 < h+_n for random orientations: {below} of 550 ({by_norms} by integer "
+        f"norm bounds, the rest by Bareiss pivots); h+_n - h-_n = 2^-40, "
+        f"so rho <= cot(pi/2n) + 2^-41",
     )
 
 

@@ -416,25 +416,24 @@ def test_verify_command(capsys):
     }
 
 
-_real_gram_analytic = frame.gram_analytic
+_real_gram_rows = frame.gram_rows
 
 
 def _flipped_sign_gram(p, support):
-    g = _real_gram_analytic(p, support)
-    g[0, 1] = -g[0, 1]
+    g = _real_gram_rows(p, support)
+    g[0][1] = -g[0][1]
     return g
 
 
 def _scale_one_over_p_gram(p, support):
-    g = sign_matrix(p, support) * (1j / p)
-    np.fill_diagonal(g, 1.0)
-    return g
+    return [[1 + 0j if a == b else s * (1j / p) for b, s in zip(support, row)]
+            for a, row in zip(support, sign_matrix(p, support).tolist())]
 
 
 def test_verify_fault_injection_exit_7(capsys, monkeypatch):
     # a faulty analytic Gramian must fail both order-3 checks and map to exit 7
     for tampered in (_flipped_sign_gram, _scale_one_over_p_gram):
-        monkeypatch.setattr(frame, "gram_analytic", tampered)
+        monkeypatch.setattr(frame, "gram_rows", tampered)
         code, out, err = run_cli(capsys, "verify", "--p", "7")
         assert code == 7
         doc = json.loads(out)

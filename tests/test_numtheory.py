@@ -1,10 +1,17 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paleyrip.errors import NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.numtheory import (
     check_paley,
     check_prime,
+    chi_signs,
     chi_table,
+    is_positive_definite,
     is_prime,
     legendre,
     row_index_set,
@@ -149,3 +156,109 @@ def test_p2_is_a_range_error():
         chi_table(2)
     with pytest.raises(NotPrimeError):
         chi_table(9)
+
+
+def _sign_gram(p: int, support) -> list[list[int]]:
+    """C^T C in ints for C_ab = chi(T_a - T_b)."""
+    chi = chi_signs(p)
+    c = [[chi[a - b] for b in support] for a in support]
+    return [[sum(r[i] * r[j] for r in c) for j in range(len(c))] for i in range(len(c))]
+
+
+def _shifted(h: Fraction, s) -> list[list[int]]:
+    """den h I - den S, with h = num/den: positive definite exactly when lambda_max(S) < h."""
+    return [[h.numerator * (i == j) - h.denominator * x for j, x in enumerate(row)]
+            for i, row in enumerate(s)]
+
+
+def _eigenvalues_at_least(s, h: Fraction) -> int:
+    """Eigenvalues of the integer symmetric S that are >= h, counted exactly.
+
+    The characteristic polynomial comes from Faddeev-LeVerrier in Fractions
+    and is shifted to q(y) = det((y + h) I - S).  Its roots are real, so by
+    Descartes' rule its sign changes count the roots y > 0 exactly, and
+    its lowest nonzero coefficient gives the multiplicity of y = 0.
+    """
+    n = len(s)
+    a = [[Fraction(x) for x in row] for row in s]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]  # det(xI - S), lowest degree first
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(sum(a[i][l] * m[l][i] for l in range(n)) for i in range(n)) / k
+    for top in range(n, 0, -1):  # Taylor shift x = y + h
+        for i in range(top - 1, n):
+            coeffs[i] += h * coeffs[i + 1]
+    signs = [c > 0 for c in coeffs if c]
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    return zeros + sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def test_is_positive_definite_small_cases():
+    assert is_positive_definite([])
+    assert is_positive_definite([[1]])
+    assert not is_positive_definite([[0]])
+    assert is_positive_definite([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert not is_positive_definite([[1, 1], [1, 1]])  # singular: a zero pivot
+    assert not is_positive_definite([[1, 2], [2, 1]])  # indefinite: a negative pivot
+    m = [[4, 2], [2, 3]]
+    assert is_positive_definite(m) and m == [[4, 2], [2, 3]]  # not modified
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([7, 11, 19, 23, 31, 43, 103]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(0, p - 1), min_size=2, max_size=min(30, p), unique=True),
+    st.fractions(Fraction(1, 4), Fraction(3, 2), max_denominator=2**12))))
+def test_is_positive_definite_agrees_with_eigvalsh(case):
+    # h = f lambda_max(S) rounded to a dyadic; decided as the float top
+    # eigenvalue says wherever the relative gap exceeds 1e-9
+    p, support, f = case
+    s = _sign_gram(p, support)
+    top = float(np.linalg.eigvalsh(np.array(s, dtype=float))[-1])
+    h = Fraction(round(float(f) * top * 2**20), 2**20)
+    if abs(top - h) > 1e-9 * max(top, 1.0):
+        assert is_positive_definite(_shifted(h, s)) is (top < h)
+    if len(support) <= 6:
+        for t in {h, Fraction(round(top)), Fraction(len(support))}:
+            assert is_positive_definite(_shifted(t, s)) is (_eigenvalues_at_least(s, t) == 0)
+
+
+def test_eigenvalue_count_oracle():
+    # S = C^T C of the canonical 3-tournament: spectrum {0, 3, 3}
+    s = [[2, 1, -1], [1, 2, 1], [-1, 1, 2]]
+    assert [_eigenvalues_at_least(s, Fraction(t)) for t in (-1, 0, 1, 3, 4)] == [3, 3, 2, 2, 0]
+
+
+def _rank(m) -> int:
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / a[rank][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("k, definite", [(52, True), (53, False)])
+def test_complement_gram_at_the_interval_of_103(k, definite):
+    # T = {0, ..., k-1}, B[r, t] = chi(r - t) over the other residues r:
+    # C_T^T C_T = pI - J - B^T B, so rho(C_T)^2 < p exactly when J + B^T B
+    # is positive definite.  At k = (p+1)/2 it is, by a margin floats cannot
+    # resolve (1 - d = 5.4e-12); at k = (p+3)/2 its rank is p - k + 1 < k.
+    p = 103
+    chi = chi_signs(p)
+    b = [[chi[r - t] for t in range(k)] for r in range(k, p)]
+    m = [[1 + sum(row[i] * row[j] for row in b) for j in range(k)] for i in range(k)]
+    ctc = _sign_gram(p, range(k))
+    assert all(ctc[i][j] == p * (i == j) - m[i][j] for i in range(k) for j in range(k))
+    assert is_positive_definite(m) is definite
+    if not definite:
+        assert _rank(m) == p - k + 1 == 51

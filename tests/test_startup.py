@@ -1,14 +1,15 @@
 """Start-up loads only what a command runs.
 
 `import paleyrip`, `--help`, `--version`, `frame`, `bounds`, `fit`, `gram`
-with either method and `conjecture` in all three modes (`--support`,
-`--support --peel` and the `--k` scan, in CSV and JSON) must work with numpy
-unimportable (`sys.modules["numpy"] = None` makes any import of it raise), and print
+with either method, `conjecture` in all three modes (`--support`,
+`--support --peel` and the `--k` scan, in CSV and JSON) and `verify` must
+work with numpy unimportable (`sys.modules["numpy"] = None` makes any import of it raise), and print
 the same bytes as an ordinary run; so must each of them with `dataclasses`
 unimportable as well, since the modules they run keep their records in
 NamedTuples.  `bounds` itself is loaded only by the commands that evaluate
 bounds, and `pairs` only by `conjecture` (and by `exact_rip`, which no
-command runs).  The witness search `pairs.cot_witness` runs without numpy.
+command runs); `verify` loads no `spectra`.  The witness search
+`pairs.cot_witness` runs without numpy.
 """
 
 import subprocess
@@ -53,6 +54,8 @@ NUMPY_FREE_COMMANDS = [
     ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
     ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
     ["conjecture", "--p", "43", "--k", "8", "--trials", "200", "--seed", "7", "--format", "json"],
+    ["verify", "--p", "7"],
+    ["verify", "--p", "103"],
 ]
 
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
@@ -150,7 +153,6 @@ def test_pairs_loaded_only_by_conjecture(code, loaded):
 @pytest.mark.parametrize("code", [
     "main(['estimate', '--p', '19', '--k', '5', '--trials', '2'])",
     "main(['demboratio', '--p', '19', '--k', '5'])",
-    "main(['verify', '--p', '7'])",
 ])
 def test_array_commands_load_numpy(code):
     # the positive control of the numpy-free commands above
@@ -158,6 +160,14 @@ def test_array_commands_load_numpy(code):
                   "print('numpy' in sys.modules)\n")
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "True"
+
+
+def test_verify_loads_neither_numpy_nor_spectra():
+    # every check decides in Python ints
+    res = _python("import sys\nfrom paleyrip.cli import main\nmain(['verify', '--p', '7'])\n"
+                  "print(sorted({'numpy', 'paleyrip.spectra'} & set(sys.modules)))\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_without_numpy():
