@@ -72,10 +72,7 @@ _EXPORTS = {
     "rng": ("SplitMix64", "random_subset", "sub_seed"),
     "spectra": (
         "BorderedBlock",
-        "block3_det",
-        "canonical_tournament",
         "dembo_upper",
-        "gamma_term",
         "generalized_dembo_extremes",
         "hermitian_spectrum",
         "skew_spectral_radius",

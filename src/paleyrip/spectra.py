@@ -1,4 +1,4 @@
-"""Eigenvalue machinery and the closed-form determinant identities.
+"""Eigenvalue machinery: the sign-matrix radius and the bordered-block extremes.
 
 Every Gramian of the Paley frame is I + (i/sqrt p) C with C a +-1
 skew-symmetric sign matrix, and the spectrum of iC is symmetric about 0, so
@@ -11,12 +11,18 @@ or a stack.  For a gated sign matrix every partial sum of C^T C is an
 integer of size at most the order n, so the float32 product of sign_gram is
 exact for n < 2^24 and only the solver rounds; code that solves many slices
 of one stored stack gates it once and calls sign_gram and gram_radius
-itself.  hermitian_spectrum, the dense oracle of the tests and the
-benchmark, has no caller in the package; its tolerance gate is relative to
-the largest entry.  The bordered-matrix closed forms read the border
-invariants |c|^2, |d|^2, d.conj c and the residual norm r of d against c,
-formed by _border_invariants: gamma = |c|^2 r^2 is never negative, and the
-quartic's extreme roots are those of a 4x4 compression written from them.
+itself.  dembo_upper is the one-step bordered bound demboratio prints.
+
+BorderedBlock, generalized_dembo_extremes and hermitian_spectrum, like
+frame.gram_analytic, have no caller in the package: they stay only because
+the benchmark's oracle job imports them (ROADMAP items 1 and 9).  The
+extremes are the eigenvalues of the bordered matrix compressed to its
+invariant subspace of order at most 4, written in closed form from |c|^2,
+d.conj c and the residual norm of d against c.  hermitian_spectrum, also
+the dense oracle of the tests, gates its input relative to the largest
+entry.  The paper's identities for these matrices (the closed-form
+determinant, the Lagrange form of gamma, rho = cot(pi/2n) for the
+canonical tournament) are decided exactly, in integers, by verify.
 """
 
 from __future__ import annotations
@@ -49,15 +55,6 @@ def hermitian_spectrum(m) -> np.ndarray:
     if dev > bound:
         raise NonHermitianError(f"Hermitian deviation {dev:.3e} exceeds {bound:.1e}")
     return np.linalg.eigvalsh(m)
-
-
-def canonical_tournament(n: int) -> np.ndarray:
-    """Integer skew adjacency of the transitive tournament: +1 above, -1 below."""
-    n = int(n)
-    if n < 1:
-        raise ParameterRangeError(f"order must be >= 1, got {n}")
-    ones = np.ones((n, n), dtype=int)
-    return np.triu(ones, 1) - np.tril(ones, -1)
 
 
 def check_sign_matrices(c) -> None:
@@ -131,51 +128,14 @@ def dembo_upper(c: float, eta_k: float, btb: float) -> float:
     return (c + eta_k) / 2.0 + math.sqrt((c - eta_k) ** 2 / 4.0 + btb)
 
 
-def _border_vectors(c, d) -> tuple[np.ndarray, np.ndarray]:
-    """Border vectors as flat finite complex arrays of equal length >= 1, or ParameterRangeError."""
-    c = np.asarray(c, dtype=complex).ravel()
-    d = np.asarray(d, dtype=complex).ravel()
-    if len(c) != len(d) or len(c) < 1 or not (np.isfinite(c).all() and np.isfinite(d).all()):
-        raise ParameterRangeError(
-            f"border vectors need finite entries and equal length >= 1, got {len(c)} and {len(d)}")
-    return c, d
-
-
-def _border_invariants(c: np.ndarray, d: np.ndarray):
-    """|c|^2, |d|^2, d.conj c and r = |d - (d.conj c/|c|^2) c|, with r = |d| for c = 0.
-
-    r is the residual vector's norm, accurate to about eps |d| even for d parallel
-    to c, where sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to sqrt(eps) |d|.
-    """
-    cc, dd = np.vdot(c, c).real, np.vdot(d, d).real
-    if cc > 0.0:
-        dc = np.vdot(c, d)  # d.conj c
-        nc = math.sqrt(cc)
-        res = d - (dc / (nc * nc)) * c
-        return cc, dd, dc, math.sqrt(np.vdot(res, res).real)
-    return cc, dd, 0j, math.sqrt(dd)
-
-
-def gamma_term(c, d) -> float:
-    """Correction term of the bordered determinant closed form.
-
-    gamma = sum_i |c_i|^2 (d_i . d_i*) - sum_i c_i d_i* (d_i . c_i*), where
-    the subscript-i vectors drop entry i.  By the Lagrange identity it equals
-    |c|^2 |d|^2 - |d.c*|^2 = |c|^2 r^2, the form evaluated (r from
-    _border_invariants): real and never negative.  Unequal, empty or
-    non-finite vectors raise ParameterRangeError.
-    """
-    cc, _, _, r = _border_invariants(*_border_vectors(c, d))
-    return float(cc * r * r)
-
-
 @dataclass(frozen=True, eq=False)
 class BorderedBlock:
     """Data of the two-row bordered matrix [[a, b, c], [b*, a, d], [c*, d*, eta*I]].
 
-    `eta` is the spectral proxy standing in for the trailing block.  Every field
-    must be finite (ParameterRangeError otherwise).  Blocks are equal when their
-    fields are, the borders compared whole; they are unhashable.
+    `eta` is the spectral proxy standing in for the trailing block.  Every
+    field must be finite, and the borders, stored as flat complex arrays,
+    of equal length >= 1 (ParameterRangeError otherwise).  Blocks compare
+    and hash by identity.
     """
 
     a: float
@@ -187,21 +147,13 @@ class BorderedBlock:
     def __post_init__(self):
         if not np.isfinite((self.a, self.b, self.eta)).all():
             raise ParameterRangeError(f"need finite a, b and eta, got {self.a}, {self.b}, {self.eta}")
-        c, d = _border_vectors(self.c, self.d)
+        c = np.asarray(self.c, dtype=complex).ravel()
+        d = np.asarray(self.d, dtype=complex).ravel()
+        if len(c) != len(d) or len(c) < 1 or not (np.isfinite(c).all() and np.isfinite(d).all()):
+            raise ParameterRangeError(
+                f"border vectors need finite entries and equal length >= 1, got {len(c)} and {len(d)}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __eq__(self, other):
-        if not isinstance(other, BorderedBlock):
-            return NotImplemented
-        return ((self.a, self.b, self.eta) == (other.a, other.b, other.eta)
-                and np.array_equal(self.c, other.c) and np.array_equal(self.d, other.d))
-
-    __hash__ = None
-
-    @property
-    def order(self) -> int:
-        return len(self.c) + 2
 
     def assemble(self) -> np.ndarray:
         """Dense matrix for oracle comparisons."""
@@ -218,54 +170,38 @@ class BorderedBlock:
         return r
 
 
-def _bordered_quartic(blk: BorderedBlock, x) -> np.ndarray:
-    """Degree-4 factor of det(R - xI) for the bordered matrix R.
-
-    q(x) = (a-x)^2 (eta-x)^2 - (a-x)(eta-x)(dd* + cc*) - bb*(eta-x)^2
-           + 2 (eta-x) Re(b d.c*) + gamma,   gamma = |c|^2 r^2 (gamma_term)
-    """
-    u = blk.a - np.asarray(x, dtype=float)
-    v = blk.eta - np.asarray(x, dtype=float)
-    cc, dd, dc, r = _border_invariants(blk.c, blk.d)
-    return (u * u * v * v - u * v * (dd + cc) - abs(blk.b) ** 2 * v * v
-            + 2.0 * v * float(np.real(blk.b * dc)) + cc * r * r)
-
-
-def block3_det(blk: BorderedBlock, x: float = 0.0) -> float:
-    """Closed-form det(R - xI) = (eta-x)^(k-2) * quartic(x) for k >= 2.
-
-    Matches a dense LU determinant of the assembled matrix to 1e-10
-    relative; the quartic's roots are found by _compressed_spectrum.
-    """
-    k = len(blk.c)
-    if k < 2:
-        raise ParameterRangeError(f"block determinant needs a border of length >= 2, got {k}")
-    return float((blk.eta - x) ** (k - 2) * _bordered_quartic(blk, x))
-
-
 def _compressed_spectrum(*blks: BorderedBlock) -> np.ndarray:
     """Eigenvalues, ascending, of each bordered matrix R compressed to an invariant subspace.
 
     R maps V = span{e0, e1, (0, 0, conj c), (0, 0, conj d)} into itself and
     acts as eta*I on the complement of V.  The basis u1 = conj c / |c| and
     u2, the normalized Gram-Schmidt residual of conj d against u1, gives
-    the compression in closed form from |c|^2, |d|^2 and d.conj c alone:
+    the compression in closed form from |c|^2 and d.conj c alone:
 
         [[a,   b,                 |c|,           0],
          [b*,  a,                 d.conj c/|c|,  r],
          [|c|, (d.conj c/|c|)*,   eta,           0],
          [0,   r,                 0,           eta]]
 
-    with r = |conj d - (u1^H conj d) u1| from _border_invariants, so that
-    r^2 = gamma/|c|^2 and the characteristic polynomial is the bordered
-    quartic.  c = 0 takes u1 from conj d; a zero residual (d parallel to c,
-    k = 1, zero borders) only adds the eigenvalue eta.  One stacked solve.
+    with r = |d - (d.conj c/|c|^2) c|, the residual vector's norm, accurate
+    to about eps |d| even for d parallel to c, where
+    sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to sqrt(eps) |d|.  The
+    characteristic polynomial is the bordered quartic.  c = 0 takes u1 from
+    conj d, so r = |d| sits in the place of d.conj c/|c|; a zero residual
+    (d parallel to c, k = 1, zero borders) only adds the eigenvalue eta.
+    One stacked solve.
     """
     h = np.zeros((len(blks), 4, 4), dtype=complex)
     for hb, blk in zip(h, blks):
-        cc, _, dc, r = _border_invariants(blk.c, blk.d)
-        nc = math.sqrt(cc)
-        hb[0, 2], hb[1, 2], hb[1, 3] = (nc, dc / nc, r) if nc > 0.0 else (0.0, r, 0.0)
+        c, d = blk.c, blk.d
+        cc = np.vdot(c, c).real
+        if cc > 0.0:
+            dc = np.vdot(c, d)  # d.conj c
+            nc = math.sqrt(cc)
+            res = d - (dc / (nc * nc)) * c
+            hb[0, 2], hb[1, 2], hb[1, 3] = nc, dc / nc, math.sqrt(np.vdot(res, res).real)
+        else:
+            hb[1, 2] = math.sqrt(np.vdot(d, d).real)
         hb[0, 0] = hb[1, 1] = blk.a
         hb[0, 1] = blk.b
         hb[2, 2] = hb[3, 3] = blk.eta

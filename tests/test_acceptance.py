@@ -31,15 +31,8 @@ from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct
 from paleyrip.pairs import conjecture_search, one_sided_ratio
 from paleyrip.rng import SplitMix64, random_subset
-from paleyrip.spectra import (
-    BorderedBlock,
-    block3_det,
-    canonical_tournament,
-    gamma_term,
-    hermitian_spectrum,
-    skew_spectral_radius,
-)
-from paleyrip.verify import _lemma_k_holds
+from paleyrip.spectra import BorderedBlock, hermitian_spectrum, skew_spectral_radius
+from paleyrip.verify import _closed_form_det, _lagrange_gamma, _lemma_k_holds
 
 WORST_SET_19 = (1, 2, 18, 16, 15, 14, 8, 7, 6, 4)
 RANDOM_SET_19 = (8, 15, 5, 13, 10, 2, 17, 4, 11, 18, 16, 0)
@@ -104,11 +97,17 @@ def test_criterion_03_charpoly_identity():
             f"max residual {worst:.2e} (tol 1e-12)")
 
 
+def _canonical_tournament(n: int) -> np.ndarray:
+    # integer skew adjacency of the transitive tournament: +1 above, -1 below
+    ones = np.ones((n, n), dtype=int)
+    return np.triu(ones, 1) - np.tril(ones, -1)
+
+
 def test_criterion_04_cot_radius_theorem():
     worst_eq = 0.0
     for n in range(2, 13):
         target = 1.0 / math.tan(math.pi / (2 * n))
-        rho = skew_spectral_radius(canonical_tournament(n))
+        rho = skew_spectral_radius(_canonical_tournament(n))
         worst_eq = max(worst_eq, abs(rho - target))
     worst_excess = -math.inf
     rng = SplitMix64(404)
@@ -236,7 +235,15 @@ def test_criterion_10_literal_two_tenths():
     assert abs(best.ratio - 0.2) < 1e-15
 
 
+def _parts(v) -> list[tuple[float, float]]:
+    # a complex vector as the (re, im) pairs verify's ring arithmetic reads
+    return [(float(z.real), float(z.imag)) for z in v]
+
+
 def test_criterion_11_block_determinant_identity():
+    # the closed form (eta-x)^(k-2) q(x) and gamma = |c|^2 |d|^2 - |d.conj c|^2
+    # are verify's ring arithmetic, here on float pairs, against a dense
+    # LU determinant of the assembled matrix
     rng = SplitMix64(1111)
     worst_rel = 0.0
     min_gamma = math.inf
@@ -253,10 +260,13 @@ def test_criterion_11_block_determinant_identity():
             eta=1.0 + (rng.below(1000) / 1000.0 - 0.5) * s,
         )
         x = rng.below(2000) / 1000.0 - 0.5
-        dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
-        rel = abs(block3_det(blk, x) - dense.real) / max(abs(dense.real), 1e-14)
+        dense = np.linalg.det(blk.assemble() - x * np.eye(k + 2))
+        c, d = _parts(blk.c), _parts(blk.d)
+        closed, _ = _closed_form_det((blk.a, 0.0), (blk.b.real, blk.b.imag), c, d,
+                                     (blk.eta, 0.0), (x, 0.0))
+        rel = abs(closed - dense.real) / max(abs(dense.real), 1e-14)
         worst_rel = max(worst_rel, rel)
-        min_gamma = min(min_gamma, gamma_term(blk.c, blk.d))
+        min_gamma = min(min_gamma, _lagrange_gamma(c, d))
     ok = worst_rel <= 1e-10 and min_gamma >= -1e-14
     _report(11, ok,
             f"closed-form vs dense determinant on 500 instances: max rel err "

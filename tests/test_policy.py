@@ -8,12 +8,24 @@ A module that runs without numpy does not import `dataclasses`, which loads
 `inspect` and with it `ast`, `dis` and `tokenize` on every start-up; its
 records are NamedTuples.  Modules that import numpy, which loads `inspect`
 anyway, may keep dataclasses.
+
+Every public name has a user: a reference in the package or in the
+benchmark's scripts, not only in the tests, unless it is on the short list
+of test oracles below.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "paleyrip"
+import paleyrip
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "paleyrip"
+
+# Public names kept only as oracles of the tests, each with its reason.
+TEST_ORACLES = {
+    "one_sided_ratio": "the pair search's scalar oracle; acceptance criterion 10 reads it",
+}
 
 
 def test_no_assert_statements_in_package():
@@ -48,3 +60,35 @@ def test_numpy_free_modules_do_not_import_dataclasses():
     assert {"experiments", "spectra"}.isdisjoint(numpy_free)
     offenders = [name for name in numpy_free if "dataclasses" in imports[name]]
     assert not offenders, f"numpy-free modules importing dataclasses: {offenders}"
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a module loads, reads as an attribute or imports, outside a definition of the same name."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.rpartition(".")[2] for alias in node.names}
+        else:
+            names = set()
+        found.update(names - defining)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return found
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    used = set().union(*map(_referenced_names, sources))
+    exported = {name for names in paleyrip._EXPORTS.values() for name in names}
+    assert set(TEST_ORACLES) <= exported, "an allowlisted oracle is no longer exported"
+    unused = sorted(exported - used - set(TEST_ORACLES))
+    assert not unused, f"exports that no module or benchmark script references: {unused}"

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +12,25 @@ from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,
     _compressed_spectrum,
-    block3_det,
-    canonical_tournament,
     check_sign_matrices,
     dembo_upper,
-    gamma_term,
     generalized_dembo_extremes,
     hermitian_spectrum,
     sign_gram,
     skew_spectral_radius,
 )
+from paleyrip.verify import _closed_form_det, _lagrange_gamma
+
+
+def _canonical_tournament(n: int) -> np.ndarray:
+    # integer skew adjacency of the transitive tournament: +1 above, -1 below
+    ones = np.ones((n, n), dtype=int)
+    return np.triu(ones, 1) - np.tril(ones, -1)
+
+
+def _parts(v) -> list[tuple[float, float]]:
+    # a complex vector as the (re, im) pairs verify's ring arithmetic reads
+    return [(float(z.real), float(z.imag)) for z in v]
 
 
 def _sign_vector(rng: SplitMix64, k: int, scale: float) -> np.ndarray:
@@ -165,21 +173,12 @@ def test_charpoly_p7_extremes():
 # --- tournaments and skew spectral radius ------------------------------------
 
 
-def test_canonical_tournament_shapes():
-    assert np.array_equal(canonical_tournament(1), np.zeros((1, 1)))
-    assert np.array_equal(canonical_tournament(2), np.array([[0, 1], [-1, 0]]))
-    assert np.array_equal(
-        canonical_tournament(3),
-        np.array([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]),
-    )
-
-
 def test_skew_radius_canonical_values():
-    assert abs(skew_spectral_radius(canonical_tournament(2)) - 1.0) < 1e-12
-    assert abs(skew_spectral_radius(canonical_tournament(3)) - math.sqrt(3)) < 1e-12 * math.sqrt(3)
+    assert abs(skew_spectral_radius(_canonical_tournament(2)) - 1.0) < 1e-12
+    assert abs(skew_spectral_radius(_canonical_tournament(3)) - math.sqrt(3)) < 1e-12 * math.sqrt(3)
     for n in range(4, 13):
         target = 1.0 / math.tan(math.pi / (2 * n))
-        assert abs(skew_spectral_radius(canonical_tournament(n)) - target) < 1e-12 * target
+        assert abs(skew_spectral_radius(_canonical_tournament(n)) - target) < 1e-12 * target
 
 
 def test_skew_radius_bounds_random_orientations():
@@ -199,7 +198,7 @@ def test_skew_radius_rejects_non_skew():
     with pytest.raises(NonHermitianError):
         skew_spectral_radius(np.eye(3, dtype=int))
     with pytest.raises(NonHermitianError):
-        skew_spectral_radius(np.stack([canonical_tournament(3), np.eye(3, dtype=int)]))
+        skew_spectral_radius(np.stack([_canonical_tournament(3), np.eye(3, dtype=int)]))
     with pytest.raises(ParameterRangeError):
         skew_spectral_radius(np.ones((2, 3), dtype=int))
     # C^T C is not the Hermitian square of a complex skew matrix, so complex
@@ -211,13 +210,13 @@ def test_skew_radius_rejects_non_skew():
 def test_skew_radius_takes_only_integer_sign_matrices():
     # the radius path is exact for integer sign matrices only: float, complex
     # and bool input is refused whatever its values, an entry of 2 is not a sign
-    assert np.issubdtype(canonical_tournament(4).dtype, np.integer)
-    for c in (canonical_tournament(4).astype(float), canonical_tournament(4) + 0j,
+    assert np.issubdtype(_canonical_tournament(4).dtype, np.integer)
+    for c in (_canonical_tournament(4).astype(float), _canonical_tournament(4) + 0j,
               np.zeros((4, 4), dtype=bool)):
         with pytest.raises(ParameterRangeError, match="integer"):
             skew_spectral_radius(c)
     with pytest.raises(NonHermitianError, match=r"\{-1, 0, 1\}"):
-        skew_spectral_radius(2 * canonical_tournament(4))
+        skew_spectral_radius(2 * _canonical_tournament(4))
 
 
 def test_sign_gate_admits_exactly_skew_sign_stacks():
@@ -261,7 +260,7 @@ def test_gates_reject_nonfinite_entries(bad):
 
 
 def test_skew_radius_stack_shapes():
-    stack = np.stack([canonical_tournament(5), -canonical_tournament(5),
+    stack = np.stack([_canonical_tournament(5), -_canonical_tournament(5),
                       np.zeros((5, 5), dtype=int)])
     rho = skew_spectral_radius(stack)
     assert isinstance(rho, np.ndarray) and rho.shape == (3,)
@@ -373,128 +372,7 @@ def test_dembo_bounds_reject_nonfinite_input(bad, slot):
         dembo_upper(*args)
 
 
-# --- gamma and the block determinant ------------------------------------------
-
-
-def test_gamma_term_length_one():
-    assert gamma_term([1j], [1j]) == 0.0
-
-
-def test_gamma_term_equal_signs():
-    p = 7.0
-    v = np.full(3, 1j / math.sqrt(p))
-    # both sums equal k(k-1)/p^2 = 6/p^2, so gamma vanishes
-    assert abs(gamma_term(v, v)) < 1e-15
-    dd = np.abs(v) ** 2
-    first = float(np.sum(np.abs(v) ** 2 * (dd.sum() - dd)))
-    assert abs(first - 6.0 / p**2) < 1e-16
-
-
-def test_gamma_term_scaled_complex_borders():
-    # magnitude-1e3 complex borders against the paper's literal double sum,
-    # to a tolerance relative to the size of its terms, which cancel
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        c = 1e3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
-        d = 1e3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
-        ref = 0.0
-        scale = 0.0
-        for i in range(10):
-            ci, di = np.delete(c, i), np.delete(d, i)
-            first = abs(c[i]) ** 2 * np.vdot(di, di).real
-            second = c[i] * np.conj(d[i]) * np.dot(di, ci.conj())
-            ref += first - second.real
-            scale += first + abs(second)
-        assert abs(gamma_term(c, d) - ref) <= 1e-12 * scale
-
-
-def _exact_gamma(c, d) -> Fraction:
-    # |c|^2 |d|^2 - |<c, d>|^2 in exact arithmetic from the float inputs
-    fc = [(Fraction(z.real), Fraction(z.imag)) for z in c]
-    fd = [(Fraction(z.real), Fraction(z.imag)) for z in d]
-    cc = sum(x * x + y * y for x, y in fc)
-    dd = sum(x * x + y * y for x, y in fd)
-    re = sum(x * u + y * v for (x, y), (u, v) in zip(fc, fd))
-    im = sum(x * v - y * u for (x, y), (u, v) in zip(fc, fd))
-    return cc * dd - re * re - im * im
-
-
-def _norms2(c, d) -> float:
-    return float(np.vdot(c, c).real * np.vdot(d, d).real)
-
-
-@pytest.mark.parametrize("k", range(1, 13))
-def test_gamma_term_vs_exact_arithmetic(k):
-    rng = np.random.default_rng(100 + k)
-    z = 0.7 - 0.2j
-    for _ in range(20):
-        c, d, e = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(3))
-        # random borders
-        assert abs(Fraction(gamma_term(c, d)) - _exact_gamma(c, d)) <= 2e-15 * _norms2(c, d)
-        # exactly parallel: gamma is a rounding residue, never negative
-        assert 0.0 <= gamma_term(c, z * c) <= 1e-28 * _norms2(c, z * c)
-        # nearly parallel, where the paper's sums cancel to 0.22 relative; at
-        # k = 1 every d is parallel to c
-        d = z * c + 1e-7 * e
-        ref = _exact_gamma(c, d)
-        tol = 1e-6 * ref if k > 1 else 1e-28 * _norms2(c, d)
-        assert gamma_term(c, d) >= 0.0 and abs(Fraction(gamma_term(c, d)) - ref) <= tol
-        # c = 0
-        assert gamma_term(np.zeros(k), e) == 0.0 == _exact_gamma(np.zeros(k), e)
-
-
-def test_gamma_term_rounding_regressions():
-    # the paper's sums gave -5.55e-17 here, and raised NonHermitianError at k = 1
-    c = np.array([0.1 + 0.2j, 0.3 - 0.4j, -0.5 + 0.6j])
-    assert 0.0 <= gamma_term(c, (0.7 - 0.2j) * c) <= 1e-28
-    assert 0.0 <= gamma_term([0.1 + 0.2j], [0.4 + 0.5j]) <= 1e-30
-
-
-def test_gamma_term_bounds_for_sign_patterns():
-    rng = SplitMix64(21)
-    p = 19
-    s = 1.0 / math.sqrt(p)
-    for _ in range(200):
-        k = 2 + rng.below(9)
-        g = gamma_term(_sign_vector(rng, k, s), _sign_vector(rng, k, s))
-        assert g >= -1e-14
-        assert g <= 2.0 * k * (k - 1) / p**2 + 1e-14
-    with pytest.raises(ParameterRangeError):
-        gamma_term([1j, 1j], [1j])
-
-
-def test_block3_det_block_diagonal_case():
-    k = 5
-    blk = BorderedBlock(a=2.0, b=0.0, c=np.zeros(k), d=np.zeros(k), eta=3.0)
-    assert abs(block3_det(blk, 0.0) - 2.0**2 * 3.0**k) < 1e-10
-
-
-def test_block3_det_vs_dense_oracle():
-    rng = SplitMix64(31)
-    worst = 0.0
-    for _ in range(200):
-        k = 2 + rng.below(9)
-        blk = _random_paley_block(rng, 19, k)
-        x = rng.below(2000) / 1000.0 - 0.5
-        dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
-        assert abs(dense.imag) < 1e-12
-        err = abs(block3_det(blk, x) - dense.real) / max(abs(dense.real), 1e-14)
-        worst = max(worst, err)
-    assert worst <= 1e-10
-    with pytest.raises(ParameterRangeError):
-        block3_det(BorderedBlock(1.0, 0.0, [1j], [1j], 1.0))
-
-
-def test_block3_det_nearly_parallel_complex_borders():
-    rng = np.random.default_rng(37)
-    for _ in range(200):
-        k = 2 + int(rng.integers(11))
-        c = rng.normal(size=k) + 1j * rng.normal(size=k)
-        d = (0.7 - 0.2j) * c + 1e-7 * (rng.normal(size=k) + 1j * rng.normal(size=k))
-        blk = BorderedBlock(rng.normal(), complex(rng.normal(), rng.normal()), c, d, rng.normal())
-        x = rng.uniform(-3.0, 3.0)
-        dense = np.linalg.det(blk.assemble() - x * np.eye(blk.order))
-        assert abs(block3_det(blk, x) - dense.real) <= 1e-10 * max(abs(dense.real), 1e-14)
+# --- the bordered block -------------------------------------------------------
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -505,21 +383,9 @@ def test_bordered_block_rejects_nonfinite_input(bad, field):
     fields[field] = [bad, 1.0] if field in ("c", "d") else bad
     with pytest.raises(ParameterRangeError, match="finite"):
         BorderedBlock(**fields)
-    if field in ("c", "d"):
-        with pytest.raises(ParameterRangeError, match="finite"):
-            gamma_term(fields["c"], fields["d"])
 
 
-def test_bordered_block_equality():
-    blk = BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 1.0)
-    assert blk == BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 1.0)
-    assert blk != BorderedBlock(1.0, 0j, [1j, 1j], [1j, 1j], 1.0)
-    assert blk != BorderedBlock(1.0, 0j, [1j, 1j], [1j, -1j], 2.0)
-    with pytest.raises(TypeError):
-        hash(blk)
-
-
-def test_block3_real_cross_term_vanishes_for_paley_data():
+def test_bordered_real_cross_term_vanishes_for_paley_data():
     rng = SplitMix64(41)
     s = 1.0 / math.sqrt(43)
     for _ in range(50):
@@ -663,7 +529,8 @@ def test_peeling_step_quartic_positive_at_threshold():
     # one peeling step: when the gamma inequality (C-D)((2k+1)C - D) < p^2 gamma
     # holds, the bordered-matrix characteristic quartic is strictly positive at
     # the candidate point x = 1 + (k+2)^beta / sqrt(p), i.e. that point is not
-    # an eigenvalue of the comparison matrix
+    # an eigenvalue of the comparison matrix.  The closed form and gamma are
+    # verify's ring arithmetic, here on float pairs
     rng = SplitMix64(61)
     p, beta = 103, 0.7
     s = 1.0 / math.sqrt(p)
@@ -673,11 +540,14 @@ def test_peeling_step_quartic_positive_at_threshold():
         blk = _random_paley_block(rng, p, k, eta=1.0 + k**beta * s)
         d_const = k**beta
         c_const = (k + 2) ** beta
-        gam = gamma_term(blk.c, blk.d)
+        c, d = _parts(blk.c), _parts(blk.d)
+        gam = _lagrange_gamma(c, d)
         lhs = (c_const - d_const) * ((2 * k + 1) * c_const - d_const) / p**2
         if lhs < gam:
             x0 = 1.0 + c_const * s
-            quartic = block3_det(blk, x0) / (blk.eta - x0) ** (k - 2)
+            det, _ = _closed_form_det((blk.a, 0.0), (blk.b.real, blk.b.imag), c, d,
+                                      (blk.eta, 0.0), (x0, 0.0))
+            quartic = det / (blk.eta - x0) ** (k - 2)
             q_dimensionless = quartic * p**2
             expected = (
                 c_const**2 * (c_const - d_const) ** 2

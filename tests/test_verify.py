@@ -23,9 +23,11 @@ from paleyrip.verify import (
     _gauss_det,
     _gdot,
     _gmul,
+    _lagrange_gamma,
     _lemma_k_holds,
     _norm_below,
     _order3_signs,
+    _paper_gamma_sums,
     _tournament_gram,
     _top_below,
 )
@@ -62,7 +64,8 @@ def test_cot_radius_stack_matches_per_matrix_loop(p, monkeypatch):
     assert result.passed and "550 of 550" in result.detail
     canonical = [grams[51 * (n - 2)] for n in range(2, 13)]
     for n, s in zip(range(2, 13), canonical):
-        c = spectra.canonical_tournament(n)
+        ones = np.ones((n, n), dtype=int)
+        c = np.triu(ones, 1) - np.tril(ones, -1)  # +1 above the diagonal, -1 below
         assert s == (c.T @ c).tolist()
     oriented = [s for t, s in enumerate(grams) if t % 51]
     assert len(oriented) == 550
@@ -160,6 +163,34 @@ def test_gamma_check_catches_a_dropped_correction(monkeypatch):
     assert "200 of 200" not in result.detail
 
 
+_GAUSS = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.lists(_GAUSS, min_size=1, max_size=12),
+    z=_GAUSS,
+    e=st.lists(_GAUSS, min_size=12, max_size=12),
+    kind=st.sampled_from(["generic", "parallel", "c0"]),
+)
+def test_gamma_sums_equal_the_lagrange_form(c, z, e, kind):
+    # the paper's two sums are |c|^2 |d|^2 - |d.conj c|^2 over Z[i] for any
+    # borders, not only the sign borders the check draws: never negative,
+    # and 0 exactly when d is parallel to c (k = 1, d = z c, c = 0)
+    k = len(c)
+    d = e[:k]
+    if kind == "parallel":
+        d = [_gmul(z, w) for w in c]
+    elif kind == "c0":
+        c = [(0, 0)] * k
+    first, second = _paper_gamma_sums(c, d)
+    gamma = _lagrange_gamma(c, d)
+    assert (first[0] - second[0], first[1] - second[1]) == (gamma, 0)
+    assert gamma >= 0
+    if k == 1 or kind != "generic":
+        assert gamma == 0
+
+
 def test_block_det_check_catches_a_dropped_cross_term(monkeypatch):
     # the closed form without 2 (eta-x) Re(b (d.conj c)) is wrong at almost every point
     p = 103
@@ -204,11 +235,12 @@ def test_bordered_matrix_is_the_dense_one():
     a, b, eta, x = (3, 0), (1, -2), (-2, 0), (1, 0)
     blk = spectra.BorderedBlock(a=3.0, b=1 - 2j, c=[complex(*z) for z in c],
                                 d=[complex(*z) for z in d], eta=-2.0)
-    dense = blk.assemble() - 1.0 * np.eye(blk.order)
+    dense = blk.assemble() - 1.0 * np.eye(len(c) + 2)
     rows = _bordered_matrix(a, b, c, d, eta, x)
     assert np.array_equal(np.array([[complex(*z) for z in row] for row in rows]), dense)
     assert _gauss_det(rows) == _closed_form_det(a, b, c, d, eta, x)
-    assert _closed_form_det(a, b, c, d, eta, x) == (round(spectra.block3_det(blk, 1.0)), 0)
+    det = np.linalg.det(dense)
+    assert _closed_form_det(a, b, c, d, eta, x) == (round(det.real), round(det.imag))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
