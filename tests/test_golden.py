@@ -1,23 +1,30 @@
-"""Golden stdout of the README's frame, bounds, gram, experiment, fit and verify commands, and the oracles behind them.
+"""Golden stdout of every published output, and the oracles behind them.
 
-The files under tests/golden/ pin the exact bytes each command prints with
-one BLAS thread (conftest.py pins it; the eigensolver's last digits depend on
-the thread count).  A kernel change that moves a last digit must regenerate
-them on purpose, with one thread:
+tests/golden/manifest.json lists the published outputs, one entry each: the
+argv, the golden file under tests/golden/ (null for outputs compared only
+with an ordinary run), whether it runs without numpy, and for some a note
+on what the output pins.  Here every golden command runs in process and
+must print its file's bytes; tests/check_outputs.py runs each listed output
+in a fresh interpreter.  The goldens pin the bytes printed with one BLAS
+thread (conftest.py pins it; the eigensolver's last digits depend on the
+thread count).  A kernel change that moves a last digit must regenerate
+them on purpose, with one thread, from the repository root:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \\
         python -m paleyrip estimate --p 103 --k 30 --seed 1 \\
         > tests/golden/estimate-p103-k30-seed1.csv
 
-and so on for every entry of COMMANDS (the fit entries read their input
-from tests/golden/).  Independently of the bytes, every ripcurve and
-demboratio value is checked against dense eigvalsh of the Gramians of the
-same seeded supports, formed by one numpy product of the frame's columns
-(the pure-Python gram_direct is slow at p = 1019, k = 200), to 1e-12, and
-the fit of every ripcurve golden against numpy's least squares, to 1e-12.
+and so on for every manifest entry with a golden (the fit entries read the
+estimate goldens, so write those first).  Independently of the bytes,
+every ripcurve and demboratio value is checked against dense eigvalsh of the
+Gramians of the same seeded supports, formed by one numpy product of the
+frame's columns (the pure-Python gram_direct is slow at p = 1019, k = 200),
+to 1e-12, and the fit of every ripcurve golden against numpy's least
+squares, to 1e-12.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -31,63 +38,17 @@ from paleyrip.frame import build_frame
 from paleyrip.rng import random_subset, sub_seed
 from paleyrip.spectra import dembo_upper
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+PINNED = {entry["golden"]: entry["argv"] for entry in MANIFEST if entry["golden"]}
+ESTIMATES = [name for name in sorted(PINNED) if name.startswith("estimate-")]
 
 
-def _support(values) -> str:
-    return ",".join(map(str, values))
-
-
-COMMANDS = {
-    "estimate-p103-k30-seed1.csv":
-        ["estimate", "--p", "103", "--k", "30", "--seed", "1"],
-    "estimate-p103-k30-trials1000-seed1.csv":
-        ["estimate", "--p", "103", "--k", "30", "--trials", "1000", "--seed", "1"],
-    "estimate-p1019-k200-trials5-seed1.csv":
-        ["estimate", "--p", "1019", "--k", "200", "--trials", "5", "--seed", "1"],
-    "demboratio-p103-k30-seed1.csv":
-        ["demboratio", "--p", "103", "--k", "30", "--seed", "1"],
-    "conjecture-p19-k12-trials500-seed7.csv":
-        ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
-    "conjecture-p1019-k200-trials100-seed7.csv":  # the montecarlo benchmark's scan size
-        ["conjecture", "--p", "1019", "--k", "200", "--trials", "100", "--seed", "7"],
-    "frame-p7.json":  # the numpy frame's bytes, signed zeros included
-        ["frame", "--p", "7"],
-    "frame-p19.json":
-        ["frame", "--p", "19"],
-    "gram-p7-support0-1-3.json":  # pins the signed zeros of the real parts
-        ["gram", "--p", "7", "--support", "0,1,3"],
-    "gram-p7-support0-1-3-direct.json":  # Python's left-to-right complex sums
-        ["gram", "--p", "7", "--support", "0,1,3", "--method", "direct"],
-    "conjecture-p5-support0-4.json":
-        ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
-    "conjecture-p43-peel.json":
-        ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
-    "gram-p19-k8.json":
-        ["gram", "--p", "19", "--support", "3,18,0,7,12,1,9,14"],
-    "conjecture-p13-k8.json":  # p = 1 (mod 4): the sign matrix is symmetric
-        ["conjecture", "--p", "13", "--support", "2,11,5,0,7,12,8,3"],
-    "conjecture-p103-k70-seed5.json":  # past one 64-bit word
-        ["conjecture", "--p", "103", "--support", _support(random_subset(103, 70, 5))],
-    "conjecture-p1019-k201-seed3-peel.json":  # odd k, 99 steps
-        ["conjecture", "--p", "1019", "--support", _support(random_subset(1019, 201, 3)),
-         "--peel"],
-    "bounds-p1009-k4.json":
-        ["bounds", "--p", "1009", "--k", "4"],
-    "bounds-p103-k30-beta0.7.json":
-        ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
-    "bounds-p7-k2.json":  # pins the null recursive families below k = 3
-        ["bounds", "--p", "7", "--k", "2"],
-    "fit-estimate-p103-k30-seed1.json":
-        ["fit", "--input", str(GOLDEN / "estimate-p103-k30-seed1.csv")],
-    "fit-estimate-p103-k30-trials1000-seed1.json":
-        ["fit", "--input", str(GOLDEN / "estimate-p103-k30-trials1000-seed1.csv")],
-    "verify-p103.json":
-        ["verify", "--p", "103"],
-    "verify-p7.json":
-        ["verify", "--p", "7"],
-}
-ESTIMATES = [name for name in sorted(COMMANDS) if name.startswith("estimate-")]
+def _ints(name: str, *flags: str):
+    """The values of flags in the argv of golden name, as ints."""
+    return (int(PINNED[name][PINNED[name].index(flag) + 1]) for flag in flags)
 
 
 def _rows(name: str) -> list[dict]:
@@ -107,9 +68,16 @@ def _dense_extremes(p: int, supports, k: int) -> list[tuple[float, float]]:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_stdout_bytes(name, capsys):
-    assert main(COMMANDS[name]) == 0
+def test_manifest_lists_every_golden():
+    names = [entry["golden"] for entry in MANIFEST if entry["golden"]]
+    assert len(names) == len(set(names))
+    assert set(names) == {path.name for path in GOLDEN.iterdir()} - {"manifest.json"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_golden_stdout_bytes(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # where the fit entries' input paths start
+    assert main(PINNED[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
@@ -119,8 +87,7 @@ def test_golden_stdout_bytes(name, capsys):
     ("estimate-p1019-k200-trials5-seed1.csv", 5),
 ])
 def test_golden_ripcurve_matches_dense_oracle(name, trials):
-    args = COMMANDS[name]
-    p, k, seed = (int(args[args.index(flag) + 1]) for flag in ("--p", "--k", "--seed"))
+    p, k, seed = _ints(name, "--p", "--k", "--seed")
     if trials == 1:
         supports = [random_subset(p, k, seed)]
     else:
@@ -155,8 +122,9 @@ def test_golden_fit_matches_numpy_formula(name):
 
 
 def test_golden_demboratio_matches_dense_oracle():
-    p, k, seed = 103, 30, 1
-    rows = _rows("demboratio-p103-k30-seed1.csv")
+    name = "demboratio-p103-k30-seed1.csv"
+    p, k, seed = _ints(name, "--p", "--k", "--seed")
+    rows = _rows(name)
     assert [int(r["j"]) for r in rows] == list(range(2, k + 1))
     tops = [hi for _, hi in _dense_extremes(p, [random_subset(p, k, seed)], k)]
     for r in rows:

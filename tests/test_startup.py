@@ -1,15 +1,15 @@
 """Start-up loads only what a command runs.
 
-`import paleyrip`, `--help`, `--version`, `frame`, `bounds`, `fit`, `gram`
-with either method, `conjecture` in all three modes (`--support`,
-`--support --peel` and the `--k` scan, in CSV and JSON) and `verify` must
-work with numpy unimportable (`sys.modules["numpy"] = None` makes any import of it raise), and print
-the same bytes as an ordinary run; so must each of them with `dataclasses`
-unimportable as well, since the modules they run keep their records in
-NamedTuples.  `bounds` itself is loaded only by the commands that evaluate
-bounds, and `pairs` only by `conjecture` (and by `exact_rip`, which no
-command runs); `verify` loads no `spectra`.  The witness search
-`pairs.cot_witness` runs without numpy.
+`import paleyrip` loads no submodule.  Every published output that
+tests/golden/manifest.json marks as numpy-free must run with numpy
+unimportable (`sys.modules["numpy"] = None` makes any import of it raise)
+and with `dataclasses` unimportable too, since the modules those commands
+run keep their records in NamedTuples, and print its golden bytes or, with
+no golden, the same bytes as an ordinary run: tests/check_outputs.py
+checks that, and one test here runs it.  `bounds` itself is loaded only by
+the commands that evaluate bounds, and `pairs` only by `conjecture` (and by
+`exact_rip`, which no command runs); `verify` loads no `spectra`.  The
+witness search `pairs.cot_witness` runs without numpy.
 """
 
 import subprocess
@@ -40,28 +40,7 @@ EAGER_NAMES = [
     "sub_seed", "verify",
 ]
 
-NUMPY_FREE_COMMANDS = [
-    ["--version"],
-    ["--help"],
-    ["frame", "--p", "7"],
-    ["bounds", "--p", "1009", "--k", "4"],
-    ["bounds", "--p", "103", "--k", "30", "--beta", "0.7"],
-    ["fit", "--input", "tests/golden/estimate-p103-k30-seed1.csv"],
-    ["gram", "--p", "7", "--support", "0,1,3"],
-    ["gram", "--p", "7", "--support", "0,1,3", "--method", "direct"],
-    ["conjecture", "--p", "5", "--support", "0,1,2,3,4"],
-    ["conjecture", "--p", "43", "--support", "1,5,9,12,17,20,22,30,33,38,40,41", "--peel"],
-    ["conjecture", "--p", "19", "--k", "12", "--trials", "500", "--seed", "7"],
-    ["conjecture", "--p", "43", "--k", "8", "--trials", "200", "--seed", "7", "--format", "json"],
-    ["verify", "--p", "7"],
-    ["verify", "--p", "103"],
-]
-
 _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
-_BLOCK_DATACLASSES = "sys.modules['dataclasses'] = None\n"
-
-
-# Subprocesses run from the repository root, where the fit command's input path starts.
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -69,40 +48,25 @@ def _python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
 
 
-def _cli(argv, block_numpy: bool, block_dataclasses: bool = False) -> subprocess.CompletedProcess:
-    run = (
-        "import runpy, sys\n"
-        f"sys.argv = {['paleyrip', *argv]!r}\n"
-        "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"
-    )
-    blocked = (_BLOCK_NUMPY if block_numpy else "") + (_BLOCK_DATACLASSES if block_dataclasses else "")
-    return _python(blocked + run)
+def _last_line(code: str) -> str:
+    """The last line code prints, run after `import sys` and `from paleyrip.cli import main`."""
+    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n")
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
-def test_command_runs_without_numpy(argv):
-    blocked = _cli(argv, block_numpy=True)
-    assert blocked.returncode == 0, blocked.stderr
-    plain = subprocess.run([sys.executable, "-m", "paleyrip", *argv],
-                           capture_output=True, text=True, cwd=ROOT)
-    assert plain.returncode == 0, plain.stderr
-    assert blocked.stdout == plain.stdout
-    assert blocked.stdout
-
-
-@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
-def test_command_runs_without_dataclasses(argv):
-    blocked = _cli(argv, block_numpy=True, block_dataclasses=True)
-    assert blocked.returncode == 0, blocked.stderr
-    plain = _cli(argv, block_numpy=False)
-    assert plain.returncode == 0, plain.stderr
-    assert blocked.stdout == plain.stdout
-    assert blocked.stdout
+def test_published_outputs():
+    # every manifest entry this interpreter can run, each in its own process
+    res = subprocess.run([sys.executable, str(ROOT / "tests" / "check_outputs.py")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1].endswith(" ok, 0 FAIL, 0 skip"), res.stdout
 
 
 @pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4)])
 def test_validation_error_without_numpy(argv, code):
-    blocked = _cli(argv.split(), block_numpy=True)
+    blocked = _python(_BLOCK_NUMPY + f"sys.argv = {['paleyrip', *argv.split()]!r}\nimport runpy\n"
+                      "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n")
     assert blocked.returncode == code, blocked.stderr
     assert blocked.stderr.startswith("paleyrip bounds: "), blocked.stderr
 
@@ -130,10 +94,7 @@ def test_exact_arithmetic_loaded_on_demand(code):
     ("main(['verify', '--p', '7'])", True),
 ])
 def test_bounds_loaded_only_where_evaluated(code, loaded):
-    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
-                  "print('paleyrip.bounds' in sys.modules)\n")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == str(loaded)
+    assert _last_line(f"{code}\nprint('paleyrip.bounds' in sys.modules)") == str(loaded)
 
 
 @pytest.mark.parametrize("code, loaded", [
@@ -143,10 +104,7 @@ def test_bounds_loaded_only_where_evaluated(code, loaded):
     ("main(['demboratio', '--p', '19', '--k', '5'])", False),
 ])
 def test_pairs_loaded_only_by_conjecture(code, loaded):
-    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
-                  "print('paleyrip.pairs' in sys.modules)\n")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == str(loaded)
+    assert _last_line(f"{code}\nprint('paleyrip.pairs' in sys.modules)") == str(loaded)
 
 
 @pytest.mark.parametrize("code", [
@@ -154,19 +112,14 @@ def test_pairs_loaded_only_by_conjecture(code, loaded):
     "main(['demboratio', '--p', '19', '--k', '5'])",
 ])
 def test_array_commands_load_numpy(code):
-    # the positive control of the numpy-free commands above
-    res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n"
-                  "print('numpy' in sys.modules)\n")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "True"
+    # the positive control of the numpy-free outputs that check_outputs.py blocks numpy for
+    assert _last_line(f"{code}\nprint('numpy' in sys.modules)") == "True"
 
 
 def test_verify_loads_neither_numpy_nor_spectra():
     # every check decides in Python ints
-    res = _python("import sys\nfrom paleyrip.cli import main\nmain(['verify', '--p', '7'])\n"
-                  "print(sorted({'numpy', 'paleyrip.spectra'} & set(sys.modules)))\n")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert _last_line("main(['verify', '--p', '7'])\n"
+                      "print(sorted({'numpy', 'paleyrip.spectra'} & set(sys.modules)))") == "[]"
 
 
 def test_import_without_numpy():
