@@ -24,11 +24,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-BLOCKED = [sys.executable, "-c",
-           "import runpy, sys\n"
-           "sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
-           "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"]
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 PLAIN = [sys.executable, "-m", "paleyrip"]
+
+
+def blocked(modules: tuple[str, ...]) -> list[str]:
+    """The command line that runs paleyrip with each of modules unimportable."""
+    return [sys.executable, "-c", "import runpy, sys\n"
+            + "".join(f"sys.modules[{name!r}] = None\n" for name in modules)
+            + "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"]
 
 
 def _stdout(cmd: list[str]) -> bytes:
@@ -39,11 +43,14 @@ def _stdout(cmd: list[str]) -> bytes:
     return res.stdout
 
 
-def check(entry: dict) -> str:
-    """'' if the entry prints its expected bytes, else what went wrong."""
+def check(entry: dict, block: tuple[str, ...] = ("numpy", "dataclasses")) -> str:
+    """'' if the entry prints its expected bytes, else what went wrong.
+
+    A numpy-free entry runs with the modules in block unimportable.
+    """
     argv = entry["argv"]
     try:
-        got = _stdout((BLOCKED if entry["numpy_free"] else PLAIN) + argv)
+        got = _stdout((blocked(block) if entry["numpy_free"] else PLAIN) + argv)
         want = (GOLDEN / entry["golden"]).read_bytes() if entry["golden"] else _stdout(PLAIN + argv)
     except (OSError, RuntimeError) as exc:
         return str(exc)
@@ -54,12 +61,11 @@ def check(entry: dict) -> str:
 
 
 def main() -> int:
-    manifest = json.loads((GOLDEN / "manifest.json").read_text())
     have_numpy = importlib.util.find_spec("numpy") is not None
     origin = importlib.util.find_spec("paleyrip").origin
     print(f"paleyrip from {origin}; numpy importable: {have_numpy}")
     counts = {"ok": 0, "FAIL": 0, "skip": 0}
-    for entry in manifest:
+    for entry in MANIFEST:
         shown = " ".join(a if len(a) <= 40 else a[:37] + "..." for a in entry["argv"])
         if not (entry["numpy_free"] or have_numpy):
             status, note = "skip", ": needs numpy"

@@ -2,11 +2,12 @@
 
 `import paleyrip` loads no submodule.  Every published output that
 tests/golden/manifest.json marks as numpy-free must run with numpy
-unimportable (`sys.modules["numpy"] = None` makes any import of it raise)
+unimportable (`sys.modules["numpy"] = None` makes any import of it raise),
 and with `dataclasses` unimportable too, since the modules those commands
 run keep their records in NamedTuples, and print its golden bytes or, with
 no golden, the same bytes as an ordinary run: tests/check_outputs.py
-checks that, and one test here runs it.  `bounds` itself is loaded only by
+checks that, one test here runs it whole, and two test each entry with
+one and with both modules blocked.  `bounds` itself is loaded only by
 the commands that evaluate bounds, and `pairs` only by `conjecture` (and by
 `exact_rip`, which no command runs); `verify` loads no `spectra`.  The
 witness search `pairs.cot_witness` runs without numpy.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import check_outputs  # tests/check_outputs.py, beside this file
 import paleyrip
 
 # Every public name of the package, submodules included, as an __init__
@@ -53,6 +55,19 @@ def _last_line(code: str) -> str:
     res = _python(f"import sys\nfrom paleyrip.cli import main\n{code}\n")
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()[-1]
+
+
+NUMPY_FREE = [entry for entry in check_outputs.MANIFEST if entry["numpy_free"]]
+
+
+@pytest.mark.parametrize("entry", NUMPY_FREE, ids=lambda entry: " ".join(entry["argv"]))
+def test_command_runs_without_numpy(entry):
+    assert check_outputs.check(entry, ("numpy",)) == ""
+
+
+@pytest.mark.parametrize("entry", NUMPY_FREE, ids=lambda entry: " ".join(entry["argv"]))
+def test_command_runs_without_dataclasses(entry):
+    assert check_outputs.check(entry, ("numpy", "dataclasses")) == ""
 
 
 def test_published_outputs():
