@@ -21,7 +21,6 @@ _EXPORTS = {
         "build_report",
         "family_bounds",
         "find_c_alpha",
-        "lemma_k_inequality",
         "max_sparsity",
     ),
     "errors": (
@@ -35,7 +34,6 @@ _EXPORTS = {
     ),
     "experiments": (
         "DemboRatioRow",
-        "RipEstimate",
         "dembo_ratio_study",
         "estimate_rip_single",
         "estimate_rip_worst",

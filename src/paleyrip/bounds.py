@@ -1,4 +1,4 @@
-"""Closed-form RIP bound families and the scalar inequality checkers.
+"""Closed-form RIP bound families and the c_alpha search of the conditional family.
 
 All families bound delta_k for the Paley construction by f(k)/sqrt(p):
 
@@ -36,7 +36,6 @@ DEMBO_C = 1.0 / (2.0 * (2.0 - math.sqrt(3.0)))
 GENERALIZED_OFFSET = (2.0 / 3.0) * (2.0 - math.sqrt(3.0))
 
 RECOVERY_THRESHOLD = 1.0 / math.sqrt(2.0)
-LEMMA_K_SLACK = 1e-12  # equality slack of the float lemma_k_inequality
 
 
 class Family(NamedTuple):
@@ -89,10 +88,9 @@ class SparsityThreshold(NamedTuple):
     `max_even` is the largest even m with family-bound(m) < 1/sqrt(2);
     `floor_threshold` is the family's printed closed-form floor where one
     exists, reported side by side because the printed value may be odd
-    while a sparsity budget is even.
+    while a sparsity budget is even.  The family is the caller's argument.
     """
 
-    family: str
     max_even: int
     floor_threshold: int | None
 
@@ -109,24 +107,7 @@ def max_sparsity(p, family: str) -> SparsityThreshold:
         if (1.0 if m == 2 else fam.f(m)) / math.sqrt(p) >= RECOVERY_THRESHOLD:
             break
         best = m
-    return SparsityThreshold(family, best, fam.floor(p) if fam.floor else None)
-
-
-def lemma_k_inequality(c: float, k: int) -> bool:
-    """Single-step inductive inequality behind the recursive family.
-
-    Checks (k - 1/(ck))/2 + sqrt((k - 1/(ck))^2/4 + k + 1) <= k + 1 - 1/(c(k+1))
-    in floating point with the equality slack LEMMA_K_SLACK.
-    """
-    if c < 1.0:
-        raise ParameterRangeError(f"c must be >= 1, got {c}")
-    k = int(k)
-    if k < 1:
-        raise ParameterRangeError(f"lemma_k_inequality takes k >= 1, got {k}")
-    t = k - 1.0 / (c * k)
-    lhs = t / 2.0 + math.sqrt(t * t / 4.0 + k + 1.0)
-    rhs = k + 1.0 - 1.0 / (c * (k + 1.0))
-    return lhs <= rhs + LEMMA_K_SLACK
+    return SparsityThreshold(best, fam.floor(p) if fam.floor else None)
 
 
 # --- smallest integer satisfying 12 c^(1+beta) < (1-alpha) c^2 - 2c ---------

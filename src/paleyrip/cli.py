@@ -100,12 +100,11 @@ def _parse_support(p: int, text: str, check) -> tuple[int, ...]:
     return reduced
 
 
-def _ripcurve_rows(est) -> list[dict]:
+def _ripcurve_rows(p: int, d) -> list[dict]:
     from .bounds import family_bounds
 
-    return [{"j": j, "d": float(est.d[j - 1]),
-             **{name: bounds[name] for name in RIPCURVE_COLUMNS[2:]}}
-            for j in range(1, est.k + 1) for bounds in (family_bounds(j, est.p),)]
+    return [{"j": j, "d": float(v), **{name: bounds[name] for name in RIPCURVE_COLUMNS[2:]}}
+            for j, v in enumerate(d, start=1) for bounds in (family_bounds(j, p),)]
 
 
 # --- command handlers: each returns (text, extra_meta, exit_code) -----------
@@ -141,12 +140,12 @@ def _cmd_estimate(args):
     from . import experiments
 
     if args.trials == 1:
-        est = experiments.estimate_rip_single(args.p, args.k, args.seed)
+        d = experiments.estimate_rip_single(args.p, args.k, args.seed)
     else:
-        est = experiments.estimate_rip_worst(args.p, args.k, args.trials, args.seed)
-    rows = _ripcurve_rows(est)
+        d = experiments.estimate_rip_worst(args.p, args.k, args.trials, args.seed)
+    rows = _ripcurve_rows(args.p, d)
     if args.format == "json":
-        doc = {"p": est.p, "k": est.k, "seed": est.seed, "trials": est.trials, "rows": rows}
+        doc = {"p": args.p, "k": args.k, "seed": args.seed, "trials": args.trials, "rows": rows}
         return _json_text(doc), {}, 0
     return _csv_text(RIPCURVE_COLUMNS, rows), {}, 0
 
@@ -190,17 +189,17 @@ def _cmd_demboratio(args):
     return _csv_text(DEMBORATIO_COLUMNS, rows), {}, 0
 
 
-def _record_doc(rec) -> dict:
+def _record_doc(rec, p: int, alpha: float) -> dict:
     return {
-        "p": rec.p,
+        "p": p,
         "support": list(rec.support),
         "pair": list(rec.pair),
         "pair_values": [rec.support[rec.pair[0]], rec.support[rec.pair[1]]],
         "numerator": rec.numerator,
         "ratio": rec.ratio,
-        "alpha": rec.alpha,
+        "alpha": alpha,
         "satisfied": rec.satisfied,
-        "zero_terms": rec.zero_terms,
+        "zero_terms": 0,  # a support of distinct residues has no chi(0) term
     }
 
 
@@ -238,14 +237,14 @@ def _cmd_conjecture(args):
         if args.peel:
             trace = pairs.greedy_peel(args.p, support, args.alpha, args.m_alpha)
             doc = {"p": args.p, "alpha": args.alpha, "m_alpha": args.m_alpha,
-                   "steps": [_record_doc(rec) for rec in trace],
+                   "steps": [_record_doc(rec, args.p, args.alpha) for rec in trace],
                    "all_satisfied": all(rec.satisfied for rec in trace)}
             return _json_text(doc), {}, 0
         rec = pairs.conjecture_search(args.p, support, args.alpha)
-        return _json_text(_record_doc(rec)), {}, 0
+        return _json_text(_record_doc(rec, args.p, args.alpha)), {}, 0
     summary = pairs.conjecture_scan(args.p, args.k, args.trials, args.alpha, args.seed)
     rows = [
-        {"trial": t, "k": summary.k, "best_i": r.pair[0], "best_j": r.pair[1],
+        {"trial": t, "k": args.k, "best_i": r.pair[0], "best_j": r.pair[1],
          "ratio": r.ratio, "satisfied": r.satisfied}
         for t, r in enumerate(summary.records)
     ]
@@ -257,8 +256,8 @@ def _cmd_conjecture(args):
         }
     }
     if args.format == "json":
-        doc = {"p": summary.p, "k": summary.k, "trials": summary.trials,
-               "seed": summary.seed, "alpha": summary.alpha,
+        doc = {"p": args.p, "k": args.k, "trials": args.trials,
+               "seed": args.seed, "alpha": args.alpha,
                "rows": rows, **meta}
         return _json_text(doc), meta, 0
     print(f"summary: fraction_satisfied={_fmt(summary.fraction_satisfied)} "

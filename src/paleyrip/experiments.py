@@ -26,6 +26,16 @@ own candidate budget: a support with rho(C_T) = cot(pi/2k), the skew_cot
 bound, is a lower bound that meets the upper bound.  EXACT_RIP_GUARD
 bounds only the orbit enumeration that runs when it finds none.
 
+Every support of order k >= (p+3)/2 has delta_T = 1 exactly, so no
+experiment solves there.  The p x p sign matrix C of all of Z_p has
+C^T C = pI - J.  Its columns T hold C_T in the rows T and a (p - k) x k
+block B in the other rows, so C_T^T C_T = pI - J - B^T B.  J + B^T B is
+positive semidefinite of rank at most p - k + 1, which is below k, so
+C_T^T C_T has the eigenvalue p and none above it: rho(C_T) = sqrt p.  The
+curves are 1.0 at those orders and exact_rip returns 1.0, where a computed
+radius would exceed 1 by rounding.  A curve is returned as the float64
+array d(1..k) alone: its caller holds the arguments.
+
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Trial seeds come from rng.trial_seeds, a
 run's supports are drawn in one rng.random_subsets call (bit-exact with
@@ -36,7 +46,6 @@ outcomes do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import NamedTuple
 
@@ -84,8 +93,12 @@ def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
     ])
 
 
-def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
+def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
     """d(j) = max over the supports idx[t] of rho(C_j)/sqrt p for each prefix order j.
+
+    The orders run j = 1..idx.shape[1]; d(j) is 1.0 for j >= (p+3)/2 (see the
+    module docstring), so the walk below builds and solves orders up to
+    k = min(idx.shape[1], (p+1)/2) only.
 
     C_j is the leading j x j block of C_{j+1}, so by Cauchy interlacing each
     trial's radius is nondecreasing in j, and its last solved radius is an
@@ -104,6 +117,9 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
     exact integer downdate, so only that one product is held.  Order k is
     solved as a stack, so the held product starts at order k - 1.
     """
+    k = min(idx.shape[1], (p + 1) // 2)
+    ceiling = np.ones(idx.shape[1] - k)
+    idx = idx[:, :k]
     rho = np.zeros(k)
     group = max(1, _STORED_ENTRIES // (k * k))
     for g in range(0, len(idx), group):
@@ -143,56 +159,27 @@ def _worst_curve(p: int, idx: np.ndarray, k: int) -> np.ndarray:
                 best = max(best, ub[chunk].max())
                 size = min(2 * size, _batch(j))
             rho[j - 1] = best
-    return rho / math.sqrt(p)
+    return np.concatenate([rho / math.sqrt(p), ceiling])
 
 
-@dataclass(frozen=True, eq=False)
-class RipEstimate:
-    """Empirical RIP lower-bound curve d(1..k) with full provenance.
+def estimate_rip_single(p, k: int, seed: int = 0) -> np.ndarray:
+    """The empirical RIP lower-bound curve d(1..k) of one uniformly random k-subset.
 
     d[j-1] = rho(C_j)/sqrt p, where C_j is the sign matrix of the j-prefix,
     is max(lambda_max(G_j) - 1, 1 - lambda_min(G_j)); d[0] (order 1) is 0.
-    Within a trial the supports are nested prefixes of one random draw, so d
-    is nondecreasing in exact arithmetic, by eigenvalue interlacing of
-    principal submatrices; at ties, common near j = p, a computed value can
-    dip by a rounding step, never by more than _INTERLACING_SLACK relative.
-    `supports` is the (trials, k) array of drawn column indices, row t the
-    support of trial t in draw order.  Two estimates are equal when their
-    fields are, the arrays compared whole; like the arrays, they are unhashable.
-    """
-
-    p: int
-    k: int
-    seed: int
-    trials: int
-    d: np.ndarray = field(repr=False)
-    supports: np.ndarray = field(repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, RipEstimate):
-            return NotImplemented
-        return ((self.p, self.k, self.seed, self.trials)
-                == (other.p, other.k, other.seed, other.trials)
-                and np.array_equal(self.d, other.d)
-                and np.array_equal(self.supports, other.supports))
-
-    __hash__ = None
-
-
-def estimate_rip_single(p, k: int, seed: int = 0) -> RipEstimate:
-    """d(j) for j = 1..k from one uniformly random k-subset.
-
-    Each nested prefix gives d(j) = rho(C_j)/sqrt p; the draw is a pure
-    function of (p, k, seed).
+    The prefixes are nested, so d is nondecreasing in exact arithmetic, by
+    eigenvalue interlacing of principal submatrices; at ties a computed
+    value can dip by a rounding step, never by more than _INTERLACING_SLACK
+    relative.  The draw is random_subset(p, k, seed), a pure function of
+    (p, k, seed).
     """
     p = check_paley(p)
     k = check_k(k, p, 2)
-    idx = random_subsets(p, k, [seed])
-    return RipEstimate(p, k, int(seed), 1, _worst_curve(p, idx, k), idx)
+    return _worst_curve(p, random_subsets(p, k, [seed]))
 
 
-def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
-    """Pointwise max of d(j) over `trials` independent single-support runs.
+def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> np.ndarray:
+    """Pointwise max of the curves d(1..k) of `trials` independent single-support runs.
 
     Trial t uses seed t of rng.trial_seeds; all supports come from one
     random_subsets draw.  Every trial is solved at order k; below
@@ -203,8 +190,7 @@ def estimate_rip_worst(p, k: int, trials: int, seed: int = 0) -> RipEstimate:
     p = check_paley(p)
     seeds = trial_seeds(seed, trials)
     k = check_k(k, p, 2)
-    idx = random_subsets(p, k, seeds)
-    return RipEstimate(p, k, int(seed), len(seeds), _worst_curve(p, idx, k), idx)
+    return _worst_curve(p, random_subsets(p, k, seeds))
 
 
 def exact_rip(p, k: int) -> float:
@@ -219,12 +205,16 @@ def exact_rip(p, k: int) -> float:
     binomial(p-2, k-2) orbit representatives solved, at order k, as max
     rho(C_T)/sqrt p; EXACT_RIP_GUARD bounds that enumeration, and the error
     it raises says how the witness search ended.  This is the oracle the
-    closed-form bounds are checked against.
+    closed-form bounds are checked against.  For k >= (p+3)/2 it returns
+    1.0 before any search: every k-support has delta_T = 1 exactly (see the
+    module docstring).
     """
     p = check_paley(p)
     k = check_k(k, p, 1)
     if k == 1:
         return 0.0  # C_T = [0]; there is no pair to fix
+    if 2 * k >= p + 3:
+        return 1.0
     from .pairs import _BudgetSpent, _cot_search  # the curve commands never load pairs
     try:
         if (witness := _cot_search(p, k, _WITNESS_CANDIDATES)) is not None:
@@ -265,7 +255,7 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     """
     p = check_paley(p)
     k = check_k(k, p, 3)
-    d = estimate_rip_single(p, k, seed).d
+    d = estimate_rip_single(p, k, seed)
     sqrt_p = math.sqrt(p)
     rows = []
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix

@@ -19,7 +19,7 @@ DEFAULT_FIT_JMIN = 3
 def fit_power_law(d, j_min: int = DEFAULT_FIT_JMIN) -> tuple[float, float, float]:
     """Least-squares slope of log d(j) on log j over j in [j_min, k].
 
-    `d` is the curve d(1..k), as in RipEstimate.d.  Nonpositive and
+    `d` is the curve d(1..k), as the estimates return it.  Nonpositive and
     non-finite d(j) are skipped.  Returns (beta, intercept, r2).  The
     default window starts at 3 because d(2) and d(3) are deterministic for
     this construction and would bias the slope of the stochastic regime.

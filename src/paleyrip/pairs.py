@@ -30,7 +30,9 @@ are never reindexed, and no p-mask table is held.
 This is the one place a pair numerator is computed.  `conjecture_scan`,
 the Monte Carlo scan over many supports, draws each with the scalar
 `rng.random_subset` and runs `conjecture_search`'s peel on it, so the scan
-loads no numpy either; `one_sided_ratio` is the scalar oracle.
+loads no numpy either; `one_sided_ratio` is the scalar oracle.  The
+records hold results only: p, k, alpha, the seed and the trial count are
+the caller's arguments.
 """
 
 from __future__ import annotations
@@ -49,19 +51,15 @@ class ConjectureRecord(NamedTuple):
     """Best balanced pair found in one support.
 
     `numerator` is the exact integer |sum over the one-sided difference set
-    of chi(r_i - r_l) chi(r_j - r_l)|; ratio = numerator / (k - 2).
-    `zero_terms` counts off-diagonal chi-arguments that vanish mod p; a
-    validated support of distinct residues has none, so it is always 0.
+    of chi(r_i - r_l) chi(r_j - r_l)|; ratio = numerator / (k - 2), and
+    `satisfied` is ratio < alpha.
     """
 
-    p: int
     support: tuple[int, ...]
     pair: tuple[int, int]
     ratio: float
-    alpha: float
     satisfied: bool
-    numerator: int = 0
-    zero_terms: int = 0
+    numerator: int
 
 
 def check_alpha(alpha) -> float:
@@ -140,8 +138,8 @@ def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[
         num, i, j = best_pair(order, alive)
         ratio = num / (len(order) - 2)
         records.append(ConjectureRecord(
-            p=p, support=tuple(support[x] for x in order), pair=(i, j), ratio=ratio,
-            alpha=float(alpha), satisfied=ratio < alpha, numerator=num,
+            support=tuple(support[x] for x in order), pair=(i, j), ratio=ratio,
+            satisfied=ratio < alpha, numerator=num,
         ))
         alive ^= 1 << support[order[i]] | 1 << support[order[j]]
         del order[j], order[i]
@@ -249,11 +247,8 @@ def _cot_search(p: int, k: int, budget: float) -> tuple[int, ...] | None:
 
 
 class ConjectureScanSummary(NamedTuple):
-    p: int
-    k: int
-    trials: int
-    seed: int
-    alpha: float
+    """The scan's records, one per trial in trial order, and the worst of them."""
+
     records: tuple[ConjectureRecord, ...]
     fraction_satisfied: float
     worst_ratio: float
@@ -279,7 +274,6 @@ def conjecture_scan(p, k: int, trials: int, alpha: float = 0.8,
     worst = max(range(trials), key=lambda t: (records[t].ratio, -t))
     frac = sum(r.satisfied for r in records) / trials
     return ConjectureScanSummary(
-        p=p, k=k, trials=trials, seed=int(seed), alpha=float(alpha),
         records=tuple(records), fraction_satisfied=frac,
         worst_ratio=records[worst].ratio, worst_support=records[worst].support,
     )

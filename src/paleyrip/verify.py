@@ -269,15 +269,11 @@ def _lemma_k_holds(c: Fraction) -> bool:
 
 
 def _check_lemma_k(p, rng) -> CheckResult:
-    constants = (1.0, bounds.DEMBO_C, 2.0, 10.0)
-    proved = all(_lemma_k_holds(Fraction(c)) for c in constants)
-    failures = sum(not bounds.lemma_k_inequality(c, k)
-                   for c in constants for k in (1, 2, 3, 10, 100, 1000))
+    proved = all(_lemma_k_holds(Fraction(c)) for c in (1.0, bounds.DEMBO_C, 2.0, 10.0))
     return CheckResult(
-        "lemma_k_inequality", proved and failures == 0,
+        "lemma_k_inequality", proved,
         f"c in {{1, 1/(2(2-sqrt3)), 2, 10}}: exact margin (c(k+1) - 1)/(c^2 k (k+1)^2) > 0 "
-        f"and R > t/2 for every k >= 1: {proved}; "
-        f"float failures at k in {{1, 2, 3, 10, 100, 1000}}: {failures}",
+        f"and R > t/2 for every k >= 1: {proved}",
     )
 
 

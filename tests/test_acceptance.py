@@ -19,7 +19,6 @@ from paleyrip.bounds import (
     build_report,
     family_bounds,
     find_c_alpha,
-    lemma_k_inequality,
 )
 from paleyrip.experiments import (
     dembo_ratio_study,
@@ -152,9 +151,9 @@ def test_criterion_06_bound_soundness():
         worst = estimate_rip_worst(p, 7, trials=2000, seed=606)
         for j in range(2, 8):
             for name, val in _families(j, p).items():
-                if val < worst.d[j - 1] - 1e-9:
+                if val < worst[j - 1] - 1e-9:
                     ok = False
-                    detail.append(f"p={p} j={j} {name}={val:.6f} < d'={worst.d[j-1]:.6f}")
+                    detail.append(f"p={p} j={j} {name}={val:.6f} < d'={worst[j-1]:.6f}")
     _report(6, ok,
             "every family >= exhaustive RIP at p=7 (k<=7) and >= d'(j) from "
             f"2000 supports at p in {{19,43}}{'; ' + '; '.join(detail) if detail else ''}")
@@ -176,8 +175,7 @@ def test_criterion_07_dembo_vs_gershgorin_dominance():
 def test_criterion_08_power_law_band():
     betas = []
     for seed in range(100):
-        est = estimate_rip_single(103, 30, seed=seed)
-        betas.append(fit_power_law(est.d)[0])
+        betas.append(fit_power_law(estimate_rip_single(103, 30, seed=seed))[0])
     med = statistics.median(betas)
     lo, hi = min(betas), max(betas)
     ok = 0.58 <= med <= 0.72 and lo >= 0.50 and hi <= 0.80
@@ -190,8 +188,8 @@ def test_criterion_09_figure2_stability():
     seed = 0
     single = estimate_rip_worst(103, 30, trials=1, seed=seed)
     worst = estimate_rip_worst(103, 30, trials=1000, seed=seed)
-    b1 = fit_power_law(single.d)[0]
-    b1000 = fit_power_law(worst.d)[0]
+    b1 = fit_power_law(single)[0]
+    b1000 = fit_power_law(worst)[0]
     diff = abs(b1000 - b1)
     _report(9, diff <= 0.08,
             f"slope stability, master seed {seed}: beta(1)={b1:.4f}, "
@@ -273,19 +271,23 @@ def test_criterion_11_block_determinant_identity():
             f"{worst_rel:.2e} (tol 1e-10); min gamma {min_gamma:.2e} (>= -1e-14)")
 
 
+def _lemma_k_squared_holds(c: Fraction, k: int) -> bool:
+    # the step lemma squared at one k, in Fractions: R > t/2 and
+    # t^2/4 + k + 1 < (R - t/2)^2, without verify's closed form
+    t, r = k - 1 / (c * k), k + 1 - 1 / (c * (k + 1))
+    return r > t / 2 and t * t / 4 + k + 1 < (r - t / 2) ** 2
+
+
 def test_criterion_12_lemma_k_inequality():
-    # past k ~ 4,600 at c = 10 the true margin is below the float check's
-    # 1e-12 slack, so the float samples alone cannot fail there; the exact
-    # Fraction decision covers every k >= 1, the sampled ones included
+    # verify's closed-form decision covers every k >= 1; each k up to 10^4
+    # is also decided on its own, exactly
     failures, unproved = 0, 0
-    for c in (1.0, DEMBO_C, 2.0, 10.0):
-        unproved += not _lemma_k_holds(Fraction(c))
-        for k in range(1, 10_001):
-            if not lemma_k_inequality(c, k):
-                failures += 1
+    for c in map(Fraction, (1.0, DEMBO_C, 2.0, 10.0)):
+        unproved += not _lemma_k_holds(c)
+        failures += sum(not _lemma_k_squared_holds(c, k) for k in range(1, 10_001))
     _report(12, failures == 0 and unproved == 0,
             f"step inequality holds for c in {{1, 1/(2(2-sqrt3)), 2, 10}}, "
-            f"k = 1..10^4 ({failures} float failures); exact for every k >= 1 "
+            f"k = 1..10^4 ({failures} exact failures); for every k >= 1 "
             f"({unproved} constants unproved)")
 
 

@@ -12,7 +12,6 @@ from paleyrip.bounds import (
     build_report,
     family_bounds,
     find_c_alpha,
-    lemma_k_inequality,
     max_sparsity,
 )
 from paleyrip.errors import NotPrimeError, ParameterRangeError
@@ -147,17 +146,6 @@ def test_max_sparsity_small_p():
         assert max_sparsity(7, family).max_even >= 2
     with pytest.raises(ParameterRangeError):
         max_sparsity(7, "nonsense")
-
-
-def test_lemma_k_inequality():
-    for c in (1.0, DEMBO_C, 2.0, 10.0):
-        for k in range(1, 2001):
-            assert lemma_k_inequality(c, k), (c, k)
-    # k = 1, c = 1 by direct evaluation: 0 + sqrt(2) <= 2 - 1/2
-    assert math.sqrt(2.0) <= 1.5
-    assert lemma_k_inequality(1.0, 1)
-    with pytest.raises(ParameterRangeError):
-        lemma_k_inequality(0.5, 3)
 
 
 def _decimal_sides(c: int, alpha: str, beta: str):

@@ -175,61 +175,47 @@ def test_random_subsets_redraw_rejected_lanes(p, monkeypatch):
 
 
 def test_estimate_single_deterministic_prefix_values():
-    est = estimate_rip_single(103, 30, seed=2024)
-    assert est.d[0] == 0.0
-    assert abs(est.d[1] - 1 / math.sqrt(103)) < 1e-10
-    assert abs(est.d[2] - math.sqrt(3.0 / 103.0)) < 1e-10
+    d = estimate_rip_single(103, 30, seed=2024)
+    assert d.dtype == np.float64 and d.shape == (30,)
+    assert d[0] == 0.0
+    assert abs(d[1] - 1 / math.sqrt(103)) < 1e-10
+    assert abs(d[2] - math.sqrt(3.0 / 103.0)) < 1e-10
     # nondecreasing by interlacing, bounded by the disk bound
-    assert np.all(np.diff(est.d) >= -1e-12)
+    assert np.all(np.diff(d) >= -1e-12)
     # a k = p curve ties at its top orders, where a computed value may dip
     # by a rounding step, never by more than the interlacing slack
-    d = estimate_rip_single(103, 103, seed=2024).d
-    assert np.all(d[1:] >= d[:-1] * (1.0 - _INTERLACING_SLACK))
+    full = estimate_rip_single(103, 103, seed=2024)
+    assert np.all(full[1:] >= full[:-1] * (1.0 - _INTERLACING_SLACK))
     for j in range(1, 31):
-        assert est.d[j - 1] <= family_bounds(j, 103)["gershgorin"] + 1e-9
-    again = estimate_rip_single(103, 30, seed=2024)
-    assert np.array_equal(est.d, again.d)
-    assert np.array_equal(est.supports, again.supports)
-
-
-def test_rip_estimate_equality():
-    est = estimate_rip_single(103, 5, 1)
-    assert est == estimate_rip_single(103, 5, 1)
-    assert not est != estimate_rip_single(103, 5, 1)
-    assert est != estimate_rip_single(103, 5, 2)  # other seed, other arrays
-    # same provenance fields, other curve: the arrays decide
-    assert est != experiments.RipEstimate(103, 5, 1, 1, est.d + 1.0, est.supports)
-    assert est != (103, 5, 1, 1)
-    with pytest.raises(TypeError):
-        hash(est)
+        assert d[j - 1] <= family_bounds(j, 103)["gershgorin"] + 1e-9
+    assert np.array_equal(d, estimate_rip_single(103, 30, seed=2024))
 
 
 def test_estimate_single_matches_direct_eigensolve():
-    est = estimate_rip_single(43, 9, seed=5)
-    g = gram_analytic(43, est.supports[0])
+    d = estimate_rip_single(43, 9, seed=5)
+    g = gram_analytic(43, random_subset(43, 9, 5))
     for j in range(2, 10):
         w = hermitian_spectrum(g[:j, :j])
-        assert abs(est.d[j - 1] - max(w[-1] - 1, 1 - w[0])) < 1e-14
+        assert abs(d[j - 1] - max(w[-1] - 1, 1 - w[0])) < 1e-14
 
 
 def test_estimate_worst_reduces_to_single():
     worst = estimate_rip_worst(43, 8, trials=1, seed=11)
     single = estimate_rip_single(43, 8, seed=sub_seed(11, 0))
-    assert np.array_equal(worst.d, single.d)
+    assert np.array_equal(worst, single)
 
 
 def test_estimate_worst_is_max_of_singles_and_rerun_identical():
     # the batched curve is exactly the max of the single-support curves, and
-    # reruns are bit-identical; k = 60 at p = 103 packs 18 supports per
+    # reruns are bit-identical; k = 60 at p = 1019 packs 18 supports per
     # batch, so its 40 trials span two full batches and a partial one
-    for p, k in ((43, 8), (103, 60)):
+    for p, k in ((43, 8), (1019, 60)):
         worst = estimate_rip_worst(p, k, trials=40, seed=3)
-        again = estimate_rip_worst(p, k, trials=40, seed=3)
-        assert np.array_equal(worst.d, again.d)
-        singles = [estimate_rip_single(p, k, seed=sub_seed(3, t)).d for t in range(40)]
+        assert np.array_equal(worst, estimate_rip_worst(p, k, trials=40, seed=3))
+        singles = [estimate_rip_single(p, k, seed=sub_seed(3, t)) for t in range(40)]
         for d in singles:
-            assert np.all(worst.d >= d)
-        assert np.array_equal(worst.d, np.maximum.reduce(singles))
+            assert np.all(worst >= d)
+        assert np.array_equal(worst, np.maximum.reduce(singles))
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
@@ -252,15 +238,24 @@ def _unpruned_worst_curve(p, k, trials, seed):
     return np.array(rho) / math.sqrt(p)
 
 
+def _assert_matches_unpruned(d, p, k, trials, seed):
+    # bit for bit up to order (p+1)/2; above it the walk's 1.0 is exact and
+    # the solved reference is within 1e-12 of it
+    want = _unpruned_worst_curve(p, k, trials, seed)
+    top = (p + 1) // 2
+    assert np.array_equal(d[:top], want[:top])
+    assert np.all(d[top:] == 1.0)
+    assert np.all(np.abs(want[top:] - 1.0) < 1e-12)
+
+
 @pytest.mark.parametrize("p, k, trials", [
-    (19, 12, 500), (7, 7, 50), (103, 60, 40), (1019, 60, 30), (103, 60, 300),
+    (19, 12, 500), (7, 7, 50), (103, 60, 40), (1019, 60, 30), (103, 60, 300), (1019, 60, 300),
 ])
 def test_estimate_worst_matches_unpruned_reference(p, k, trials):
-    # (19, 12, 500) is tie-heavy; (103, 60, 40) spans several stacks;
-    # (103, 60, 300) spans two stored groups, the first not a whole number
-    # of stacks
-    assert np.array_equal(estimate_rip_worst(p, k, trials, seed=4).d,
-                          _unpruned_worst_curve(p, k, trials, seed=4))
+    # (19, 12, 500) is tie-heavy; (103, 60, 40) spans several stacks; every
+    # case at p <= 103 passes (p+3)/2; (1019, 60, 300) spans two stored
+    # groups, the first not a whole number of stacks
+    _assert_matches_unpruned(estimate_rip_worst(p, k, trials, seed=4), p, k, trials, seed=4)
 
 
 @pytest.mark.parametrize("p, k", [(19, 19), (103, 60), (1019, 80)])
@@ -276,9 +271,8 @@ def test_computed_radii_interlace_within_slack(p, k):
 
 def test_estimate_worst_small_groups_match_unpruned_reference(monkeypatch):
     # groups of five trials: each is pruned against the max of those before it
-    monkeypatch.setattr(experiments, "_STORED_ENTRIES", 5 * 12 * 12)
-    assert np.array_equal(estimate_rip_worst(19, 12, 500, seed=4).d,
-                          _unpruned_worst_curve(19, 12, 500, seed=4))
+    monkeypatch.setattr(experiments, "_STORED_ENTRIES", 5 * 10 * 10)
+    _assert_matches_unpruned(estimate_rip_worst(19, 12, 500, seed=4), 19, 12, 500, seed=4)
 
 
 def test_estimate_worst_builds_each_sign_matrix_once(monkeypatch):
@@ -351,8 +345,7 @@ def test_single_support_downdates_match_unpruned_reference(p, k, seed):
     # one trial is solved alone at every order, each product downdated from
     # the order above: the same bits as a fresh solve at every order
     k = min(k, p)
-    assert np.array_equal(estimate_rip_worst(p, k, 1, seed).d,
-                          _unpruned_worst_curve(p, k, 1, seed))
+    _assert_matches_unpruned(estimate_rip_worst(p, k, 1, seed), p, k, 1, seed)
 
 
 def _corrupt(monkeypatch, support, entry):
@@ -374,9 +367,9 @@ def _corrupt(monkeypatch, support, entry):
 
 @pytest.mark.parametrize("entry", ["symmetric", 2])
 def test_gate_guards_second_stored_group(monkeypatch, entry):
-    # a trial of the second stored group of (103, 60, 300), whose stack is
+    # a trial of the second stored group of (1019, 60, 300), whose stack is
     # gated once, before any of its solves
-    p, k, trials = 103, 60, 300
+    p, k, trials = 1019, 60, 300
     t = experiments._STORED_ENTRIES // (k * k) + 4
     assert t < trials
     support = random_subsets(p, k, [sub_seed(5, i) for i in range(trials)])[t]
@@ -417,6 +410,33 @@ def test_exact_rip_small_orders():
     assert exact_rip(7, 4) <= family_bounds(4, 7)["dembo_recursive"]
 
 
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103])
+def test_dense_delta_is_one_at_order_p_plus_3_over_2(p):
+    # the ceiling's oracle: Gramians of (p+3)/2 columns, the interval and
+    # three random supports, by explicit dot products, both spectral
+    # extremes from a dense eigensolve
+    frame = np.asarray(build_frame(p).entries)
+    k = (p + 3) // 2
+    for support in [range(k)] + [random_subset(p, k, seed) for seed in range(3)]:
+        cols = frame[:, list(support)]
+        w = np.linalg.eigvalsh(cols.T @ cols.conj())
+        assert abs(max(w[-1] - 1.0, 1.0 - w[0]) - 1.0) < 1e-12
+
+
+def test_ceiling_orders_are_one_without_a_solve(monkeypatch):
+    solved = _count_gram_solves(monkeypatch)
+    assert exact_rip(19, 11) == 1.0 and exact_rip(23, 13) == 1.0
+    assert exact_rip(7, 5) == 1.0 and exact_rip(7, 7) == 1.0
+    assert solved == []
+    orders = []
+    full = experiments.sign_matrix
+    monkeypatch.setattr(experiments, "sign_matrix",
+                        lambda p, idx: orders.append(np.shape(idx)[-1]) or full(p, idx))
+    d = estimate_rip_worst(19, 19, 3, seed=1)
+    assert max(orders) == 10  # (p+1)/2: no larger sign matrix is built
+    assert d[9] < 1.0 and np.all(d[10:] == 1.0)
+
+
 @pytest.mark.parametrize("p, k", [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (11, 4), (19, 4)])
 def test_exact_rip_matches_dense_brute_force(p, k):
     # the oracle exact_rip replaced: every k-subset's Gramian by explicit dot
@@ -453,7 +473,7 @@ def test_exact_rip_guard():
         exact_rip(47, 9)
     assert math.comb(47, 5) > 10**6
     d5 = exact_rip(47, 5)
-    assert estimate_rip_worst(47, 5, 200).d[-1] <= d5 <= family_bounds(5, 47)["dembo_recursive"]
+    assert estimate_rip_worst(47, 5, 200)[-1] <= d5 <= family_bounds(5, 47)["dembo_recursive"]
 
 
 @pytest.mark.parametrize("p, k", [(47, 7), (103, 12)])
@@ -611,10 +631,9 @@ def test_exhaustive_worst_matches_exact_rip_p7():
     # once the random draws cover every support (at most 35 exist for any j
     # at p = 7), the worst-case curve equals the exhaustive oracle
     for j in (2, 3, 4, 5):
-        worst = estimate_rip_worst(7, j, trials=600, seed=0)
-        distinct = {tuple(sorted(s)) for s in worst.supports}
-        assert len(distinct) == math.comb(7, j)  # full coverage for this seed
-        assert abs(worst.d[j - 1] - exact_rip(7, j)) < 1e-10
+        drawn = random_subsets(7, j, rng.trial_seeds(0, 600))
+        assert len({tuple(sorted(s)) for s in drawn}) == math.comb(7, j)  # full coverage
+        assert abs(estimate_rip_worst(7, j, trials=600, seed=0)[j - 1] - exact_rip(7, j)) < 1e-10
 
 
 # --- power-law fit ----------------------------------------------------------------
@@ -642,11 +661,11 @@ def test_fit_gershgorin_curve_slope():
 
 
 def test_fit_matches_polyfit():
-    est = estimate_rip_single(103, 30, seed=9)
-    b, intercept, _ = fit_power_law(est.d, j_min=3)
+    d = estimate_rip_single(103, 30, seed=9)
+    b, intercept, _ = fit_power_law(d, j_min=3)
     j = np.arange(1, 31)
-    mask = (j >= 3) & (est.d > 0)
-    slope_ref, int_ref = np.polyfit(np.log(j[mask]), np.log(est.d[mask]), 1)
+    mask = (j >= 3) & (d > 0)
+    slope_ref, int_ref = np.polyfit(np.log(j[mask]), np.log(d[mask]), 1)
     assert abs(b - slope_ref) < 1e-12
     assert abs(intercept - int_ref) < 1e-12
 
@@ -689,7 +708,7 @@ def test_dembo_ratio_study_structure():
 @pytest.mark.parametrize("p, k, seed", [(103, 30, s) for s in range(6)] + [(1019, 200, 0)])
 def test_dembo_ratio_study_reads_estimate_curve(p, k, seed):
     # the study's lambda_max is 1 + d(j) of the single-support estimate of the same seed, bit for bit
-    d = estimate_rip_single(p, k, seed).d
+    d = estimate_rip_single(p, k, seed)
     rows = dembo_ratio_study(p, k, seed)
     assert [r.lambda_max for r in rows] == [1.0 + float(d[r.j - 1]) for r in rows]
 

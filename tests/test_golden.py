@@ -43,7 +43,7 @@ GOLDEN = ROOT / "tests" / "golden"
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 PINNED = {entry["golden"]: entry["argv"] for entry in MANIFEST if entry["golden"]}
-ESTIMATES = [name for name in sorted(PINNED) if name.startswith("estimate-")]
+ESTIMATES = [name for name in sorted(PINNED) if name.startswith("estimate-") and name.endswith(".csv")]
 
 
 def _ints(name: str, *flags: str):
@@ -85,6 +85,7 @@ def test_golden_stdout_bytes(name, capsys, monkeypatch):
     ("estimate-p103-k30-seed1.csv", 1),
     ("estimate-p103-k30-trials1000-seed1.csv", 1000),
     ("estimate-p1019-k200-trials5-seed1.csv", 5),
+    ("estimate-p19-k19-trials3-seed1.csv", 3),
 ])
 def test_golden_ripcurve_matches_dense_oracle(name, trials):
     p, k, seed = _ints(name, "--p", "--k", "--seed")

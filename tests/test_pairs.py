@@ -58,8 +58,8 @@ def _pair_records(p, supports, c, alpha):
         best = int(row.argmin())
         n = int(row[best])
         records.append(ConjectureRecord(
-            p=p, support=tuple(support), pair=divmod(best, k), ratio=n / (k - 2),
-            alpha=float(alpha), satisfied=n / (k - 2) < alpha, numerator=n,
+            support=tuple(support), pair=divmod(best, k), ratio=n / (k - 2),
+            satisfied=n / (k - 2) < alpha, numerator=n,
         ))
     return records
 
@@ -180,7 +180,7 @@ def test_conjecture_scan_records_match_per_support_search():
         worst = max(range(trials), key=lambda t: (s1.records[t].ratio, -t))
         assert (s1.worst_ratio, s1.worst_support) == (s1.records[worst].ratio,
                                                        tuple(idx[worst].tolist()))
-        assert all(rec.satisfied == (rec.ratio < rec.alpha) for rec in s1.records)
+        assert all(rec.satisfied == (rec.ratio < 0.8) for rec in s1.records)
 
 
 def test_conjecture_scan_records_are_conjecture_search():

@@ -28,7 +28,7 @@ EAGER_NAMES = [
     "BorderedBlock", "BoundReport", "ConjectureRecord", "ConjectureScanSummary", "DEMBO_C",
     "DemboRatioRow", "DuplicateSupportError", "GENERALIZED_OFFSET", "MalformedInputError",
     "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyRipError",
-    "ParameterRangeError", "RipEstimate", "SparsityThreshold", "SplitMix64",
+    "ParameterRangeError", "SparsityThreshold", "SplitMix64",
     "WrongResidueError", "bound_conjectural", "bounds", "build_frame", "build_report",
     "check_paley", "check_support", "chi_signs", "chi_table",
     "conjecture_scan", "conjecture_search", "dembo_ratio_study", "dembo_upper",
@@ -36,7 +36,7 @@ EAGER_NAMES = [
     "family_bounds", "find_c_alpha", "fit", "fit_power_law", "frame", "frame_to_json",
     "generalized_dembo_extremes", "gram_analytic", "gram_direct", "gram_rows",
     "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime",
-    "legendre", "lemma_k_inequality", "max_sparsity", "numtheory",
+    "legendre", "max_sparsity", "numtheory",
     "one_sided_ratio", "pairs", "random_subset", "rng", "row_index_set",
     "run_verification", "sign_matrix", "skew_spectral_radius", "spectra",
     "sub_seed", "verify",
@@ -179,10 +179,12 @@ def test_star_import():
 
 def test_unknown_attribute():
     # removed public names: four routines that nothing in the package ran,
-    # four single-family wrappers, now columns of family_bounds, and three
-    # float twins of identities verify decides exactly
+    # four single-family wrappers, now columns of family_bounds, four float
+    # twins of identities verify decides exactly, and the record of a curve,
+    # now the bare array d
     for name in ["no_such_name", "coherence", "l1_coherence", "schur_bordered_det", "dembo_lower",
                  "bound_gershgorin", "bound_skew", "bound_dembo_recursive",
-                 "bound_generalized_dembo", "block3_det", "gamma_term", "canonical_tournament"]:
+                 "bound_generalized_dembo", "block3_det", "gamma_term", "canonical_tournament",
+                 "lemma_k_inequality", "RipEstimate"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(paleyrip, name)

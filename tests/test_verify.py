@@ -158,12 +158,12 @@ def test_lemma_exact_agrees_with_the_squared_lemma():
     assert t * t / 4 + k + 1 == (r - t / 2) ** 2
 
 
-def test_lemma_check_catches_a_tampered_float_lemma(monkeypatch):
+def test_lemma_check_catches_a_tampered_lemma(monkeypatch):
     assert _check_lemma_k(7, None).passed
-    monkeypatch.setattr(bounds, "lemma_k_inequality", lambda c, k: k != 100)
+    monkeypatch.setattr(verify, "_lemma_k_holds", lambda c: c != 2)
     result = _check_lemma_k(7, None)
     assert not result.passed
-    assert result.detail.endswith("float failures at k in {1, 2, 3, 10, 100, 1000}: 4")
+    assert result.detail.endswith("for every k >= 1: False")
 
 
 def test_gamma_check_catches_a_dropped_correction(monkeypatch):
