@@ -11,7 +11,8 @@ and then neither file is left behind.
 Each command imports the layers it runs inside its handler, so start-up
 loads only those.  These commands run without numpy: `frame` (the
 partial-DFT frame in Python complex), `bounds` (the bound families are pure
-arithmetic in (k, p)), `fit` (a least-squares line over plain floats),
+arithmetic in (k, p)), `fit` (a least-squares line over plain floats,
+up to the first d = 1.0: the ceiling carries no slope),
 `gram` with either method (the analytic Gramian written from the integer
 Legendre table, the direct one from the frame's column dot products),
 `conjecture` in all three modes (a popcount pair search over the same
@@ -173,9 +174,10 @@ def _cmd_fit(args):
         raise MalformedInputError(f"{args.input}: malformed ripcurve CSV: {exc}") from exc
     if not js or js != list(range(1, len(js) + 1)):
         raise MalformedInputError(f"{args.input}: 'j' column must run 1..k")
-    beta, intercept, r2 = fit_power_law(ds, j_min=args.jmin)
+    k = ds.index(1.0) if 1.0 in ds else len(ds)  # from the ceiling d = 1 on, no slope
+    beta, intercept, r2 = fit_power_law(ds[:k], j_min=args.jmin)
     doc = {"beta": beta, "intercept": intercept, "r2": r2,
-           "window": {"j_min": args.jmin, "k": len(js)}}
+           "window": {"j_min": args.jmin, "k": k}}
     return _json_text(doc), {}, 0
 
 

@@ -33,8 +33,14 @@ block B in the other rows, so C_T^T C_T = pI - J - B^T B.  J + B^T B is
 positive semidefinite of rank at most p - k + 1, which is below k, so
 C_T^T C_T has the eigenvalue p and none above it: rho(C_T) = sqrt p.  The
 curves are 1.0 at those orders and exact_rip returns 1.0, where a computed
-radius would exceed 1 by rounding.  A curve is returned as the float64
-array d(1..k) alone: its caller holds the arguments.
+radius would exceed 1 by rounding.  Below, for k <= (p+1)/2, delta_T < 1
+strictly, for every T: J + B^T B is positive definite, since equality
+would need a vector on T whose Fourier transform is supported on one half
+of the nonzero residues, and Tao's uncertainty principle for Z_p
+(|supp f| + |supp f^| >= p + 1) forbids it.  So a computed radius above
+sqrt p there is rounding too, and the curves and exact_rip cap d at 1.0.
+A curve is returned as the float64 array d(1..k) alone: its caller holds
+the arguments.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Trial seeds come from rng.trial_seeds, a
@@ -96,9 +102,10 @@ def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
 def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
     """d(j) = max over the supports idx[t] of rho(C_j)/sqrt p for each prefix order j.
 
-    The orders run j = 1..idx.shape[1]; d(j) is 1.0 for j >= (p+3)/2 (see the
-    module docstring), so the walk below builds and solves orders up to
-    k = min(idx.shape[1], (p+1)/2) only.
+    The orders run j = 1..idx.shape[1]; d(j) is 1.0 for j >= (p+3)/2 and
+    below 1 under it (see the module docstring), so the walk below builds
+    and solves orders up to k = min(idx.shape[1], (p+1)/2) only, and caps
+    what it solves at 1.0.
 
     C_j is the leading j x j block of C_{j+1}, so by Cauchy interlacing each
     trial's radius is nondecreasing in j, and its last solved radius is an
@@ -106,12 +113,12 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
     at most _STORED_ENTRIES sign-matrix entries, each group's C built once,
     at order k, as an int8 stack that is gated once and whose leading
     blocks are solved.  A group solves all its trials at order k; then,
-    walking j down, its trial with the largest ub is solved first, and
-    after it the others best first: by descending ub, in chunks of 8, 16,
-    ... up to _batch(j) trials, each chunk only of the trials whose ub
-    still reaches the max so far at j, from this group and those before
-    it, less the slack.  Pruned trials cannot set the max, so d equals the
-    full max exactly.
+    walking j down, it solves them best first, in one stable order of
+    descending ub: the first trial alone, then chunks of 8, 16, ... up to
+    _batch(j) trials, each chunk only of the trials whose ub still reaches
+    the max so far at j, from this group and those before it, less the
+    slack.  Pruned trials cannot set the max, so d equals the full max
+    exactly.
     A trial solved alone at order j + 1 and again at j has
     C_j^T C_j = (C_{j+1}^T C_{j+1})[:j, :j] - c c^T with c = C[j, :j], an
     exact integer downdate, so only that one product is held.  Order k is
@@ -143,23 +150,15 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
         ub = _radii(c, np.arange(len(c)), k)
         rho[k - 1] = max(rho[k - 1], ub.max())
         for j in range(k - 1, 1, -1):
-            best = rho[j - 1]
-            top = np.argmax(ub)
-            if ub[top] <= best * (1.0 - _INTERLACING_SLACK):
-                continue  # no trial of this group can reach the max at j
-            ub[top] = r = alone(top, j)
-            best = max(best, r)
-            rest = np.flatnonzero(ub > best * (1.0 - _INTERLACING_SLACK))
-            rest = rest[rest != top]
-            rest = rest[np.argsort(-ub[rest], kind="stable")]
-            size = min(8, _batch(j))
+            best, size = rho[j - 1], 1
+            rest = np.argsort(-ub, kind="stable")
             while (rest := rest[ub[rest] > best * (1.0 - _INTERLACING_SLACK)]).size:
                 chunk, rest = rest[:size], rest[size:]
-                ub[chunk] = _radii(c, chunk, j)
+                ub[chunk] = alone(chunk[0], j) if size == 1 else _radii(c, chunk, j)
                 best = max(best, ub[chunk].max())
-                size = min(2 * size, _batch(j))
+                size = min(max(8, 2 * size), _batch(j))
             rho[j - 1] = best
-    return np.concatenate([rho / math.sqrt(p), ceiling])
+    return np.concatenate([np.minimum(rho / math.sqrt(p), 1.0), ceiling])
 
 
 def estimate_rip_single(p, k: int, seed: int = 0) -> np.ndarray:
@@ -206,8 +205,9 @@ def exact_rip(p, k: int) -> float:
     rho(C_T)/sqrt p; EXACT_RIP_GUARD bounds that enumeration, and the error
     it raises says how the witness search ended.  This is the oracle the
     closed-form bounds are checked against.  For k >= (p+3)/2 it returns
-    1.0 before any search: every k-support has delta_T = 1 exactly (see the
-    module docstring).
+    1.0 before any search: every k-support has delta_T = 1 exactly; below,
+    delta_T < 1, and a computed value above 1 is capped (see the module
+    docstring).
     """
     p = check_paley(p)
     k = check_k(k, p, 1)
@@ -218,7 +218,7 @@ def exact_rip(p, k: int) -> float:
     from .pairs import _BudgetSpent, _cot_search  # the curve commands never load pairs
     try:
         if (witness := _cot_search(p, k, _WITNESS_CANDIDATES)) is not None:
-            return spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p)
+            return min(spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p), 1.0)
         searched = f"no {k}-support attains cot(pi/{2 * k})"
     except _BudgetSpent:
         searched = f"the witness search exceeded its budget of {_WITNESS_CANDIDATES} candidates"
@@ -231,7 +231,7 @@ def exact_rip(p, k: int) -> float:
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
         rho = max(rho, spectra.skew_spectral_radius(sign_matrix(p, chunk)).max())
-    return float(rho) / math.sqrt(p)
+    return min(float(rho) / math.sqrt(p), 1.0)
 
 
 class DemboRatioRow(NamedTuple):

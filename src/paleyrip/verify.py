@@ -27,10 +27,9 @@ Every check decides in Python ints, so `verify` loads neither numpy nor
   h-_n < cot^2(pi/2n) < h+_n, h+_n - h-_n = 2^-40, rho^2 < h is decided
   by whether h I - C^T C is positive definite (numtheory's Bareiss test),
   after integer Gershgorin and trace bounds that settle most random
-  orientations; each distinct C^T C of an order is decided once.  The
-  canonical tournament must give h-_n < rho^2 < h+_n, and 50 random
-  orientations per order rho^2 < h+_n, so every rho is at most
-  cot(pi/2n) + 2^-41.
+  orientations.  The canonical tournament must give h-_n < rho^2 < h+_n,
+  and 50 random orientations per order rho^2 < h+_n, so every rho is at
+  most cot(pi/2n) + 2^-41.
 - lemma_k_inequality and c_alpha_search: exact Fraction and integer
   decisions of the step lemma and of the c_alpha inequality.
 """
@@ -345,15 +344,11 @@ def _check_cot_radius(p, rng) -> CheckResult:
         enclosed += _top_below(canonical, hi) and not _top_below(canonical, lo)
         # one SplitMix64 output per sign, its low bit: below(2) never rejects
         bits = [u & 1 for u in rng.next_u64s(50 * pairs)]
-        decided = {}  # S -> (settled by the norms, rho^2 < h+_n): each distinct S once
         for t in range(0, len(bits), pairs):
             s = _tournament_gram(n, bits[t:t + pairs])
-            key = tuple(map(tuple, s))
-            if key not in decided:
-                decided[key] = (True, True) if _norm_below(s, hi) else (False, _top_below(s, hi))
-            norms, top = decided[key]
+            norms = _norm_below(s, hi)
             by_norms += norms
-            below += top
+            below += norms or _top_below(s, hi)
     return CheckResult(
         "cot_radius", enclosed == 11 and below == 550,
         f"h-_n < rho^2 < h+_n for the canonical tournament, n = 2..12: {enclosed} of 11; "

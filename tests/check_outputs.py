@@ -5,13 +5,17 @@
 
 Each manifest entry is one `paleyrip` command: its argv, its golden file
 (null where an ordinary run is the reference), whether it runs without
-numpy, and for some a note on what it pins.  A numpy-free output runs
-with numpy and dataclasses unimportable (`sys.modules[name] = None`) and
-must print its golden bytes, or those of an ordinary run; one that needs
-numpy runs only where numpy imports.  Each runs in a fresh interpreter from
-the repository root (the fit entries read tests/golden/), with one BLAS
-thread, as the goldens were written.  No options, standard library only;
-exits 1 if any output fails.
+numpy, and for some a note on what it pins.  `check(entry)` runs it once,
+in a fresh interpreter from the repository root (the fit entries read
+tests/golden/), with one BLAS thread, as the goldens were written: a
+numpy-free entry with numpy and dataclasses unimportable
+(`sys.modules[name] = None`), any other plainly.  It must print its golden
+bytes, or those of an ordinary run.  The script checks every entry this
+interpreter can run (one that needs numpy only where numpy imports), and
+prints a header, one status line per entry and an `N ok, N FAIL, N skip`
+summary.  It exits 1 if any output fails, and 2 if paleyrip does not
+import.  No options, standard library only.  Tier-1 calls `check` once per
+entry (tests/test_startup.py).
 """
 
 import importlib.util
@@ -26,13 +30,10 @@ GOLDEN = ROOT / "tests" / "golden"
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 PLAIN = [sys.executable, "-m", "paleyrip"]
-
-
-def blocked(modules: tuple[str, ...]) -> list[str]:
-    """The command line that runs paleyrip with each of modules unimportable."""
-    return [sys.executable, "-c", "import runpy, sys\n"
-            + "".join(f"sys.modules[{name!r}] = None\n" for name in modules)
-            + "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"]
+# A numpy-free entry's run: numpy and dataclasses unimportable.
+BLOCKED = [sys.executable, "-c", "import runpy, sys\n"
+           "sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
+           "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n"]
 
 
 def _stdout(cmd: list[str]) -> bytes:
@@ -43,14 +44,11 @@ def _stdout(cmd: list[str]) -> bytes:
     return res.stdout
 
 
-def check(entry: dict, block: tuple[str, ...] = ("numpy", "dataclasses")) -> str:
-    """'' if the entry prints its expected bytes, else what went wrong.
-
-    A numpy-free entry runs with the modules in block unimportable.
-    """
+def check(entry: dict) -> str:
+    """'' if the entry prints its expected bytes, else what went wrong."""
     argv = entry["argv"]
     try:
-        got = _stdout((blocked(block) if entry["numpy_free"] else PLAIN) + argv)
+        got = _stdout((BLOCKED if entry["numpy_free"] else PLAIN) + argv)
         want = (GOLDEN / entry["golden"]).read_bytes() if entry["golden"] else _stdout(PLAIN + argv)
     except (OSError, RuntimeError) as exc:
         return str(exc)
@@ -61,9 +59,12 @@ def check(entry: dict, block: tuple[str, ...] = ("numpy", "dataclasses")) -> str
 
 
 def main() -> int:
+    if (paleyrip := importlib.util.find_spec("paleyrip")) is None:
+        print("check_outputs.py: paleyrip does not import; run PYTHONPATH=src python"
+              " tests/check_outputs.py from the repository root, or install it", file=sys.stderr)
+        return 2
     have_numpy = importlib.util.find_spec("numpy") is not None
-    origin = importlib.util.find_spec("paleyrip").origin
-    print(f"paleyrip from {origin}; numpy importable: {have_numpy}")
+    print(f"paleyrip from {paleyrip.origin}; numpy importable: {have_numpy}")
     counts = {"ok": 0, "FAIL": 0, "skip": 0}
     for entry in MANIFEST:
         shown = " ".join(a if len(a) <= 40 else a[:37] + "..." for a in entry["argv"])

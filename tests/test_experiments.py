@@ -437,6 +437,20 @@ def test_ceiling_orders_are_one_without_a_solve(monkeypatch):
     assert d[9] < 1.0 and np.all(d[10:] == 1.0)
 
 
+@pytest.mark.parametrize("p", [163, 743])
+def test_interval_curve_reads_at_most_one_below_the_ceiling(p):
+    # delta_T < 1 at every order <= (p+1)/2; uncapped, the interval read
+    # 1.0000000000000007 at order 82 for p = 163, and above 1 at 21 orders for p = 743
+    d = experiments._worst_curve(p, np.arange((p + 1) // 2)[None, :])
+    assert d.max() <= 1.0
+
+
+@pytest.mark.parametrize("p, k", [(19, 6), (19, 7)])  # a witness, and the enumeration
+def test_exact_rip_caps_a_radius_above_sqrt_p(p, k, monkeypatch):
+    monkeypatch.setattr(spectra, "skew_spectral_radius", lambda c: np.full(np.shape(c)[:-2], 5.0))
+    assert exact_rip(p, k) == 1.0
+
+
 @pytest.mark.parametrize("p, k", [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (11, 4), (19, 4)])
 def test_exact_rip_matches_dense_brute_force(p, k):
     # the oracle exact_rip replaced: every k-subset's Gramian by explicit dot

@@ -4,8 +4,10 @@ tests/golden/manifest.json lists the published outputs, one entry each: the
 argv, the golden file under tests/golden/ (null for outputs compared only
 with an ordinary run), whether it runs without numpy, and for some a note
 on what the output pins.  Here every golden command runs in process and
-must print its file's bytes; tests/check_outputs.py runs each listed output
-in a fresh interpreter.  The goldens pin the bytes printed with one BLAS
+must print its file's bytes, the cheap check whose failure shows a diff;
+tests/test_startup.py runs each listed output once more, in a fresh
+interpreter through tests/check_outputs.py, which adds start-up and the
+blocked imports.  The goldens pin the bytes printed with one BLAS
 thread (conftest.py pins it; the eigensolver's last digits depend on the
 thread count).  A kernel change that moves a last digit must regenerate
 them on purpose, with one thread, from the repository root:
@@ -120,6 +122,15 @@ def test_golden_fit_matches_numpy_formula(name):
     d = [float(r["d"]) for r in _rows(name)]
     for got, want in zip(fit_power_law(d), _numpy_fit(d)):
         assert abs(got - want) < 1e-12
+
+
+def test_fit_window_stops_before_the_ceiling():
+    # at p = 19, d(j) = 1 from j = (p+3)/2 = 11 on: fit reads d(1..10) only
+    d = [float(r["d"]) for r in _rows("estimate-p19-k19-trials3-seed1.csv")]
+    assert d[9] < 1.0 and d[10:] == [1.0] * 9
+    doc = json.loads((GOLDEN / "fit-estimate-p19-k19-trials3-seed1.json").read_text())
+    assert (doc["beta"], doc["intercept"], doc["r2"]) == fit_power_law(d[:10])
+    assert doc["window"] == {"j_min": 3, "k": 10}
 
 
 def test_golden_demboratio_matches_dense_oracle():

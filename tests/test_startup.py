@@ -1,18 +1,23 @@
-"""Start-up loads only what a command runs.
+"""Start-up loads only what a command runs, and every published output prints its bytes.
 
-`import paleyrip` loads no submodule.  Every published output that
-tests/golden/manifest.json marks as numpy-free must run with numpy
-unimportable (`sys.modules["numpy"] = None` makes any import of it raise),
-and with `dataclasses` unimportable too, since the modules those commands
-run keep their records in NamedTuples, and print its golden bytes or, with
-no golden, the same bytes as an ordinary run: tests/check_outputs.py
-checks that, one test here runs it whole, and two test each entry with
-one and with both modules blocked.  `bounds` itself is loaded only by
-the commands that evaluate bounds, and `pairs` only by `conjecture` (and by
-`exact_rip`, which no command runs); `verify` loads no `spectra`.  The
-witness search `pairs.cot_witness` runs without numpy.
+`import paleyrip` loads no submodule.  tests/check_outputs.py checks the
+published outputs tests/golden/manifest.json lists, and here each entry
+runs through its `check` once, in a fresh interpreter: a numpy-free entry
+with numpy and dataclasses unimportable (`sys.modules[name] = None` makes
+any import of them raise), since the modules those commands run keep
+their records in NamedTuples, and any other plainly.  Each must print its
+golden bytes or, with no golden, the same bytes as an ordinary run.  The
+script's own report, the lines and exit status CI reads, is tested in
+process with `check` stubbed, and once without an importable paleyrip.
+`bounds` itself is loaded only by the commands that evaluate bounds, and
+`pairs` only by `conjecture` (and by `exact_rip`, which no command runs);
+`verify` loads no `spectra`.  The witness search `pairs.cot_witness` runs
+without numpy.
 """
 
+import functools
+import importlib.metadata
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,25 +62,62 @@ def _last_line(code: str) -> str:
     return res.stdout.splitlines()[-1]
 
 
-NUMPY_FREE = [entry for entry in check_outputs.MANIFEST if entry["numpy_free"]]
+BY_ARGV = {" ".join(entry["argv"]): entry for entry in check_outputs.MANIFEST}
 
 
-@pytest.mark.parametrize("entry", NUMPY_FREE, ids=lambda entry: " ".join(entry["argv"]))
-def test_command_runs_without_numpy(entry):
-    assert check_outputs.check(entry, ("numpy",)) == ""
+@functools.cache
+def _problem(argv: str) -> str:
+    """check_outputs.check of the entry with this argv, run once per session."""
+    return check_outputs.check(BY_ARGV[argv])
 
 
-@pytest.mark.parametrize("entry", NUMPY_FREE, ids=lambda entry: " ".join(entry["argv"]))
-def test_command_runs_without_dataclasses(entry):
-    assert check_outputs.check(entry, ("numpy", "dataclasses")) == ""
+@pytest.mark.parametrize("argv", list(BY_ARGV))
+def test_published_output(argv):
+    assert _problem(argv) == ""
 
 
-def test_published_outputs():
-    # every manifest entry this interpreter can run, each in its own process
+# The numpy-free entries' blocked runs, under the names they were first
+# tested by: the one run of each blocks numpy and dataclasses both.
+NUMPY_FREE = [argv for argv, entry in BY_ARGV.items() if entry["numpy_free"]]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE)
+def test_command_runs_without_numpy(argv):
+    assert _problem(argv) == ""
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE)
+def test_command_runs_without_dataclasses(argv):
+    assert _problem(argv) == ""
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_check_outputs_report(failing, monkeypatch, capsys):
+    # the lines and exit status CI reads, each entry's check stubbed: the last one fails
+    last = check_outputs.MANIFEST[-1]
+    monkeypatch.setattr(check_outputs, "check",
+                        lambda entry: "boom" if failing and entry is last else "")
+    assert check_outputs.main() == failing
+    header, *status, summary = capsys.readouterr().out.splitlines()
+    assert header.startswith("paleyrip from ") and header.endswith("; numpy importable: True")
+    n = len(check_outputs.MANIFEST)
+    assert [line.split()[0] for line in status] == ["ok"] * (n - failing) + ["FAIL"] * failing
+    assert status[-1].endswith(": boom") is bool(failing)
+    assert summary == f"{n - failing} ok, {failing} FAIL, 0 skip"
+
+
+def test_check_outputs_without_paleyrip():
+    try:
+        importlib.metadata.distribution("paleyrip")
+    except importlib.metadata.PackageNotFoundError:
+        pass
+    else:
+        pytest.skip("an installed paleyrip imports without PYTHONPATH")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     res = subprocess.run([sys.executable, str(ROOT / "tests" / "check_outputs.py")],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines()[-1].endswith(" ok, 0 FAIL, 0 skip"), res.stdout
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 2 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "PYTHONPATH=src" in res.stderr
 
 
 @pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4)])

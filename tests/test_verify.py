@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paleyrip import bounds, frame, spectra, verify
-from paleyrip.numtheory import chi_signs, is_positive_definite, is_prime
+from paleyrip.numtheory import chi_signs, is_prime
 from paleyrip.rng import SplitMix64, sub_seed
 from paleyrip.verify import (
     _bordered_matrix,
@@ -80,21 +80,6 @@ def test_cot_radius_stack_matches_per_matrix_loop(p, monkeypatch):
                 assert (_norm_below(s, h) or _top_below(s, h)) is (top < h)
     # same draws in the same order: both generators end in the same state
     assert rng.next_u64() == ref_rng.next_u64()
-
-
-@pytest.mark.parametrize("p", [7, 103])
-def test_cot_radius_decides_each_distinct_gram_once(p, monkeypatch):
-    # K_3 has 8 orientations and K_4 64, so an order's 50 draws repeat Gram
-    # matrices: the pivots see each S the norm bounds leave once, and each
-    # canonical tournament twice (at h+_n and h-_n)
-    seed, calls = sub_seed(0x5EED0FA1, p), []
-    monkeypatch.setattr(verify, "is_positive_definite",
-                        lambda m: calls.append(m) or is_positive_definite(m))
-    assert _check_cot_radius(p, SplitMix64(seed)).passed
-    left = [(n, tuple(map(tuple, s))) for n, c in _orientations(SplitMix64(seed))
-            if not _norm_below(s := (c.T @ c).tolist(), _cot_square_bounds(n)[1])]
-    assert len(set(left)) < len(left)
-    assert len(calls) == 2 * 11 + len(set(left))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
