@@ -15,10 +15,8 @@ _EXPORTS = {
     "bounds": (
         "DEMBO_C",
         "GENERALIZED_OFFSET",
-        "BoundReport",
         "SparsityThreshold",
         "bound_conjectural",
-        "build_report",
         "family_bounds",
         "find_c_alpha",
         "max_sparsity",
@@ -44,11 +42,9 @@ _EXPORTS = {
         "PaleyFrame",
         "build_frame",
         "check_support",
-        "frame_to_json",
         "gram_analytic",
         "gram_direct",
         "gram_rows",
-        "gram_to_json",
         "sign_matrix",
     ),
     "numtheory": (

@@ -11,12 +11,14 @@ All families bound delta_k for the Paley construction by f(k)/sqrt(p):
                         distribution conjecture holds
 
 FAMILIES declares each of the five unconditional families once, as its
-f(k) and its domain min_k <= k <= p, p >= min_p; family_bounds, the
-report, the sparsity scan and the CLI's ripcurve columns all read it, and
-numtheory.check_k decides the range of k for every one.  The formulas
-are pure arithmetic in (k, p): they do not touch the frame, so they
-accept any prime p (notably p = 1009 = 1 mod 4, which appears in the
-sparsity-threshold comparison as formula evaluation only).
+f(k) and its domain min_k <= k <= p, p >= min_p; family_bounds and the
+sparsity scan read it, and numtheory.check_k decides the range of k for
+every one.  The module returns values only: the CLI assembles the `bounds`
+document and the ripcurve columns from family_bounds, bound_conjectural
+and max_sparsity.  The formulas are pure arithmetic in (k, p): they do
+not touch the frame, so they accept any prime p (notably p = 1009 = 1
+mod 4, which appears in the sparsity-threshold comparison as formula
+evaluation only).
 """
 
 from __future__ import annotations
@@ -186,49 +188,3 @@ def find_c_alpha(alpha: float, beta: float) -> int:
     if not holds(hi) or (hi > 1 and holds(hi - 1)):
         raise ParameterRangeError(f"c_alpha search failed to isolate the boundary at {hi}")
     return hi
-
-
-class BoundReport(NamedTuple):
-    """All bound-family values at one (p, k), plus optional extras.
-
-    `bounds` maps each name in FAMILIES to its value, None below the
-    family's domain (the recursive and generalized families need k >= 3
-    and p >= 7); `conjectural` is populated only on request and must be
-    treated as conditional.  `best` is the pointwise minimum over the
-    defined unconditional families: no single family dominates for every
-    k, the crossover between skew_linear and the additive families sits
-    near k = 3.
-    """
-
-    p: int
-    k: int
-    bounds: dict[str, float | None]
-    conjectural: float | None = None
-    conjectural_beta: float | None = None
-
-    @property
-    def best(self) -> float:
-        return min(v for v in self.bounds.values() if v is not None)
-
-    def to_dict(self) -> dict:
-        doc = {"p": self.p, "k": self.k, "bounds": dict(self.bounds), "best": self.best}
-        if self.conjectural is not None:
-            doc["conditional"] = {
-                "conjectural": self.conjectural,
-                "beta": self.conjectural_beta,
-                "note": "valid only if the quadratic-residue conjecture holds",
-            }
-        doc["max_sparsity"] = {
-            fam: {"max_even": th.max_even, "floor_threshold": th.floor_threshold}
-            for fam in ("gershgorin", "skew_linear", "skew_cot")
-            for th in (max_sparsity(self.p, fam),)
-        }
-        return doc
-
-
-def build_report(p, k: int, beta: float | None = None) -> BoundReport:
-    """Evaluate every family at (p, k); 2 <= k <= p required."""
-    p = check_prime(p)
-    k = check_k(k, p, 2)
-    conjectural = None if beta is None else bound_conjectural(k, p, beta)
-    return BoundReport(p, k, family_bounds(k, p), conjectural, beta)

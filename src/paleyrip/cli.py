@@ -8,6 +8,10 @@ the wall time, so published figures are reproducible from metadata alone;
 an output or sidecar path that cannot be written is a usage error (exit 4),
 and then neither file is left behind.
 
+This module writes every output document: the library layers return
+values (arrays, NamedTuples, dicts of floats, check results), and each
+handler here chooses the keys and their order.
+
 Each command imports the layers it runs inside its handler, so start-up
 loads only those.  These commands run without numpy: `frame` (the
 partial-DFT frame in Python complex), `bounds` (the bound families are pure
@@ -101,6 +105,12 @@ def _parse_support(p: int, text: str, check) -> tuple[int, ...]:
     return reduced
 
 
+def _entries_doc(p: int, rows, entries) -> dict:
+    """The frame and gram document {"p", "rows", "entries"}; entries are [re, im] pairs."""
+    return {"p": p, "rows": list(rows),
+            "entries": [[[z.real, z.imag] for z in row] for row in entries]}
+
+
 def _ripcurve_rows(p: int, d) -> list[dict]:
     from .bounds import family_bounds
 
@@ -115,7 +125,7 @@ def _cmd_frame(args):
     from . import frame
 
     f = frame.build_frame(args.p)
-    return _json_text(frame.frame_to_json(f)), {}, 0
+    return _json_text(_entries_doc(f.p, f.rows, f.entries)), {}, 0
 
 
 def _cmd_gram(args):
@@ -127,14 +137,29 @@ def _cmd_gram(args):
         g = frame.gram_direct(frame.build_frame(args.p), support)
     else:
         g = frame.gram_rows(args.p, support)
-    return _json_text(frame.gram_to_json(args.p, support, g)), {}, 0
+    return _json_text(_entries_doc(args.p, support, g)), {}, 0
 
 
 def _cmd_bounds(args):
-    from . import bounds
+    from .bounds import bound_conjectural, family_bounds, max_sparsity
+    from .numtheory import check_k, check_prime
 
-    report = bounds.build_report(args.p, args.k, beta=args.beta)
-    return _json_text(report.to_dict()), {}, 0
+    p = check_prime(args.p)
+    k = check_k(args.k, p, 2)
+    values = family_bounds(k, p)  # cannot raise once p and k have passed: beta is checked third
+    # "best" is the least defined family; none is least for every k
+    # (skew_linear and the additive families cross near k = 3)
+    doc = {"p": p, "k": k, "bounds": values,
+           "best": min(v for v in values.values() if v is not None)}
+    if args.beta is not None:
+        doc["conditional"] = {
+            "conjectural": bound_conjectural(k, p, args.beta), "beta": args.beta,
+            "note": "valid only if the quadratic-residue conjecture holds"}
+    doc["max_sparsity"] = {
+        family: {"max_even": th.max_even, "floor_threshold": th.floor_threshold}
+        for family in ("gershgorin", "skew_linear", "skew_cot")
+        for th in (max_sparsity(p, family),)}
+    return _json_text(doc), {}, 0
 
 
 def _cmd_estimate(args):
@@ -268,13 +293,15 @@ def _cmd_conjecture(args):
 
 
 def _cmd_verify(args):
-    from . import verify
+    from .verify import run_verification
 
-    report = verify.run_verification(args.p)
-    code = 0 if report["all_passed"] else EXIT_VERIFY_FAILED
-    if code != 0:
-        print(f"verification failed: {', '.join(report['failed'])}", file=sys.stderr)
-    return _json_text(report), {}, code
+    results = run_verification(args.p)
+    failed = [r.name for r in results if not r.passed]
+    doc = {"p": args.p, "checks": [r._asdict() for r in results],
+           "all_passed": not failed, "failed": failed}
+    if failed:
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+    return _json_text(doc), {}, EXIT_VERIFY_FAILED if failed else 0
 
 
 def build_parser() -> _Parser:

@@ -12,7 +12,8 @@ use (the pair search of `pairs` reads the Legendre table itself);
 exists as the validation oracle for the analytic path.
 
 The frame (`build_frame`, rows of Python complex), `gram_direct` (nested
-lists), the validators, `gram_rows` and the JSON writers run without numpy.
+lists), the validators and `gram_rows` run without numpy; the CLI writes
+the frame and Gramian JSON documents from their entries.
 numpy is imported only inside the array routines `sign_matrix` and
 `gram_analytic`; callers that want the frame or a direct Gramian as an
 array call `np.asarray` on it.
@@ -144,29 +145,3 @@ def gram_rows(p, support) -> list[list[complex]]:
     support = check_support(p, support)
     chi, scale = chi_signs(p), 1j / math.sqrt(p)
     return [[1 + 0j if a == b else chi[a - b] * scale for b in support] for a in support]
-
-
-def _entries_to_json(entries) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in entries]
-
-
-def frame_to_json(frame: PaleyFrame) -> dict:
-    """JSON document {"p", "rows", "entries"}; entries are [re, im] pairs."""
-    return {
-        "p": frame.p,
-        "rows": list(frame.rows),
-        "entries": _entries_to_json(frame.entries),
-    }
-
-
-def gram_to_json(p: int, support, entries) -> dict:
-    """Same schema as frame_to_json; "rows" holds the support indices.
-
-    entries is a complex array or nested lists of complex (gram_rows,
-    gram_direct).
-    """
-    return {
-        "p": int(p),
-        "rows": list(check_support(p, support)),
-        "entries": _entries_to_json(entries),
-    }

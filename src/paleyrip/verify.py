@@ -2,7 +2,8 @@
 
 Runs the identity and inequality checks that the closed-form machinery
 rests on, at a caller-chosen prime plus a fixed internal grid, and returns
-a structured pass/fail report.  Checks route through the public module
+one CheckResult (name, passed, detail) per check; the CLI prints them as
+the `verify` report.  Checks route through the public module
 functions so a fault injected into any of them is caught here.
 
 Every check decides in Python ints, so `verify` loads neither numpy nor
@@ -387,16 +388,8 @@ _CHECKS = (
 )
 
 
-def run_verification(p) -> dict:
-    """Run every check at prime p; returns a JSON-ready report."""
+def run_verification(p) -> list[CheckResult]:
+    """Run every check at prime p; one CheckResult per check, in suite order."""
     p = check_paley(p)
     rng = SplitMix64(sub_seed(_SUITE_SEED, p))
-    results = [check(p, rng) for check in _CHECKS]
-    return {
-        "p": p,
-        "checks": [
-            {"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results
-        ],
-        "all_passed": bool(all(r.passed for r in results)),
-        "failed": [r.name for r in results if not r.passed],
-    }
+    return [check(p, rng) for check in _CHECKS]

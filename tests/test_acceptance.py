@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
+import contextlib
+import io
+import json
 import math
 import statistics
 import subprocess
@@ -16,10 +19,10 @@ import pytest
 
 from paleyrip.bounds import (
     DEMBO_C,
-    build_report,
     family_bounds,
     find_c_alpha,
 )
+from paleyrip.cli import main
 from paleyrip.experiments import (
     dembo_ratio_study,
     estimate_rip_single,
@@ -126,7 +129,10 @@ def test_criterion_04_cot_radius_theorem():
 
 
 def test_criterion_05_p1009_sparsity_thresholds():
-    doc = build_report(1009, 4).to_dict()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", "--p", "1009", "--k", "4"]) == 0
+    doc = json.loads(out.getvalue())
     gersh = doc["max_sparsity"]["gershgorin"]["floor_threshold"]
     skew = doc["max_sparsity"]["skew_linear"]["floor_threshold"]
     _report(5, gersh == 23 and skew == 35,

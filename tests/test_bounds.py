@@ -9,11 +9,11 @@ from paleyrip.bounds import (
     FAMILIES,
     GENERALIZED_OFFSET,
     bound_conjectural,
-    build_report,
     family_bounds,
     find_c_alpha,
     max_sparsity,
 )
+from paleyrip.cli import main
 from paleyrip.errors import NotPrimeError, ParameterRangeError
 from paleyrip.experiments import exact_rip
 
@@ -199,27 +199,38 @@ def test_bounds_sound_against_exhaustive_oracle():
             assert b["generalized_dembo"] >= exact - 1e-9
 
 
-def test_build_report():
-    rep = build_report(103, 30, beta=0.7)
-    assert rep.best == min(rep.bounds.values())
-    assert rep.best == rep.bounds["skew_cot"]  # cot variant wins at k = 30
-    doc = rep.to_dict()
-    json.dumps(doc)  # serializable
-    assert doc["conditional"]["beta"] == 0.7
+def _bounds_document(capsys, argv: str) -> dict:
+    """The JSON document `paleyrip bounds <argv>` prints."""
+    assert main(["bounds", *argv.split()]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_build_report(capsys):
+    # the report the `bounds` command builds from family_bounds,
+    # bound_conjectural and max_sparsity
+    doc = _bounds_document(capsys, "--p 103 --k 30 --beta 0.7")
+    assert list(doc) == ["p", "k", "bounds", "best", "conditional", "max_sparsity"]
+    assert doc["bounds"] == family_bounds(30, 103)
+    assert doc["best"] == min(doc["bounds"].values())
+    assert doc["best"] == doc["bounds"]["skew_cot"]  # cot variant wins at k = 30
+    assert doc["conditional"] == {"conjectural": bound_conjectural(30, 103, 0.7), "beta": 0.7,
+                                  "note": "valid only if the quadratic-residue conjecture holds"}
+    assert doc["max_sparsity"] == {
+        name: {"max_even": th.max_even, "floor_threshold": th.floor_threshold}
+        for name in ("gershgorin", "skew_linear", "skew_cot")
+        for th in (max_sparsity(103, name),)}
     # floor(sqrt(103/2)) + 1 = 8
     assert doc["max_sparsity"]["gershgorin"]["floor_threshold"] == 8
 
-    rep2 = build_report(7, 2)
-    assert rep2.bounds["dembo_recursive"] is None and rep2.bounds["generalized_dembo"] is None
-    assert "conditional" not in rep2.to_dict()
-    with pytest.raises(ParameterRangeError):
-        build_report(7, 1)
+    doc = _bounds_document(capsys, "--p 7 --k 2")
+    assert doc["bounds"]["dembo_recursive"] is None and doc["bounds"]["generalized_dembo"] is None
+    assert doc["best"] == min(v for v in doc["bounds"].values() if v is not None)
+    assert "conditional" not in doc
 
 
-def test_report_empirical_lower_invariant():
-    rep = build_report(7, 4)
+def test_report_empirical_lower_invariant(capsys):
     exact = exact_rip(7, 4)
-    for val in rep.bounds.values():
+    for val in _bounds_document(capsys, "--p 7 --k 4")["bounds"].values():
         assert val >= exact - 1e-9
 
 
@@ -241,7 +252,6 @@ DOMAINS = {
     **{name: (fn, 1, 3) for name, fn in FAMILY_FUNCTIONS.items()},
     "conjectural": (lambda k, p: bound_conjectural(k, p, 0.5), 1, 3),
     "family_bounds": (family_bounds, 1, 3),
-    "build_report": (lambda k, p: build_report(p, k), 2, 3),
 }
 
 
@@ -256,6 +266,26 @@ def test_every_bound_rejects_k_and_p_outside_its_domain(call, min_k, min_p):
     below = 2 if min_p == 3 else 5
     with pytest.raises(ParameterRangeError, match=f"p must be >= {min_p}"):
         call(min(min_k, below), below)
+
+
+# The `bounds` command's domain, 2 <= k <= p and p >= 3: its stderr line
+# for each argv outside it (exit 4), and none at k = p (exit 0).
+BOUNDS_COMMAND_DOMAIN = {
+    "--p 7 --k 7": "",
+    "--p 7 --k 8": "k must be in [2, p], got k=8, p=7",
+    "--p 7 --k 1": "k must be in [2, p], got k=1, p=7",
+    "--p 1019 --k 1019": "",
+    "--p 1019 --k 1020": "k must be in [2, p], got k=1020, p=1019",
+    "--p 1019 --k 1": "k must be in [2, p], got k=1, p=1019",
+    "--p 2 --k 2": "p must be >= 3, got 2",
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDS_COMMAND_DOMAIN)
+def test_bounds_command_rejects_k_and_p_outside_its_domain(capsys, argv):
+    message = BOUNDS_COMMAND_DOMAIN[argv]
+    assert main(["bounds", *argv.split()]) == (4 if message else 0)
+    assert capsys.readouterr().err == (f"paleyrip bounds: {message}\n" if message else "")
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

@@ -50,9 +50,8 @@ def test_validation_exit_codes(capsys, argv, code):
 
 @pytest.mark.parametrize("argv, support_checks, prime_checks", [
     ("frame --p 7", 0, 2),
-    # gram_to_json, a public formatter, checks its own input
-    ("gram --p 7 --support 0,1,3", 2, 3),
-    ("gram --p 7 --support 0,1,3 --method direct", 2, 3),
+    ("gram --p 7 --support 0,1,3", 1, 3),
+    ("gram --p 7 --support 0,1,3 --method direct", 1, 3),
     ("conjecture --p 5 --support 0,1,2,3,4", 1, 3),
     ("conjecture --p 43 --support 1,5,9,12,17,20,22,30,33,38,40,41 --peel --m-alpha 5", 1, 3),
 ])

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paleyrip.cli import main
 from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.frame import (
     build_frame,
     check_support,
-    frame_to_json,
     gram_analytic,
     gram_direct,
-    gram_to_json,
     sign_matrix,
 )
 from paleyrip.numtheory import legendre
@@ -191,18 +190,22 @@ def test_gram_rejects_mismatched_support():
         gram_direct(build_frame(7), (0, 7))
 
 
-def test_json_documents_round_trip():
+def test_json_documents_round_trip(capsys):
+    # the `frame` and `gram` documents the CLI prints
     f = build_frame(7)
-    doc = frame_to_json(f)
-    text = json.dumps(doc)
-    back = json.loads(text)
+    assert main(["frame", "--p", "7"]) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert list(back) == ["p", "rows", "entries"]
     assert back["p"] == 7
     assert back["rows"] == [0, 1, 2, 4]
     entries = np.array([[complex(re, im) for re, im in row] for row in back["entries"]])
     assert np.abs(entries - f.entries).max() < 1e-15
 
     g = gram_analytic(7, (0, 1, 3))
-    gdoc = gram_to_json(7, (0, 1, 3), g)
+    assert main(["gram", "--p", "7", "--support", "0,1,3"]) == 0
+    gdoc = json.loads(capsys.readouterr().out)
+    assert list(gdoc) == ["p", "rows", "entries"]
+    assert gdoc["p"] == 7
     assert gdoc["rows"] == [0, 1, 3]
     gentries = np.array([[complex(re, im) for re, im in row] for row in gdoc["entries"]])
     assert np.abs(gentries - g).max() < 1e-15

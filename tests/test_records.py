@@ -1,13 +1,12 @@
 """The records of the numpy-free modules are NamedTuples.
 
 `frame.PaleyFrame`, `bounds.Family`, `bounds.SparsityThreshold`,
-`bounds.BoundReport`, `pairs.ConjectureRecord` and
-`pairs.ConjectureScanSummary` keep their field order, defaults, properties
-and `to_dict`, refuse assignment, and compare equal to the tuple of their
-fields.  They hold results, not the arguments they were computed from: a
-field stays only where a method of its record reads it.  The values they
-carry are pinned at two inputs each, against the golden JSON of the
-commands that print them.
+`pairs.ConjectureRecord` and `pairs.ConjectureScanSummary` keep their
+field order, defaults and properties, refuse assignment, and compare equal
+to the tuple of their fields.  They hold results, not the arguments they
+were computed from: a field stays only where a method of its record reads
+it.  The CLI turns them into the printed documents; a `ConjectureRecord`
+is pinned at two inputs against the golden JSON of `conjecture --support`.
 """
 
 import json
@@ -15,14 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from paleyrip.bounds import (
-    FAMILIES,
-    BoundReport,
-    Family,
-    SparsityThreshold,
-    build_report,
-    max_sparsity,
-)
+from paleyrip.bounds import FAMILIES, Family, SparsityThreshold, max_sparsity
 from paleyrip.frame import PaleyFrame, build_frame
 from paleyrip.pairs import ConjectureRecord, ConjectureScanSummary, conjecture_scan, conjecture_search
 
@@ -32,8 +24,6 @@ RECORDS = [
     (PaleyFrame, ("p", "rows", "entries"), {}),
     (Family, ("f", "min_k", "min_p", "floor"), {"min_k": 1, "min_p": 3, "floor": None}),
     (SparsityThreshold, ("max_even", "floor_threshold"), {}),
-    (BoundReport, ("p", "k", "bounds", "conjectural", "conjectural_beta"),
-     {"conjectural": None, "conjectural_beta": None}),
     (ConjectureRecord, ("support", "pair", "ratio", "satisfied", "numerator"), {}),
     (ConjectureScanSummary,
      ("records", "fraction_satisfied", "worst_ratio", "worst_support"), {}),
@@ -50,7 +40,6 @@ def test_fields_and_defaults(cls, fields, defaults):
     build_frame(7),
     FAMILIES["gershgorin"],
     max_sparsity(1009, "gershgorin"),
-    build_report(1009, 4),
     conjecture_search(5, (0, 1, 2, 3, 4)),
     conjecture_scan(19, 5, 2),
 ], ids=lambda r: type(r).__name__)
@@ -72,17 +61,6 @@ def test_family_defaults_and_tuple_equality():
     assert Family(f) == (f, 1, 3, None)
     assert FAMILIES["dembo_recursive"][1:3] == (3, 7)
     assert max_sparsity(1009, "gershgorin") == (22, 23)
-
-
-@pytest.mark.parametrize("argv, golden", [
-    ((1009, 4, None), "bounds-p1009-k4.json"),
-    ((103, 30, 0.7), "bounds-p103-k30-beta0.7.json"),
-])
-def test_bound_report_to_dict_unchanged(argv, golden):
-    report = build_report(*argv)
-    assert report.to_dict() == json.loads((GOLDEN / golden).read_text())
-    assert report.best == min(v for v in report.bounds.values() if v is not None)
-    assert BoundReport(report.p, report.k, report.bounds) == (*report[:3], None, None)
 
 
 @pytest.mark.parametrize("support, golden", [

@@ -30,17 +30,17 @@ import paleyrip
 # Every public name of the package, submodules included, as an __init__
 # importing all submodules eagerly would expose them.
 EAGER_NAMES = [
-    "BorderedBlock", "BoundReport", "ConjectureRecord", "ConjectureScanSummary", "DEMBO_C",
+    "BorderedBlock", "ConjectureRecord", "ConjectureScanSummary", "DEMBO_C",
     "DemboRatioRow", "DuplicateSupportError", "GENERALIZED_OFFSET", "MalformedInputError",
     "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyRipError",
     "ParameterRangeError", "SparsityThreshold", "SplitMix64",
-    "WrongResidueError", "bound_conjectural", "bounds", "build_frame", "build_report",
+    "WrongResidueError", "bound_conjectural", "bounds", "build_frame",
     "check_paley", "check_support", "chi_signs", "chi_table",
     "conjecture_scan", "conjecture_search", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
-    "family_bounds", "find_c_alpha", "fit", "fit_power_law", "frame", "frame_to_json",
+    "family_bounds", "find_c_alpha", "fit", "fit_power_law", "frame",
     "generalized_dembo_extremes", "gram_analytic", "gram_direct", "gram_rows",
-    "gram_to_json", "greedy_peel", "hermitian_spectrum", "is_prime",
+    "greedy_peel", "hermitian_spectrum", "is_prime",
     "legendre", "max_sparsity", "numtheory",
     "one_sided_ratio", "pairs", "random_subset", "rng", "row_index_set",
     "run_verification", "sign_matrix", "skew_spectral_radius", "spectra",
@@ -222,11 +222,12 @@ def test_star_import():
 def test_unknown_attribute():
     # removed public names: four routines that nothing in the package ran,
     # four single-family wrappers, now columns of family_bounds, four float
-    # twins of identities verify decides exactly, and the record of a curve,
-    # now the bare array d
+    # twins of identities verify decides exactly, the record of a curve,
+    # now the bare array d, and four output-document writers, now in cli
     for name in ["no_such_name", "coherence", "l1_coherence", "schur_bordered_det", "dembo_lower",
                  "bound_gershgorin", "bound_skew", "bound_dembo_recursive",
                  "bound_generalized_dembo", "block3_det", "gamma_term", "canonical_tournament",
-                 "lemma_k_inequality", "RipEstimate"]:
+                 "lemma_k_inequality", "RipEstimate", "BoundReport", "build_report",
+                 "frame_to_json", "gram_to_json"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(paleyrip, name)
