@@ -47,8 +47,6 @@ from .fit import DEFAULT_FIT_JMIN, fit_power_law
 EXIT_VERIFY_FAILED = 7  # a failed identity check is a result, not an error
 
 RIPCURVE_COLUMNS = ("j", "d", "gershgorin", "skew_linear", "dembo_recursive", "generalized_dembo")
-DEMBORATIO_COLUMNS = ("j", "lambda_max", "dembo_bound", "gershgorin_bound",
-                      "dembo_ratio", "gershgorin_ratio")
 CONJECTURE_COLUMNS = ("trial", "k", "best_i", "best_j", "ratio", "satisfied")
 
 
@@ -213,7 +211,7 @@ def _cmd_demboratio(args):
     if args.format == "json":
         doc = {"p": args.p, "k": args.k, "seed": args.seed, "rows": rows}
         return _json_text(doc), {}, 0
-    return _csv_text(DEMBORATIO_COLUMNS, rows), {}, 0
+    return _csv_text(experiments.DemboRatioRow._fields, rows), {}, 0
 
 
 def _record_doc(rec, p: int, alpha: float) -> dict:

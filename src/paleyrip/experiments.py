@@ -7,6 +7,7 @@ exhaustive at tiny scale) and the bordered-bound sharpness study.  The
 quadratic-residue pair experiments, the Monte Carlo scan included, live in
 `pairs`, and the log-log power-law fit of d(j) in `fit`; neither needs
 numpy, and only exact_rip imports one: `pairs`, for its witness search.
+It imports `bounds` too, whose skew_cot value caps what it returns.
 
 Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
 matrix chi(T_a - T_b) of the support T, and its deviation from the identity
@@ -206,8 +207,8 @@ def exact_rip(p, k: int) -> float:
     it raises says how the witness search ended.  This is the oracle the
     closed-form bounds are checked against.  For k >= (p+3)/2 it returns
     1.0 before any search: every k-support has delta_T = 1 exactly; below,
-    delta_T < 1, and a computed value above 1 is capped (see the module
-    docstring).
+    delta_T < 1, and a computed value is capped at 1 (see the module
+    docstring) and at the skew_cot bound.
     """
     p = check_paley(p)
     k = check_k(k, p, 1)
@@ -215,23 +216,31 @@ def exact_rip(p, k: int) -> float:
         return 0.0  # C_T = [0]; there is no pair to fix
     if 2 * k >= p + 3:
         return 1.0
-    from .pairs import _BudgetSpent, _cot_search  # the curve commands never load pairs
+    # imported on call: importing experiments loads neither bounds nor pairs
+    from . import bounds
+    from .pairs import _BudgetSpent, _cot_search
     try:
-        if (witness := _cot_search(p, k, _WITNESS_CANDIDATES)) is not None:
-            return min(spectra.skew_spectral_radius(sign_matrix(p, witness)) / math.sqrt(p), 1.0)
+        witness = _cot_search(p, k, _WITNESS_CANDIDATES)
         searched = f"no {k}-support attains cot(pi/{2 * k})"
     except _BudgetSpent:
+        witness = None
         searched = f"the witness search exceeded its budget of {_WITNESS_CANDIDATES} candidates"
-    if math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
+    if witness is not None:
+        reps = iter([witness])  # the one support solved
+    elif math.comb(p - 2, k - 2) > EXACT_RIP_GUARD:
         raise ParameterRangeError(
             f"{searched}, and the enumeration of binomial({p - 2}, {k - 2}) representatives"
             f" exceeds the exhaustive guard {EXACT_RIP_GUARD}"
         )
-    reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
+    else:
+        reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
         rho = max(rho, spectra.skew_spectral_radius(sign_matrix(p, chunk)).max())
-    return min(float(rho) / math.sqrt(p), 1.0)
+    # a tight radius can read a few ulps above skew_cot, which caps it but is no
+    # value of its own: the float cot(pi/4) is 1 + 2^-52, delta_2 = 1/sqrt p
+    cot = bounds.FAMILIES["skew_cot"].f(k) / math.sqrt(p)
+    return min(float(rho) / math.sqrt(p), cot, 1.0)
 
 
 class DemboRatioRow(NamedTuple):

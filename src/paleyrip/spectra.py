@@ -16,13 +16,11 @@ itself.  dembo_upper is the one-step bordered bound demboratio prints.
 BorderedBlock, generalized_dembo_extremes and hermitian_spectrum, like
 frame.gram_analytic, have no caller in the package: they stay only because
 the benchmark's oracle job imports them (ROADMAP items 1 and 9).  The
-extremes are the eigenvalues of the bordered matrix compressed to its
-invariant subspace of order at most 4, written in closed form from |c|^2,
-d.conj c and the residual norm of d against c.  hermitian_spectrum, also
-the dense oracle of the tests, gates its input relative to the largest
-entry.  The paper's identities for these matrices (the closed-form
-determinant, the Lagrange form of gamma, rho = cot(pi/2n) for the
-canonical tournament) are decided exactly, in integers, by verify.
+extremes are read from a dense solve of the assembled bordered matrices.
+hermitian_spectrum, also the dense oracle of the tests, gates its input
+relative to the largest entry.  The paper's identities for these matrices
+(the closed-form determinant, the Lagrange form of gamma, rho = cot(pi/2n)
+for the canonical tournament) are decided exactly, in integers, by verify.
 """
 
 from __future__ import annotations
@@ -156,7 +154,7 @@ class BorderedBlock:
         object.__setattr__(self, "d", d)
 
     def assemble(self) -> np.ndarray:
-        """Dense matrix for oracle comparisons."""
+        """The dense bordered matrix, of order k + 2."""
         k = len(self.c)
         r = np.zeros((k + 2, k + 2), dtype=complex)
         r[0, 0] = r[1, 1] = self.a
@@ -170,59 +168,18 @@ class BorderedBlock:
         return r
 
 
-def _compressed_spectrum(*blks: BorderedBlock) -> np.ndarray:
-    """Eigenvalues, ascending, of each bordered matrix R compressed to an invariant subspace.
-
-    R maps V = span{e0, e1, (0, 0, conj c), (0, 0, conj d)} into itself and
-    acts as eta*I on the complement of V.  The basis u1 = conj c / |c| and
-    u2, the normalized Gram-Schmidt residual of conj d against u1, gives
-    the compression in closed form from |c|^2 and d.conj c alone:
-
-        [[a,   b,                 |c|,           0],
-         [b*,  a,                 d.conj c/|c|,  r],
-         [|c|, (d.conj c/|c|)*,   eta,           0],
-         [0,   r,                 0,           eta]]
-
-    with r = |d - (d.conj c/|c|^2) c|, the residual vector's norm, accurate
-    to about eps |d| even for d parallel to c, where
-    sqrt(|d|^2 - |d.conj c|^2/|c|^2) would cancel to sqrt(eps) |d|.  The
-    characteristic polynomial is the bordered quartic.  c = 0 takes u1 from
-    conj d, so r = |d| sits in the place of d.conj c/|c|; a zero residual
-    (d parallel to c, k = 1, zero borders) only adds the eigenvalue eta.
-    One stacked solve.
-    """
-    h = np.zeros((len(blks), 4, 4), dtype=complex)
-    for hb, blk in zip(h, blks):
-        c, d = blk.c, blk.d
-        cc = np.vdot(c, c).real
-        if cc > 0.0:
-            dc = np.vdot(c, d)  # d.conj c
-            nc = math.sqrt(cc)
-            res = d - (dc / (nc * nc)) * c
-            hb[0, 2], hb[1, 2], hb[1, 3] = nc, dc / nc, math.sqrt(np.vdot(res, res).real)
-        else:
-            hb[1, 2] = math.sqrt(np.vdot(d, d).real)
-        hb[0, 0] = hb[1, 1] = blk.a
-        hb[0, 1] = blk.b
-        hb[2, 2] = hb[3, 3] = blk.eta
-    return np.linalg.eigvalsh(h, UPLO="U")  # reads only the upper triangle filled above
-
-
 def generalized_dembo_extremes(blk_up: BorderedBlock, blk_low: BorderedBlock) -> tuple[float, float]:
     """Extreme-eigenvalue bounds from the two bordered comparison matrices.
 
-    `upper` is the largest real root of the quartic factor for the matrix
-    built with the upper proxy eta, `lower` the smallest root for the lower
-    proxy; eta itself is always a candidate (it is an eigenvalue of
-    multiplicity k-2, and sits between the extremes of the bordered matrix
-    for any k).  The roots are the eigenvalues of R compressed to its
-    invariant subspace of dimension at most 4 (see _compressed_spectrum), so
-    every root is found, wherever it lies; both matrices are solved in one
-    stacked call.
+    `upper` is the largest eigenvalue of the matrix built with the upper
+    proxy eta, `lower` the smallest of the one built with the lower proxy.
+    By interlacing with the trailing eta*I block, eta lies between the
+    extremes, and neither result crosses it.  Both assembled matrices are
+    solved in one stacked call.
     """
     if blk_up.eta < blk_low.eta:
         raise ParameterRangeError(
             f"upper proxy eta {blk_up.eta} below lower proxy eta {blk_low.eta}"
         )
-    w = _compressed_spectrum(blk_up, blk_low)
+    w = np.linalg.eigvalsh(np.stack([blk_up.assemble(), blk_low.assemble()]))
     return max(float(w[0, -1]), blk_up.eta), min(float(w[1, 0]), blk_low.eta)

@@ -25,6 +25,7 @@ from paleyrip.experiments import (
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
+from paleyrip.numtheory import is_prime
 from paleyrip.pairs import (
     conjecture_scan,
     conjecture_search,
@@ -447,8 +448,26 @@ def test_interval_curve_reads_at_most_one_below_the_ceiling(p):
 
 @pytest.mark.parametrize("p, k", [(19, 6), (19, 7)])  # a witness, and the enumeration
 def test_exact_rip_caps_a_radius_above_sqrt_p(p, k, monkeypatch):
+    # at 1 and at the skew_cot bound, whichever is lower: 0.856 at (19, 6),
+    # above 1 at (19, 7)
     monkeypatch.setattr(spectra, "skew_spectral_radius", lambda c: np.full(np.shape(c)[:-2], 5.0))
-    assert exact_rip(p, k) == 1.0
+    assert exact_rip(p, k) == min(family_bounds(k, p)["skew_cot"], 1.0)
+
+
+def test_certified_exact_rip_is_at_most_skew_cot():
+    # the solver reads a tight radius up to about 11 ulps high: uncapped,
+    # (151, 8) read 0.4091190857016479 against the bound 0.40911908570164773
+    certified = 0
+    for p in filter(is_prime, range(7, 152, 4)):
+        for k in range(2, min(13, (p + 1) // 2) + 1):
+            try:
+                if pairs._cot_search(p, k, experiments._WITNESS_CANDIDATES) is None:
+                    continue
+            except pairs._BudgetSpent:
+                continue
+            assert exact_rip(p, k) <= family_bounds(k, p)["skew_cot"], (p, k)
+            certified += 1
+    assert certified == 145
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (11, 4), (19, 4)])
