@@ -21,14 +21,10 @@ O(k) time and memory whatever p, and needs no numpy.  random_subsets draws
 the k-subsets of many seeds at once: it runs the same shuffle of every
 seed's stream side by side in uint64 numpy arithmetic, and redraws a
 rejected lane through SplitMix64.below, so each row is bit-exact with
-random_subset of that seed.  SplitMix64.next_u64s(n) mixes the next n
-states side by side in one Python int, bit-exact with n calls to
-next_u64(), and needs no numpy.
+random_subset of that seed.  Neither draws below a bound past 2^64.
 """
 
 from __future__ import annotations
-
-import struct
 
 from .errors import ParameterRangeError
 from .numtheory import check_k
@@ -59,31 +55,10 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
 
-    def next_u64s(self, n: int) -> list[int]:
-        """The next n outputs, bit-exact with n next_u64() calls, as a list of ints.
-
-        State t sits in bits [128 t, 128 t + 64) of one Python int, its
-        128-bit lane, and the finalizer runs on all lanes at once.  The
-        bits a right shift brings down from the next lane land above bit 64
-        and are masked off before each product, and a lane's product by a
-        64-bit constant stays within its 128 bits, so no lane reaches
-        another; the unpack reads only the low 8 bytes of each lane.
-        """
-        lanes = "<" + "Q8x" * n  # each output's 8 bytes, then its lane's upper 8
-        ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
-        low = ones * _MASK
-        steps = int.from_bytes(struct.pack(lanes, *range(1, n + 1)), "little")
-        z = (self._state * ones + _GAMMA * steps) & low
-        for shift, mul in ((30, _MUL1), (27, _MUL2)):
-            z = (z ^ ((z >> shift) & low)) * mul & low
-        z ^= z >> 31
-        self._state = (self._state + n * _GAMMA) & _MASK
-        return list(struct.unpack(lanes, z.to_bytes(16 * n, "little")))
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection (no modulo bias)."""
-        if n <= 0:
-            raise ParameterRangeError("bound must be positive")
+        if not 0 < n <= _MASK + 1:  # past 2^64 the limit is 0 and no output is accepted
+            raise ParameterRangeError(f"bound must be in [1, 2^64], got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -119,6 +94,8 @@ def random_subsets(p: int, k: int, seeds):
     import numpy as np
 
     k = check_k(k, p, 1)
+    if p > _MASK + 1:  # below(p)'s bound, and past the uint64 arithmetic
+        raise ParameterRangeError(f"bound must be in [1, 2^64], got {p}")
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     n = np.arange(p, p - k, -1, dtype=np.uint64)  # below()'s bound at step i
     # below(n) accepts u < 2^64 - (2^64 mod n), and 2^64 mod n = (_MASK mod n + 1) mod n

@@ -30,7 +30,8 @@ Every check decides in Python ints, so `verify` loads neither numpy nor
   after integer Gershgorin and trace bounds that settle most random
   orientations.  The canonical tournament must give h-_n < rho^2 < h+_n,
   and 50 random orientations per order rho^2 < h+_n, so every rho is at
-  most cot(pi/2n) + 2^-41.
+  most cot(pi/2n) + 2^-41.  The sign of pair t, row by row, of a random
+  orientation is bit t of two outputs joined low half first.
 - lemma_k_inequality and c_alpha_search: exact Fraction and integer
   decisions of the step lemma and of the c_alpha inequality.
 """
@@ -89,7 +90,7 @@ def _order3_signs(p, support) -> tuple[list[list[int]], bool]:
 
 
 def _check_order3(name, p, rng, poly_of, want, claim) -> CheckResult:
-    cases = [_order3_signs(p, random_subset(p, 3, seed)) for seed in rng.next_u64s(50)]
+    cases = [_order3_signs(p, random_subset(p, 3, rng.next_u64())) for _ in range(50)]
     exact = sum(ok for _, ok in cases)
     polys = sum(_charpoly3(poly_of(c)) == want for c, _ in cases)
     detail = f"gram_rows = I + (i/sqrt p) C bit for bit: {exact} of 50; {claim}: {polys} of 50"
@@ -343,10 +344,10 @@ def _check_cot_radius(p, rng) -> CheckResult:
         pairs = n * (n - 1) // 2
         canonical = _tournament_gram(n, [1] * pairs)
         enclosed += _top_below(canonical, hi) and not _top_below(canonical, lo)
-        # one SplitMix64 output per sign, its low bit: below(2) never rejects
-        bits = [u & 1 for u in rng.next_u64s(50 * pairs)]
-        for t in range(0, len(bits), pairs):
-            s = _tournament_gram(n, bits[t:t + pairs])
+        for _ in range(50):
+            # pair t's sign is bit t of two outputs, 128 bits for n(n-1)/2 <= 66 pairs
+            word = rng.next_u64() | rng.next_u64() << 64
+            s = _tournament_gram(n, [word >> t & 1 for t in range(pairs)])
             norms = _norm_below(s, hi)
             by_norms += norms
             below += norms or _top_below(s, hi)

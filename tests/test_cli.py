@@ -328,6 +328,19 @@ def test_conjecture_p2_exit_4(capsys):
     assert run_cli(capsys, "conjecture", "--p", "9", "--k", "3", "--trials", "1")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "conjecture --p 18446744073709551629 --k 3 --trials 1",  # 2^64 + 13: the draw never returned
+    "estimate --p 18446744073709551667 --k 3 --trials 2",  # 3 mod 4: an OverflowError traceback
+])
+def test_prime_past_2_64_exit_4(argv):
+    # a 64-bit stream draws below at most 2^64
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
+                         capture_output=True, text=True, timeout=30)
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: bound must be in [1, 2^64], got ")
+
+
 @pytest.mark.parametrize("argv, message", [
     ("conjecture --p 19 --k 5 --trials 2 --peel", "--peel needs --support"),
     ("conjecture --p 19 --support 1,2,3,4,5 --k 9", "--k sets the scan's support size"),

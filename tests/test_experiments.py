@@ -1,10 +1,12 @@
 import math
+import re
 import time
 from itertools import combinations, islice
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paleyrip import experiments, pairs, rng, spectra
@@ -25,7 +27,7 @@ from paleyrip.experiments import (
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
-from paleyrip.numtheory import is_prime
+from paleyrip.numtheory import chi_signs, is_positive_definite, is_prime
 from paleyrip.pairs import (
     conjecture_scan,
     conjecture_search,
@@ -51,18 +53,6 @@ def test_splitmix64_reference_outputs():
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     assert rng.next_u64() == 0x06C45D188009454F
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-       st.sampled_from([0, 1, 2, 5000]))
-@example(0, 5000)
-@example(2**64 - 1, 5000)
-def test_next_u64s_matches_scalar_stream(seed, n):
-    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
-    out = bulk.next_u64s(n)
-    assert out == [scalar.next_u64() for _ in range(n)]
-    assert bulk.next_u64() == scalar.next_u64()  # same state after the draw
 
 
 def test_sub_seed_matches_stream():
@@ -91,6 +81,17 @@ def test_random_subset_deterministic_and_valid():
         random_subsets(10, 11, [0])
     with pytest.raises(ParameterRangeError):
         SplitMix64(0).below(0)
+
+
+def test_draws_reject_bounds_past_2_64():
+    # below(n) accepts u < 2^64 - (2^64 mod n), which is 0 past 2^64: it never returned
+    assert SplitMix64(0).below(2**64) == 0xE220A8397B1DCDAF  # every output accepted
+    for p in (2**64 + 1, 2**64 + 13):
+        message = re.escape(f"bound must be in [1, 2^64], got {p}")
+        for draw in (lambda: SplitMix64(0).below(p), lambda: random_subset(p, 3, 0),
+                     lambda: random_subsets(p, 3, [0])):
+            with pytest.raises(ParameterRangeError, match=message):
+                draw()
 
 
 def test_random_subset_coverage():
@@ -444,6 +445,49 @@ def test_interval_curve_reads_at_most_one_below_the_ceiling(p):
     # 1.0000000000000007 at order 82 for p = 163, and above 1 at 21 orders for p = 743
     d = experiments._worst_curve(p, np.arange((p + 1) // 2)[None, :])
     assert d.max() <= 1.0
+
+
+def _complement_gram(p, support):
+    """J + B^T B in ints, B the sign block chi(r - t) from the residues r outside T to T."""
+    chi, inside = chi_signs(p), set(support)
+    cols = [[chi[(r - t) % p] for r in range(p) if r not in inside] for t in support]
+    return [[1 + sum(map(mul, u, v)) for v in cols] for u in cols]
+
+
+def _integer_rank(m):
+    """Rank of an integer matrix by fraction-free elimination with row swaps."""
+    a, rank, prev = [list(row) for row in m], 0, 1
+    for col in range(len(a[0])):
+        r = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if r is None:
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        top, pivot = a[rank], a[rank][col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        prev, rank = pivot, rank + 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [19, 23, 43])
+def test_ceiling_theorem_in_integers(p):
+    # C_T^T C_T = pI - (J + B^T B), so delta_T < 1 exactly when J + B^T B is
+    # positive definite: at every k <= (p+1)/2, the strictness the cap of d at
+    # 1.0 relies on, and at no k >= (p+3)/2, where its rank is p - k + 1 < k
+    for k in range(1, p + 1):
+        for support in (range(k), random_subset(p, k, k)):
+            m = _complement_gram(p, support)
+            if k <= (p + 1) // 2:
+                assert is_positive_definite(m), (k, support)
+            else:
+                assert not is_positive_definite(m), (k, support)
+                assert _integer_rank(m) == p - k + 1, (k, support)
+
+
+def test_interval_below_one_at_103_52_in_integers():
+    # the interval {0..51}: 1 - delta_T is 5.4e-12 in floats, decided exactly here
+    assert is_positive_definite(_complement_gram(103, range(52)))
 
 
 @pytest.mark.parametrize("p, k", [(19, 6), (19, 7)])  # a witness, and the enumeration

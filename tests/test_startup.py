@@ -15,7 +15,6 @@ process with `check` stubbed, and once without an importable paleyrip.
 without numpy.
 """
 
-import functools
 import importlib.metadata
 import os
 import subprocess
@@ -65,30 +64,9 @@ def _last_line(code: str) -> str:
 BY_ARGV = {" ".join(entry["argv"]): entry for entry in check_outputs.MANIFEST}
 
 
-@functools.cache
-def _problem(argv: str) -> str:
-    """check_outputs.check of the entry with this argv, run once per session."""
-    return check_outputs.check(BY_ARGV[argv])
-
-
 @pytest.mark.parametrize("argv", list(BY_ARGV))
 def test_published_output(argv):
-    assert _problem(argv) == ""
-
-
-# The numpy-free entries' blocked runs, under the names they were first
-# tested by: the one run of each blocks numpy and dataclasses both.
-NUMPY_FREE = [argv for argv, entry in BY_ARGV.items() if entry["numpy_free"]]
-
-
-@pytest.mark.parametrize("argv", NUMPY_FREE)
-def test_command_runs_without_numpy(argv):
-    assert _problem(argv) == ""
-
-
-@pytest.mark.parametrize("argv", NUMPY_FREE)
-def test_command_runs_without_dataclasses(argv):
-    assert _problem(argv) == ""
+    assert check_outputs.check(BY_ARGV[argv]) == ""
 
 
 @pytest.mark.parametrize("failing", [0, 1])

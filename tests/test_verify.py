@@ -36,15 +36,18 @@ PALEY_PRIMES = [p for p in range(7, 1020) if p % 4 == 3 and is_prime(p)]
 
 
 def _orientations(rng: SplitMix64):
-    """(n, C) for the 50 random orientations per order n = 2..12, one below(2) per sign, row by row."""
+    """(n, C) for the 50 random orientations per order n = 2..12, each from two outputs.
+
+    The first output is the low half of a 128-bit word; the t-th pair of the
+    upper triangle, row by row, is +1 where bit t is set.
+    """
     for n in range(2, 13):
         for _ in range(50):
+            low, high = rng.next_u64(), rng.next_u64()
+            bits = [(high if t >= 64 else low) >> (t % 64) & 1 for t in range(n * (n - 1) // 2)]
             c = np.zeros((n, n), dtype=int)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    s = 1 if rng.below(2) else -1
-                    c[i, j], c[j, i] = s, -s
-            yield n, c
+            c[np.triu_indices(n, 1)] = [1 if b else -1 for b in bits]
+            yield n, c - c.T
 
 
 @pytest.mark.parametrize("p", [7, 19, 103, 1019])
