@@ -11,11 +11,13 @@ All families bound delta_k for the Paley construction by f(k)/sqrt(p):
                         distribution conjecture holds
 
 FAMILIES declares each of the five unconditional families once, as its
-f(k) and its domain min_k <= k <= p, p >= min_p; family_bounds and the
-sparsity scan read it, and numtheory.check_k decides the range of k for
-every one.  The module returns values only: the CLI assembles the `bounds`
-document and the ripcurve columns from family_bounds, bound_conjectural
-and max_sparsity.  The formulas are pure arithmetic in (k, p): they do
+f(k) and its domain min_k <= k <= p, p >= min_p; family_bounds and
+max_sparsity read it, and numtheory.check_k decides the range of k for
+every one.  max_sparsity and find_c_alpha each find the first integer
+where a monotone inequality turns true, with one search, _first_true.
+The module returns values only: the CLI assembles the `bounds` document
+and the ripcurve columns from family_bounds, bound_conjectural and
+max_sparsity.  The formulas are pure arithmetic in (k, p): they do
 not touch the frame, so they accept any prime p (notably p = 1009 = 1
 mod 4, which appears in the sparsity-threshold comparison as formula
 evaluation only).
@@ -24,6 +26,7 @@ evaluation only).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -97,64 +100,41 @@ class SparsityThreshold(NamedTuple):
     floor_threshold: int | None
 
 
+def _first_true(holds: Callable[[int], bool]) -> int:
+    """Smallest n >= 1 with holds(n), for a predicate false below some n and true from it on.
+
+    Doubling finds the first power of two where holds is true; bisect then
+    searches the gap above the previous one, so no upper end is needed.
+    """
+    hi = 1
+    while not holds(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    return lo + bisect_left(range(lo, hi), True, key=holds)
+
+
 def max_sparsity(p, family: str) -> SparsityThreshold:
-    """Scan even m = 2k upward until family-bound(m) reaches 1/sqrt(2)."""
+    """Largest even m = 2k <= p with family-bound(m) < 1/sqrt(2), found by _first_true on k."""
     if family not in FAMILIES:
         raise ParameterRangeError(f"unknown bound family {family!r}")
     fam = FAMILIES[family]
     p = check_prime(p, min_p=fam.min_p)
-    best = 0
-    for m in range(2, p + 1, 2):
-        # delta_2 = mu exactly, for every family
-        if (1.0 if m == 2 else fam.f(m)) / math.sqrt(p) >= RECOVERY_THRESHOLD:
-            break
-        best = m
-    return SparsityThreshold(best, fam.floor(p) if fam.floor else None)
-
-
-# --- smallest integer satisfying 12 c^(1+beta) < (1-alpha) c^2 - 2c ---------
-
-_EXACT_DENOM_LIMIT = 1000
-
-
-def _c_alpha_holds_exact(c: int, one_minus_alpha, one_plus_beta) -> bool:
-    # Raise both sides to the beta denominator so everything is integer
-    # arithmetic: 12^r c^(r+q) t^r < (s c^2 - 2 t c)^r, with exponent
-    # (r+q)/r and 1-alpha = s/t.
-    q, r = one_plus_beta.as_integer_ratio()
-    s, t = one_minus_alpha.as_integer_ratio()
-    rhs_base = s * c * c - 2 * t * c
-    if rhs_base <= 0:
-        return False
-    return 12**r * c ** q * t**r < rhs_base**r
-
-
-def _c_alpha_holds_decimal(c: int, alpha: float, beta: float, digits: int = 60) -> bool:
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = digits
-        cd = Decimal(c)
-        lhs = Decimal(12) * (cd.ln() * (Decimal(1) + Decimal(str(beta)))).exp()
-        rhs = (Decimal(1) - Decimal(str(alpha))) * cd * cd - 2 * cd
-        if abs(lhs - rhs) < Decimal(10) ** (-(digits // 2)) * max(abs(lhs), abs(rhs), Decimal(1)):
-            if digits >= 240:
-                raise ParameterRangeError(
-                    f"cannot decide the c_alpha inequality at c={c} even at {digits} digits"
-                )
-            return _c_alpha_holds_decimal(c, alpha, beta, digits * 2)
-        return lhs < rhs
+    sqrt_p = math.sqrt(p)
+    # delta_2 = mu = 1/sqrt(p) exactly, for every family; f increases from m = 4
+    k = _first_true(lambda k: (1.0 if k == 1 else fam.f(2 * k)) / sqrt_p >= RECOVERY_THRESHOLD)
+    return SparsityThreshold(min(2 * k - 2, p - 1), fam.floor(p) if fam.floor else None)
 
 
 def find_c_alpha(alpha: float, beta: float) -> int:
-    """Smallest positive integer c with 12 c^(1+beta) < (1-alpha) c^2 - 2c.
+    """Smallest positive integer c with 12 c^(1+beta) < (1-alpha) c^2 - 2c, exactly.
 
-    When alpha and beta have short decimal expansions the comparison runs
-    in exact big-integer arithmetic (both sides raised to the denominator
-    of 1+beta); otherwise a high-precision decimal evaluation with an
-    ambiguity guard decides each candidate.  The satisfying set is a ray
-    [c*, inf), so exponential growth followed by bisection finds the
-    boundary; the result is re-verified to hold at c* and fail at c* - 1.
+    With 1 - alpha = s/t and 1 + beta = q/r in lowest terms (from each
+    float's shortest repr), the r-th power of the inequality,
+    12^r c^q t^r < (s c^2 - 2tc)^r, is decided in integers.  The domain is
+    0 < alpha, beta < 1 with t <= 10^9 and r <= 1000, which holds for every
+    alpha of at most nine digits after the point and every beta of at most
+    three; outside it, or if no c <= 2^63 satisfies the inequality, it
+    raises ParameterRangeError.  c* is re-checked to hold and c* - 1 to fail.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterRangeError(f"alpha must be in (0, 1), got {alpha}")
@@ -162,29 +142,22 @@ def find_c_alpha(alpha: float, beta: float) -> int:
         raise ParameterRangeError(f"beta must be in (0, 1), got {beta}")
     from fractions import Fraction  # loaded on demand: only this search needs it
 
-    alpha_f = Fraction(str(alpha))
-    beta_f = Fraction(str(beta))
-    if beta_f.denominator <= _EXACT_DENOM_LIMIT and alpha_f.denominator <= 10**9:
-        one_minus_alpha = 1 - alpha_f
-        one_plus_beta = 1 + beta_f
-        holds = lambda c: _c_alpha_holds_exact(c, one_minus_alpha, one_plus_beta)
-    else:
-        holds = lambda c: _c_alpha_holds_decimal(c, alpha, beta)
+    s, t = (1 - Fraction(str(alpha))).as_integer_ratio()
+    q, r = (1 + Fraction(str(beta))).as_integer_ratio()
+    if r > 1000 or t > 10**9:
+        raise ParameterRangeError(f"c_alpha needs denominators <= 10^9 for alpha and <= 1000 "
+                                  f"for beta, got alpha={alpha}, beta={beta}")
 
-    hi = 1
-    while not holds(hi):
-        hi *= 2
-        if hi > 2**63:
-            raise ParameterRangeError(
-                f"c_alpha inequality unsatisfiable in 64-bit range for alpha={alpha}, beta={beta}"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    if not holds(hi) or (hi > 1 and holds(hi - 1)):
-        raise ParameterRangeError(f"c_alpha search failed to isolate the boundary at {hi}")
-    return hi
+    def holds(c: int) -> bool:
+        base = s * c * c - 2 * t * c
+        return base > 0 and 12**r * c**q * t**r < base**r
+
+    # true past 2^63, so the doubling stops there
+    c_star = _first_true(lambda c: c > 2**63 or holds(c))
+    if c_star > 2**63:
+        raise ParameterRangeError(
+            f"c_alpha inequality unsatisfiable in 64-bit range for alpha={alpha}, beta={beta}"
+        )
+    if not holds(c_star) or (c_star > 1 and holds(c_star - 1)):
+        raise ParameterRangeError(f"c_alpha search failed to isolate the boundary at {c_star}")
+    return c_star

@@ -2,11 +2,11 @@
 
 Every command is deterministic given its full flag set; experiment output
 is CSV (or the equivalent JSON projection) with 17-significant-digit
-floats, LF line endings and '.' decimals.  When --out is given, a sidecar
-<out>.meta.json records the command, package version, all parameters and
-the wall time, so published figures are reproducible from metadata alone;
-an output or sidecar path that cannot be written is a usage error (exit 4),
-and then neither file is left behind.
+floats, LF line endings and '.' as the radix point.  When --out is
+given, a sidecar <out>.meta.json records the command, package version,
+all parameters and the wall time, so published figures are reproducible
+from metadata alone; an output or sidecar path that cannot be written is
+a usage error (exit 4), and then neither file is left behind.
 
 This module writes every output document: the library layers return
 values (arrays, NamedTuples, dicts of floats, check results), and each

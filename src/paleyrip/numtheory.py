@@ -23,17 +23,22 @@ from functools import lru_cache
 
 from .errors import NotPrimeError, ParameterRangeError, WrongResidueError
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24,
-# comfortably past the 64-bit range this package targets.
+# The first twelve primes as bases make Miller-Rabin exact for all n below
+# psi_12 = 318665857834031151167461, a strong pseudoprime to every one of
+# them (Sorenson & Webster, Math. Comp. 86, 2017); 3.3e24 is the limit of
+# the bases up to 41.  psi_12 is far past the 64-bit range this package targets.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 # Cached: legendre re-validates its modulus on every call (900 legendre and
 # 1,002 is_prime calls in `verify --p 103`).
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all 64-bit inputs."""
+    """Deterministic primality test, exact for n < psi_12; ParameterRangeError from psi_12 on."""
     n = int(n)
+    if n >= _PSI_12:
+        raise ParameterRangeError(f"primality is decided only below {_PSI_12}, got {n}")
     if n < 2:
         return False
     if n in _MR_WITNESSES:
@@ -77,7 +82,7 @@ def check_prime(p, min_p: int = 3) -> int:
     """Validate a prime modulus and return it as an int.
 
     Raises NotPrimeError when p is not prime and ParameterRangeError when it
-    is a prime below `min_p`.
+    is a prime below `min_p` or when p >= psi_12, where is_prime is not exact.
     """
     p = int(p)
     if not is_prime(p):

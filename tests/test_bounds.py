@@ -1,6 +1,8 @@
 import json
 import math
-from decimal import Decimal, getcontext, localcontext
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -8,6 +10,7 @@ from paleyrip.bounds import (
     DEMBO_C,
     FAMILIES,
     GENERALIZED_OFFSET,
+    RECOVERY_THRESHOLD,
     bound_conjectural,
     family_bounds,
     find_c_alpha,
@@ -16,6 +19,7 @@ from paleyrip.bounds import (
 from paleyrip.cli import main
 from paleyrip.errors import NotPrimeError, ParameterRangeError
 from paleyrip.experiments import exact_rip
+from paleyrip.numtheory import is_prime
 
 # Each family's column of family_bounds at (k, p).
 FAMILY_FUNCTIONS = {name: lambda k, p, name=name: family_bounds(k, p)[name] for name in FAMILIES}
@@ -140,6 +144,35 @@ def test_max_sparsity_p1009():
     assert gershgorin(22, 1009) < 1 / math.sqrt(2) <= gershgorin(24, 1009)
 
 
+def _scanned_max_even(p: int, family: str) -> int:
+    """Oracle: scan even m = 2, 4, ... <= p until the family's bound reaches 1/sqrt(2)."""
+    f = FAMILIES[family].f
+    best = 0
+    for m in range(2, p + 1, 2):
+        if (1.0 if m == 2 else f(m)) / math.sqrt(p) >= RECOVERY_THRESHOLD:
+            break
+        best = m
+    return best
+
+
+def test_max_sparsity_matches_linear_scan():
+    for p in filter(is_prime, range(3, 20_000)):
+        for family, fam in FAMILIES.items():
+            if p >= fam.min_p:
+                assert max_sparsity(p, family).max_even == _scanned_max_even(p, family), (p, family)
+
+
+@pytest.mark.parametrize("p", [1000000000000000003, 18446744073709551629])
+def test_bounds_command_large_prime(p):
+    # one even m per family meets delta_m < 1/sqrt(2) and m + 2 fails it
+    res = subprocess.run([sys.executable, "-m", "paleyrip", "bounds", "--p", str(p), "--k", "4"],
+                         capture_output=True, text=True, timeout=30)
+    assert res.returncode == 0, res.stderr
+    for family, got in json.loads(res.stdout)["max_sparsity"].items():
+        m, f = got["max_even"], FAMILIES[family].f
+        assert f(m) / math.sqrt(p) < RECOVERY_THRESHOLD <= f(m + 2) / math.sqrt(p), family
+
+
 def test_max_sparsity_small_p():
     for family in ("gershgorin", "skew_linear", "skew_cot", "dembo_recursive",
                    "generalized_dembo"):
@@ -159,24 +192,47 @@ def _decimal_sides(c: int, alpha: str, beta: str):
 
 def test_find_c_alpha_boundary():
     c_star = find_c_alpha(0.8, 0.7)
-    assert c_star == 845645
-    # independent high-precision oracle: holds at c*, fails at c* - 1
-    lhs, rhs = _decimal_sides(c_star, "0.8", "0.7")
-    assert lhs < rhs
-    lhs, rhs = _decimal_sides(c_star - 1, "0.8", "0.7")
-    assert lhs >= rhs
     # the reported choice 899,998 satisfies the inequality but is larger
     lhs, rhs = _decimal_sides(899_998, "0.8", "0.7")
     assert lhs < rhs
     assert c_star < 899_998
 
 
-def test_find_c_alpha_keeps_caller_decimal_context():
-    # (0.3, 0.7131) takes the high-precision decimal path
-    with localcontext() as ctx:
-        ctx.prec = 28
-        assert find_c_alpha(0.3, 0.7131) == 20029
-        assert getcontext().prec == 28
+# (alpha, beta) -> smallest c, as the exact search has always found them
+C_ALPHA = {
+    (0.8, 0.7): 845645,
+    (0.3, 0.71): 18018,
+    (0.99, 0.7): 18362740743,
+    (0.5, 0.5): 584,
+    (0.1, 0.123): 22,
+    (0.01, 0.001): 15,
+    (0.123456789, 0.25): 36,
+}
+
+
+@pytest.mark.parametrize("alpha, beta", C_ALPHA)
+def test_find_c_alpha_pinned(alpha, beta):
+    c_star = find_c_alpha(alpha, beta)
+    assert c_star == C_ALPHA[alpha, beta]
+    # independent high-precision oracle: holds at c*, fails at c* - 1
+    lhs, rhs = _decimal_sides(c_star, str(alpha), str(beta))
+    assert lhs < rhs
+    lhs, rhs = _decimal_sides(c_star - 1, str(alpha), str(beta))
+    assert lhs >= rhs
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.9, 0.9), (0.9, 0.999)])
+def test_find_c_alpha_unsatisfiable(alpha, beta):
+    with pytest.raises(ParameterRangeError, match="unsatisfiable in 64-bit range"):
+        find_c_alpha(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.3, 0.7131), (0.8, 0.7071067811865476),
+                                         (0.1234567891, 0.5)])
+def test_find_c_alpha_rejects_long_fractions(alpha, beta):
+    # beta past three digits after the point, alpha past nine
+    with pytest.raises(ParameterRangeError, match="denominators"):
+        find_c_alpha(alpha, beta)
 
 
 def test_find_c_alpha_monotone_in_alpha():
@@ -268,8 +324,9 @@ def test_every_bound_rejects_k_and_p_outside_its_domain(call, min_k, min_p):
         call(min(min_k, below), below)
 
 
-# The `bounds` command's domain, 2 <= k <= p and p >= 3: its stderr line
-# for each argv outside it (exit 4), and none at k = p (exit 0).
+# The `bounds` command's domain, 2 <= k <= p and 3 <= p < psi_12 (where
+# is_prime stops being exact): its stderr line for each argv outside it
+# (exit 4), and none at k = p (exit 0).
 BOUNDS_COMMAND_DOMAIN = {
     "--p 7 --k 7": "",
     "--p 7 --k 8": "k must be in [2, p], got k=8, p=7",
@@ -278,6 +335,8 @@ BOUNDS_COMMAND_DOMAIN = {
     "--p 1019 --k 1020": "k must be in [2, p], got k=1020, p=1019",
     "--p 1019 --k 1": "k must be in [2, p], got k=1, p=1019",
     "--p 2 --k 2": "p must be >= 3, got 2",
+    "--p 318665857834031151167461 --k 4":
+        "primality is decided only below 318665857834031151167461, got 318665857834031151167461",
 }
 
 

@@ -53,6 +53,17 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_is_prime_refuses_past_psi_12():
+    # psi_12 = 399165290221 x 798330580441 is a strong pseudoprime to bases 2..37;
+    # 3317044064679887385961981 is psi_13, the same for bases 2..41
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12 - 2)
+    for n in (psi_12, 3317044064679887385961981):
+        with pytest.raises(ParameterRangeError, match=f"only below {psi_12}"):
+            is_prime(n)
+
+
 def test_is_prime_cached():
     # every bound family re-validates p, so a repeated modulus is one test
     is_prime.cache_clear()

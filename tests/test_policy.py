@@ -10,6 +10,9 @@ records are NamedTuples.  Of the modules that import numpy, which loads
 `inspect` anyway, only `spectra` keeps dataclasses, for `BorderedBlock`;
 `experiments` returns plain arrays and needs none.
 
+No module imports `decimal`: every exact question is decided in integers,
+and no routine reads or sets the process-wide decimal context.
+
 Every public name has a user: a reference in the package or in the
 benchmark's scripts, not only in the tests, unless it is on the short list
 of test oracles below.
@@ -41,10 +44,10 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _module_level_imports(tree: ast.Module) -> set[str]:
-    """Top-level package names a module imports unconditionally at module level."""
+def _imports(nodes) -> set[str]:
+    """Top-level package names the import statements among nodes import."""
     names = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             names.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -53,7 +56,7 @@ def _module_level_imports(tree: ast.Module) -> set[str]:
 
 
 def test_numpy_free_modules_do_not_import_dataclasses():
-    imports = {path.stem: _module_level_imports(ast.parse(path.read_text(), filename=str(path)))
+    imports = {path.stem: _imports(ast.parse(path.read_text(), filename=str(path)).body)
                for path in sorted(PACKAGE.glob("*.py"))}
     numpy_free = sorted(name for name, found in imports.items() if "numpy" not in found)
     # the split as it stands: the array layers import numpy, the rest do not
@@ -61,6 +64,13 @@ def test_numpy_free_modules_do_not_import_dataclasses():
     assert {"experiments", "spectra"}.isdisjoint(numpy_free)
     users = sorted(name for name, found in imports.items() if "dataclasses" in found)
     assert users == ["spectra"], f"modules importing dataclasses: {users}"
+
+
+def test_no_module_imports_decimal():
+    # exact questions are decided in integers, never under the process-wide decimal context
+    users = sorted(path.stem for path in PACKAGE.rglob("*.py")
+                   if "decimal" in _imports(ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+    assert not users, f"modules importing decimal: {users}"
 
 
 def _referenced_names(path: Path) -> set[str]:

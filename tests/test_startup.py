@@ -98,7 +98,8 @@ def test_check_outputs_without_paleyrip():
     assert len(res.stderr.splitlines()) == 1 and "PYTHONPATH=src" in res.stderr
 
 
-@pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4)])
+@pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4),
+                                        ("bounds --p 318665857834031151167461 --k 4", 4)])
 def test_validation_error_without_numpy(argv, code):
     blocked = _python(_BLOCK_NUMPY + f"sys.argv = {['paleyrip', *argv.split()]!r}\nimport runpy\n"
                       "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n")
@@ -111,7 +112,7 @@ def test_validation_error_without_numpy(argv, code):
     "import paleyrip.experiments\n",
 ])
 def test_exact_arithmetic_loaded_on_demand(code):
-    # only find_c_alpha needs decimal and fractions
+    # only find_c_alpha needs fractions (which imports decimal)
     res = _python("import sys\n" + code +
                   "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n")
     assert res.returncode == 0, res.stderr
