@@ -33,24 +33,24 @@ _EXPORTS = {
     "experiments": (
         "DemboRatioRow",
         "dembo_ratio_study",
+        "dembo_upper",
         "estimate_rip_single",
         "estimate_rip_worst",
         "exact_rip",
+        "sign_matrix",
+        "skew_spectral_radius",
     ),
     "fit": ("fit_power_law",),
     "frame": (
         "PaleyFrame",
         "build_frame",
         "check_support",
-        "gram_analytic",
         "gram_direct",
         "gram_rows",
-        "sign_matrix",
     ),
     "numtheory": (
         "check_paley",
         "chi_signs",
-        "chi_table",
         "is_prime",
         "legendre",
         "row_index_set",
@@ -66,10 +66,9 @@ _EXPORTS = {
     "rng": ("SplitMix64", "random_subset", "sub_seed"),
     "spectra": (
         "BorderedBlock",
-        "dembo_upper",
         "generalized_dembo_extremes",
+        "gram_analytic",
         "hermitian_spectrum",
-        "skew_spectral_radius",
     ),
     "verify": ("run_verification",),
 }

@@ -13,19 +13,12 @@ values (arrays, NamedTuples, dicts of floats, check results), and each
 handler here chooses the keys and their order.
 
 Each command imports the layers it runs inside its handler, so start-up
-loads only those.  These commands run without numpy: `frame` (the
-partial-DFT frame in Python complex), `bounds` (the bound families are pure
-arithmetic in (k, p)), `fit` (a least-squares line over plain floats,
-up to the first d = 1.0: the ceiling carries no slope),
-`gram` with either method (the analytic Gramian written from the integer
-Legendre table, the direct one from the frame's column dot products),
-`conjecture` in all three modes (a popcount pair search over the same
-table: `--support`, `--support --peel`, and the `--k` scan, whose supports
-come from the scalar Fisher-Yates draw of `rng.random_subset`), `verify`
-(every check decided in Python ints, positive definiteness by the Bareiss
-pivots of `numtheory.is_positive_definite`), and --help and --version.  The
-other commands (`estimate`, `demboratio`) load numpy through the layers
-they run.
+loads only those.  Only `estimate` and `demboratio` load numpy: they run
+`experiments`, the home of every numpy routine a command runs but the draw
+`rng.random_subsets`, and load no `frame`; no command loads `spectra`.
+Every other command (`frame`, `bounds`, `fit`, `gram`, `conjecture` in all
+three modes, `verify`), --help and --version run without numpy: they
+compute in Python ints, complex numbers and floats, as the README details.
 
 Exit codes: 0 ok, 2 non-prime, 3 wrong residue class, 4 parameter/usage
 error, 5 malformed input, 6 duplicate support, 7 verification failure.

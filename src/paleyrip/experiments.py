@@ -1,4 +1,4 @@
-"""Reproducible numerical experiments on the Paley construction.
+"""Reproducible numerical experiments on the Paley construction, and their numpy kernels.
 
 Covers the empirical RIP lower-bound curves d(j) and their worst-case
 variant over many random supports, exact RIP (certified by a support that
@@ -9,39 +9,36 @@ quadratic-residue pair experiments, the Monte Carlo scan included, live in
 numpy, and only exact_rip imports one: `pairs`, for its witness search.
 It imports `bounds` too, whose skew_cot value caps what it returns.
 
-Every Gramian of the frame is I + (i/sqrt p) C with C the integer sign
-matrix chi(T_a - T_b) of the support T, and its deviation from the identity
-is exactly rho(C)/sqrt p.  The experiments build sign matrices with
-frame.sign_matrix, in stacks of at most STACK_ENTRIES matrix entries, and
-solve them on spectra's exact radius path: gate, exact C^T C product, one
-real symmetric solve per matrix (the spectra docstring says why the product
-is exact).  _worst_curve is the one prefix-radius path: the RIP curves and
-the bordered-bound study read it.  It builds each trial's C once, at order
-k, into an int8 stack of at most 1 MiB whatever the trial count, then walks
-the prefix order down and, by Cauchy interlacing, solves at each order only
-the leading blocks of the trials that can still set the max; a trial solved
-alone at consecutive orders takes its product as an exact rank-one downdate
-of the one above.
-exact_rip first runs the witness search of pairs.cot_witness, within its
-own candidate budget: a support with rho(C_T) = cot(pi/2k), the skew_cot
-bound, is a lower bound that meets the upper bound.  EXACT_RIP_GUARD
-bounds only the orbit enumeration that runs when it finds none.
+Every numpy routine a command runs lives here, apart from the seeded draw
+rng.random_subsets.  The Gramian of a support T is I + (i/sqrt p) C with
+C = sign_matrix(p, T), and the spectrum of iC is symmetric about 0, so its
+deviation from the identity is exactly rho(C)/sqrt p.  skew_spectral_radius
+is the one radius path: the exact gate check_sign_matrices, the exact
+product S = C^T C of sign_gram, and gram_radius, sqrt(lambda_max(S)), the
+one eigvalsh call on sign matrices.  _worst_curve, the one prefix-radius
+path, which the RIP curves and the bordered-bound study read, gates its
+stored stack once and calls the last two itself, walking the prefix order
+down and solving by Cauchy interlacing only the trials that can still set
+the max.  exact_rip first runs the witness search of pairs.cot_witness,
+within its own candidate budget: a support with rho(C_T) = cot(pi/2k), the
+skew_cot bound, is a lower bound that meets the upper bound.
+EXACT_RIP_GUARD bounds only the orbit enumeration that runs when it finds
+none.
 
 Every support of order k >= (p+3)/2 has delta_T = 1 exactly, so no
 experiment solves there.  The p x p sign matrix C of all of Z_p has
-C^T C = pI - J.  Its columns T hold C_T in the rows T and a (p - k) x k
-block B in the other rows, so C_T^T C_T = pI - J - B^T B.  J + B^T B is
-positive semidefinite of rank at most p - k + 1, which is below k, so
-C_T^T C_T has the eigenvalue p and none above it: rho(C_T) = sqrt p.  The
-curves are 1.0 at those orders and exact_rip returns 1.0, where a computed
-radius would exceed 1 by rounding.  Below, for k <= (p+1)/2, delta_T < 1
-strictly, for every T: J + B^T B is positive definite, since equality
-would need a vector on T whose Fourier transform is supported on one half
-of the nonzero residues, and Tao's uncertainty principle for Z_p
-(|supp f| + |supp f^| >= p + 1) forbids it.  So a computed radius above
-sqrt p there is rounding too, and the curves and exact_rip cap d at 1.0.
-A curve is returned as the float64 array d(1..k) alone: its caller holds
-the arguments.
+C^T C = pI - J; with B its columns T in the other rows,
+C_T^T C_T = pI - J - B^T B.  J + B^T B is positive semidefinite of rank at
+most p - k + 1 < k, so C_T^T C_T has the eigenvalue p and none above it:
+rho(C_T) = sqrt p.  The curves are 1.0 at those orders and exact_rip
+returns 1.0, where a computed radius would exceed 1 by rounding.  Below,
+for k <= (p+1)/2, delta_T < 1 strictly, for every T: J + B^T B is positive
+definite, since equality would need a vector on T whose Fourier transform
+is supported on one half of the nonzero residues, and Tao's uncertainty
+principle for Z_p (|supp f| + |supp f^| >= p + 1) forbids it.  So a
+computed radius above sqrt p there is rounding too, and the curves and
+exact_rip cap d at 1.0.  A curve is returned as the float64 array d(1..k)
+alone: its caller holds the arguments.
 
 Determinism contract: every result is a pure function of its arguments
 including the master seed.  Trial seeds come from rng.trial_seeds, a
@@ -58,10 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spectra
-from .errors import ParameterRangeError
-from .frame import sign_matrix
-from .numtheory import check_k, check_paley
+from .errors import NonHermitianError, ParameterRangeError
+from .numtheory import check_k, check_paley, chi_signs
 from .rng import random_subsets, trial_seeds
 
 # Largest number of orbit representatives (k-subsets containing {0, 1},
@@ -83,6 +78,88 @@ _STORED_ENTRIES = 16 * STACK_ENTRIES
 _INTERLACING_SLACK = 1e-12
 
 
+def sign_matrix(p: int, idx) -> np.ndarray:
+    """Integer sign matrices C[..., a, b] = chi(T_a - T_b) of supports idx[..., :].
+
+    One support (k,) gives a (k, k) matrix, a stack (..., k) gives (..., k, k).
+    p is any odd prime; the supports are taken as given, not validated.  The
+    table is numtheory.chi_signs(p) as an int64 array, and the differences
+    are reduced mod p by take's wrap mode, not by a separate %.
+    """
+    idx = np.asarray(idx)
+    chi = np.array(chi_signs(p), dtype=np.int64)
+    return chi.take(idx[..., :, None] - idx[..., None, :], mode="wrap")
+
+
+def check_sign_matrices(c) -> None:
+    """Gate a sign matrix or a stack of them, whole, before their products are solved.
+
+    Raises ParameterRangeError for input that is not square, of order >= 1
+    and of an integer dtype (a stack of no matrices passes), and
+    NonHermitianError for an entry outside {-1, 0, 1} or a matrix that is
+    not exactly skew-symmetric.  What passes has integer C^T C entries of
+    size at most n, so sign_gram forms its product exactly.
+    """
+    c = np.asarray(c)
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] == 0:
+        raise ParameterRangeError(f"need square matrices of order >= 1, got shape {c.shape}")
+    if not np.issubdtype(c.dtype, np.integer):
+        raise ParameterRangeError(f"need integer sign matrices, got dtype {c.dtype}")
+    if c.size and (c.min() < -1 or c.max() > 1):
+        raise NonHermitianError("sign matrices need entries in {-1, 0, 1}")
+    asym = np.any(c + np.swapaxes(c, -1, -2), axis=(-2, -1))
+    if asym.any():
+        raise NonHermitianError(
+            f"{np.count_nonzero(asym)} of {asym.size} sign matrices are not skew-symmetric"
+        )
+
+
+def sign_gram(c: np.ndarray) -> np.ndarray:
+    """C^T C of a gated sign matrix or stack, formed in float32 and cast to float64.
+
+    Every partial sum is an integer of size at most the order n < 2^24, so
+    the product is exact: the same bits as the float64 product.
+    """
+    a = c.astype(np.float32)
+    return (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
+
+
+def gram_radius(s):
+    """sqrt(lambda_max(S)) of a real symmetric S = C^T C, or of each in a stack.
+
+    For real skew-symmetric C this is rho(C).  One eigvalsh call, which
+    reads the lower triangle; the input is taken as it is, ungated.
+    """
+    return np.sqrt(np.linalg.eigvalsh(s)[..., -1])
+
+
+def skew_spectral_radius(c):
+    """Spectral radius of a sign matrix, or of each in a stack: gram_radius(sign_gram(C)).
+
+    C must pass check_sign_matrices.  rho(C) is the largest eigenvalue of
+    i*C and the square root of the top eigenvalue of C^T C = -C^2.  One
+    (n, n) matrix gives a float, a stack (..., n, n) an array of radii.  For
+    any orientation of a graph on n vertices the radius is at most
+    cot(pi/2n), with equality for the canonical tournament.
+    """
+    c = np.asarray(c)
+    check_sign_matrices(c)
+    rho = gram_radius(sign_gram(c))
+    return float(rho) if c.ndim == 2 else rho
+
+
+def dembo_upper(c: float, eta_k: float, btb: float) -> float:
+    """Upper bound (c + eta)/2 + sqrt((c - eta)^2/4 + b*b) on the top eigenvalue.
+
+    `eta_k` is any upper bound for the trailing block's largest eigenvalue
+    and `btb` the squared norm of the border vector; all three must be
+    finite, and btb >= 0.
+    """
+    if not (math.isfinite(c) and math.isfinite(eta_k) and 0 <= btb < math.inf):
+        raise ParameterRangeError(f"need finite c, eta and btb >= 0, got {c}, {eta_k}, {btb}")
+    return (c + eta_k) / 2.0 + math.sqrt((c - eta_k) ** 2 / 4.0 + btb)
+
+
 def _batch(k: int) -> int:
     """Order-k matrices per stack: STACK_ENTRIES entries, at least one matrix."""
     return max(1, STACK_ENTRIES // (k * k))
@@ -95,7 +172,7 @@ def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
     own, so a selection of a large stored stack is never copied whole.
     """
     return np.concatenate([
-        spectra.gram_radius(spectra.sign_gram(c[rows[s:s + _batch(j)], :j, :j]))
+        gram_radius(sign_gram(c[rows[s:s + _batch(j)], :j, :j]))
         for s in range(0, len(rows), _batch(j))
     ])
 
@@ -135,7 +212,7 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
         c = np.empty((len(members), k, k), dtype=np.int8)
         for s in range(0, len(c), _batch(k)):
             c[s:s + _batch(k)] = sign_matrix(p, members[s:s + _batch(k)])
-        spectra.check_sign_matrices(c)
+        check_sign_matrices(c)
         held = None  # (t, C^T C) of the trial t last solved alone, at order len(C^T C)
 
         def alone(t: int, j: int) -> float:
@@ -144,9 +221,9 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
                 row = c[t, j, :j].astype(np.float64)
                 s = held[1][:j, :j] - np.outer(row, row)
             else:
-                s = spectra.sign_gram(c[t, :j, :j])
+                s = sign_gram(c[t, :j, :j])
             held = (t, s)
-            return spectra.gram_radius(s)
+            return gram_radius(s)
 
         ub = _radii(c, np.arange(len(c)), k)
         rho[k - 1] = max(rho[k - 1], ub.max())
@@ -236,7 +313,7 @@ def exact_rip(p, k: int) -> float:
         reps = ((0, 1, *rest) for rest in combinations(range(2, p), k - 2))
     rho = 0.0
     while chunk := list(islice(reps, _batch(k))):
-        rho = max(rho, spectra.skew_spectral_radius(sign_matrix(p, chunk)).max())
+        rho = max(rho, skew_spectral_radius(sign_matrix(p, chunk)).max())
     # a tight radius can read a few ulps above skew_cot, which caps it but is no
     # value of its own: the float cot(pi/4) is 1 + 2^-52, delta_2 = 1/sqrt p
     cot = bounds.FAMILIES["skew_cot"].f(k) / math.sqrt(p)
@@ -270,7 +347,7 @@ def dembo_ratio_study(p, k: int, seed: int = 0) -> list[DemboRatioRow]:
     lam_prev = 1.0  # top eigenvalue of the 1x1 prefix
     for j in range(2, k + 1):
         lam = 1.0 + float(d[j - 1])
-        dembo = spectra.dembo_upper(1.0, lam_prev, (j - 1) / p)
+        dembo = dembo_upper(1.0, lam_prev, (j - 1) / p)
         gersh = 1.0 + (j - 1) / sqrt_p
         rows.append(DemboRatioRow(j, lam, dembo, gersh, dembo / lam, gersh / lam))
         lam_prev = lam

@@ -1,35 +1,26 @@
-"""Paley measurement matrices and their Gramian submatrices.
+"""Paley measurement matrices and their Gramian submatrices, without numpy.
 
 The frame is the (p+1)/2 x p slice of the p x p DFT matrix restricted to
 rows indexed by 0 and the quadratic residues mod p, rescaled to unit-norm
 columns.  Inner products of distinct columns then reduce to Legendre
 symbols: <phi_n, phi_n'> = chi(n - n') * i / sqrt(p), so the Gramian of a
-support T is I + (i/sqrt p) C_T.  `sign_matrix` is the one array builder
-of C_T, which `gram_analytic` and the experiments' stacked spectral solves
-use (the pair search of `pairs` reads the Legendre table itself);
-`gram_rows` writes the same Gramian as nested lists straight from that table.
-`gram_direct` recomputes the Gramian from explicit column dot products and
-exists as the validation oracle for the analytic path.
-
-The frame (`build_frame`, rows of Python complex), `gram_direct` (nested
-lists), the validators and `gram_rows` run without numpy; the CLI writes
-the frame and Gramian JSON documents from their entries.
-numpy is imported only inside the array routines `sign_matrix` and
-`gram_analytic`; callers that want the frame or a direct Gramian as an
-array call `np.asarray` on it.
+support T is I + (i/sqrt p) C_T.  `gram_rows` writes it as nested lists
+straight from the Legendre table numtheory.chi_signs; `gram_direct`
+recomputes it from explicit column dot products and is the validation
+oracle for the analytic path.  The frame (`build_frame`) is rows of Python
+complex, and the CLI writes the frame and Gramian JSON documents from their
+entries; callers that want an array call `np.asarray`.  The sign-matrix
+array builder is experiments.sign_matrix.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DuplicateSupportError, ParameterRangeError
-from .numtheory import check_k, check_paley, chi_signs, chi_table, row_index_set
-
-if TYPE_CHECKING:
-    import numpy as np
+from .numtheory import check_k, check_paley, chi_signs, row_index_set
 
 
 def check_support(p: int, values) -> tuple[int, ...]:
@@ -107,39 +98,13 @@ def gram_direct(frame: PaleyFrame, support) -> list[list[complex]]:
     return g
 
 
-def sign_matrix(p: int, idx) -> np.ndarray:
-    """Integer sign matrices C[..., a, b] = chi(T_a - T_b) of supports idx[..., :].
-
-    One support (k,) gives a (k, k) matrix, a stack (..., k) gives (..., k, k).
-    p is any odd prime; the supports are taken as given, not validated.  The
-    differences are reduced mod p by take's wrap mode, not by a separate %.
-    """
-    import numpy as np
-
-    idx = np.asarray(idx)
-    return chi_table(p).take(idx[..., :, None] - idx[..., None, :], mode="wrap")
-
-
-def gram_analytic(p, support) -> np.ndarray:
-    """Gramian from the Legendre formula, no DFT evaluation.
-
-    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1.
-    Hermitian by construction since chi(-x) = -chi(x) for p = 3 (mod 4).
-    """
-    import numpy as np
-
-    p = check_paley(p)
-    g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
-    np.fill_diagonal(g, 1.0)
-    return g
-
-
 def gram_rows(p, support) -> list[list[complex]]:
-    """gram_analytic(p, support) as nested lists of Python complex, without numpy.
+    """The analytic Gramian of a support, as nested lists of Python complex.
 
+    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1+0j.
     Each off-diagonal entry is the integer sign times the same scalar,
     chi(T_i - T_j) * (1j / sqrt p), so every entry, signed zeros of the real
-    parts included, is bit-identical to gram_analytic's; the diagonal is 1+0j.
+    parts included, is bit-identical to the array spectra.gram_analytic.
     """
     p = check_paley(p)
     support = check_support(p, support)

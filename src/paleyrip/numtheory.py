@@ -1,20 +1,14 @@
-"""Exact integer arithmetic: primality, Legendre symbols, quadratic residues,
-and the positive-definiteness test of integer symmetric matrices.
+"""Exact integer arithmetic, without numpy: primality, Legendre symbols,
+quadratic residues, and positive definiteness of integer symmetric matrices.
 
-Everything here is deterministic and exact.  `chi_signs` is the Legendre
-symbol every computation of the package reads, a cached tuple of Python
-ints built once per prime from the squares mod p: the sign matrices, the
-pair searches, the quadratic-residue row set and the Gramians all come
-from it.  `chi_table` is the same table as a read-only numpy array, for the
-array builders.  `legendre` evaluates Euler's criterion for one argument
-and is the independent oracle the table is checked against.
-`is_positive_definite` decides positive definiteness from the pivots of
-fraction-free elimination, so a threshold on a spectral radius is decided
-with no eigensolve and no rounding.
-
-Only `chi_table` needs numpy, and it imports it on first call, so the
-validators, the table itself and everything built on them (the `bounds`
-families, the pair searches, the analytic Gramian) run without numpy.
+`chi_signs` is the one Legendre table of the package, a cached tuple of
+Python ints built once per prime from the squares mod p: the sign matrices
+(experiments.sign_matrix reads it as an array in each call), the pair
+searches, the quadratic-residue row set and the Gramians all come from it.
+`legendre`, Euler's criterion for one argument, is its independent oracle.
+`is_positive_definite` decides from the pivots of fraction-free
+elimination, so a threshold on a spectral radius is decided with no
+eigensolve and no rounding.
 """
 
 from __future__ import annotations
@@ -127,19 +121,6 @@ def chi_signs(p) -> tuple[int, ...]:
     for x in range(1, (p - 1) // 2 + 1):
         table[x * x % p] = 1
     return tuple(table)
-
-
-@lru_cache(maxsize=128)
-def chi_table(p: int):
-    """chi_signs(p) as a read-only int64 numpy array, cached per prime.
-
-    Read-only, so no caller can corrupt the cached copy.
-    """
-    import numpy as np
-
-    table = np.array(chi_signs(p), dtype=np.int64)
-    table.flags.writeable = False
-    return table
 
 
 def row_index_set(p) -> list[int]:

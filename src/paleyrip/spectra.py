@@ -1,26 +1,13 @@
-"""Eigenvalue machinery: the sign-matrix radius and the bordered-block extremes.
+"""Dense oracles of the benchmark's oracle job: the analytic Gramian and the bordered extremes.
 
-Every Gramian of the Paley frame is I + (i/sqrt p) C with C a +-1
-skew-symmetric sign matrix, and the spectrum of iC is symmetric about 0, so
-the deviation max(lambda_max - 1, 1 - lambda_min) is exactly rho(C)/sqrt p.
-skew_spectral_radius is the one radius path for sign matrices: it gates C
-exactly with check_sign_matrices, forms S = C^T C with sign_gram and solves
-it with gram_radius, sqrt(lambda_max(S)), the one call of LAPACK's real
-symmetric solver (numpy.linalg.eigvalsh) on sign matrices, for one matrix
-or a stack.  For a gated sign matrix every partial sum of C^T C is an
-integer of size at most the order n, so the float32 product of sign_gram is
-exact for n < 2^24 and only the solver rounds; code that solves many slices
-of one stored stack gates it once and calls sign_gram and gram_radius
-itself.  dembo_upper is the one-step bordered bound demboratio prints.
-
-BorderedBlock, generalized_dembo_extremes and hermitian_spectrum, like
-frame.gram_analytic, have no caller in the package: they stay only because
-the benchmark's oracle job imports them (ROADMAP items 1 and 9).  The
-extremes are read from a dense solve of the assembled bordered matrices.
+No command runs anything here (their radius path is
+experiments.skew_spectral_radius); the module stays because the benchmark's
+oracle job imports it (ROADMAP items 1 and 9).  gram_analytic is
+I + (i/sqrt p) C_T as a complex array, from experiments.sign_matrix.  The
+bordered extremes come from a dense solve of the assembled matrices.
 hermitian_spectrum, also the dense oracle of the tests, gates its input
 relative to the largest entry.  The paper's identities for these matrices
-(the closed-form determinant, the Lagrange form of gamma, rho = cot(pi/2n)
-for the canonical tournament) are decided exactly, in integers, by verify.
+are decided exactly, in integers, by verify.
 """
 
 from __future__ import annotations
@@ -31,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonHermitianError, ParameterRangeError
+from .experiments import sign_matrix
+from .frame import check_support
+from .numtheory import check_paley
 
 HERMITIAN_TOL = 1e-10
 
@@ -55,75 +45,16 @@ def hermitian_spectrum(m) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def check_sign_matrices(c) -> None:
-    """Gate a sign matrix or a stack of them, whole, before their products are solved.
+def gram_analytic(p, support) -> np.ndarray:
+    """Gramian from the Legendre formula, no DFT evaluation.
 
-    Raises ParameterRangeError for input that is not square, of order >= 1
-    and of an integer dtype (a stack of no matrices passes), and
-    NonHermitianError for an entry outside {-1, 0, 1} or a matrix that is
-    not exactly skew-symmetric.  What passes has integer C^T C entries of
-    size at most n, so sign_gram forms its product exactly.
+    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1.
+    Hermitian by construction since chi(-x) = -chi(x) for p = 3 (mod 4).
     """
-    c = np.asarray(c)
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] == 0:
-        raise ParameterRangeError(f"need square matrices of order >= 1, got shape {c.shape}")
-    if not np.issubdtype(c.dtype, np.integer):
-        raise ParameterRangeError(f"need integer sign matrices, got dtype {c.dtype}")
-    if c.size and (c.min() < -1 or c.max() > 1):
-        raise NonHermitianError("sign matrices need entries in {-1, 0, 1}")
-    asym = np.any(c + np.swapaxes(c, -1, -2), axis=(-2, -1))
-    if asym.any():
-        raise NonHermitianError(
-            f"{np.count_nonzero(asym)} of {asym.size} sign matrices are not skew-symmetric"
-        )
-
-
-def sign_gram(c: np.ndarray) -> np.ndarray:
-    """C^T C of a gated sign matrix or stack, formed in float32 and cast to float64.
-
-    Every partial sum is an integer of size at most the order n < 2^24, so
-    the product is exact: the same bits as the float64 product.
-    """
-    a = c.astype(np.float32)
-    return (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
-
-
-def gram_radius(s):
-    """sqrt(lambda_max(S)) of a real symmetric S = C^T C, or of each in a stack.
-
-    For real skew-symmetric C this is rho(C).  One eigvalsh call, which
-    reads the lower triangle; the input is taken as it is, ungated.
-    """
-    return np.sqrt(np.linalg.eigvalsh(s)[..., -1])
-
-
-def skew_spectral_radius(c):
-    """Spectral radius of a sign matrix, or of each in a stack: gram_radius(sign_gram(C)).
-
-    C must pass check_sign_matrices: square, of an integer dtype, with
-    entries in {-1, 0, 1} and exactly skew-symmetric.  rho(C) is the
-    largest eigenvalue of the Hermitian matrix i*C and the square root of
-    the top eigenvalue of C^T C = -C^2.  `c` is one (n, n) matrix, giving a
-    float, or a stack (..., n, n), giving an array of radii.  For any
-    orientation of a graph on n vertices the radius is at most cot(pi/2n),
-    with equality for the canonical tournament.
-    """
-    c = np.asarray(c)
-    check_sign_matrices(c)
-    rho = gram_radius(sign_gram(c))
-    return float(rho) if c.ndim == 2 else rho
-
-
-def dembo_upper(c: float, eta_k: float, btb: float) -> float:
-    """Upper bound (c + eta)/2 + sqrt((c - eta)^2/4 + b*b) on the top eigenvalue.
-
-    `eta_k` is any upper bound for the trailing block's largest eigenvalue
-    and `btb` the squared norm of the border vector; all three must be
-    finite, and btb >= 0.
-    """
-    if not (math.isfinite(c) and math.isfinite(eta_k) and 0 <= btb < math.inf):
-        raise ParameterRangeError(f"need finite c, eta and btb >= 0, got {c}, {eta_k}, {btb}")
-    return (c + eta_k) / 2.0 + math.sqrt((c - eta_k) ** 2 / 4.0 + btb)
+    p = check_paley(p)
+    g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
+    np.fill_diagonal(g, 1.0)
+    return g
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,12 +28,13 @@ from paleyrip.experiments import (
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
+    skew_spectral_radius,
 )
 from paleyrip.fit import fit_power_law
-from paleyrip.frame import build_frame, gram_analytic, gram_direct
+from paleyrip.frame import build_frame, gram_direct
 from paleyrip.pairs import conjecture_search, one_sided_ratio
 from paleyrip.rng import SplitMix64, random_subset
-from paleyrip.spectra import BorderedBlock, hermitian_spectrum, skew_spectral_radius
+from paleyrip.spectra import BorderedBlock, gram_analytic, hermitian_spectrum
 from paleyrip.verify import _closed_form_det, _lagrange_gamma, _lemma_k_holds
 
 WORST_SET_19 = (1, 2, 18, 16, 15, 14, 8, 7, 6, 4)

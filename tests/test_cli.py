@@ -10,7 +10,8 @@ import pytest
 
 from paleyrip import errors, frame, numtheory, pairs
 from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, main
-from paleyrip.frame import check_support, sign_matrix
+from paleyrip.experiments import sign_matrix
+from paleyrip.frame import check_support
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +306,28 @@ def test_conjecture_explicit_support(capsys):
     doc = json.loads(out)
     assert doc["numerator"] == 0  # a perfectly balanced pair exists
     assert doc["satisfied"] is True
+
+
+@pytest.mark.parametrize("p, support", [
+    (43, (14, 40, 20, 19, 5, 12, 13, 26)),  # the manifest's support, numerator 2
+    (103, (61, 84, 40, 79, 44, 51, 46, 32)),  # random_subset(103, 8, 20), numerator 2
+    (13, (7, 5, 3, 1)),  # random_subset(13, 4, 4), numerator 2; p = 1 (mod 4): C_T symmetric
+])
+def test_conjecture_numerator_is_affine_and_order_invariant(capsys, p, support):
+    # x -> a x + b multiplies C_T by chi(a), which each summand
+    # chi(T_i - T_l) chi(T_j - T_l) takes twice, and a permutation only
+    # reorders the pairs, so the smallest numerator is the same
+    def numerator(t):
+        code, out, _ = run_cli(capsys, "conjecture", "--p", str(p),
+                               "--support", ",".join(map(str, t)))
+        assert code == 0
+        return json.loads(out)["numerator"]
+
+    maps = [(4, 5), (p - 1, 1), (2, p - 2)]  # 4 is a square; -1 or 2 is not, at each p
+    images = [tuple((a * x + b) % p for x in support) for a, b in maps]
+    images += [support[::-1], support[3:] + support[:3]]
+    assert numerator(support) == 2
+    assert [numerator(t) for t in images] == [2] * len(images)
 
 
 def test_conjecture_scan_mode(capsys):

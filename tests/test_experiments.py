@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paleyrip import experiments, pairs, rng, spectra
+from paleyrip import experiments, pairs, rng
 from paleyrip.bounds import family_bounds
 from paleyrip.errors import (
     MalformedInputError,
@@ -24,9 +24,11 @@ from paleyrip.experiments import (
     estimate_rip_single,
     estimate_rip_worst,
     exact_rip,
+    sign_matrix,
+    skew_spectral_radius,
 )
 from paleyrip.fit import fit_power_law
-from paleyrip.frame import build_frame, gram_analytic, gram_direct, sign_matrix
+from paleyrip.frame import build_frame, gram_direct
 from paleyrip.numtheory import chi_signs, is_positive_definite, is_prime
 from paleyrip.pairs import (
     conjecture_scan,
@@ -36,7 +38,7 @@ from paleyrip.pairs import (
     one_sided_ratio,
 )
 from paleyrip.rng import SplitMix64, random_subset, random_subsets, sub_seed
-from paleyrip.spectra import hermitian_spectrum, skew_spectral_radius
+from paleyrip.spectra import gram_analytic, hermitian_spectrum
 
 # the worst-case and random sets of the residue-pair experiments at p = 19,
 # literal values reduced mod p (19 -> 0)
@@ -292,15 +294,15 @@ def test_estimate_worst_builds_each_sign_matrix_once(monkeypatch):
 
 
 def _count_gram_solves(monkeypatch) -> list:
-    # the number of matrices each spectra.gram_radius call solves
+    # the number of matrices each experiments.gram_radius call solves
     solved = []
-    full = spectra.gram_radius
+    full = experiments.gram_radius
 
     def counting(s):
         solved.append(math.prod(np.shape(s)[:-2]))
         return full(s)
 
-    monkeypatch.setattr(spectra, "gram_radius", counting)
+    monkeypatch.setattr(experiments, "gram_radius", counting)
     return solved
 
 
@@ -318,14 +320,14 @@ def _assert_exact_grams(c):
     # sign bits of zeros included; gram_radius of either matches the top
     # eigenvalue of the Hermitian matrix iC from LAPACK's complex solver
     a = c.astype(np.float64)
-    s = spectra.sign_gram(c)
+    s = experiments.sign_gram(c)
     down = s[:-1, :-1] - np.outer(a[-1, :-1], a[-1, :-1])
     fresh = a[:-1, :-1].T @ a[:-1, :-1]
-    for got, want in ((s, a.T @ a), (down, fresh), (spectra.sign_gram(c[:-1, :-1]), fresh)):
+    for got, want in ((s, a.T @ a), (down, fresh), (experiments.sign_gram(c[:-1, :-1]), fresh)):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     for got, m in ((s, c), (down, c[:-1, :-1])):
         oracle = np.linalg.eigvalsh(1j * m)[-1]
-        assert abs(spectra.gram_radius(got) - oracle) <= 1e-12 * max(1.0, oracle)
+        assert abs(experiments.gram_radius(got) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -439,10 +441,11 @@ def test_ceiling_orders_are_one_without_a_solve(monkeypatch):
     assert d[9] < 1.0 and np.all(d[10:] == 1.0)
 
 
-@pytest.mark.parametrize("p", [163, 743])
+@pytest.mark.parametrize("p", [163, 743, 1019])
 def test_interval_curve_reads_at_most_one_below_the_ceiling(p):
     # delta_T < 1 at every order <= (p+1)/2; uncapped, the interval read
-    # 1.0000000000000007 at order 82 for p = 163, and above 1 at 21 orders for p = 743
+    # 1.0000000000000007 at order 82 for p = 163, and above 1 at 21 orders for
+    # p = 743 and at 34 for p = 1019
     d = experiments._worst_curve(p, np.arange((p + 1) // 2)[None, :])
     assert d.max() <= 1.0
 
@@ -494,7 +497,8 @@ def test_interval_below_one_at_103_52_in_integers():
 def test_exact_rip_caps_a_radius_above_sqrt_p(p, k, monkeypatch):
     # at 1 and at the skew_cot bound, whichever is lower: 0.856 at (19, 6),
     # above 1 at (19, 7)
-    monkeypatch.setattr(spectra, "skew_spectral_radius", lambda c: np.full(np.shape(c)[:-2], 5.0))
+    monkeypatch.setattr(experiments, "skew_spectral_radius",
+                        lambda c: np.full(np.shape(c)[:-2], 5.0))
     assert exact_rip(p, k) == min(family_bounds(k, p)["skew_cot"], 1.0)
 
 
@@ -679,16 +683,22 @@ def test_cot_search_matches_spectral_oracle():
                     got = pairs._cot_search(p, k, budget)
                 except pairs._BudgetSpent:
                     got = "budget"
-                assert got == expected, (p, k, budget)
+                if (1.0 / math.tan(math.pi / (2 * k))) ** 2 > p:
+                    # past the witness cutoff the search stops at once, and
+                    # the spectral oracle, which has no cutoff, finds no witness
+                    assert got is None and not isinstance(expected, tuple), (p, k, budget)
+                else:
+                    assert got == expected, (p, k, budget)
                 outcomes.append(got)
-    assert len(outcomes) == 120 and outcomes.count("budget") == 37
+    # 37 spent budgets without the cutoff: 11 searches past it spent the budget of 50
+    assert len(outcomes) == 120 and outcomes.count("budget") == 26
 
 
 def test_cot_witness_needs_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the witness search called an eigensolver")
 
-    monkeypatch.setattr(spectra, "skew_spectral_radius", refuse)
+    monkeypatch.setattr(experiments, "skew_spectral_radius", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     witness = cot_witness(103, 12)
     monkeypatch.undo()

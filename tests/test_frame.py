@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 from paleyrip.cli import main
 from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRangeError, WrongResidueError
-from paleyrip.frame import (
-    build_frame,
-    check_support,
-    gram_analytic,
-    gram_direct,
-    sign_matrix,
-)
+from paleyrip.experiments import sign_matrix, skew_spectral_radius
+from paleyrip.frame import build_frame, check_support, gram_direct
 from paleyrip.numtheory import legendre
 from paleyrip.rng import SplitMix64, random_subset
-from paleyrip.spectra import skew_spectral_radius
+from paleyrip.spectra import gram_analytic
 
 PALEY_PRIMES = [7, 11, 19, 43, 103]
 

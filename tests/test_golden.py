@@ -35,10 +35,10 @@ import pytest
 
 from paleyrip.bounds import family_bounds
 from paleyrip.cli import main
+from paleyrip.experiments import dembo_upper
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame
 from paleyrip.rng import random_subset, sub_seed
-from paleyrip.spectra import dembo_upper
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"

@@ -7,7 +7,7 @@ kept here as its oracle, alone and through the Monte Carlo scan
 one sign matrix per step with it.  The search's row masks are rotations of
 one p-bit residue mask, so the cases include rotations by 0 and p - 1,
 both classes of p mod 4, p = 3 and k = p.  `frame.gram_rows` must give
-gram_analytic's entries bit for bit, signed zeros included.
+`spectra.gram_analytic`'s entries bit for bit, signed zeros included.
 
 The witness search `pairs.cot_witness` reads the same masks: each
 "beaten by" mask B_x, which the search forms inline and `_beaten_by` here
@@ -16,14 +16,18 @@ bit, and the search must give the outcomes of the list-predicate search it
 replaced, kept here as its oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paleyrip import pairs
 from paleyrip.errors import ParameterRangeError
-from paleyrip.frame import check_support, gram_analytic, gram_rows, sign_matrix
-from paleyrip.numtheory import chi_signs, chi_table
+from paleyrip.experiments import sign_matrix
+from paleyrip.frame import check_support, gram_rows
+from paleyrip.numtheory import chi_signs
 from paleyrip.pairs import (
     ConjectureRecord,
     _BudgetSpent,
@@ -32,10 +36,13 @@ from paleyrip.pairs import (
     _row_mask,
     conjecture_scan,
     conjecture_search,
+    cot_witness,
     greedy_peel,
     one_sided_ratio,
 )
 from paleyrip.rng import random_subset, random_subsets, sub_seed
+from paleyrip.spectra import gram_analytic
+from paleyrip.verify import _tournament_gram
 
 # both residue classes mod 4, past one 64-bit word from 67 on
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 71, 73, 97, 101, 103, 131, 137]
@@ -225,12 +232,31 @@ def test_gram_rows_bits_match_gram_analytic(case):
     assert np.array_equal(rows.view(np.uint64), gram_analytic(p, support).view(np.uint64))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 19, 1019])
-def test_chi_table_is_chi_signs(p):
-    table = chi_table(p)
-    assert table.dtype == np.int64 and not table.flags.writeable
-    assert table.tolist() == list(chi_signs(p))
-    assert all(type(s) is int for s in chi_signs(p))
+def _pair_bound(n):
+    """sqrt(cot^2(pi/2n) - n + 1), the module docstring's bound on the smallest numerator."""
+    return math.sqrt((1.0 / math.tan(math.pi / (2 * n))) ** 2 - n + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
+def test_pair_numerator_bound_on_random_tournaments(case):
+    # any tournament, not only a Paley support: the numerators are |S_ij| of
+    # S = C^T C, tr(S^2) <= rho^2 tr(S) and rho <= cot(pi/2n); pair t's sign is bit t
+    n, word = case
+    s = _tournament_gram(n, [word >> t & 1 for t in range(n * (n - 1) // 2)])
+    rho2 = float(np.linalg.eigvalsh(np.array(s, dtype=float))[-1])
+    assert rho2 <= (1.0 / math.tan(math.pi / (2 * n))) ** 2 * (1 + 1e-12)
+    assert sum(x * x for row in s for x in row) <= rho2 * n * (n - 1) * (1 + 1e-12)
+    smallest = min(abs(s[i][j]) for i in range(n) for j in range(i + 1, n))
+    assert smallest <= _pair_bound(n) * (1 + 1e-12)
+    assert smallest / (n - 2) < 0.8
+
+
+def test_pair_bound_meets_alpha_from_five():
+    # 0.780 at n = 5, falling towards 2/pi
+    ratios = [_pair_bound(n) / (n - 2) for n in range(5, 10**4)]
+    assert ratios[0] == max(ratios) < 0.78 and ratios[-1] > 2 / math.pi
 
 
 # --- the witness search on the tournament's masks ---------------------------------
@@ -287,10 +313,16 @@ def _list_predicate_search(p, k, budget):
     return extend([0, 1], list(range(2, p)))
 
 
+def _past_cutoff(p, k):
+    # cot^2(pi/2k) > p: no k-support is tight, and the search returns None at once
+    return (1.0 / math.tan(math.pi / (2 * k))) ** 2 > p
+
+
 def test_cot_search_matches_list_predicate_oracle():
     # the 13 primes p = 3 (mod 4) from 7 to 103 and k = 2..min(p, 16): 181
     # cells, each at a budget that completes most searches and one that
-    # stops most of them
+    # stops most of them; past the cutoff the oracle, which has none, finds
+    # no witness either
     outcomes = []
     for p in (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103):
         for k in range(2, min(p, 16) + 1):
@@ -303,8 +335,27 @@ def test_cot_search_matches_list_predicate_oracle():
                     got = _cot_search(p, k, budget)
                 except _BudgetSpent:
                     got = "budget"
-                assert got == expected, (p, k, budget)
+                if _past_cutoff(p, k):
+                    assert got is None and not isinstance(expected, tuple), (p, k, budget)
+                else:
+                    assert got == expected, (p, k, budget)
                 outcomes.append("budget" if got == "budget" else type(got).__name__)
     assert len(outcomes) == 362
+    # (119, 46, 197) without the cutoff: 83 searches past it spent the budget of 50
     assert (outcomes.count("tuple"), outcomes.count("NoneType"), outcomes.count("budget")) == (
-        119, 46, 197)
+        119, 129, 114)
+
+
+@pytest.mark.parametrize("p, k_max", [(19, 6), (23, 7), (31, 8), (43, 10), (47, 10), (103, 15),
+                                      (107, 16), (151, 19), (199, 22), (1019, 50)])
+def test_cot_witness_is_none_past_the_cutoff(p, k_max, monkeypatch):
+    # k_max is the largest k with cot(pi/2k) <= sqrt p; past it no support
+    # is tight, and the search returns before it reads a mask (without the
+    # cutoff, cot_witness(151, 20) searched for 10.8 s)
+    assert not _past_cutoff(p, k_max) and _past_cutoff(p, k_max + 1)
+
+    def refuse(p):
+        raise AssertionError("the witness search read a mask past the cutoff")
+
+    monkeypatch.setattr(pairs, "_residue_mask", refuse)
+    assert cot_witness(p, k_max + 1) is None

@@ -4,6 +4,11 @@ No runtime check is written as an `assert`: `python -O` strips assert
 statements, so a check written that way silently stops guarding anything.
 Checks raise a PaleyRipError subclass instead.
 
+numpy is imported, at any level, by exactly three modules: `experiments`,
+the home of every numpy routine a command runs, `rng`, whose seeded
+`random_subsets` draws many supports at once, and `spectra`, the dense
+oracles only the benchmark's oracle job imports.
+
 A module that runs without numpy does not import `dataclasses`, which loads
 `inspect` and with it `ast`, `dis` and `tokenize` on every start-up; its
 records are NamedTuples.  Of the modules that import numpy, which loads
@@ -66,10 +71,20 @@ def test_numpy_free_modules_do_not_import_dataclasses():
     assert users == ["spectra"], f"modules importing dataclasses: {users}"
 
 
+def _importers(name: str) -> list[str]:
+    """The modules with an import of name anywhere, function bodies included."""
+    return sorted(path.stem for path in PACKAGE.rglob("*.py")
+                  if name in _imports(ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+
+
+def test_numpy_is_imported_by_exactly_the_array_modules():
+    users = _importers("numpy")
+    assert users == ["experiments", "rng", "spectra"], f"modules importing numpy: {users}"
+
+
 def test_no_module_imports_decimal():
     # exact questions are decided in integers, never under the process-wide decimal context
-    users = sorted(path.stem for path in PACKAGE.rglob("*.py")
-                   if "decimal" in _imports(ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+    users = _importers("decimal")
     assert not users, f"modules importing decimal: {users}"
 
 

@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paleyrip.errors import NonHermitianError, ParameterRangeError
-from paleyrip.frame import gram_analytic, sign_matrix
+from paleyrip.experiments import (
+    check_sign_matrices,
+    dembo_upper,
+    sign_gram,
+    sign_matrix,
+    skew_spectral_radius,
+)
 from paleyrip.rng import SplitMix64, random_subset
 from paleyrip.spectra import (
     BorderedBlock,
-    check_sign_matrices,
-    dembo_upper,
     generalized_dembo_extremes,
+    gram_analytic,
     hermitian_spectrum,
-    sign_gram,
-    skew_spectral_radius,
 )
 from paleyrip.verify import _closed_form_det, _lagrange_gamma
 

@@ -10,9 +10,10 @@ golden bytes or, with no golden, the same bytes as an ordinary run.  The
 script's own report, the lines and exit status CI reads, is tested in
 process with `check` stubbed, and once without an importable paleyrip.
 `bounds` itself is loaded only by the commands that evaluate bounds, and
-`pairs` only by `conjecture` (and by `exact_rip`, which no command runs);
-`verify` loads no `spectra`.  The witness search `pairs.cot_witness` runs
-without numpy.
+`pairs` only by `conjecture` (and by `exact_rip`, which no command runs).
+No command loads `spectra`, whose dense oracles only the benchmark's oracle
+job imports, and `estimate` and `demboratio` load neither `frame` nor
+`dataclasses`.  The witness search `pairs.cot_witness` runs without numpy.
 """
 
 import importlib.metadata
@@ -34,7 +35,7 @@ EAGER_NAMES = [
     "NonHermitianError", "NotPrimeError", "PaleyFrame", "PaleyRipError",
     "ParameterRangeError", "SparsityThreshold", "SplitMix64",
     "WrongResidueError", "bound_conjectural", "bounds", "build_frame",
-    "check_paley", "check_support", "chi_signs", "chi_table",
+    "check_paley", "check_support", "chi_signs",
     "conjecture_scan", "conjecture_search", "dembo_ratio_study", "dembo_upper",
     "errors", "estimate_rip_single", "estimate_rip_worst", "exact_rip", "experiments",
     "family_bounds", "find_c_alpha", "fit", "fit_power_law", "frame",
@@ -158,6 +159,31 @@ def test_verify_loads_neither_numpy_nor_spectra():
                       "print(sorted({'numpy', 'paleyrip.spectra'} & set(sys.modules)))") == "[]"
 
 
+def test_manifest_commands_load_no_spectra():
+    # every manifest command in one interpreter, the array commands first:
+    # they load neither frame nor dataclasses, and no command loads spectra
+    array = [e["argv"] for e in check_outputs.MANIFEST if e["argv"][0] in ("estimate", "demboratio")]
+    rest = [e["argv"] for e in check_outputs.MANIFEST if e["argv"] not in array]
+    assert len(array) == 6 and len(array) + len(rest) == len(check_outputs.MANIFEST)
+    res = _python("import contextlib, io, sys\nfrom paleyrip.cli import main\n"
+                  "def run(argvs):\n"
+                  "    for argv in argvs:\n"
+                  "        with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "            try:\n"
+                  "                code = main(argv)\n"
+                  "            except SystemExit as exc:  # --help and --version\n"
+                  "                code = exc.code\n"
+                  "        if code:\n"
+                  "            sys.exit(f'{argv} exited {code}')\n"
+                  f"run({array!r})\n"
+                  "print(sorted({'dataclasses', 'paleyrip.frame', 'paleyrip.spectra'}"
+                  " & set(sys.modules)))\n"
+                  f"run({rest!r})\n"
+                  "print('paleyrip.spectra' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "False"]
+
+
 def test_import_without_numpy():
     res = _python(_BLOCK_NUMPY + "import paleyrip\n"
                   "print(paleyrip.__version__, paleyrip.is_prime(1009),"
@@ -185,7 +211,7 @@ def test_eager_names_resolve():
     missing = [name for name in EAGER_NAMES if not hasattr(paleyrip, name)]
     assert not missing
     assert set(EAGER_NAMES) <= set(dir(paleyrip))
-    assert paleyrip.chi_table is paleyrip.numtheory.chi_table
+    assert paleyrip.sign_matrix is paleyrip.experiments.sign_matrix
     assert paleyrip.spectra is sys.modules["paleyrip.spectra"]
 
 
@@ -202,11 +228,12 @@ def test_unknown_attribute():
     # removed public names: four routines that nothing in the package ran,
     # four single-family wrappers, now columns of family_bounds, four float
     # twins of identities verify decides exactly, the record of a curve,
-    # now the bare array d, and four output-document writers, now in cli
+    # now the bare array d, four output-document writers, now in cli, and
+    # the numpy copy of the Legendre table, now read from chi_signs
     for name in ["no_such_name", "coherence", "l1_coherence", "schur_bordered_det", "dembo_lower",
                  "bound_gershgorin", "bound_skew", "bound_dembo_recursive",
                  "bound_generalized_dembo", "block3_det", "gamma_term", "canonical_tournament",
                  "lemma_k_inequality", "RipEstimate", "BoundReport", "build_report",
-                 "frame_to_json", "gram_to_json"]:
+                 "frame_to_json", "gram_to_json", "chi_table"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(paleyrip, name)

@@ -267,7 +267,7 @@ def test_exact_order3_check_agrees_with_lapack(case):
     ctc = [[sum(r[i] * r[j] for r in c) for j in range(3)] for i in range(3)]
     assert exact and _charpoly3(c) == (0, 3, 0) and _charpoly3(ctc) == (-6, 9, 0)
     t = math.sqrt(3.0 / p)
-    w = np.linalg.eigvalsh(frame.gram_analytic(p, support))
+    w = np.linalg.eigvalsh(spectra.gram_analytic(p, support))
     assert np.abs(w - [1.0 - t, 1.0, 1.0 + t]).max() <= 1e-12
 
 
