@@ -17,9 +17,10 @@ is the one radius path: the exact gate check_sign_matrices, the exact
 product S = C^T C of sign_gram, and gram_radius, sqrt(lambda_max(S)), the
 one eigvalsh call on sign matrices.  _worst_curve, the one prefix-radius
 path, which the RIP curves and the bordered-bound study read, gates its
-stored stack once and calls the last two itself, walking the prefix order
-down and solving by Cauchy interlacing only the trials that can still set
-the max.  exact_rip first runs the witness search of pairs.cot_witness,
+stored stack once and calls the last two at one site, walking the prefix
+order down from k: at every order, k included, it solves in the same
+best-first chunks only the trials that Cauchy interlacing leaves able to
+set the max.  exact_rip first runs the witness search of pairs.cot_witness,
 within its own candidate budget: a support with rho(C_T) = cot(pi/2k), the
 skew_cot bound, is a lower bound that meets the upper bound.
 EXACT_RIP_GUARD bounds only the orbit enumeration that runs when it finds
@@ -165,18 +166,6 @@ def _batch(k: int) -> int:
     return max(1, STACK_ENTRIES // (k * k))
 
 
-def _radii(c: np.ndarray, rows, j: int) -> np.ndarray:
-    """rho of the leading j x j blocks of c[rows], solved _batch(j) matrices at a time.
-
-    c is a gated sign-matrix stack.  Each batch is sliced from c on its
-    own, so a selection of a large stored stack is never copied whole.
-    """
-    return np.concatenate([
-        gram_radius(sign_gram(c[rows[s:s + _batch(j)], :j, :j]))
-        for s in range(0, len(rows), _batch(j))
-    ])
-
-
 def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
     """d(j) = max over the supports idx[t] of rho(C_j)/sqrt p for each prefix order j.
 
@@ -187,20 +176,16 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
 
     C_j is the leading j x j block of C_{j+1}, so by Cauchy interlacing each
     trial's radius is nondecreasing in j, and its last solved radius is an
-    upper bound ub at every lower order.  The trials are taken in groups of
-    at most _STORED_ENTRIES sign-matrix entries, each group's C built once,
-    at order k, as an int8 stack that is gated once and whose leading
-    blocks are solved.  A group solves all its trials at order k; then,
-    walking j down, it solves them best first, in one stable order of
+    upper bound ub at every lower order; ub starts at +inf.  The trials are
+    taken in groups of at most _STORED_ENTRIES sign-matrix entries, each
+    group's C built once, at order k, as an int8 stack that is gated once
+    and whose leading blocks are solved.  Walking j down from k, every order,
+    k included, solves the group best first, in one stable order of
     descending ub: the first trial alone, then chunks of 8, 16, ... up to
     _batch(j) trials, each chunk only of the trials whose ub still reaches
     the max so far at j, from this group and those before it, less the
-    slack.  Pruned trials cannot set the max, so d equals the full max
-    exactly.
-    A trial solved alone at order j + 1 and again at j has
-    C_j^T C_j = (C_{j+1}^T C_{j+1})[:j, :j] - c c^T with c = C[j, :j], an
-    exact integer downdate, so only that one product is held.  Order k is
-    solved as a stack, so the held product starts at order k - 1.
+    slack.  At order k every ub is +inf, so every trial is solved there.
+    Pruned trials cannot set the max, so d equals the full max exactly.
     """
     k = min(idx.shape[1], (p + 1) // 2)
     ceiling = np.ones(idx.shape[1] - k)
@@ -213,26 +198,13 @@ def _worst_curve(p: int, idx: np.ndarray) -> np.ndarray:
         for s in range(0, len(c), _batch(k)):
             c[s:s + _batch(k)] = sign_matrix(p, members[s:s + _batch(k)])
         check_sign_matrices(c)
-        held = None  # (t, C^T C) of the trial t last solved alone, at order len(C^T C)
-
-        def alone(t: int, j: int) -> float:
-            nonlocal held
-            if held is not None and held[0] == t and len(held[1]) == j + 1:
-                row = c[t, j, :j].astype(np.float64)
-                s = held[1][:j, :j] - np.outer(row, row)
-            else:
-                s = sign_gram(c[t, :j, :j])
-            held = (t, s)
-            return gram_radius(s)
-
-        ub = _radii(c, np.arange(len(c)), k)
-        rho[k - 1] = max(rho[k - 1], ub.max())
-        for j in range(k - 1, 1, -1):
+        ub = np.full(len(c), np.inf)
+        for j in range(k, 1, -1):
             best, size = rho[j - 1], 1
             rest = np.argsort(-ub, kind="stable")
             while (rest := rest[ub[rest] > best * (1.0 - _INTERLACING_SLACK)]).size:
                 chunk, rest = rest[:size], rest[size:]
-                ub[chunk] = alone(chunk[0], j) if size == 1 else _radii(c, chunk, j)
+                ub[chunk] = gram_radius(sign_gram(c[chunk, :j, :j]))
                 best = max(best, ub[chunk].max())
                 size = min(max(8, 2 * size), _batch(j))
             rho[j - 1] = best

@@ -101,10 +101,10 @@ def gram_direct(frame: PaleyFrame, support) -> list[list[complex]]:
 def gram_rows(p, support) -> list[list[complex]]:
     """The analytic Gramian of a support, as nested lists of Python complex.
 
-    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1+0j.
-    Each off-diagonal entry is the integer sign times the same scalar,
-    chi(T_i - T_j) * (1j / sqrt p), so every entry, signed zeros of the real
-    parts included, is bit-identical to the array spectra.gram_analytic.
+    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1+0j:
+    the integer sign times the one scalar 1j / sqrt p, so the real parts of
+    the off-diagonal entries are signed zeros.  spectra.gram_analytic is
+    this, as a numpy array.
     """
     p = check_paley(p)
     support = check_support(p, support)

@@ -3,8 +3,8 @@
 No command runs anything here (their radius path is
 experiments.skew_spectral_radius); the module stays because the benchmark's
 oracle job imports it (ROADMAP items 1 and 9).  gram_analytic is
-I + (i/sqrt p) C_T as a complex array, from experiments.sign_matrix.  The
-bordered extremes come from a dense solve of the assembled matrices.
+frame.gram_rows as a complex array, no DFT evaluated.  The bordered
+extremes come from a dense solve of the assembled matrices.
 hermitian_spectrum, also the dense oracle of the tests, gates its input
 relative to the largest entry.  The paper's identities for these matrices
 are decided exactly, in integers, by verify.
@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonHermitianError, ParameterRangeError
-from .experiments import sign_matrix
-from .frame import check_support
-from .numtheory import check_paley
+from .frame import gram_rows
 
 HERMITIAN_TOL = 1e-10
 
@@ -46,15 +44,8 @@ def hermitian_spectrum(m) -> np.ndarray:
 
 
 def gram_analytic(p, support) -> np.ndarray:
-    """Gramian from the Legendre formula, no DFT evaluation.
-
-    Entry (i, j) = chi(T_i - T_j) * i / sqrt(p) for i != j, diagonal 1.
-    Hermitian by construction since chi(-x) = -chi(x) for p = 3 (mod 4).
-    """
-    p = check_paley(p)
-    g = sign_matrix(p, check_support(p, support)) * (1j / math.sqrt(p))
-    np.fill_diagonal(g, 1.0)
-    return g
+    """The analytic Gramian I + (i/sqrt p) C_T: frame.gram_rows as a complex array."""
+    return np.array(gram_rows(p, support))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from collections import Counter
 from itertools import combinations, islice
 from operator import mul
 
@@ -306,6 +307,30 @@ def _count_gram_solves(monkeypatch) -> list:
     return solved
 
 
+@pytest.mark.parametrize("p, k, trials", [(103, 30, 1000), (1019, 60, 300), (1019, 200, 5)])
+def test_estimate_worst_solve_calls_follow_the_walk(p, k, trials, monkeypatch):
+    # each gram_radius call solves at most _batch(j) matrices of one order
+    # j; each trial is solved exactly once at the top order, and no order
+    # more than `trials` times
+    top = min(k, (p + 1) // 2)
+    per_order, at_top = Counter(), []
+    full = experiments.gram_radius
+
+    def recording(s):
+        n, j = math.prod(s.shape[:-2]), s.shape[-1]
+        assert s.ndim == 3 and s.shape[-2] == j and 1 <= n <= experiments._batch(j)
+        per_order[j] += n
+        if j == top:
+            at_top.extend(m.tobytes() for m in s)
+        return full(s)
+
+    monkeypatch.setattr(experiments, "gram_radius", recording)
+    estimate_rip_worst(p, k, trials, seed=1)
+    idx = np.array([random_subset(p, k, sub_seed(1, t))[:top] for t in range(trials)])
+    assert sorted(at_top) == sorted(m.tobytes() for m in experiments.sign_gram(sign_matrix(p, idx)))
+    assert max(per_order) == top and max(per_order.values()) <= trials
+
+
 def test_estimate_worst_prunes_most_solves(monkeypatch):
     # every trial at order 30, and at least the leading trial at each of the
     # 28 orders below it, against 1000 per order unpruned
@@ -315,24 +340,19 @@ def test_estimate_worst_prunes_most_solves(monkeypatch):
 
 
 def _assert_exact_grams(c):
-    # the float32 product, cast, equals the float64 product, and the
-    # rank-one downdate from order n equals the fresh order n - 1 product,
-    # sign bits of zeros included; gram_radius of either matches the top
-    # eigenvalue of the Hermitian matrix iC from LAPACK's complex solver
+    # the float32 product, cast, equals the float64 product, sign bits of
+    # zeros included; gram_radius of it matches the top eigenvalue of the
+    # Hermitian matrix iC from LAPACK's complex solver
     a = c.astype(np.float64)
-    s = experiments.sign_gram(c)
-    down = s[:-1, :-1] - np.outer(a[-1, :-1], a[-1, :-1])
-    fresh = a[:-1, :-1].T @ a[:-1, :-1]
-    for got, want in ((s, a.T @ a), (down, fresh), (experiments.sign_gram(c[:-1, :-1]), fresh)):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    for got, m in ((s, c), (down, c[:-1, :-1])):
-        oracle = np.linalg.eigvalsh(1j * m)[-1]
-        assert abs(experiments.gram_radius(got) - oracle) <= 1e-12 * max(1.0, oracle)
+    s, want = experiments.sign_gram(c), a.T @ a
+    assert np.array_equal(s, want) and np.array_equal(np.signbit(s), np.signbit(want))
+    oracle = np.linalg.eigvalsh(1j * c)[-1]
+    assert abs(experiments.gram_radius(s) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
-def test_gram_products_and_downdate_are_exact(n, seed):
+def test_gram_products_are_exact(n, seed):
     # random +-1 orientations of order n
     upper = np.triu(np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (n, n)), 1)
     _assert_exact_grams(upper - upper.T)
@@ -345,9 +365,9 @@ def test_gram_product_exact_at_order_1019():
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(p=st.sampled_from([103, 1019]), k=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
-def test_single_support_downdates_match_unpruned_reference(p, k, seed):
-    # one trial is solved alone at every order, each product downdated from
-    # the order above: the same bits as a fresh solve at every order
+def test_single_support_curve_matches_unpruned_reference(p, k, seed):
+    # one trial, walked down every prefix order: the same bits as a fresh
+    # solve at every order
     k = min(k, p)
     _assert_matches_unpruned(estimate_rip_worst(p, k, 1, seed), p, k, 1, seed)
 

@@ -164,7 +164,7 @@ def test_manifest_commands_load_no_spectra():
     # they load neither frame nor dataclasses, and no command loads spectra
     array = [e["argv"] for e in check_outputs.MANIFEST if e["argv"][0] in ("estimate", "demboratio")]
     rest = [e["argv"] for e in check_outputs.MANIFEST if e["argv"] not in array]
-    assert len(array) == 6 and len(array) + len(rest) == len(check_outputs.MANIFEST)
+    assert len(array) == 7 and len(array) + len(rest) == len(check_outputs.MANIFEST)
     res = _python("import contextlib, io, sys\nfrom paleyrip.cli import main\n"
                   "def run(argvs):\n"
                   "    for argv in argvs:\n"
