@@ -295,7 +295,8 @@ def _cmd_verify(args):
     return _json_text(doc), {}, EXIT_VERIFY_FAILED if failed else 0
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser, all commands listed; given a command word, only that command gets arguments."""
     parser = _Parser(prog="paleyrip", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"paleyrip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -303,6 +304,8 @@ def build_parser() -> _Parser:
     def add(name, func, help_text, *, k=False, seed=False, trials=False,
             alpha=False, beta=False, fmt=None, support=False):
         sp = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            return None
         sp.set_defaults(func=func)
         if name != "fit":
             sp.add_argument("--p", type=int, required=True, help="prime modulus")
@@ -327,31 +330,32 @@ def build_parser() -> _Parser:
         return sp
 
     add("frame", _cmd_frame, "emit the measurement matrix as JSON")
-    gram = add("gram", _cmd_gram, "emit a Gramian submatrix as JSON", support=True)
-    gram.add_argument("--method", choices=("analytic", "direct"), default="analytic")
+    if gram := add("gram", _cmd_gram, "emit a Gramian submatrix as JSON", support=True):
+        gram.add_argument("--method", choices=("analytic", "direct"), default="analytic")
     add("bounds", _cmd_bounds, "evaluate every bound family at (p, k)", k=True, beta=True)
     add("estimate", _cmd_estimate, "empirical RIP curve d(j) as ripcurve CSV",
         k=True, seed=True, trials=True, fmt="csv")
-    fit = add("fit", _cmd_fit, "power-law fit of a ripcurve CSV")
-    fit.add_argument("--input", type=str, required=True, help="ripcurve CSV path")
-    fit.add_argument("--jmin", type=int, default=DEFAULT_FIT_JMIN,
-                     help="first order included in the fit window")
+    if fit := add("fit", _cmd_fit, "power-law fit of a ripcurve CSV"):
+        fit.add_argument("--input", type=str, required=True, help="ripcurve CSV path")
+        fit.add_argument("--jmin", type=int, default=DEFAULT_FIT_JMIN,
+                         help="first order included in the fit window")
     add("demboratio", _cmd_demboratio, "bound-sharpness study as demboratio CSV",
         k=True, seed=True, fmt="csv")
-    conj = add("conjecture", _cmd_conjecture, "one-sided difference-set pair search",
-               k=True, seed=True, trials=True, alpha=True, fmt="csv", support=True)
-    conj.add_argument("--peel", action="store_true",
-                      help="with --support: peel best pairs until < m_alpha remain")
-    conj.add_argument("--m-alpha", dest="m_alpha", type=int,
-                      help="minimum support size the peeling keeps searching at")
-    conj.set_defaults(**dict.fromkeys(_CONJECTURE_DEFAULTS))
+    if conj := add("conjecture", _cmd_conjecture, "one-sided difference-set pair search",
+                   k=True, seed=True, trials=True, alpha=True, fmt="csv", support=True):
+        conj.add_argument("--peel", action="store_true",
+                          help="with --support: peel best pairs until < m_alpha remain")
+        conj.add_argument("--m-alpha", dest="m_alpha", type=int,
+                          help="minimum support size the peeling keeps searching at")
+        conj.set_defaults(**dict.fromkeys(_CONJECTURE_DEFAULTS))
     add("verify", _cmd_verify, "run the identity suite; exit 7 on failure")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((a for a in argv if not a.startswith("-")), None)  # the first word
+    args = build_parser(command).parse_args(argv)
     t0 = time.monotonic()
     try:
         text, extra_meta, code = args.func(args)

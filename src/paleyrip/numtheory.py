@@ -1,11 +1,14 @@
 """Exact integer arithmetic, without numpy: primality, Legendre symbols,
-quadratic residues, and positive definiteness of integer symmetric matrices.
+quadratic residues, the sign Gramian C^T C from bitmasks, and positive
+definiteness of integer symmetric matrices.
 
 `chi_signs` is the one Legendre table of the package, a cached tuple of
 Python ints built once per prime from the squares mod p: the sign matrices
 (experiments.sign_matrix reads it as an array in each call), the pair
 searches, the quadratic-residue row set and the Gramians all come from it.
 `legendre`, Euler's criterion for one argument, is its independent oracle.
+`sign_gram_ints` is the one builder of the integers C_T^T C_T, which
+`verify`'s tournaments and the pair search of `pairs` read; and
 `is_positive_definite` decides from the pivots of fraction-free
 elimination, so a threshold on a spectral radius is decided with no
 eigensolve and no rounding.
@@ -131,6 +134,38 @@ def row_index_set(p) -> list[int]:
     """
     p = check_paley(p)
     return [0] + [m for m, s in enumerate(chi_signs(p)) if s == 1]
+
+
+def sign_gram_ints(masks, bits) -> list[list[int]]:
+    """S = C^T C in Python ints for an n x n sign matrix C held as bitmasks.
+
+    C has a zero diagonal and +-1 elsewhere, and is skew (a tournament, or a
+    Paley support's C_ab = chi(T_a - T_b) at p = 3 (mod 4)) or symmetric (a
+    support at p = 1 (mod 4)).  Member a has its own bit b_a = bits[a],
+    distinct single bits, and its sign mask m_a = masks[a], with b_l set
+    where C_al = +1; mask bits of non-members are ignored.  C C^T = C^T C, as
+    -C^2 or C^2, so S_ab = sum_l C_al C_bl.  The terms l = a, b vanish, as
+    C_aa = C_bb = 0, and each other term is +1 where m_a and m_b agree at
+    b_l and -1 where they differ.  With A the OR of all bits,
+
+        S_aa = n - 1,  S_ab = (n - 2) - 2 popcount((m_a ^ m_b) & A & ~(b_a | b_b)),
+
+    the second being sign_gram_entry.  The masks may live in residue space
+    (pairs' P_x, b_a = bit T_a) or in index space (verify's tournaments,
+    b_a = bit a).  Each entry costs O(width/64) words.
+    """
+    n, alive = len(masks), sum(bits)  # the bits are distinct
+    s = [[n - 1] * n for _ in range(n)]
+    for a, (m_a, row) in enumerate(zip(masks, s)):
+        rest = alive ^ bits[a]
+        for b in range(a + 1, n):
+            row[b] = s[b][a] = sign_gram_entry(n, m_a, masks[b], rest ^ bits[b])
+    return s
+
+
+def sign_gram_entry(n: int, m_a: int, m_b: int, others: int) -> int:
+    """S_ab, a != b, of sign_gram_ints, with `others` the mask of the n - 2 members but a and b."""
+    return n - 2 - 2 * ((m_a ^ m_b) & others).bit_count()
 
 
 def is_positive_definite(m) -> bool:

@@ -1,9 +1,10 @@
 """Quadratic-residue pair experiments behind the square-root-barrier conjecture.
 
 For a support T of distinct residues and two of its positions i != j, the
-pair numerator is the exact integer
+pair numerator is the exact integer |S_ij|, S = C^T C for the sign matrix
+C_ab = chi(T_a - T_b) (the integers of numtheory.sign_gram_ints):
 
-    |sum over l outside {i, j} of chi(T_i - T_l) chi(T_j - T_l)|,
+    S_ij = sum over l outside {i, j} of chi(T_i - T_l) chi(T_j - T_l),
 
 and the one-sided ratio divides it by |T| - 2.  `conjecture_search` finds
 the pair with the smallest numerator in one support, and `greedy_peel`
@@ -12,12 +13,12 @@ argument.  (Bandeira, Fickus, Mixon & Wong, "The road to deterministic
 matrices with the restricted isometry property", JFAA 2013.)
 
 For p = 3 (mod 4) every peel step with n >= 5 survivors meets alpha = 0.8.
-Their sign matrix C is the skew-adjacency matrix of a tournament, and the
-numerator of pair (i, j) is |S_ij| with S = C^T C, S_ii = n - 1.  S is
-positive semidefinite with top eigenvalue rho(C)^2 <= cot^2(pi/2n), so
-tr(S^2) <= rho^2 tr(S) reads n(n-1)^2 + sum_{i != j} S_ij^2 <= rho^2 n(n-1),
-and the smallest numerator is at most sqrt(cot^2(pi/2n) - n + 1).  Over
-n - 2 that is 0.780 at n = 5, and as cot x < 1/x its square is below
+Their sign matrix C is the skew-adjacency matrix of a tournament, and
+S = C^T C, S_ii = n - 1, is positive semidefinite with top eigenvalue
+rho(C)^2 <= cot^2(pi/2n), so tr(S^2) <= rho^2 tr(S) reads
+n(n-1)^2 + sum_{i != j} S_ij^2 <= rho^2 n(n-1), and the smallest
+numerator is at most sqrt(cot^2(pi/2n) - n + 1).  Over n - 2 that is
+0.780 at n = 5, and as cot x < 1/x its square is below
 (4n^2/pi^2 - n + 1)/(n - 2)^2 < 0.64 for n >= 6 (the larger root is 5.42).
 
 Only this module reads the Legendre tournament as bitmasks, Python ints
@@ -25,11 +26,10 @@ read from `numtheory.chi_signs`; it loads no numpy.  The masks live in
 residue space, p bits wide.  R has bit u set when chi(-u) = +1; it is
 built once per prime and cached, and row x's mask P_x (`_row_mask`), R
 rotated left by x within p bits, has bit t set when chi(x - t) = +1, in
-either class of p mod 4.  Every summand is +-1, +1 where P_{T_i} and
-P_{T_j} agree, so with A the mask of the surviving residues and n its
-size the numerator is
-|(n - 2) - 2 popcount((P_{T_i} ^ P_{T_j}) & A & ~(bit T_i | bit T_j))|.
-It has the parity of n, so a pair that reaches n mod 2 ends the search.
+either class of p mod 4: the sign masks m_x of the kernel.  With
+A the mask of the surviving residues, the numerator is the absolute value
+of numtheory.sign_gram_entry, taken one pair at a time and not from a whole
+S.  It has the parity of n, so a pair that reaches n mod 2 ends the search.
 `cot_witness`, the skew_cot witness search of `experiments.exact_rip`,
 reads them too: the mask B_x of the residues that beat x is P_x ^ (R | 1)
 or its complement, formed inline for each candidate.  A row mask, a pair
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import ParameterRangeError
 from .frame import check_support
-from .numtheory import check_k, check_paley, check_prime, chi_signs
+from .numtheory import check_k, check_paley, check_prime, chi_signs, sign_gram_entry
 from .rng import random_subset, trial_seeds
 
 
@@ -130,7 +130,7 @@ def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[
             mask_a, rest = mask(a), alive ^ 1 << support[a]
             for t in range(s + 1, n):
                 b = order[t]
-                num = abs(n - 2 - 2 * ((mask_a ^ mask(b)) & (rest ^ 1 << support[b])).bit_count())
+                num = abs(sign_gram_entry(n, mask_a, mask(b), rest ^ 1 << support[b]))
                 if num < best[0]:
                     best = (num, s, t)
                     if num == floor:

@@ -26,8 +26,9 @@ Every check decides in Python ints, so `verify` loads neither numpy nor
 - cot_radius: for every orientation C of K_n, n = 2..12, rho(C) <=
   cot(pi/2n) with equality for the canonical tournament.  With dyadic
   h-_n < cot^2(pi/2n) < h+_n, h+_n - h-_n = 2^-40, rho^2 < h is decided
-  by whether h I - C^T C is positive definite (numtheory's Bareiss test),
-  after integer Gershgorin and trace bounds that settle most random
+  by whether h I - C^T C, its integers from numtheory.sign_gram_ints of
+  the orientation's row masks, is positive definite (numtheory's Bareiss
+  test), after integer Gershgorin and trace bounds that settle most random
   orientations.  The canonical tournament must give h-_n < rho^2 < h+_n,
   and 50 random orientations per order rho^2 < h+_n, so every rho is at
   most cot(pi/2n) + 2^-41.  The sign of pair t, row by row, of a random
@@ -44,7 +45,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import bounds, frame
-from .numtheory import check_paley, is_positive_definite, legendre
+from .numtheory import check_paley, is_positive_definite, legendre, sign_gram_ints
 from .rng import SplitMix64, random_subset, sub_seed
 
 REPORTED_C_ALPHA = 899_998
@@ -293,25 +294,17 @@ def _tournament_gram(n: int, bits) -> list[list[int]]:
     """S = C^T C in ints for the orientation C of K_n whose upper triangle, row by row, is bits.
 
     C_ij = +1 for i < j where the bit is 1, -1 where it is 0, and
-    C_ji = -C_ij.  Column j is held as the bitmask of the rows l with
-    C_lj = +1.  For l outside {i, j}, C_li C_lj is -1 exactly where the
-    masks of columns i and j differ; of rows i and j, where C_ii = C_jj = 0,
-    exactly one differs, since one of C_ij and C_ji is +1.  So
-    S_ij = (n - 2) - 2 (popcount(mask_i ^ mask_j) - 1), and S_ii = n - 1.
+    C_ji = -C_ij.  Row i is held as the mask of the l with C_il = +1.
     """
     plus = [0] * n
     pairs = iter(bits)
     for i in range(n):
         for j in range(i + 1, n):
             if next(pairs):
-                plus[j] |= 1 << i
-            else:
                 plus[i] |= 1 << j
-    s = [[n - 1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s[i][j] = s[j][i] = n - 2 * (plus[i] ^ plus[j]).bit_count()
-    return s
+            else:
+                plus[j] |= 1 << i
+    return sign_gram_ints(plus, [1 << i for i in range(n)])
 
 
 def _norm_below(s, h: Fraction) -> bool:

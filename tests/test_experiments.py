@@ -30,7 +30,7 @@ from paleyrip.experiments import (
 )
 from paleyrip.fit import fit_power_law
 from paleyrip.frame import build_frame, gram_direct
-from paleyrip.numtheory import chi_signs, is_positive_definite, is_prime
+from paleyrip.numtheory import chi_signs, is_positive_definite, is_prime, sign_gram_ints
 from paleyrip.pairs import (
     conjecture_scan,
     conjecture_search,
@@ -475,6 +475,20 @@ def _complement_gram(p, support):
     chi, inside = chi_signs(p), set(support)
     cols = [[chi[(r - t) % p] for r in range(p) if r not in inside] for t in support]
     return [[1 + sum(map(mul, u, v)) for v in cols] for u in cols]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 7, 13, 19, 29, 43, 101, 103]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=30, unique=True))))
+def test_sign_gram_ints_is_p_minus_complement_gram(case):
+    # the ceiling identity C_T^T C_T = pI - (J + B^T B), at either class of p,
+    # with the kernel read from the row masks the pair search builds
+    p, support = case
+    r = pairs._residue_mask(p)
+    s = sign_gram_ints([pairs._row_mask(r, p, x) for x in support], [1 << x for x in support])
+    m = _complement_gram(p, support)
+    n = len(support)
+    assert [[p * (i == j) - s[i][j] for j in range(n)] for i in range(n)] == m
 
 
 def _integer_rank(m):

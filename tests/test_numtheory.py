@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paleyrip.errors import NotPrimeError, ParameterRangeError, WrongResidueError
+from paleyrip.experiments import sign_gram, sign_matrix
 from paleyrip.numtheory import (
     check_paley,
     check_prime,
@@ -14,6 +17,7 @@ from paleyrip.numtheory import (
     is_prime,
     legendre,
     row_index_set,
+    sign_gram_ints,
 )
 
 PALEY_PRIMES = [7, 11, 19, 43, 103]
@@ -173,6 +177,60 @@ def _sign_gram(p: int, support) -> list[list[int]]:
     chi = chi_signs(p)
     c = [[chi[a - b] for b in support] for a in support]
     return [[sum(r[i] * r[j] for r in c) for j in range(len(c))] for i in range(len(c))]
+
+
+def _kernel_gram(p: int, support) -> list[list[int]]:
+    """sign_gram_ints of a support, its masks in residue space read from chi_signs."""
+    chi = chi_signs(p)
+    masks = [sum(1 << t for t in range(p) if chi[x - t] == 1) for x in support]
+    return sign_gram_ints(masks, [1 << x for x in support])
+
+
+# both classes: C is skew at p = 3 (mod 4) and symmetric at p = 1 (mod 4)
+_KERNEL_PRIMES = [5, 7, 11, 13, 17, 19, 29, 43, 101, 103]
+_kernel_supports = st.sampled_from(_KERNEL_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=min(30, p), unique=True)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_kernel_supports)
+def test_sign_gram_ints_matches_float_product_and_chi_table(case):
+    # the float32 product of experiments, ungated (the skew gate refuses
+    # p = 1 (mod 4)), and the chi-table sums of _sign_gram
+    p, support = case
+    s = _kernel_gram(p, support)
+    assert np.array_equal(np.array(s, dtype=float), sign_gram(sign_matrix(p, support)))
+    assert s == _sign_gram(p, support)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_kernel_supports.flatmap(lambda case: st.tuples(
+    st.just(case), st.integers(1, case[0] - 1), st.integers(0, case[0] - 1),
+    st.permutations(range(len(case[1]))))))
+def test_sign_gram_ints_is_affine_and_order_invariant(case):
+    # x -> a x + b maps C to chi(a) C, and S to itself; reordering T reorders S
+    (p, support), a, b, perm = case
+    s = _kernel_gram(p, support)
+    assert _kernel_gram(p, [(a * x + b) % p for x in support]) == s
+    assert _kernel_gram(p, [support[i] for i in perm]) == [[s[i][j] for j in perm] for i in perm]
+
+
+def test_sign_gram_ints_of_all_residues_without_numpy():
+    # T = Z_p leaves no residue outside, so S = pI - J (the ceiling identity
+    # with B empty), built with numpy unimportable
+    code = (
+        "import sys\nsys.modules['numpy'] = None\n"
+        "from paleyrip.numtheory import chi_signs, sign_gram_ints\n"
+        "for p in (13, 19, 103):\n"
+        "    chi = chi_signs(p)\n"
+        "    masks = [sum(1 << t for t in range(p) if chi[x - t] == 1) for x in range(p)]\n"
+        "    s = sign_gram_ints(masks, [1 << x for x in range(p)])\n"
+        "    assert s == [[p * (i == j) - 1 for j in range(p)] for i in range(p)], p\n"
+        "print(sorted(m for m, mod in sys.modules.items() if mod and m.split('.')[0] == 'numpy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def _shifted(h: Fraction, s) -> list[list[int]]:

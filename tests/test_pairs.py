@@ -27,7 +27,7 @@ from paleyrip import pairs
 from paleyrip.errors import ParameterRangeError
 from paleyrip.experiments import sign_matrix
 from paleyrip.frame import check_support, gram_rows
-from paleyrip.numtheory import chi_signs
+from paleyrip.numtheory import chi_signs, sign_gram_ints
 from paleyrip.pairs import (
     ConjectureRecord,
     _BudgetSpent,
@@ -42,7 +42,6 @@ from paleyrip.pairs import (
 )
 from paleyrip.rng import random_subset, random_subsets, sub_seed
 from paleyrip.spectra import gram_analytic
-from paleyrip.verify import _tournament_gram
 
 # both residue classes mod 4, past one 64-bit word from 67 on
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 71, 73, 97, 101, 103, 131, 137]
@@ -244,7 +243,11 @@ def test_pair_numerator_bound_on_random_tournaments(case):
     # any tournament, not only a Paley support: the numerators are |S_ij| of
     # S = C^T C, tr(S^2) <= rho^2 tr(S) and rho <= cot(pi/2n); pair t's sign is bit t
     n, word = case
-    s = _tournament_gram(n, [word >> t & 1 for t in range(n * (n - 1) // 2)])
+    masks = [0] * n  # row u: the v that u beats, C_uv = +1
+    for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        u, v = (i, j) if word >> t & 1 else (j, i)
+        masks[u] |= 1 << v
+    s = sign_gram_ints(masks, [1 << u for u in range(n)])
     rho2 = float(np.linalg.eigvalsh(np.array(s, dtype=float))[-1])
     assert rho2 <= (1.0 / math.tan(math.pi / (2 * n))) ** 2 * (1 + 1e-12)
     assert sum(x * x for row in s for x in row) <= rho2 * n * (n - 1) * (1 + 1e-12)
