@@ -138,10 +138,9 @@ def _peel(p: int, support: tuple[int, ...], alpha: float, m_alpha: int) -> list[
         return best
 
     order = list(range(len(support)))  # surviving positions, in support order
-    bits = bytearray(p // 8 + 1)  # the surviving mask, written in O(p/8 + k)
+    alive = 0  # the surviving mask
     for x in support:
-        bits[x >> 3] |= 1 << (x & 7)
-    alive = int.from_bytes(bits, "little")
+        alive |= 1 << x
     records = []
     while len(order) >= m_alpha:
         num, i, j = best_pair(order, alive)

@@ -15,13 +15,13 @@ rule of both Monte Carlo experiments, lists those of trials 0, ..., n - 1.
 
 A k-subset of {0, ..., p-1} is drawn by the partial Fisher-Yates shuffle
 of SplitMix64(seed): step i swaps slot i with slot i + below(p - i), and
-the first k slots, in draw order, are the subset.  random_subset runs it
-in plain Python ints, keeping only the slots it has moved, so a draw costs
-O(k) time and memory whatever p, and needs no numpy.  random_subsets draws
-the k-subsets of many seeds at once: it runs the same shuffle of every
-seed's stream side by side in uint64 numpy arithmetic, and redraws a
-rejected lane through SplitMix64.below, so each row is bit-exact with
-random_subset of that seed.  Neither draws below a bound past 2^64.
+the first k slots, in draw order, are the subset.  Both samplers compute
+these swap targets, then run the one shuffle _shuffle, which keeps only
+the slots it has moved, so a draw costs O(k) time and memory whatever p.
+random_subset takes its targets from SplitMix64.below, without numpy;
+random_subsets mixes those of many seeds in one uint64 numpy call, so numpy
+computes only the stream, and each row is bit-exact with random_subset.
+The scalar draw takes bounds up to 2^64, the batched one (intp rows) 2^63.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .numtheory import check_k
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-# Shuffled slots random_subsets holds at once (rows times p).
-_DRAW_ENTRIES = 2**18
 
 
 def _mix(z):
@@ -79,61 +77,61 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [sub_seed(master_seed, t) for t in range(trials)]
 
 
+def _targets(p: int, k: int, seed: int) -> list[int]:
+    """The swap targets i + below(p - i), i < k, of SplitMix64(seed)."""
+    stream = SplitMix64(seed)
+    return [i + stream.below(p - i) for i in range(k)]
+
+
+def _shuffle(targets) -> list[int]:
+    """The partial Fisher-Yates shuffle of 0, 1, 2, ... with the swap targets, in draw order.
+
+    Step i swaps slot i with slot j = targets[i] and emits the new slot i.
+    Slot i is never read again, so only the value moved to slot j is
+    stored, in a dict of the slots written so far; a slot not in it still
+    holds its own index.
+    """
+    moved: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return out
+
+
 def random_subsets(p: int, k: int, seeds):
     """Uniform random k-subsets of {0, ..., p-1} in draw order, one row per seed.
 
-    Row t is the partial Fisher-Yates shuffle driven by SplitMix64(seeds[t]):
-    step i swaps slot i with slot i + below(p - i), and the first k slots
-    are returned.  Each lane's k outputs are mixed at once from the states
-    seed + (i + 1) * gamma, and the swaps run over all lanes together,
-    _DRAW_ENTRIES shuffled slots at a time.  A lane with an output in
-    below()'s rejection zone is redrawn alone by SplitMix64.below, so row t
-    equals random_subset(p, k, seeds[t]).  Seeds are taken mod 2^64, as
+    Row t is random_subset(p, k, seeds[t]).  Every lane's k outputs are
+    mixed at once from the states seed + (i + 1) * gamma and reduced to swap
+    targets; a lane with an output in below()'s rejection zone takes its
+    targets from _targets instead.  Each row of targets is then shuffled
+    by _shuffle and written back.  Seeds are taken mod 2^64, as
     SplitMix64 takes them.
     """
+    k = check_k(k, p, 1)
+    if p > 1 << 63:  # the rows are intp; past 2^64 it is below()'s own bound
+        raise ParameterRangeError(f"bound must be in [1, 2^{64 if p > 1 << 64 else 63}], got {p}")
     import numpy as np
 
-    k = check_k(k, p, 1)
-    if p > _MASK + 1:  # below(p)'s bound, and past the uint64 arithmetic
-        raise ParameterRangeError(f"bound must be in [1, 2^64], got {p}")
-    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    seeds = [int(s) & _MASK for s in seeds]
     n = np.arange(p, p - k, -1, dtype=np.uint64)  # below()'s bound at step i
     # below(n) accepts u < 2^64 - (2^64 mod n), and 2^64 mod n = (_MASK mod n + 1) mod n
     top = np.uint64(_MASK) - (np.uint64(_MASK) % n + np.uint64(1)) % n
     steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    out = np.empty((len(seeds), k), dtype=np.intp)
-    rows = max(1, _DRAW_ENTRIES // p)
-    for s in range(0, len(seeds), rows):
-        lane_seeds = seeds[s:s + rows]
-        u = _mix(lane_seeds[:, None] + steps)
-        j = (u % n).astype(np.intp) + np.arange(k)
-        for lane in np.flatnonzero((u > top).any(axis=1)):
-            rng = SplitMix64(int(lane_seeds[lane]))
-            j[lane] = [i + rng.below(p - i) for i in range(k)]
-        lanes = np.arange(len(j))
-        arr = np.tile(np.arange(p), (len(j), 1))
-        for i in range(k):
-            slot = arr[:, i].copy()
-            arr[:, i] = arr[lanes, j[:, i]]
-            arr[lanes, j[:, i]] = slot
-        out[s:s + rows] = arr[:, :k]
+    u = _mix(np.array(seeds, dtype=np.uint64)[:, None] + steps)
+    out = (u % n).astype(np.intp) + np.arange(k)
+    for lane in np.flatnonzero((u > top).any(axis=1)):
+        out[lane] = _targets(p, k, seeds[lane])
+    out[:] = [_shuffle(row) for row in out.tolist()]
     return out
 
 
 def random_subset(p: int, k: int, seed: int) -> tuple[int, ...]:
     """Uniform random k-subset of {0, ..., p-1} in draw order: the partial Fisher-Yates shuffle.
 
-    Step i swaps slot i with slot j = i + below(p - i) of SplitMix64(seed)
-    and emits the new slot i.  Slot i is never read again, so only the
-    value moved to slot j is stored, in a dict of the slots written so far;
-    a slot not in it still holds its own index.
+    Step i swaps slot i with slot i + below(p - i) of SplitMix64(seed) and
+    emits the new slot i; see _targets and _shuffle.
     """
     k = check_k(k, p, 1)
-    stream = SplitMix64(seed)
-    moved: dict[int, int] = {}
-    out = []
-    for i in range(k):
-        j = i + stream.below(p - i)
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return tuple(out)
+    return tuple(_shuffle(_targets(p, k, seed)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from paleyrip import experiments, pairs, rng
 from paleyrip.bounds import family_bounds
+from paleyrip.cli import main
 from paleyrip.errors import (
     MalformedInputError,
     NonHermitianError,
@@ -97,6 +98,27 @@ def test_draws_reject_bounds_past_2_64():
                 draw()
 
 
+@pytest.mark.parametrize("command", ["estimate", "demboratio"])
+@pytest.mark.parametrize("p", [9223372036854775907, 18446744073709551427])
+def test_batched_draw_rejects_bounds_past_2_63(command, p, capsys):
+    # Paley primes between 2^63 and 2^64: the scalar draw takes them, but the
+    # batched draw's intp rows cannot hold them, so it refuses them before any
+    # O(p) work, and both commands exit 4 with one stderr line
+    assert len(set(random_subset(p, 3, 0))) == 3
+    message = f"bound must be in [1, 2^63], got {p}"
+    with pytest.raises(ParameterRangeError, match=re.escape(message)):
+        random_subsets(p, 3, [0])
+    assert main([command, "--p", str(p), "--k", "3"]) == 4
+    assert capsys.readouterr() == ("", f"paleyrip {command}: {message}\n")
+
+
+def test_random_subsets_allocate_nothing_of_size_p():
+    # the draw holds O(k) slots per row: p slots per row could not be allocated here
+    seeds = rng.trial_seeds(0, 20)
+    rows = random_subsets(2**61 - 1, 5, seeds).tolist()
+    assert [tuple(row) for row in rows] == [random_subset(2**61 - 1, 5, s) for s in seeds]
+
+
 def test_random_subset_coverage():
     # every residue shows up across many draws (loose uniformity check)
     seen = set()
@@ -133,10 +155,8 @@ def test_random_subset_is_fisher_yates(p):
 
 @pytest.mark.parametrize("p", [3, 7, 19, 103, 1019])
 @pytest.mark.parametrize("k", ["one", "p"])
-def test_random_subsets_match_scalar_oracle(p, k, monkeypatch):
-    # five rows per draw batch, so the 19 trials span four batches
+def test_random_subsets_match_scalar_oracle(p, k):
     k = 1 if k == "one" else p
-    monkeypatch.setattr(rng, "_DRAW_ENTRIES", 5 * p)
     seeds = _seeds(15)
     rows = random_subsets(p, k, seeds)
     assert rows.shape == (len(seeds), k)
