@@ -63,6 +63,14 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _table_text(args, header, columns, rows, **extra) -> str:
+    """The rows as CSV, or with --format json the header arguments, then the rows, then extra."""
+    if args.format == "json":
+        return _json_text({**{name: getattr(args, name) for name in header},
+                           "rows": rows, **extra})
+    return _csv_text(columns, rows)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to the parameter-range exit code."""
 
@@ -161,10 +169,7 @@ def _cmd_estimate(args):
     else:
         d = experiments.estimate_rip_worst(args.p, args.k, args.trials, args.seed)
     rows = _ripcurve_rows(args.p, d)
-    if args.format == "json":
-        doc = {"p": args.p, "k": args.k, "seed": args.seed, "trials": args.trials, "rows": rows}
-        return _json_text(doc), {}, 0
-    return _csv_text(RIPCURVE_COLUMNS, rows), {}, 0
+    return _table_text(args, ("p", "k", "seed", "trials"), RIPCURVE_COLUMNS, rows), {}, 0
 
 
 def _cmd_fit(args):
@@ -201,10 +206,8 @@ def _cmd_demboratio(args):
     from . import experiments
 
     rows = [r._asdict() for r in experiments.dembo_ratio_study(args.p, args.k, args.seed)]
-    if args.format == "json":
-        doc = {"p": args.p, "k": args.k, "seed": args.seed, "rows": rows}
-        return _json_text(doc), {}, 0
-    return _csv_text(experiments.DemboRatioRow._fields, rows), {}, 0
+    text = _table_text(args, ("p", "k", "seed"), experiments.DemboRatioRow._fields, rows)
+    return text, {}, 0
 
 
 def _record_doc(rec, p: int, alpha: float) -> dict:
@@ -273,14 +276,12 @@ def _cmd_conjecture(args):
             "worst_support": list(summary.worst_support),
         }
     }
-    if args.format == "json":
-        doc = {"p": args.p, "k": args.k, "trials": args.trials,
-               "seed": args.seed, "alpha": args.alpha,
-               "rows": rows, **meta}
-        return _json_text(doc), meta, 0
-    print(f"summary: fraction_satisfied={_fmt(summary.fraction_satisfied)} "
-          f"worst_ratio={_fmt(summary.worst_ratio)}", file=sys.stderr)
-    return _csv_text(CONJECTURE_COLUMNS, rows), meta, 0
+    if args.format == "csv":
+        print(f"summary: fraction_satisfied={_fmt(summary.fraction_satisfied)} "
+              f"worst_ratio={_fmt(summary.worst_ratio)}", file=sys.stderr)
+    text = _table_text(args, ("p", "k", "trials", "seed", "alpha"), CONJECTURE_COLUMNS, rows,
+                       **meta)
+    return text, meta, 0
 
 
 def _cmd_verify(args):
@@ -295,8 +296,8 @@ def _cmd_verify(args):
     return _json_text(doc), {}, EXIT_VERIFY_FAILED if failed else 0
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser, all commands listed; given a command word, only that command gets arguments."""
+def build_parser() -> _Parser:
+    """The parser of every command's arguments."""
     parser = _Parser(prog="paleyrip", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"paleyrip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -304,8 +305,6 @@ def build_parser(command: str | None = None) -> _Parser:
     def add(name, func, help_text, *, k=False, seed=False, trials=False,
             alpha=False, beta=False, fmt=None, support=False):
         sp = sub.add_parser(name, help=help_text)
-        if command not in (None, name):
-            return None
         sp.set_defaults(func=func)
         if name != "fit":
             sp.add_argument("--p", type=int, required=True, help="prime modulus")
@@ -330,32 +329,30 @@ def build_parser(command: str | None = None) -> _Parser:
         return sp
 
     add("frame", _cmd_frame, "emit the measurement matrix as JSON")
-    if gram := add("gram", _cmd_gram, "emit a Gramian submatrix as JSON", support=True):
-        gram.add_argument("--method", choices=("analytic", "direct"), default="analytic")
+    gram = add("gram", _cmd_gram, "emit a Gramian submatrix as JSON", support=True)
+    gram.add_argument("--method", choices=("analytic", "direct"), default="analytic")
     add("bounds", _cmd_bounds, "evaluate every bound family at (p, k)", k=True, beta=True)
     add("estimate", _cmd_estimate, "empirical RIP curve d(j) as ripcurve CSV",
         k=True, seed=True, trials=True, fmt="csv")
-    if fit := add("fit", _cmd_fit, "power-law fit of a ripcurve CSV"):
-        fit.add_argument("--input", type=str, required=True, help="ripcurve CSV path")
-        fit.add_argument("--jmin", type=int, default=DEFAULT_FIT_JMIN,
-                         help="first order included in the fit window")
+    fit = add("fit", _cmd_fit, "power-law fit of a ripcurve CSV")
+    fit.add_argument("--input", type=str, required=True, help="ripcurve CSV path")
+    fit.add_argument("--jmin", type=int, default=DEFAULT_FIT_JMIN,
+                     help="first order included in the fit window")
     add("demboratio", _cmd_demboratio, "bound-sharpness study as demboratio CSV",
         k=True, seed=True, fmt="csv")
-    if conj := add("conjecture", _cmd_conjecture, "one-sided difference-set pair search",
-                   k=True, seed=True, trials=True, alpha=True, fmt="csv", support=True):
-        conj.add_argument("--peel", action="store_true",
-                          help="with --support: peel best pairs until < m_alpha remain")
-        conj.add_argument("--m-alpha", dest="m_alpha", type=int,
-                          help="minimum support size the peeling keeps searching at")
-        conj.set_defaults(**dict.fromkeys(_CONJECTURE_DEFAULTS))
+    conj = add("conjecture", _cmd_conjecture, "one-sided difference-set pair search",
+               k=True, seed=True, trials=True, alpha=True, fmt="csv", support=True)
+    conj.add_argument("--peel", action="store_true",
+                      help="with --support: peel best pairs until < m_alpha remain")
+    conj.add_argument("--m-alpha", dest="m_alpha", type=int,
+                      help="minimum support size the peeling keeps searching at")
+    conj.set_defaults(**dict.fromkeys(_CONJECTURE_DEFAULTS))
     add("verify", _cmd_verify, "run the identity suite; exit 7 on failure")
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = next((a for a in argv if not a.startswith("-")), None)  # the first word
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         text, extra_meta, code = args.func(args)

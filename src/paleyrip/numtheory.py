@@ -26,6 +26,11 @@ from .errors import NotPrimeError, ParameterRangeError, WrongResidueError
 # the bases up to 41.  psi_12 is far past the 64-bit range this package targets.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
+# Largest p chi_signs builds its table for.  The table is the one allocation
+# of size O(p) in the package: at p = 2^24 it and one numpy copy of it take
+# about 2.4 s and 290 MiB on one core of a 2-core x86 host, and at p = 10^9
+# it would take more than 8 GB.
+CHI_TABLE_MAX_P = 2**24
 
 
 # Cached: legendre re-validates its modulus on every call (900 legendre and
@@ -116,9 +121,13 @@ def chi_signs(p) -> tuple[int, ...]:
 
     Built from the squares mod p rather than p Euler evaluations and cached
     per prime.  Indexing with a difference x - y of residues in [0, p)
-    needs no reduction: a negative index wraps to x - y + p.
+    needs no reduction: a negative index wraps to x - y + p.  A prime past
+    CHI_TABLE_MAX_P raises ParameterRangeError before anything is allocated.
     """
     p = check_prime(p)
+    if p > CHI_TABLE_MAX_P:
+        raise ParameterRangeError(
+            f"the Legendre table is built only for p <= {CHI_TABLE_MAX_P}, got p = {p}")
     table = [-1] * p
     table[0] = 0
     for x in range(1, (p - 1) // 2 + 1):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from paleyrip import errors, frame, numtheory, pairs
-from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, build_parser, main
+from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, main
 from paleyrip.experiments import sign_matrix
 from paleyrip.frame import check_support
 
@@ -530,31 +530,42 @@ def test_module_invocation_subprocess():
 COMMANDS = ("frame", "gram", "bounds", "estimate", "fit", "demboratio", "conjecture", "verify")
 
 
-def _parse_exit(parse, argv, capsys):
-    """(stdout, stderr, exit code) of a parse that exits, as help, version and usage errors do."""
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    captured = capsys.readouterr()
-    return captured.out, captured.err, exc.value.code
-
-
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["-h"], ["--version"], ["bogus"], ["bogus", "--p", "7"], ["--p", "7", "frame"],
     ["frame", "--k", "3"], ["conjecture", "--p", "19", "--peel", "x"],
     *([cmd, "--help"] for cmd in COMMANDS)], ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_one_command_parser_exits_as_the_full_parser(argv, capsys):
-    # main builds the arguments of the named command only; every exit before
-    # a handler runs must print and return what the all-command parser does
-    full = _parse_exit(build_parser().parse_args, argv, capsys)
-    assert _parse_exit(main, argv, capsys) == full
-    assert full[2] in (0, errors.ParameterRangeError.exit_code)
+def test_parser_exits_through_main(argv, capsys):
+    # help and version print to stdout and exit 0; a usage error prints to stderr and exits 4
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    if "-h" in argv or "--help" in argv or "--version" in argv:
+        assert exc.value.code == 0 and out and not err
+    else:
+        assert exc.value.code == errors.ParameterRangeError.exit_code and err and not out
+        assert err.splitlines()[-1].startswith("paleyrip")
+
+
+def _cap_address_space():
+    # a regression would ask for 8+ GB: fail with a MemoryError instead
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
 
 @pytest.mark.parametrize("argv", [
-    ["frame", "--p", "7"], ["gram", "--p", "7", "--support", "0,1,3", "--method", "direct"],
-    ["bounds", "--p", "7", "--k", "3", "--beta", "0.5"], ["estimate", "--p", "7", "--k", "3"],
-    ["fit", "--input", "x.csv"], ["demboratio", "--p", "19", "--k", "5", "--format", "json"],
-    ["conjecture", "--p", "19", "--k", "5"], ["conjecture", "--p", "19", "--support", "1,2,3", "--peel"],
-    ["verify", "--p", "7", "--out", "v.json"]], ids=" ".join)
-def test_one_command_parser_parses_as_the_full_parser(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    "estimate --p 1000000007 --k 3",
+    "demboratio --p 1000000007 --k 3",
+    "gram --p 1000000007 --support 1,2,5",
+    "conjecture --p 1000000007 --support 1,2,5",
+    "conjecture --p 1000000007 --k 3 --trials 1",
+    "verify --p 1000000007",
+])
+def test_legendre_table_bound_exit_4(argv):
+    # the p-long Legendre table is refused past numtheory.CHI_TABLE_MAX_P, not built
+    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()], capture_output=True,
+                         text=True, timeout=10, preexec_fn=_cap_address_space)
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: the Legendre table is built only "
+                                 f"for p <= {numtheory.CHI_TABLE_MAX_P}, got p = 1000000007")

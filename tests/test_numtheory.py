@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paleyrip import numtheory
 from paleyrip.errors import NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.experiments import sign_gram, sign_matrix
 from paleyrip.numtheory import (
@@ -170,6 +171,17 @@ def test_p2_is_a_range_error():
         chi_signs(2)
     with pytest.raises(NotPrimeError):
         chi_signs(9)
+
+
+def test_chi_signs_refuses_primes_past_its_bound(monkeypatch):
+    # checked before the table is built; patched small, so nothing large is allocated
+    monkeypatch.setattr(numtheory, "CHI_TABLE_MAX_P", 19)
+    build = chi_signs.__wrapped__  # past the cache, which may hold tables built before the patch
+    assert build(19) == tuple(legendre(a, 19) for a in range(19))
+    with pytest.raises(ParameterRangeError, match=r"only for p <= 19, got p = 23$"):
+        build(23)
+    with pytest.raises(NotPrimeError):
+        build(25)
 
 
 def _sign_gram(p: int, support) -> list[list[int]]:
