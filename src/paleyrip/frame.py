@@ -22,6 +22,13 @@ from typing import NamedTuple
 from .errors import DuplicateSupportError, ParameterRangeError
 from .numtheory import check_k, check_paley, chi_signs, row_index_set
 
+# Largest p build_frame builds the frame for.  The frame holds (p+1)/2 * p
+# Python complex entries, and the `frame` command's indented JSON of them
+# peaks near 540 bytes an entry: at p = 2039 the command takes 12-15 s and
+# 1078 MiB on one core of a 2-core x86 host, and at p = 2591 it runs out of
+# a 1.5 GB address space.  At p = 1000003 the frame alone has 5e11 entries.
+FRAME_MAX_P = 2**11
+
 
 def check_support(p: int, values) -> tuple[int, ...]:
     """Validate a support: distinct column indices in [0, p), kept in the given order.
@@ -64,9 +71,14 @@ def build_frame(p) -> PaleyFrame:
     scale sqrt(1/p) on the constant row and sqrt(2/p) elsewhere; every
     column has Euclidean norm 1.  The phase angle is (2*pi*(m*n)) * (1/p),
     the order numpy evaluates 2j*pi*outer(m, n)/p in, so each entry is the
-    numpy frame's bit for bit, signed zeros included.
+    numpy frame's bit for bit, signed zeros included.  A prime past
+    FRAME_MAX_P raises ParameterRangeError before anything is allocated.
     """
-    rows, p = row_index_set(p), int(p)  # row_index_set checks p
+    p = int(p)
+    if p > FRAME_MAX_P:
+        check_paley(p)  # a composite or a prime = 1 (mod 4) keeps its own error
+        raise ParameterRangeError(f"the frame is built only for p <= {FRAME_MAX_P}, got p = {p}")
+    rows = row_index_set(p)  # row_index_set checks p
     inv_p, two_pi = 1.0 / p, 2 * math.pi
     scales = [math.sqrt(1.0 / p)] + [math.sqrt(2.0 / p)] * (len(rows) - 1)
     entries = tuple(

@@ -8,10 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import check_outputs  # tests/check_outputs.py, beside this file
 from paleyrip import errors, frame, numtheory, pairs
 from paleyrip.cli import EXIT_VERIFY_FAILED, RIPCURVE_COLUMNS, _csv_text, main
 from paleyrip.experiments import sign_matrix
 from paleyrip.frame import check_support
+
+
+# Former subprocess cases, now entries of tests/golden/manifest.json, which
+# pins each one's exit code and stderr line; `published` runs an entry's check.
+BY_ARGV = check_outputs.BY_ARGV
 
 
 def run_cli(capsys, *argv):
@@ -125,24 +131,18 @@ def test_gram_duplicate_support_exit_6(capsys):
     "conjecture --p 1 --support 1,2,3",
     "gram --p -7 --support 1,2",
 ])
-def test_support_with_bad_modulus_exit_2(argv):
+def test_support_with_bad_modulus_exit_2(argv, published):
     # the modulus is checked before any support element is reduced mod p
-    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
-                         capture_output=True, text=True)
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr and "warning:" not in res.stderr
+    assert published(argv) == ""
 
 
 @pytest.mark.parametrize("argv, code", [
     ("gram --p 2 --support 1,2", 3),
     ("conjecture --p 2 --support 1,2,3", 4),
 ])
-def test_support_with_small_prime_modulus(argv, code):
+def test_support_with_small_prime_modulus(argv, code, published):
     # a prime outside the command's domain is rejected before any reduction
-    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
-                         capture_output=True, text=True)
-    assert res.returncode == code, res.stderr
-    assert "Traceback" not in res.stderr and "warning:" not in res.stderr
+    assert BY_ARGV[argv]["exit"] == code and published(argv) == ""
 
 
 @pytest.mark.parametrize("argv, out, unwritable", [
@@ -355,13 +355,9 @@ def test_conjecture_p2_exit_4(capsys):
     "conjecture --p 18446744073709551629 --k 3 --trials 1",  # 2^64 + 13: the draw never returned
     "estimate --p 18446744073709551667 --k 3 --trials 2",  # 3 mod 4: an OverflowError traceback
 ])
-def test_prime_past_2_64_exit_4(argv):
+def test_prime_past_2_64_exit_4(argv, published):
     # a 64-bit stream draws below at most 2^64
-    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
-                         capture_output=True, text=True, timeout=30)
-    assert res.returncode == 4, res.stderr
-    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
-    assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: bound must be in [1, 2^64], got ")
+    assert published(argv) == ""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -374,13 +370,9 @@ def test_prime_past_2_64_exit_4(argv):
      "--support without --peel ignores --m-alpha"),
     ("conjecture --p 19 --k 5 --m-alpha 5", "the --k scan ignores --m-alpha"),
 ])
-def test_conjecture_flag_misuse_exit_4(argv, message):
+def test_conjecture_flag_misuse_exit_4(argv, message, published):
     # a flag the chosen mode would ignore is a usage error, not a silent no-op
-    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()],
-                         capture_output=True, text=True)
-    assert res.returncode == 4, res.stderr
-    assert res.stdout == ""
-    assert res.stderr.startswith("paleyrip conjecture: ") and message in res.stderr
+    assert message in BY_ARGV[argv]["stderr"] and published(argv) == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,13 +538,6 @@ def test_parser_exits_through_main(argv, capsys):
         assert err.splitlines()[-1].startswith("paleyrip")
 
 
-def _cap_address_space():
-    # a regression would ask for 8+ GB: fail with a MemoryError instead
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
-
-
 @pytest.mark.parametrize("argv", [
     "estimate --p 1000000007 --k 3",
     "demboratio --p 1000000007 --k 3",
@@ -561,11 +546,7 @@ def _cap_address_space():
     "conjecture --p 1000000007 --k 3 --trials 1",
     "verify --p 1000000007",
 ])
-def test_legendre_table_bound_exit_4(argv):
-    # the p-long Legendre table is refused past numtheory.CHI_TABLE_MAX_P, not built
-    res = subprocess.run([sys.executable, "-m", "paleyrip", *argv.split()], capture_output=True,
-                         text=True, timeout=10, preexec_fn=_cap_address_space)
-    assert res.returncode == 4, res.stderr
-    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
-    assert res.stderr.startswith(f"paleyrip {argv.split()[0]}: the Legendre table is built only "
-                                 f"for p <= {numtheory.CHI_TABLE_MAX_P}, got p = 1000000007")
+def test_legendre_table_bound_exit_4(argv, published):
+    # the p-long Legendre table is refused past numtheory.CHI_TABLE_MAX_P, not built;
+    # the entry's run is capped at check_outputs.AS_BYTES, where building it would fail
+    assert published(argv) == ""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paleyrip import frame
 from paleyrip.cli import main
 from paleyrip.errors import DuplicateSupportError, NotPrimeError, ParameterRangeError, WrongResidueError
 from paleyrip.experiments import sign_matrix, skew_spectral_radius
@@ -46,6 +47,18 @@ def test_build_frame_rejects_bad_p():
         build_frame(6)
     with pytest.raises(WrongResidueError):
         build_frame(13)
+
+
+def test_build_frame_refuses_primes_past_its_bound(monkeypatch):
+    # checked after p itself and before anything is built; patched small
+    monkeypatch.setattr(frame, "FRAME_MAX_P", 11)
+    assert build_frame(11).shape == (6, 11)
+    with pytest.raises(ParameterRangeError, match=r"only for p <= 11, got p = 19$"):
+        build_frame(19)
+    with pytest.raises(NotPrimeError):
+        build_frame(21)
+    with pytest.raises(WrongResidueError):
+        build_frame(17)
 
 
 def test_gram_direct_singleton_and_pair():

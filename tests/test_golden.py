@@ -1,16 +1,17 @@
 """Golden stdout of every published output, and the oracles behind them.
 
-tests/golden/manifest.json lists the published outputs, one entry each: the
-argv, the golden file under tests/golden/ (null for outputs compared only
-with an ordinary run), whether it runs without numpy, and for some a note
-on what the output pins.  Here every golden command runs in process and
-must print its file's bytes, the cheap check whose failure shows a diff;
-tests/test_startup.py runs each listed output once more, in a fresh
-interpreter through tests/check_outputs.py, which adds start-up and the
-blocked imports.  The goldens pin the bytes printed with one BLAS
-thread (conftest.py pins it; the eigensolver's last digits depend on the
-thread count).  A kernel change that moves a last digit must regenerate
-them on purpose, with one thread, from the repository root:
+tests/golden/manifest.json lists the command contracts, one entry each: the
+argv, the golden file under tests/golden/ (none for `--help`, `--version`
+and the errors, which pin an exit code and a stderr line instead), whether
+it runs without numpy, and for some a note on what the entry pins.  Here
+every golden command runs in process and must print its file's bytes, the
+cheap check whose failure shows a diff; tests/test_startup.py runs each
+entry once more, in a fresh interpreter through tests/check_outputs.py,
+which adds start-up, the blocked imports and the exit codes.  The goldens
+pin the bytes printed with one BLAS thread (conftest.py pins it; the
+eigensolver's last digits depend on the thread count).  A kernel change
+that moves a last digit must regenerate them on purpose, with one thread,
+from the repository root:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \\
         python -m paleyrip estimate --p 103 --k 30 --seed 1 \\
@@ -44,7 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
-PINNED = {entry["golden"]: entry["argv"] for entry in MANIFEST if entry["golden"]}
+PINNED = {entry["golden"]: entry["argv"] for entry in MANIFEST if "golden" in entry}
 ESTIMATES = [name for name in sorted(PINNED) if name.startswith("estimate-") and name.endswith(".csv")]
 
 
@@ -71,7 +72,7 @@ def _dense_extremes(p: int, supports, k: int) -> list[tuple[float, float]]:
 
 
 def test_manifest_lists_every_golden():
-    names = [entry["golden"] for entry in MANIFEST if entry["golden"]]
+    names = [entry["golden"] for entry in MANIFEST if "golden" in entry]
     assert len(names) == len(set(names))
     assert set(names) == {path.name for path in GOLDEN.iterdir()} - {"manifest.json"}
 

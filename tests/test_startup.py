@@ -1,14 +1,18 @@
-"""Start-up loads only what a command runs, and every published output prints its bytes.
+"""Start-up loads only what a command runs, and every command contract holds.
 
 `import paleyrip` loads no submodule.  tests/check_outputs.py checks the
-published outputs tests/golden/manifest.json lists, and here each entry
+command contracts tests/golden/manifest.json lists, and here each entry
 runs through its `check` once, in a fresh interpreter: a numpy-free entry
 with numpy and dataclasses unimportable (`sys.modules[name] = None` makes
 any import of them raise), since the modules those commands run keep
-their records in NamedTuples, and any other plainly.  Each must print its
-golden bytes or, with no golden, the same bytes as an ordinary run.  The
-script's own report, the lines and exit status CI reads, is tested in
-process with `check` stubbed, and once without an importable paleyrip.
+their records in NamedTuples, and any other plainly.  Each must exit with
+its code and print its golden bytes, the same bytes as an ordinary run, or
+for an error nothing on stdout and its one pinned line on stderr.  `check`
+itself is shown to catch a wrong code, a wrong stderr line, an error that
+prints on stdout, a run past the address-space cap and one past the
+timeout.  The script's own report, the lines and exit status CI reads, is
+tested in process with `check` stubbed, and once without an importable
+paleyrip.
 `bounds` itself is loaded only by the commands that evaluate bounds, and
 `pairs` only by `conjecture` (and by `exact_rip`, which no command runs).
 No command loads `spectra`, whose dense oracles only the benchmark's oracle
@@ -62,12 +66,37 @@ def _last_line(code: str) -> str:
     return res.stdout.splitlines()[-1]
 
 
-BY_ARGV = {" ".join(entry["argv"]): entry for entry in check_outputs.MANIFEST}
+BY_ARGV = check_outputs.BY_ARGV
 
 
 @pytest.mark.parametrize("argv", list(BY_ARGV))
-def test_published_output(argv):
-    assert check_outputs.check(BY_ARGV[argv]) == ""
+def test_published_output(argv, published):
+    assert published(argv) == ""
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"exit": 3}, "exit 2, want 3: paleyrip bounds: 9 is not prime"),
+    ({"stderr": "paleyrip bounds: 9 is composite"},
+     "stderr from byte 22 printed b'not prime\\n', want b'composite\\n'"),
+], ids=["exit", "stderr"])
+def test_check_catches_a_broken_error_entry(change, problem):
+    assert check_outputs.check({**BY_ARGV["bounds --p 9 --k 4"], **change}) == problem
+
+
+@pytest.mark.parametrize("before, problem", [
+    ("print('{}')", "stdout from byte 0 printed b'{}\\n', want b''"),
+    ("import mmap; mmap.mmap(-1, 2 * 10**9)",  # reserved, never touched
+     "exit 1, want 4: OSError: [Errno 12] Cannot allocate memory"),
+    ("import time; time.sleep(9)", "no exit within 0.5 s"),
+], ids=["prints", "past-the-cap", "past-the-timeout"])
+def test_check_catches_a_stand_in_error(before, problem, monkeypatch):
+    # a stand-in command that fails as the entry pins, after doing `before`
+    monkeypatch.setattr(check_outputs, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(check_outputs, "PLAIN", [sys.executable, "-c", f"import sys\n{before}\n"
+                                                 "sys.stderr.write('paleyrip x: failed\\n')\n"
+                                                 "sys.exit(4)"])
+    entry = {"argv": [], "exit": 4, "stderr": "paleyrip x: failed", "numpy_free": False}
+    assert check_outputs.check(entry) == problem
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -101,11 +130,10 @@ def test_check_outputs_without_paleyrip():
 
 @pytest.mark.parametrize("argv, code", [("bounds --p 9 --k 4", 2), ("bounds --p 2 --k 2", 4),
                                         ("bounds --p 318665857834031151167461 --k 4", 4)])
-def test_validation_error_without_numpy(argv, code):
-    blocked = _python(_BLOCK_NUMPY + f"sys.argv = {['paleyrip', *argv.split()]!r}\nimport runpy\n"
-                      "runpy.run_module('paleyrip', run_name='__main__', alter_sys=True)\n")
-    assert blocked.returncode == code, blocked.stderr
-    assert blocked.stderr.startswith("paleyrip bounds: "), blocked.stderr
+def test_validation_error_without_numpy(argv, code, published):
+    # numpy-free manifest entries: they run with numpy blocked
+    assert BY_ARGV[argv]["exit"] == code and BY_ARGV[argv]["numpy_free"]
+    assert published(argv) == ""
 
 
 @pytest.mark.parametrize("code", [
@@ -160,11 +188,12 @@ def test_verify_loads_neither_numpy_nor_spectra():
 
 
 def test_manifest_commands_load_no_spectra():
-    # every manifest command in one interpreter, the array commands first:
-    # they load neither frame nor dataclasses, and no command loads spectra
-    array = [e["argv"] for e in check_outputs.MANIFEST if e["argv"][0] in ("estimate", "demboratio")]
-    rest = [e["argv"] for e in check_outputs.MANIFEST if e["argv"] not in array]
-    assert len(array) == 7 and len(array) + len(rest) == len(check_outputs.MANIFEST)
+    # every manifest command that exits 0 in one interpreter, the array commands
+    # first: they load neither frame nor dataclasses, and no command loads spectra
+    runs = [e["argv"] for e in check_outputs.MANIFEST if not e.get("exit")]
+    array = [argv for argv in runs if argv[0] in ("estimate", "demboratio")]
+    rest = [argv for argv in runs if argv not in array]
+    assert len(array) == 7
     res = _python("import contextlib, io, sys\nfrom paleyrip.cli import main\n"
                   "def run(argvs):\n"
                   "    for argv in argvs:\n"
